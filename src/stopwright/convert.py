@@ -10,6 +10,7 @@ here are the entire computational content of that equivalence.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .errors import NotAStoppingMeasure
 from .space import INFINITY, FilteredSpace, as_fraction
@@ -53,47 +54,40 @@ def randomized_to_behavior(
 ) -> BehaviorStoppingTime:
     """Stop masses to hazards: divide by the mass not yet spent.
 
-    Once the surviving mass hits zero the quotient is 0/0; any convention
-    gives the same detailed distribution and we pick 0, so a rule that has
-    surely stopped never "stops again".
+    The unspent mass is carried down the tree, one subtraction per block.
+    Once it hits zero the quotient is 0/0; any convention gives the same
+    detailed distribution and we pick 0, so a rule that has surely stopped
+    never "stops again".
     """
     require_valid(eta, space)
-    beta: dict[int, dict[str, Fraction]] = {}
-    for n in range(1, space.horizon + 1):
-        beta[n] = {}
-        for block_id in space.blocks(n):
-            witness = space.members(n, block_id)[0]
-            spent = sum(
-                (eta.rho[j][space.block_of(j, witness)] for j in range(1, n)),
-                start=Fraction(0),
-            )
-            surviving = 1 - spent
-            if surviving == 0:
-                beta[n][block_id] = Fraction(0)
-            else:
-                beta[n][block_id] = eta.rho[n][block_id] / surviving
+    beta: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
+    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+    for n, block_id, parent_id in space.top_down():
+        left = unspent[n - 1, parent_id]
+        mass = eta.rho[n][block_id]
+        beta[n][block_id] = Fraction(0) if left == 0 else mass / left
+        unspent[n, block_id] = left - mass
     return BehaviorStoppingTime(beta=beta)
 
 
 def behavior_to_randomized(
     eta: BehaviorStoppingTime, space: FilteredSpace
 ) -> RandomizedStoppingTime:
-    """Hazards to stop masses: survive past 1..n-1, then stop at n."""
+    """Hazards to stop masses: survive past 1..n-1, then stop at n.
+
+    The survival product is carried down the tree, one factor per block;
+    the never-stop mass is the survival past the horizon.
+    """
     require_valid(eta, space)
-    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
-    for n in range(1, space.horizon + 1):
-        for block_id in space.blocks(n):
-            witness = space.members(n, block_id)[0]
-            survival = Fraction(1)
-            for j in range(1, n):
-                survival *= 1 - eta.beta[j][space.block_of(j, witness)]
-            rho[n][block_id] = survival * eta.beta[n][block_id]
-    rho_inf = {}
-    for atom in space.atoms:
-        survival = Fraction(1)
-        for j in range(1, space.horizon + 1):
-            survival *= 1 - eta.beta[j][space.block_of(j, atom)]
-        rho_inf[atom] = survival
+    T = space.horizon
+    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+    survival: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+    for n, block_id, parent_id in space.top_down():
+        alive = survival[n - 1, parent_id]
+        hazard = eta.beta[n][block_id]
+        rho[n][block_id] = alive * hazard
+        survival[n, block_id] = alive * (1 - hazard)
+    rho_inf = {atom: survival[T, space.block_of(T, atom)] for atom in space.atoms}
     return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
@@ -162,21 +156,13 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     table = {
         int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in candidate.items()
     }
-    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
-    for n in range(1, space.horizon + 1):
-        level = table.get(n, {})
-        for block_id in space.blocks(n):
-            witness = space.members(n, block_id)[0]
-            spent = sum(
-                (rho[j][space.block_of(j, witness)] for j in range(1, n)), start=Fraction(0)
-            )
-            raw = level.get(block_id, Fraction(0))
-            rho[n][block_id] = max(Fraction(0), min(raw, 1 - spent))
-    rho_inf = {}
-    for atom in space.atoms:
-        spent = sum(
-            (rho[n][space.block_of(n, atom)] for n in range(1, space.horizon + 1)),
-            start=Fraction(0),
-        )
-        rho_inf[atom] = 1 - spent
+    T = space.horizon
+    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+    for n, block_id, parent_id in space.top_down():
+        left = unspent[n - 1, parent_id]
+        raw = table.get(n, {}).get(block_id, Fraction(0))
+        rho[n][block_id] = max(Fraction(0), min(raw, left))
+        unspent[n, block_id] = left - rho[n][block_id]
+    rho_inf = {atom: unspent[T, space.block_of(T, atom)] for atom in space.atoms}
     return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .convert import convert
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
@@ -199,25 +199,25 @@ def auxiliary_problem(
     opp_stops = game.process(player, frozenset({other}))
     both = game.process(player, BOTH)
 
-    values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
-    infinity: dict[str, Fraction] = {}
-
-    def walk(n: int, block_id: str, collected: Fraction, survival: Fraction) -> None:
+    T = space.horizon
+    values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+    carried: dict[tuple[int, Optional[str]], tuple[Fraction, Fraction]] = {
+        (0, None): (Fraction(0), Fraction(1))
+    }
+    for n, block_id, parent_id in space.top_down():
+        collected, survival = carried[n - 1, parent_id]
         q = hazard.beta[n][block_id]
         values[n][block_id] = collected + survival * (
             q * both.values[n][block_id] + (1 - q) * solo.values[n][block_id]
         )
-        collected = collected + survival * q * opp_stops.values[n][block_id]
-        survival = survival * (1 - q)
-        if n == space.horizon:
-            atom = space.members(n, block_id)[0]
-            infinity[atom] = collected + survival * both.infinity[atom]
-        else:
-            for child in space.children(n, block_id):
-                walk(n + 1, child, collected, survival)
-
-    for block_id in space.blocks(1):
-        walk(1, block_id, Fraction(0), Fraction(1))
+        carried[n, block_id] = (
+            collected + survival * q * opp_stops.values[n][block_id],
+            survival * (1 - q),
+        )
+    infinity = {}
+    for atom in space.atoms:
+        collected, survival = carried[T, space.block_of(T, atom)]
+        infinity[atom] = collected + survival * both.infinity[atom]
     return AdaptedProcess(values=values, infinity=infinity)
 
 

@@ -46,7 +46,10 @@ def sample_stop_time(
     Pure rules consume no draws; randomized and mixed rules consume one;
     behavior rules consume one per period until they stop (at most T).
     Draws are compared against exact rationals, so thresholds are hit
-    exactly.
+    exactly.  Draws lie in [0, 1): a hazard stops only on a draw strictly
+    below it, and a cumulative threshold selects the first time whose
+    positive cumulative mass reaches the draw, so a draw of 0 never
+    realizes a stop with zero mass.
     """
     require_valid(eta, space)
     draws = iter(uniforms)
@@ -57,13 +60,13 @@ def sample_stop_time(
         cumulative = Fraction(0)
         for n in range(1, space.horizon + 1):
             cumulative += eta.rho[n][space.block_of(n, atom)]
-            if cumulative >= r:
+            if cumulative > 0 and cumulative >= r:
                 return n
         return INFINITY
     if isinstance(eta, BehaviorStoppingTime):
         for n in range(1, space.horizon + 1):
             r = next(draws)
-            if r <= eta.beta[n][space.block_of(n, atom)]:
+            if r < eta.beta[n][space.block_of(n, atom)]:
                 return n
         return INFINITY
     r = next(draws)
@@ -99,7 +102,8 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace, rng, atom_idx: 
                 running += eta.rho[n][space.block_of(n, a)]
                 cum[i, n - 1] = float(running)
         r = rng.random(len(atom_idx))
-        reached = cum[atom_idx] >= r[:, None]
+        rows = cum[atom_idx]
+        reached = (rows > 0) & (rows >= r[:, None])
         return np.where(reached.any(axis=1), reached.argmax(axis=1), T)
     if isinstance(eta, BehaviorStoppingTime):
         hazard = np.array(
@@ -109,7 +113,7 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace, rng, atom_idx: 
             ]
         )
         draws = rng.random((len(atom_idx), T))
-        stopped = draws <= hazard[atom_idx]
+        stopped = draws < hazard[atom_idx]
         return np.where(stopped.any(axis=1), stopped.argmax(axis=1), T)
     # mixed: one draw selects the section, the section decides per atom
     cuts = np.array([float(r) for r in eta.breakpoints[1:]])

@@ -127,9 +127,10 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     """Optimal stopping by backward induction, with an optimal pure rule.
 
-    The recursion keeps, per block, the best of stopping now and the
-    conditional expectation of continuing; ties stop as early as possible.
-    The returned strategy attains the returned value.
+    Each level, from the horizon back to time 1, keeps per block the best
+    of stopping now and the conditional expectation of continuing; ties
+    stop as early as possible.  The returned strategy attains the returned
+    value.
     """
     check_process(space, problem)
     T = space.horizon
@@ -145,21 +146,19 @@ def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
             ) / space.block_prob(n, block_id)
             value[n][block_id] = max(problem.values[n][block_id], continuation)
 
+    # A block stops where stopping attains its value, unless an ancestor
+    # already stopped; an atom still running past T never stops, because
+    # stopping at T is strictly worse there.
+    stopped_at: dict[tuple[int, Optional[str]], Optional[int]] = {(0, None): None}
+    for n, block_id, parent_id in space.top_down():
+        t = stopped_at[n - 1, parent_id]
+        if t is None and problem.values[n][block_id] == value[n][block_id]:
+            t = n
+        stopped_at[n, block_id] = t
     stop: dict[str, Time] = {}
-
-    def assign(n: int, block_id: str) -> None:
-        if problem.values[n][block_id] == value[n][block_id]:
-            for a in space.members(n, block_id):
-                stop[a] = n
-        elif n == T:
-            # stopping at T is strictly worse, so the optimum is never stopping
-            stop[space.members(T, block_id)[0]] = INFINITY
-        else:
-            for c in space.children(n, block_id):
-                assign(n + 1, c)
-
-    for block_id in space.blocks(1):
-        assign(1, block_id)
+    for atom in space.atoms:
+        t = stopped_at[T, space.block_of(T, atom)]
+        stop[atom] = INFINITY if t is None else t
 
     total = sum(
         (space.block_prob(1, b) * value[1][b] for b in space.blocks(1)), start=Fraction(0)

@@ -68,11 +68,16 @@ def _require(doc, key, context):
 
 
 def space_from_doc(doc) -> FilteredSpace:
-    """Accepts {"nodes": [...]} or a bare node list."""
+    """Accepts {"nodes": [...]} or a bare node list; leaf probabilities must be rationals."""
     nodes = doc.get("nodes") if isinstance(doc, dict) else doc
     if not isinstance(nodes, list):
         raise FormatError("space document must be a node list or contain a 'nodes' list")
-    return build_space(nodes)
+    parsed = []
+    for node in nodes:
+        if isinstance(node, dict) and node.get("prob") is not None:
+            node = {**node, "prob": parse_rational(node["prob"])}
+        parsed.append(node)
+    return build_space(parsed)
 
 
 # -- block tables -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     ProbabilitySumError,
@@ -137,11 +137,17 @@ class FilteredSpace:
             self._block_prob.append(
                 {b: sum(self.prob[a] for a in members) for b, members in level.items()}
             )
+        self._parent = [dict.fromkeys(self.levels[0])]
         self._children = []
         for n in range(self.horizon - 1):
+            parent_of = {
+                child_id: self._block_of[n][members[0]]
+                for child_id, members in self.levels[n + 1].items()
+            }
             child_map: dict[str, list[str]] = {b: [] for b in self.levels[n]}
-            for child_id, members in self.levels[n + 1].items():
-                child_map[self._block_of[n][members[0]]].append(child_id)
+            for child_id, parent_id in parent_of.items():
+                child_map[parent_id].append(child_id)
+            self._parent.append(parent_of)
             self._children.append({b: tuple(cs) for b, cs in child_map.items()})
 
     # -- structural queries ---------------------------------------------------
@@ -169,6 +175,20 @@ class FilteredSpace:
         """Blocks at time ``n+1`` refining the given time-``n`` block."""
         return self._children[n - 1][block_id]
 
+    def top_down(self) -> Iterator[tuple[int, str, Optional[str]]]:
+        """Every block with its parent: ``(n, block_id, parent_id)``, level by level.
+
+        Time-1 blocks have parent ``None``, standing for the root at time
+        0; within a level, blocks come in partition order.  Each time-``n``
+        block comes after its time-``n-1`` parent, so a pass that keys its
+        state by ``(n, block_id)``, seeded at ``(0, None)``, carries it from
+        parent to child with no recursion and no rescan of earlier times:
+        O(blocks) at any depth.
+        """
+        for n, parent_of in enumerate(self._parent, start=1):
+            for block_id, parent_id in parent_of.items():
+                yield n, block_id, parent_id
+
     def __repr__(self) -> str:
         return f"FilteredSpace(T={self.horizon}, atoms={len(self.atoms)})"
 
@@ -176,15 +196,20 @@ class FilteredSpace:
 def build_space(tree_description) -> FilteredSpace:
     """Build a FilteredSpace from a node list with parent links.
 
-    Each node is a mapping with ``id`` and ``parent`` (``None`` for the
-    root); leaves additionally carry ``prob`` as a rational string.  The
-    time-``n`` blocks are the leaf sets below each depth-``n`` node, and
-    the horizon is the common leaf depth.
+    Each node is a mapping with a string ``id`` and a ``parent`` (``None``
+    or absent for the root); leaves additionally carry ``prob`` as a
+    rational string.  The time-``n`` blocks are the leaf sets below each
+    depth-``n`` node, and the horizon is the common leaf depth.
     """
     nodes = {}
     children: dict[str, list[str]] = {}
     root = None
     for node in tree_description:
+        if not isinstance(node, Mapping) or not isinstance(node.get("id"), str):
+            raise StructureError(f"every node must be a mapping with a string 'id', got {node!r}")
+        parent = node.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise StructureError(f"node {node['id']!r} has a non-string parent {parent!r}")
         node_id = node["id"]
         if node_id in nodes:
             raise StructureError(f"duplicate node id {node_id!r}")
@@ -234,9 +259,10 @@ def build_space(tree_description) -> FilteredSpace:
     for node_id in reversed(order):
         if children[node_id]:
             below[node_id] = tuple(a for c in children[node_id] for a in below[c])
-    levels = []
-    for n in range(1, horizon + 1):
-        levels.append({node_id: below[node_id] for node_id in order if depth[node_id] == n})
+    # ``order`` is breadth-first, so one pass keeps each level in tree order.
+    levels: list[dict[str, tuple[str, ...]]] = [{} for _ in range(horizon)]
+    for node_id in order[1:]:
+        levels[depth[node_id] - 1][node_id] = below[node_id]
 
     return FilteredSpace(horizon, leaves, prob, levels)
 

@@ -402,34 +402,38 @@ def equivalent(
 # -- enumeration -----------------------------------------------------------------
 
 
+def _union(parts: tuple[dict[str, Time], ...]) -> dict[str, Time]:
+    """One stop table from the tables of disjoint blocks."""
+    merged: dict[str, Time] = {}
+    for part in parts:
+        merged.update(part)
+    return merged
+
+
 def enumerate_pure_stopping_times(space: FilteredSpace) -> list[PureStoppingTime]:
-    """All pure stopping rules of the space, by exhaustive tree recursion.
+    """All pure stopping rules of the space, built level by level from the horizon.
 
     At each block the rule either stops everyone now or defers to an
     independent choice per child block; at the horizon the options are
     "stop at T" and "never".  Intended for small spaces; the count grows
     exponentially with the tree.
     """
-
-    def block_options(n: int, block_id: str) -> list[dict[str, Time]]:
-        members = space.members(n, block_id)
-        options: list[dict[str, Time]] = [{a: n for a in members}]
-        if n == space.horizon:
-            options.append({a: INFINITY for a in members})
-        else:
-            per_child = [block_options(n + 1, c) for c in space.children(n, block_id)]
-            for combo in itertools.product(*per_child):
-                merged: dict[str, Time] = {}
-                for part in combo:
-                    merged.update(part)
-                options.append(merged)
-        return options
-
-    per_root = [block_options(1, b) for b in space.blocks(1)]
-    result = []
-    for combo in itertools.product(*per_root):
-        merged: dict[str, Time] = {}
-        for part in combo:
-            merged.update(part)
-        result.append(PureStoppingTime(stop=merged))
-    return result
+    below: dict[str, list[dict[str, Time]]] = {}
+    for n in range(space.horizon, 0, -1):
+        options: dict[str, list[dict[str, Time]]] = {}
+        for block_id in space.blocks(n):
+            members = space.members(n, block_id)
+            here: list[dict[str, Time]] = [{a: n for a in members}]
+            if n == space.horizon:
+                here.append({a: INFINITY for a in members})
+            else:
+                children = space.children(n, block_id)
+                if len(children) == 1:
+                    # an only child covers the same atoms: its tables serve as they are
+                    here.extend(below[children[0]])
+                else:
+                    combos = itertools.product(*(below[c] for c in children))
+                    here.extend(_union(combo) for combo in combos)
+            options[block_id] = here
+        below = options
+    return [PureStoppingTime(stop=_union(combo)) for combo in itertools.product(*below.values())]

@@ -288,3 +288,30 @@ class TestOutputFormats:
     def test_missing_required_flag_is_usage_error(self, files, capsys):
         code, _, _ = run_capture(capsys, ["dist", "--space", files["e1.json"]])
         assert code == 2
+
+
+class TestMalformedSpace:
+    """Bad space documents exit 1 with a JSON error, never a traceback."""
+
+    def check(self, capsys, tmp_path, nodes, error):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"nodes": nodes}))
+        code, out, err = run_capture(capsys, ["validate", "--space", str(path)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
+    def test_division_by_zero_probability(self, capsys, tmp_path):
+        nodes = [dict(n) for n in E1_NODES]
+        nodes[-1]["prob"] = "1/0"
+        self.check(capsys, tmp_path, nodes, "FormatError")
+
+    def test_float_probability(self, capsys, tmp_path):
+        nodes = [dict(n) for n in E1_NODES]
+        nodes[-1]["prob"] = 0.5
+        self.check(capsys, tmp_path, nodes, "FormatError")
+
+    def test_node_without_id(self, capsys, tmp_path):
+        nodes = [dict(n) for n in E1_NODES]
+        del nodes[-1]["id"]
+        self.check(capsys, tmp_path, nodes, "StructureError")

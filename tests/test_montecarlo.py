@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from stopwright import (
@@ -17,11 +18,12 @@ from stopwright import (
     empirical_joint_distribution,
     game_payoff,
     pure,
+    randomized,
     randomized_to_mixed,
     sample_stop_time,
     stopping_game,
 )
-from stopwright.montecarlo import chunk_plan, detailed_counts_chunk
+from stopwright.montecarlo import _stop_columns, chunk_plan, detailed_counts_chunk
 
 from fuzz import negate_process, random_stopping_time
 
@@ -53,6 +55,26 @@ class TestSampleStopTime:
         assert sample_stop_time(b1, e1, "w3", iter([0.5, 0.2])) == 2
         assert sample_stop_time(b1, e1, "w3", iter([0.1])) == 1
         assert sample_stop_time(b1, e1, "w3", iter([0.9, 0.9])) == INFINITY
+
+    def test_zero_draw_never_realizes_zero_mass(self, e1, b1):
+        # b1 has hazard 0 on w2 at time 2, so w2 either stops at 1 or never
+        assert sample_stop_time(b1, e1, "w2", iter([0.9, 0.0])) == INFINITY
+        late = randomized(
+            rho={1: {"A": 0, "B": 0}, 2: {w: "1/2" for w in e1.atoms}},
+            rho_inf={w: "1/2" for w in e1.atoms},
+        )
+        assert sample_stop_time(late, e1, "w1", iter([0.0])) == 2
+
+        class Zeros:
+            def random(self, shape):
+                return np.zeros(shape)
+
+        atom_idx = np.arange(len(e1.atoms))
+        # columns are 0-based times; column T is "never"
+        assert list(_stop_columns(b1, e1, Zeros(), atom_idx)) == [0, 0, 0, 0]
+        assert list(_stop_columns(late, e1, Zeros(), atom_idx)) == [1, 1, 1, 1]
+        hazard_zero = behavior(beta={1: {"A": 0, "B": 0}, 2: {w: 0 for w in e1.atoms}})
+        assert list(_stop_columns(hazard_zero, e1, Zeros(), atom_idx)) == [2, 2, 2, 2]
 
     def test_mixed_section_selection(self, e1, r1):
         mix = randomized_to_mixed(r1, e1)
