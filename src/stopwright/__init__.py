@@ -25,7 +25,6 @@ from .space import (
     AdaptedProcess,
     Event,
     FilteredSpace,
-    StoppingProblem,
     Time,
     adapted_process,
     as_fraction,
@@ -46,6 +45,7 @@ from .stopping import (
     StoppingMeasure,
     Violation,
     behavior,
+    densities,
     detailed_distribution,
     enumerate_pure_stopping_times,
     equivalent,
@@ -60,7 +60,6 @@ from .convert import (
     behavior_to_randomized,
     convert,
     measure_to_randomized,
-    mixed_to_measure,
     randomized_to_behavior,
     randomized_to_mixed,
     repair_densities,

@@ -21,9 +21,8 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     StoppingMeasure,
-    detailed_distribution,
+    densities,
     is_stopping_measure,
-    require_valid,
 )
 
 TARGET_TYPES = ("randomized", "behavior", "mixed")
@@ -50,21 +49,22 @@ def measure_to_randomized(nu: StoppingMeasure, space: FilteredSpace) -> Randomiz
 
 
 def randomized_to_behavior(
-    eta: RandomizedStoppingTime, space: FilteredSpace
+    eta: RandomStoppingTime, space: FilteredSpace
 ) -> BehaviorStoppingTime:
     """Stop masses to hazards: divide by the mass not yet spent.
 
     The unspent mass is carried down the tree, one subtraction per block.
     Once it hits zero the quotient is 0/0; any convention gives the same
     detailed distribution and we pick 0, so a rule that has surely stopped
-    never "stops again".
+    never "stops again".  A rule of another type is read through its
+    densities.
     """
-    require_valid(eta, space)
+    rho = densities(eta, space).rho
     beta: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
     unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
     for n, block_id, parent_id in space.top_down():
         left = unspent[n - 1, parent_id]
-        mass = eta.rho[n][block_id]
+        mass = rho[n][block_id]
         beta[n][block_id] = Fraction(0) if left == 0 else mass / left
         unspent[n, block_id] = left - mass
     return BehaviorStoppingTime(beta=beta)
@@ -73,40 +73,27 @@ def randomized_to_behavior(
 def behavior_to_randomized(
     eta: BehaviorStoppingTime, space: FilteredSpace
 ) -> RandomizedStoppingTime:
-    """Hazards to stop masses: survive past 1..n-1, then stop at n.
-
-    The survival product is carried down the tree, one factor per block;
-    the never-stop mass is the survival past the horizon.
-    """
-    require_valid(eta, space)
-    T = space.horizon
-    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    survival: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
-    for n, block_id, parent_id in space.top_down():
-        alive = survival[n - 1, parent_id]
-        hazard = eta.beta[n][block_id]
-        rho[n][block_id] = alive * hazard
-        survival[n, block_id] = alive * (1 - hazard)
-    rho_inf = {atom: survival[T, space.block_of(T, atom)] for atom in space.atoms}
-    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
+    """Hazards to stop masses: survive past 1..n-1, then stop at n (see ``densities``)."""
+    return densities(eta, space)
 
 
-def randomized_to_mixed(eta: RandomizedStoppingTime, space: FilteredSpace) -> MixedStoppingTime:
+def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedStoppingTime:
     """Threshold the cumulative stop masses with one shared external draw.
 
     The draw r selects the first time whose cumulative mass reaches r.
     Cutting the unit interval at every cumulative sum seen on any atom
     (plus 1) makes the selected rule constant on each piece, so finitely
     many pure sections carry the whole mixture.  Each section is adapted
-    because cumulative masses are.
+    because cumulative masses are.  A rule of another type is read
+    through its densities.
     """
-    require_valid(eta, space)
+    rho = densities(eta, space).rho
     cumulative = {}
     for atom in space.atoms:
         sums = []
         running = Fraction(0)
         for n in range(1, space.horizon + 1):
-            running += eta.rho[n][space.block_of(n, atom)]
+            running += rho[n][space.block_of(n, atom)]
             sums.append(running)
         cumulative[atom] = sums
     cuts = {c for sums in cumulative.values() for c in sums if c > 0}
@@ -123,26 +110,20 @@ def randomized_to_mixed(eta: RandomizedStoppingTime, space: FilteredSpace) -> Mi
     return MixedStoppingTime(breakpoints=breakpoints, sections=tuple(sections))
 
 
-def mixed_to_measure(eta: MixedStoppingTime, space: FilteredSpace) -> StoppingMeasure:
-    """Integrate the sections against their interval lengths."""
-    return detailed_distribution(eta, space)
-
-
 def convert(eta: RandomStoppingTime, target_type: str, space: FilteredSpace) -> RandomStoppingTime:
     """Rewrite ``eta`` as an equivalent rule of ``target_type``.
 
-    Route: detailed distribution -> densities -> target construction.  The
-    result always has the same detailed distribution; its syntactic form is
-    canonical for the target type, not necessarily minimal.
+    Route: densities -> target construction.  The result always has the
+    same detailed distribution; its syntactic form is canonical for the
+    target type, not necessarily minimal.
     """
     if target_type not in TARGET_TYPES:
         raise ValueError(f"target_type must be one of {TARGET_TYPES}, got {target_type!r}")
-    base = measure_to_randomized(detailed_distribution(eta, space), space)
     if target_type == "randomized":
-        return base
+        return densities(eta, space)
     if target_type == "behavior":
-        return randomized_to_behavior(base, space)
-    return randomized_to_mixed(base, space)
+        return randomized_to_behavior(eta, space)
+    return randomized_to_mixed(eta, space)
 
 
 def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:

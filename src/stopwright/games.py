@@ -8,21 +8,20 @@ stops).  External randomizations are independent, so the joint law of
 by atom.
 
 Best responses never need the opponent's external coin: folding the
-opponent's hazard into survival-weighted payoffs turns the game into an
-ordinary stopping problem on the same tree, solved by backward induction.
+opponent's stop masses into the payoffs turns the game into an ordinary
+stopping problem on the same tree, solved by backward induction.  A
+player's game payoff is their payoff in that same problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .convert import convert
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
-from .payoffs import SnellResult, snell_value
+from .payoffs import SnellResult, payoff, snell_value
 from .space import (
-    INFINITY,
     AdaptedProcess,
     FilteredSpace,
     Time,
@@ -33,6 +32,7 @@ from .stopping import (
     BehaviorStoppingTime,
     RandomStoppingTime,
     StoppingMeasure,
+    densities,
     detailed_distribution,
     equivalent,
 )
@@ -133,44 +133,22 @@ def game_payoff(
     game: StoppingGame,
     space: FilteredSpace,
 ) -> tuple[Fraction, Fraction]:
-    """Expected payoff pair: pair the joint mass table with the coalition payoffs."""
-    check_game(space, game)
-    joint = joint_detailed_distribution(eta1, eta2, space)
-    totals = [Fraction(0), Fraction(0)]
-    for atom in space.atoms:
-        for (t1, t2), m in joint.mass[atom].items():
-            if m == 0:
-                continue
-            c = _coalition(t1, t2)
-            stop_at = min(t1, t2)
-            for i, j in enumerate(PLAYERS):
-                totals[i] += m * game.process(j, c).value_at(space, stop_at, atom)
-    return totals[0], totals[1]
+    """Expected payoff pair: each player's payoff in the auxiliary problem the other sets."""
+    return (
+        payoff(eta1, auxiliary_problem(eta2, game, space, 1), space),
+        payoff(eta2, auxiliary_problem(eta1, game, space, 2), space),
+    )
 
 
 def game_equivalent(
-    eta1: RandomStoppingTime,
-    eta1_alt: RandomStoppingTime,
-    space: FilteredSpace,
-    probes: Iterable[RandomStoppingTime] = (),
+    eta1: RandomStoppingTime, eta1_alt: RandomStoppingTime, space: FilteredSpace
 ) -> bool:
     """Equality of joint laws against every opponent.
 
-    Decided exactly by comparing the rules' own detailed distributions;
-    every supplied probe opponent is also checked directly, and any
-    disagreement with the marginal answer is an internal bug.
+    The joint law is the product of the two rules' densities, so it is the
+    same against every opponent exactly when the rules are equivalent.
     """
-    answer = equivalent(eta1, eta1_alt, space)
-    for probe in probes:
-        probed = (
-            joint_detailed_distribution(eta1, probe, space)
-            == joint_detailed_distribution(eta1_alt, probe, space)
-        )
-        if probed != answer:
-            raise ConsistencyFailure(
-                "probe joint distributions disagree with marginal equivalence"
-            )
-    return answer
+    return equivalent(eta1, eta1_alt, space)
 
 
 def auxiliary_problem(
@@ -181,11 +159,11 @@ def auxiliary_problem(
 ) -> AdaptedProcess:
     """The single-player stopping problem a player faces against a fixed opponent.
 
-    The opponent is reduced to hazard form. Walking down the tree,
-    ``survival`` is the chance the opponent has not stopped yet and
+    The opponent is reduced to its densities.  Walking down the tree,
+    ``unspent`` is the chance the opponent has not stopped yet and
     ``collected`` the payoff already banked from the opponent stopping
-    first.  Stopping now wins the both-stop payoff if the opponent stops
-    too, else the stop-alone payoff; never stopping ends in the
+    first.  Stopping now wins the both-stop payoff on the opponent's stop
+    mass here, else the stop-alone payoff; never stopping ends in the
     both-players slot at INFINITY.  For every rule the player could use,
     the payoff in this problem equals the game payoff, so optimizing it is
     exactly best-responding.
@@ -194,7 +172,7 @@ def auxiliary_problem(
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     check_game(space, game)
     other = 2 if player == 1 else 1
-    hazard = convert(opponent, "behavior", space)
+    rho = densities(opponent, space).rho
     solo = game.process(player, frozenset({player}))
     opp_stops = game.process(player, frozenset({other}))
     both = game.process(player, BOTH)
@@ -205,19 +183,21 @@ def auxiliary_problem(
         (0, None): (Fraction(0), Fraction(1))
     }
     for n, block_id, parent_id in space.top_down():
-        collected, survival = carried[n - 1, parent_id]
-        q = hazard.beta[n][block_id]
-        values[n][block_id] = collected + survival * (
-            q * both.values[n][block_id] + (1 - q) * solo.values[n][block_id]
+        collected, unspent = carried[n - 1, parent_id]
+        stops = rho[n][block_id]
+        values[n][block_id] = (
+            collected
+            + stops * both.values[n][block_id]
+            + (unspent - stops) * solo.values[n][block_id]
         )
         carried[n, block_id] = (
-            collected + survival * q * opp_stops.values[n][block_id],
-            survival * (1 - q),
+            collected + stops * opp_stops.values[n][block_id],
+            unspent - stops,
         )
     infinity = {}
     for atom in space.atoms:
-        collected, survival = carried[T, space.block_of(T, atom)]
-        infinity[atom] = collected + survival * both.infinity[atom]
+        collected, unspent = carried[T, space.block_of(T, atom)]
+        infinity[atom] = collected + unspent * both.infinity[atom]
     return AdaptedProcess(values=values, infinity=infinity)
 
 
@@ -340,7 +320,11 @@ def check_epsilon_equilibrium(
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    got1, got2 = game_payoff(eta1, eta2, game, space)
-    best1 = best_response_value(eta2, game, 1, space).value
-    best2 = best_response_value(eta1, game, 2, space).value
-    return got1 >= best1 - epsilon and got2 >= best2 - epsilon
+    faced = (
+        (eta1, auxiliary_problem(eta2, game, space, 1)),
+        (eta2, auxiliary_problem(eta1, game, space, 2)),
+    )
+    return all(
+        payoff(eta, problem, space) >= snell_value(problem, space).value - epsilon
+        for eta, problem in faced
+    )

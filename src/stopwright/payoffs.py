@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyFailure, ValidationError
+from .errors import ValidationError
 from .space import (
     INFINITY,
     AdaptedProcess,
@@ -23,16 +23,12 @@ from .space import (
     as_fraction,
     check_process,
     conditional_expectation,
-    expectation,
 )
 from .stopping import (
-    BehaviorStoppingTime,
-    MixedStoppingTime,
     PureStoppingTime,
     RandomStoppingTime,
-    RandomizedStoppingTime,
+    densities,
     detailed_distribution,
-    require_valid,
 )
 
 
@@ -50,78 +46,23 @@ class DistinguishResult:
     payoff_gap: Fraction
 
 
-def _pure_payoff(eta: PureStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
-    stopped = {a: problem.value_at(space, eta.stop[a], a) for a in space.atoms}
-    return expectation(space, stopped)
-
-
-def _randomized_payoff(
-    eta: RandomizedStoppingTime, problem: AdaptedProcess, space: FilteredSpace
-) -> Fraction:
-    total = Fraction(0)
-    for atom in space.atoms:
-        acc = eta.rho_inf[atom] * problem.infinity[atom]
-        for n in range(1, space.horizon + 1):
-            acc += eta.rho[n][space.block_of(n, atom)] * problem.value_at(space, n, atom)
-        total += space.prob[atom] * acc
-    return total
-
-
-def _behavior_payoff(
-    eta: BehaviorStoppingTime, problem: AdaptedProcess, space: FilteredSpace
-) -> Fraction:
-    total = Fraction(0)
-    for atom in space.atoms:
-        acc = Fraction(0)
-        survival = Fraction(1)
-        for n in range(1, space.horizon + 1):
-            b = eta.beta[n][space.block_of(n, atom)]
-            acc += survival * b * problem.value_at(space, n, atom)
-            survival *= 1 - b
-        acc += survival * problem.infinity[atom]
-        total += space.prob[atom] * acc
-    return total
-
-
-def _mixed_payoff(eta: MixedStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
-    return sum(
-        (w * _pure_payoff(section, problem, space) for section, w in zip(eta.sections, eta.weights())),
-        start=Fraction(0),
-    )
-
-
 def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
     """Expected payoff of ``problem`` under the stopping rule ``eta``.
 
-    Computed twice on purpose: once by the representation's own formula and
-    once as the pairing of the detailed distribution with the payoff table.
-    The two must agree exactly; a mismatch is an internal bug.
+    The pairing of the rule's densities with the payoff table, block by
+    block: stop mass times block probability times value, plus the
+    never-stop mass times each atom's INFINITY value.
     """
-    require_valid(eta, space)
+    d = densities(eta, space)
     check_process(space, problem)
-    if isinstance(eta, PureStoppingTime):
-        direct = _pure_payoff(eta, problem, space)
-    elif isinstance(eta, RandomizedStoppingTime):
-        direct = _randomized_payoff(eta, problem, space)
-    elif isinstance(eta, BehaviorStoppingTime):
-        direct = _behavior_payoff(eta, problem, space)
-    else:
-        direct = _mixed_payoff(eta, problem, space)
-
-    nu = detailed_distribution(eta, space)
-    bilinear = sum(
-        (
-            nu.mass[atom][t] * problem.value_at(space, t, atom)
-            for atom in space.atoms
-            for t in space.times
-        ),
-        start=Fraction(0),
-    )
-    if direct != bilinear:
-        raise ConsistencyFailure(
-            f"type-specific payoff {direct} != mass-table pairing {bilinear}"
-        )
-    return direct
+    total = Fraction(0)
+    for n, level in d.rho.items():
+        values = problem.values[n]
+        for block_id, rho in level.items():
+            total += space.block_prob(n, block_id) * rho * values[block_id]
+    for atom, rho_inf in d.rho_inf.items():
+        total += space.prob[atom] * rho_inf * problem.infinity[atom]
+    return total
 
 
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:

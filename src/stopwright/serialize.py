@@ -50,17 +50,26 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_time(key) -> Time:
+    """An integer, an integer string, or "inf"; bools and fractional numbers are rejected."""
     if key == "inf" or key == INFINITY:
         return INFINITY
-    try:
-        return int(key)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad time index {key!r} (expected an integer or 'inf')") from exc
+    if isinstance(key, int) and not isinstance(key, bool):
+        return key
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    raise FormatError(f"bad time index {key!r} (expected an integer or 'inf')")
 
 
-def _require(doc, key, context):
+def _require(doc, key, context, kind=object):
+    """``doc[key]``, which must be present and of the JSON kind ``kind`` (dict or list)."""
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"{context} document is missing {key!r}")
+    if not isinstance(doc[key], kind):
+        name = "an object" if kind is dict else "an array"
+        raise FormatError(f"{context} {key!r} must be {name}")
     return doc[key]
 
 
@@ -106,9 +115,7 @@ def _block_table_to_doc(table) -> dict:
 
 
 def _pure_from_doc(doc) -> PureStoppingTime:
-    stop = _require(doc, "stop", "pure rule")
-    if not isinstance(stop, dict):
-        raise FormatError("pure rule 'stop' must map atoms to times")
+    stop = _require(doc, "stop", "pure rule", dict)
     return pure({atom: parse_time(t) for atom, t in stop.items()})
 
 
@@ -121,7 +128,7 @@ def stopping_time_from_doc(doc) -> RandomStoppingTime:
             rho=_block_table_from_doc(_require(doc, "rho", "randomized rule"), "rho"),
             rho_inf={
                 atom: parse_rational(v)
-                for atom, v in _require(doc, "rho_inf", "randomized rule").items()
+                for atom, v in _require(doc, "rho_inf", "randomized rule", dict).items()
             },
         )
     if kind == "behavior":
@@ -129,12 +136,10 @@ def stopping_time_from_doc(doc) -> RandomStoppingTime:
             beta=_block_table_from_doc(_require(doc, "beta", "behavior rule"), "beta")
         )
     if kind == "mixed":
-        sections = _require(doc, "sections", "mixed rule")
-        if not isinstance(sections, list):
-            raise FormatError("mixed rule 'sections' must be a list")
+        sections = _require(doc, "sections", "mixed rule", list)
         return mixed(
             breakpoints=[
-                parse_rational(r) for r in _require(doc, "breakpoints", "mixed rule")
+                parse_rational(r) for r in _require(doc, "breakpoints", "mixed rule", list)
             ],
             sections=[_pure_from_doc(s) for s in sections],
         )
@@ -172,7 +177,8 @@ def process_from_doc(doc) -> AdaptedProcess:
     return adapted_process(
         values=_block_table_from_doc(_require(doc, "values", "process"), "values"),
         infinity={
-            atom: parse_rational(v) for atom, v in _require(doc, "infinity", "process").items()
+            atom: parse_rational(v)
+            for atom, v in _require(doc, "infinity", "process", dict).items()
         },
     )
 
@@ -212,7 +218,7 @@ def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
     players = _require(doc, "players", "game")
     if players != 2:
         raise FormatError(f"only 2-player games are supported, got players={players!r}")
-    payoff_docs = _require(doc, "payoffs", "game")
+    payoff_docs = _require(doc, "payoffs", "game", dict)
     table = {}
     for key, proc_doc in payoff_docs.items():
         try:

@@ -285,10 +285,6 @@ class AdaptedProcess:
         return self.values[t][space.block_of(t, atom)]
 
 
-#: A stopping problem is nothing more than the adapted payoff process itself.
-StoppingProblem = AdaptedProcess
-
-
 def adapted_process(values, infinity) -> AdaptedProcess:
     """Build an AdaptedProcess, coercing ints/strings to exact Fractions."""
     return AdaptedProcess(

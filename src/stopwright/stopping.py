@@ -14,7 +14,9 @@ A stopping rule can be written four ways:
 All four induce the same kind of object: a joint law of (outcome, stop
 index), held here as a ``StoppingMeasure`` mass table.  Two rules are
 *equivalent* when those tables coincide, and equivalence is decidable by
-exact rational equality.
+exact rational equality.  ``densities`` reduces every representation to
+one canonical form, the randomized one, and the mass table, payoffs,
+equivalence, conversions and game payoffs are all read off it.
 """
 
 from __future__ import annotations
@@ -176,8 +178,13 @@ def _checked_fraction(value) -> Optional[Fraction]:
 def _validate_block_table(
     table, space: FilteredSpace, name: str
 ) -> tuple[Optional[dict], Optional[Violation]]:
-    """Check an {n: {block: value}} table covers 1..T with exact values."""
+    """Check an {n: {block: value}} table covers exactly 1..T with exact values."""
     checked: dict[int, dict[str, Fraction]] = {}
+    for n in table:
+        if isinstance(n, bool) or n not in range(1, space.horizon + 1):
+            return None, Violation(
+                "OutOfRange", detail=f"{name} has time {n!r} outside 1..{space.horizon}"
+            )
     for n in range(1, space.horizon + 1):
         level = table.get(n)
         if level is None:
@@ -202,15 +209,25 @@ def _validate_block_table(
     return checked, None
 
 
+def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
+    """A key outside the space, in a table already known to hold every atom."""
+    if len(table) == len(space.atoms):
+        return None
+    return next(a for a in table if a not in space.prob)
+
+
 def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Violation]:
     valid_times = set(space.times)
     for atom in space.atoms:
         if atom not in eta.stop:
             return Violation("Malformed", where=atom, detail="no stop index for atom")
         t = eta.stop[atom]
-        if t not in valid_times:
-            return Violation("OutOfRange", time=t if isinstance(t, (int, float)) else None,
+        if t not in valid_times or isinstance(t, bool):
+            return Violation("OutOfRange", time=t if type(t) in (int, float) else None,
                              where=atom, detail=f"stop index {t!r} outside 1..{space.horizon}, inf")
+    unknown = _unknown_atom(eta.stop, space)
+    if unknown is not None:
+        return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
     for n in range(1, space.horizon + 1):
         for block_id in space.blocks(n):
             members = space.members(n, block_id)
@@ -244,6 +261,11 @@ def _validate_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> O
         total = v_inf + sum(rho[n][space.block_of(n, atom)] for n in range(1, space.horizon + 1))
         if total != 1:
             return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
+    unknown = _unknown_atom(eta.rho_inf, space)
+    if unknown is not None:
+        return Violation(
+            "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
+        )
     return None
 
 
@@ -306,64 +328,67 @@ def require_valid(eta: RandomStoppingTime, space: FilteredSpace) -> None:
         raise ValidationError(str(violation), violation=violation)
 
 
-# -- detailed distributions ------------------------------------------------------
+# -- the canonical form -----------------------------------------------------------
 
 
-def _empty_mass(space: FilteredSpace) -> dict[str, dict[Time, Fraction]]:
-    return {a: {t: Fraction(0) for t in space.times} for a in space.atoms}
+def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppingTime:
+    """The rule's canonical form: stop mass per block, never-stop mass per atom.
 
-
-def _pure_mass(eta: PureStoppingTime, space: FilteredSpace) -> dict:
-    mass = _empty_mass(space)
-    for atom in space.atoms:
-        mass[atom][eta.stop[atom]] = space.prob[atom]
-    return mass
-
-
-def _randomized_mass(eta: RandomizedStoppingTime, space: FilteredSpace) -> dict:
-    mass = _empty_mass(space)
-    for atom in space.atoms:
-        p = space.prob[atom]
-        for n in range(1, space.horizon + 1):
-            mass[atom][n] = p * eta.rho[n][space.block_of(n, atom)]
-        mass[atom][INFINITY] = p * eta.rho_inf[atom]
-    return mass
-
-
-def _behavior_mass(eta: BehaviorStoppingTime, space: FilteredSpace) -> dict:
-    mass = _empty_mass(space)
-    for atom in space.atoms:
-        p = space.prob[atom]
-        survival = Fraction(1)
-        for n in range(1, space.horizon + 1):
-            b = eta.beta[n][space.block_of(n, atom)]
-            mass[atom][n] = p * survival * b
-            survival *= 1 - b
-        mass[atom][INFINITY] = p * survival
-    return mass
-
-
-def _mixed_mass(eta: MixedStoppingTime, space: FilteredSpace) -> dict:
-    mass = _empty_mass(space)
-    weights = eta.weights()
-    for atom in space.atoms:
-        p = space.prob[atom]
-        for section, w in zip(eta.sections, weights):
-            mass[atom][section.stop[atom]] += p * w
-    return mass
+    Every representation reduces to this randomized form, and everything
+    observable about a rule (its mass table, payoffs, equivalence, games)
+    is read off it.  Validates ``eta`` first; the result holds Fractions
+    keyed exactly by the space's blocks, times and atoms.
+    """
+    require_valid(eta, space)
+    T = space.horizon
+    if isinstance(eta, RandomizedStoppingTime):
+        return RandomizedStoppingTime(
+            rho={
+                n: {b: Fraction(eta.rho[n][b]) for b in space.blocks(n)} for n in range(1, T + 1)
+            },
+            rho_inf={a: Fraction(eta.rho_inf[a]) for a in space.atoms},
+        )
+    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+    if isinstance(eta, BehaviorStoppingTime):
+        # survive past 1..n-1, then stop at n; the survival product is carried
+        # down the tree, one factor per block
+        survival: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+        for n, block_id, parent_id in space.top_down():
+            alive = survival[n - 1, parent_id]
+            hazard = eta.beta[n][block_id]
+            rho[n][block_id] = alive * hazard
+            survival[n, block_id] = alive * (1 - hazard)
+        rho_inf = {a: survival[T, space.block_of(T, a)] for a in space.atoms}
+        return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
+    if isinstance(eta, PureStoppingTime):
+        weighted = ((eta, Fraction(1)),)
+    else:
+        weighted = tuple(zip(eta.sections, eta.weights()))
+    # a stop index is constant on blocks of its time, so one member decides
+    for n in range(1, T + 1):
+        for block_id in space.blocks(n):
+            atom = space.members(n, block_id)[0]
+            rho[n][block_id] = sum(
+                (w for s, w in weighted if s.stop[atom] == n), start=Fraction(0)
+            )
+    rho_inf = {
+        a: sum((w for s, w in weighted if s.stop[a] == INFINITY), start=Fraction(0))
+        for a in space.atoms
+    }
+    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
 def detailed_distribution(eta: RandomStoppingTime, space: FilteredSpace) -> StoppingMeasure:
     """The exact joint law of (outcome, stop index) induced by ``eta``."""
-    require_valid(eta, space)
-    if isinstance(eta, PureStoppingTime):
-        mass = _pure_mass(eta, space)
-    elif isinstance(eta, RandomizedStoppingTime):
-        mass = _randomized_mass(eta, space)
-    elif isinstance(eta, BehaviorStoppingTime):
-        mass = _behavior_mass(eta, space)
-    else:
-        mass = _mixed_mass(eta, space)
+    d = densities(eta, space)
+    mass = {}
+    for atom in space.atoms:
+        p = space.prob[atom]
+        row: dict[Time, Fraction] = {
+            n: p * d.rho[n][space.block_of(n, atom)] for n in range(1, space.horizon + 1)
+        }
+        row[INFINITY] = p * d.rho_inf[atom]
+        mass[atom] = row
     return StoppingMeasure(mass=mass)
 
 
@@ -395,8 +420,12 @@ def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:
 def equivalent(
     eta1: RandomStoppingTime, eta2: RandomStoppingTime, space: FilteredSpace
 ) -> bool:
-    """True iff the two rules induce identical mass tables (exact equality)."""
-    return detailed_distribution(eta1, space) == detailed_distribution(eta2, space)
+    """True iff the two rules induce identical mass tables (exact equality).
+
+    Every atom has positive probability, so equal mass tables are equal
+    densities.
+    """
+    return densities(eta1, space) == densities(eta2, space)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -2,7 +2,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stopwright import convert
 from stopwright.cli import run
 from stopwright.games import BOTH, ONLY_1, ONLY_2
 from stopwright.serialize import game_to_doc, stopping_time_to_doc
@@ -315,3 +318,96 @@ class TestMalformedSpace:
         nodes = [dict(n) for n in E1_NODES]
         del nodes[-1]["id"]
         self.check(capsys, tmp_path, nodes, "StructureError")
+
+
+class TestMalformedDocuments:
+    """Rule, process and game documents with a field of the wrong JSON kind exit 1."""
+
+    def check(self, capsys, tmp_path, files, command, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_capture(
+            capsys, [command, "--space", files["e1.json"], flag, str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "FormatError"
+
+    def test_rho_inf_list(self, capsys, tmp_path, files):
+        doc = {**stopping_time_to_doc(make_r1()), "rho_inf": ["0"]}
+        self.check(capsys, tmp_path, files, "dist", "--st", doc)
+
+    def test_process_infinity_list(self, capsys, tmp_path, files):
+        doc = {"values": {"1": {"A": "0", "B": "0"}}, "infinity": ["0"]}
+        self.check(capsys, tmp_path, files, "snell", "--problem", doc)
+
+    def test_game_payoffs_list(self, capsys, tmp_path, files):
+        doc = {"players": 2, "payoffs": [], "zero_sum": True}
+        self.check(capsys, tmp_path, files, "game-value", "--game", doc)
+
+    def test_mixed_breakpoints_number(self, capsys, tmp_path, files):
+        doc = {"type": "mixed", "breakpoints": 3, "sections": [{"type": "pure", "stop": {}}]}
+        self.check(capsys, tmp_path, files, "dist", "--st", doc)
+
+
+
+def _fields(doc, prefix=()):
+    """Every field of a JSON document as (path of its container, key)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, prefix + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from([1.9, 0.5, "inf", "1/2", "1/0", "-1", "x", "zz"]),
+    st.lists(st.sampled_from(["0", 1, None]), max_size=2),
+    st.dictionaries(
+        st.sampled_from(["1", "w1", "A", "zz"]), st.sampled_from(["0", []]), max_size=2
+    ),
+)
+
+#: The command each fixture document is fed to; DOC stands for the mutated copy.
+MUTATED_RUNS = {
+    "e1.json": ["validate", "--space", "DOC"],
+    "r1.json": ["equiv", "--space", "e1.json", "--st", "DOC", "--st2", "b1.json"],
+    "b1.json": ["convert", "--space", "e1.json", "--st", "DOC", "--to", "mixed"],
+    "stopnow.json": ["dist", "--space", "e1.json", "--st", "DOC"],
+    "mixed.json": ["dist", "--space", "e1.json", "--st", "DOC"],
+    "problem.json": ["payoff", "--space", "e1.json", "--st", "b1.json", "--problem", "DOC"],
+    "game.json": [
+        "eq-check", "--space", "e1.json", "--game", "DOC", "--st", "b1.json", "--st2", "r1.json",
+    ],
+}
+
+
+def test_single_field_mutations_never_raise(files, tmp_path):
+    """Replacing or deleting one field of a valid document exits 0 or 1, never raises."""
+    mixed = stopping_time_to_doc(convert(make_r1(), "mixed", make_e1()))
+    (tmp_path / "mixed.json").write_text(json.dumps(mixed))
+    files = {**files, "mixed.json": str(tmp_path / "mixed.json")}
+    mutated = tmp_path / "mutated.json"
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(MUTATED_RUNS)))
+        with open(files[name], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        path, key = data.draw(st.sampled_from(list(_fields(doc))))
+        container = doc
+        for step in path:
+            container = container[step]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JSON_VALUES)
+        mutated.write_text(json.dumps(doc))
+        argv = [str(mutated) if a == "DOC" else files.get(a, a) for a in MUTATED_RUNS[name]]
+        assert run(argv) in (0, 1)
+
+    check()

@@ -13,7 +13,6 @@ from stopwright import (
     equivalent,
     is_stopping_measure,
     measure_to_randomized,
-    mixed_to_measure,
     pure,
     randomized,
     randomized_to_behavior,
@@ -148,13 +147,13 @@ class TestRandomizedToMixed:
 class TestMixedToMeasure:
     def test_mixed_form_of_r1_reproduces_table(self, e1, r1):
         mix = randomized_to_mixed(r1, e1)
-        assert mixed_to_measure(mix, e1) == detailed_distribution(r1, e1)
+        assert detailed_distribution(mix, e1) == detailed_distribution(r1, e1)
 
     def test_single_section(self, e1):
         sigma = pure({"w1": 1, "w2": 1, "w3": 2, "w4": 2})
         from stopwright import mixed as make_mixed
 
-        nu = mixed_to_measure(make_mixed([0, 1], [sigma]), e1)
+        nu = detailed_distribution(make_mixed([0, 1], [sigma]), e1)
         assert nu == detailed_distribution(sigma, e1)
 
     def test_two_equal_halves_collapse(self, e1):
@@ -162,14 +161,14 @@ class TestMixedToMeasure:
         from stopwright import mixed as make_mixed
 
         split = make_mixed([0, "1/2", 1], [sigma, sigma])
-        assert mixed_to_measure(split, e1) == detailed_distribution(sigma, e1)
+        assert detailed_distribution(split, e1) == detailed_distribution(sigma, e1)
 
     def test_result_is_stopping_measure(self):
         rng = random.Random(13)
         for _ in range(15):
             space = random_space(rng, max_depth=3)
             mix = randomized_to_mixed(random_randomized(rng, space), space)
-            assert is_stopping_measure(mixed_to_measure(mix, space), space)
+            assert is_stopping_measure(detailed_distribution(mix, space), space)
 
 
 class TestConvert:

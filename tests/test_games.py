@@ -95,7 +95,31 @@ class TestJointDistribution:
             assert joint.marginal(space, 2) == detailed_distribution(eta2, space)
 
 
+def joint_table_payoff(eta1, eta2, game, space):
+    """Pair the joint mass table with the coalition payoffs, cell by cell."""
+    joint = joint_detailed_distribution(eta1, eta2, space)
+    totals = [F(0), F(0)]
+    for atom in space.atoms:
+        for (t1, t2), m in joint.mass[atom].items():
+            coalition = ONLY_1 if t1 < t2 else ONLY_2 if t2 < t1 else BOTH
+            for i, player in enumerate((1, 2)):
+                process = game.process(player, coalition)
+                totals[i] += m * process.value_at(space, min(t1, t2), atom)
+    return tuple(totals)
+
+
 class TestGamePayoff:
+    def test_matches_joint_table_pairing(self):
+        rng = random.Random(113)
+        for _ in range(30):
+            space = random_space(rng, max_depth=3)
+            game = random_game(rng, space)
+            eta1 = random_stopping_time(rng, space)
+            eta2 = random_stopping_time(rng, space)
+            assert game_payoff(eta1, eta2, game, space) == joint_table_payoff(
+                eta1, eta2, game, space
+            )
+
     def test_constant_game(self, e1, r1, b1):
         game = stopping_game(
             {(j, c): constant_process(e1, 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
@@ -125,16 +149,28 @@ class TestGamePayoff:
             assert game_payoff(r1, probe, game, e1) == game_payoff(b1, probe, game, e1)
 
 
+def same_joint_laws(eta, eta_alt, probes, space):
+    return all(
+        joint_detailed_distribution(eta, probe, space)
+        == joint_detailed_distribution(eta_alt, probe, space)
+        for probe in probes
+    )
+
+
 class TestGameEquivalent:
     def test_r1_b1_with_probes(self, e1, r1, b1):
         probes = [pure({a: 1 for a in e1.atoms}), pure({a: INFINITY for a in e1.atoms})]
-        assert game_equivalent(r1, b1, e1, probes)
+        assert game_equivalent(r1, b1, e1)
+        assert same_joint_laws(r1, b1, probes, e1)
 
     def test_distinct_rules(self, e1, r1):
-        assert not game_equivalent(r1, pure({a: 1 for a in e1.atoms}), e1, [make_r1()])
+        stop_now = pure({a: 1 for a in e1.atoms})
+        assert not game_equivalent(r1, stop_now, e1)
+        assert not same_joint_laws(r1, stop_now, [make_r1()], e1)
 
     def test_self_equivalence(self, e1, b1):
-        assert game_equivalent(b1, b1, e1, [b1])
+        assert game_equivalent(b1, b1, e1)
+        assert same_joint_laws(b1, b1, [b1], e1)
 
 
 class TestAuxiliaryProblem:

@@ -5,6 +5,10 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    BehaviorStoppingTime,
+    MixedStoppingTime,
+    PureStoppingTime,
+    RandomizedStoppingTime,
     SpaceMismatch,
     ValidationError,
     adapted_process,
@@ -15,6 +19,7 @@ from stopwright import (
     distinguish,
     enumerate_pure_stopping_times,
     equivalent,
+    expectation,
     payoff,
     pure,
     snell_value,
@@ -22,11 +27,56 @@ from stopwright import (
 )
 
 from fuzz import (
+    MAKERS,
     random_event,
     random_process,
     random_space,
     random_stopping_time,
 )
+
+
+def pure_payoff(eta, problem, space):
+    return expectation(space, {a: problem.value_at(space, eta.stop[a], a) for a in space.atoms})
+
+
+def randomized_payoff(eta, problem, space):
+    total = F(0)
+    for atom in space.atoms:
+        acc = eta.rho_inf[atom] * problem.infinity[atom]
+        for n in range(1, space.horizon + 1):
+            acc += eta.rho[n][space.block_of(n, atom)] * problem.value_at(space, n, atom)
+        total += space.prob[atom] * acc
+    return total
+
+
+def behavior_payoff(eta, problem, space):
+    total = F(0)
+    for atom in space.atoms:
+        acc = F(0)
+        survival = F(1)
+        for n in range(1, space.horizon + 1):
+            b = eta.beta[n][space.block_of(n, atom)]
+            acc += survival * b * problem.value_at(space, n, atom)
+            survival *= 1 - b
+        acc += survival * problem.infinity[atom]
+        total += space.prob[atom] * acc
+    return total
+
+
+def mixed_payoff(eta, problem, space):
+    return sum(
+        (w * pure_payoff(section, problem, space) for section, w in zip(eta.sections, eta.weights())),
+        start=F(0),
+    )
+
+
+#: Each representation's own payoff formula, written without its densities.
+DIRECT_PAYOFF = {
+    PureStoppingTime: pure_payoff,
+    RandomizedStoppingTime: randomized_payoff,
+    BehaviorStoppingTime: behavior_payoff,
+    MixedStoppingTime: mixed_payoff,
+}
 
 
 def late_reward(e1):
@@ -76,6 +126,16 @@ class TestPayoff:
                 for t in space.times
             )
             assert payoff(eta, problem, space) == paired
+
+    def test_direct_formulas_agree(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            space = random_space(rng)
+            problem = random_process(rng, space)
+            for maker in MAKERS:
+                eta = maker(rng, space)
+                direct = DIRECT_PAYOFF[type(eta)](eta, problem, space)
+                assert payoff(eta, problem, space) == direct
 
 
 class TestSnell:

@@ -48,6 +48,17 @@ class TestScalars:
         with pytest.raises(FormatError):
             parse_time("soon")
 
+    def test_parse_time_rejects_bools(self):
+        with pytest.raises(FormatError):
+            parse_time(True)
+        with pytest.raises(FormatError):
+            stopping_time_from_doc({"type": "pure", "stop": {"w1": True, "w2": 1}})
+
+    def test_parse_time_rejects_fractional_numbers(self):
+        for key in (1.9, 2.0, "1.9"):
+            with pytest.raises(FormatError):
+                parse_time(key)
+
 
 class TestSpaceDoc:
     def test_accepts_wrapped_and_bare_lists(self):

@@ -18,7 +18,11 @@ from stopwright import (
     validate,
 )
 
-from fuzz import make_r1, random_space, random_stopping_time
+import stopwright.stopping
+from stopwright import convert, payoff
+from stopwright.convert import TARGET_TYPES
+
+from fuzz import MAKERS, make_r1, random_process, random_space, random_stopping_time
 
 R1_TABLE = {
     "w1": {1: F(1, 8), 2: F(1, 8), INFINITY: F(0)},
@@ -48,6 +52,30 @@ class TestValidate:
         bad = pure({"w1": 3, "w2": 3, "w3": 3, "w4": 3})
         violation = validate(bad, e1)
         assert violation.kind == "OutOfRange"
+
+    def test_pure_bool_stop_index(self, e1):
+        violation = validate(pure({a: True for a in e1.atoms}), e1)
+        assert violation.kind == "OutOfRange"
+
+    def test_pure_stop_for_unknown_atom(self, e1):
+        bad = pure({**{a: 1 for a in e1.atoms}, "zz": 7})
+        violation = validate(bad, e1)
+        assert violation.kind == "Malformed"
+        assert violation.where == "zz"
+
+    def test_rho_inf_for_unknown_atom(self, e1, r1):
+        bad = randomized(rho=r1.rho, rho_inf={**r1.rho_inf, "zz": "7"})
+        violation = validate(bad, e1)
+        assert violation.kind == "Malformed"
+        assert violation.where == "zz"
+
+    def test_rho_time_past_horizon(self, e1, r1):
+        bad = randomized(rho={**r1.rho, 3: {a: 0 for a in e1.atoms}}, rho_inf=r1.rho_inf)
+        assert validate(bad, e1).kind == "OutOfRange"
+
+    def test_beta_time_zero(self, e1, b1):
+        bad = behavior(beta={0: {"root": 1}, **b1.beta})
+        assert validate(bad, e1).kind == "OutOfRange"
 
     def test_randomized_sum_not_one(self, e1, r1):
         broken = randomized(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})
@@ -202,3 +230,48 @@ class TestEnumeration:
     def test_r1_reachable_as_mixture_support(self, e1):
         table = detailed_distribution(make_r1(), e1)
         assert table.event_mass(("w1", "w2"), 1) == F(1, 4)
+
+
+class TestValidatesOnce:
+    """Each public entry point validates each rule it is given exactly once."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        calls = []
+        real = stopwright.stopping.validate
+
+        def counting(eta, space):
+            calls.append(eta)
+            return real(eta, space)
+
+        monkeypatch.setattr(stopwright.stopping, "validate", counting)
+        return calls
+
+    @pytest.fixture
+    def cases(self):
+        rng = random.Random(17)
+        space = random_space(rng, max_depth=3)
+        return space, [maker(rng, space) for maker in MAKERS], random_process(rng, space)
+
+    def test_detailed_distribution_and_payoff(self, validated, cases):
+        space, rules, problem = cases
+        for eta in rules:
+            detailed_distribution(eta, space)
+            assert validated == [eta]
+            validated.clear()
+            payoff(eta, problem, space)
+            assert validated == [eta]
+            validated.clear()
+
+    def test_convert_every_target(self, validated, cases):
+        space, rules, _ = cases
+        for eta in rules:
+            for target in TARGET_TYPES:
+                convert(eta, target, space)
+                assert validated == [eta]
+                validated.clear()
+
+    def test_equivalent_validates_both(self, validated, cases):
+        space, rules, _ = cases
+        equivalent(rules[0], rules[1], space)
+        assert validated == [rules[0], rules[1]]
