@@ -81,33 +81,21 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
     """Threshold the cumulative stop masses with one shared external draw.
 
     The draw r selects the first time whose cumulative mass reaches r.
-    Cutting the unit interval at every cumulative sum seen on any atom
+    Cutting the unit interval at every cumulative sum seen on any path
     (plus 1) makes the selected rule constant on each piece, so finitely
     many pure sections carry the whole mixture.  Each section is adapted
     because cumulative masses are.  A rule of another type is read
     through its densities.
     """
-    rho = densities(eta, space).rho
-    cumulative = {}
-    for atom in space.atoms:
-        sums = []
-        running = Fraction(0)
-        for n in range(1, space.horizon + 1):
-            running += rho[n][space.block_of(n, atom)]
-            sums.append(running)
-        cumulative[atom] = sums
-    cuts = {c for sums in cumulative.values() for c in sums if c > 0}
+    spent = space.spent(densities(eta, space).rho)
+    cuts = {c for c in spent.values() if c > 0}
     cuts.add(Fraction(1))
     breakpoints = (Fraction(0),) + tuple(sorted(cuts))
-    sections = []
-    for right in breakpoints[1:]:
-        stop = {}
-        for atom in space.atoms:
-            stop[atom] = next(
-                (n + 1 for n, c in enumerate(cumulative[atom]) if c >= right), INFINITY
-            )
-        sections.append(PureStoppingTime(stop=stop))
-    return MixedStoppingTime(breakpoints=breakpoints, sections=tuple(sections))
+    sections = tuple(
+        PureStoppingTime(stop=space.first_stop(lambda n, b: spent[n, b] >= right))
+        for right in breakpoints[1:]
+    )
+    return MixedStoppingTime(breakpoints=breakpoints, sections=sections)
 
 
 def convert(eta: RandomStoppingTime, target_type: str, space: FilteredSpace) -> RandomStoppingTime:

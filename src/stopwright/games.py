@@ -20,12 +20,11 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
-from .payoffs import SnellResult, payoff, snell_value
+from .payoffs import SnellResult, _pair, _within_epsilon, snell_value
 from .space import (
     AdaptedProcess,
     FilteredSpace,
     Time,
-    as_fraction,
     check_process,
 )
 from .stopping import (
@@ -134,10 +133,15 @@ def game_payoff(
     space: FilteredSpace,
 ) -> tuple[Fraction, Fraction]:
     """Expected payoff pair: each player's payoff in the auxiliary problem the other sets."""
-    return (
-        payoff(eta1, auxiliary_problem(eta2, game, space, 1), space),
-        payoff(eta2, auxiliary_problem(eta1, game, space, 2), space),
-    )
+    return tuple(_pair(d, problem, space) for d, problem in _faced(eta1, eta2, game, space))
+
+
+def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
+    """Each player's densities and the auxiliary problem the other sets; validates each once."""
+    check_game(space, game)
+    d2 = densities(eta2, space)
+    d1 = densities(eta1, space)
+    return ((d1, _fold(d2.rho, game, space, 1)), (d2, _fold(d1.rho, game, space, 2)))
 
 
 def game_equivalent(
@@ -171,8 +175,12 @@ def auxiliary_problem(
     if player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     check_game(space, game)
+    return _fold(densities(opponent, space).rho, game, space, player)
+
+
+def _fold(rho, game: StoppingGame, space: FilteredSpace, player: int) -> AdaptedProcess:
+    """``auxiliary_problem`` from the opponent's stop masses, for a checked game."""
     other = 2 if player == 1 else 1
-    rho = densities(opponent, space).rho
     solo = game.process(player, frozenset({player}))
     opp_stops = game.process(player, frozenset({other}))
     both = game.process(player, BOTH)
@@ -257,49 +265,30 @@ def zero_sum_value(game: StoppingGame, space: FilteredSpace) -> ZeroSumResult:
     """Value and optimal behavior profile of a zero-sum game, by backward induction.
 
     Each block hosts a 2x2 stage game in player 1's payoffs whose
-    continuation cell is the conditional expectation of the next level's
-    values (the both-players INFINITY payoff at the horizon).  The stage
-    solutions assemble into behavior rules that are exactly optimal: the
-    profile passes the equilibrium check with epsilon = 0.
+    continuation cell is the block's continuation value (the both-players
+    INFINITY payoff at the horizon).  The stage solutions assemble into
+    behavior rules that are exactly optimal: the profile passes the
+    equilibrium check with epsilon = 0.
     """
     if not is_zero_sum(game, space):
         raise NotZeroSum("player payoffs do not cancel; zero-sum value undefined")
     both = game.process(1, BOTH)
     solo1 = game.process(1, ONLY_1)
     solo2 = game.process(1, ONLY_2)
+    beta1: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
+    beta2: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
 
-    T = space.horizon
-    value: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    beta1: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    beta2: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    for n in range(T, 0, -1):
-        for block_id in space.blocks(n):
-            if n == T:
-                atom = space.members(T, block_id)[0]
-                continuation = both.infinity[atom]
-            else:
-                continuation = sum(
-                    (
-                        space.block_prob(n + 1, c) * value[n + 1][c]
-                        for c in space.children(n, block_id)
-                    ),
-                    start=Fraction(0),
-                ) / space.block_prob(n, block_id)
-            stage = solve_stage_game(
-                both.values[n][block_id],
-                solo1.values[n][block_id],
-                solo2.values[n][block_id],
-                continuation,
-            )
-            value[n][block_id] = stage.value
-            beta1[n][block_id] = stage.row_stop
-            beta2[n][block_id] = stage.col_stop
+    def stage(n: int, b: str, continuation: Fraction) -> Fraction:
+        solution = solve_stage_game(
+            both.values[n][b], solo1.values[n][b], solo2.values[n][b], continuation
+        )
+        beta1[n][b] = solution.row_stop
+        beta2[n][b] = solution.col_stop
+        return solution.value
 
-    total = sum(
-        (space.block_prob(1, b) * value[1][b] for b in space.blocks(1)), start=Fraction(0)
-    )
+    value, _ = space.backward_induction(both.infinity, stage)
     return ZeroSumResult(
-        value=total,
+        value=value,
         strategies=(BehaviorStoppingTime(beta=beta1), BehaviorStoppingTime(beta=beta2)),
     )
 
@@ -317,14 +306,7 @@ def check_epsilon_equilibrium(
     a fixed opponent depends only on the deviation's detailed distribution,
     and the pure optimum of the auxiliary problem bounds them all.
     """
-    epsilon = as_fraction(epsilon)
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
-    faced = (
-        (eta1, auxiliary_problem(eta2, game, space, 1)),
-        (eta2, auxiliary_problem(eta1, game, space, 2)),
-    )
     return all(
-        payoff(eta, problem, space) >= snell_value(problem, space).value - epsilon
-        for eta, problem in faced
+        _within_epsilon(d, problem, epsilon, space)
+        for d, problem in _faced(eta1, eta2, game, space)
     )

@@ -27,6 +27,7 @@ from .space import (
 from .stopping import (
     PureStoppingTime,
     RandomStoppingTime,
+    RandomizedStoppingTime,
     densities,
     detailed_distribution,
 )
@@ -55,6 +56,11 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
     """
     d = densities(eta, space)
     check_process(space, problem)
+    return _pair(d, problem, space)
+
+
+def _pair(d: RandomizedStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
+    """``payoff`` on densities and a process already checked against the space."""
     total = Fraction(0)
     for n, level in d.rho.items():
         values = problem.values[n]
@@ -68,43 +74,17 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     """Optimal stopping by backward induction, with an optimal pure rule.
 
-    Each level, from the horizon back to time 1, keeps per block the best
-    of stopping now and the conditional expectation of continuing; ties
-    stop as early as possible.  The returned strategy attains the returned
-    value.
+    A block is worth the best of stopping now and continuing (never
+    stopping, at the horizon).  The strategy stops at the first block where
+    stopping attains that value, so ties stop as early as possible; an atom
+    still running past T never stops, because stopping at T is worse there.
     """
     check_process(space, problem)
-    T = space.horizon
-    value: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    for block_id in space.blocks(T):
-        atom = space.members(T, block_id)[0]
-        value[T][block_id] = max(problem.values[T][block_id], problem.infinity[atom])
-    for n in range(T - 1, 0, -1):
-        for block_id in space.blocks(n):
-            continuation = sum(
-                (space.block_prob(n + 1, c) * value[n + 1][c] for c in space.children(n, block_id)),
-                start=Fraction(0),
-            ) / space.block_prob(n, block_id)
-            value[n][block_id] = max(problem.values[n][block_id], continuation)
-
-    # A block stops where stopping attains its value, unless an ancestor
-    # already stopped; an atom still running past T never stops, because
-    # stopping at T is strictly worse there.
-    stopped_at: dict[tuple[int, Optional[str]], Optional[int]] = {(0, None): None}
-    for n, block_id, parent_id in space.top_down():
-        t = stopped_at[n - 1, parent_id]
-        if t is None and problem.values[n][block_id] == value[n][block_id]:
-            t = n
-        stopped_at[n, block_id] = t
-    stop: dict[str, Time] = {}
-    for atom in space.atoms:
-        t = stopped_at[T, space.block_of(T, atom)]
-        stop[atom] = INFINITY if t is None else t
-
-    total = sum(
-        (space.block_prob(1, b) * value[1][b] for b in space.blocks(1)), start=Fraction(0)
+    value, values = space.backward_induction(
+        problem.infinity, lambda n, b, continuation: max(problem.values[n][b], continuation)
     )
-    return SnellResult(value=total, strategy=PureStoppingTime(stop=stop))
+    stop = space.first_stop(lambda n, b: problem.values[n][b] == values[n][b])
+    return SnellResult(value=value, strategy=PureStoppingTime(stop=stop))
 
 
 def witness_problem(event, t: Time, space: FilteredSpace) -> AdaptedProcess:
@@ -154,7 +134,13 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
+    return _within_epsilon(densities(eta, space), problem, epsilon, space)
+
+
+def _within_epsilon(d: RandomizedStoppingTime, problem: AdaptedProcess, epsilon, space) -> bool:
+    """The epsilon test of ``check_epsilon_optimal``, on densities already computed."""
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    return payoff(eta, problem, space) >= snell_value(problem, space).value - epsilon
+    optimum = snell_value(problem, space).value  # checks the process before the pairing
+    return _pair(d, problem, space) >= optimum - epsilon

@@ -200,10 +200,11 @@ def measure_to_doc(nu: StoppingMeasure) -> dict:
 
 
 def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:
-    mass_doc = _require(doc, "mass", "measure")
+    mass_doc = _require(doc, "mass", "measure", dict)
+    rows = {atom: _require(mass_doc, atom, "measure mass", dict) for atom in mass_doc}
     mass = {
         atom: {parse_time(k): parse_rational(v) for k, v in row.items()}
-        for atom, row in mass_doc.items()
+        for atom, row in rows.items()
     }
     return stopping_measure(mass, space)
 

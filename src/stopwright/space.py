@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     ProbabilitySumError,
@@ -61,7 +61,7 @@ class FilteredSpace:
     """A validated scenario tree: atoms, probabilities, and partitions.
 
     ``levels[n-1]`` maps each time-``n`` block id to its member atoms.
-    Block ids at the horizon are the atom ids themselves.
+    ``build_space`` names horizon blocks after their atoms; find them with ``block_of``.
     """
 
     def __init__(
@@ -188,6 +188,42 @@ class FilteredSpace:
         for n, parent_of in enumerate(self._parent, start=1):
             for block_id, parent_id in parent_of.items():
                 yield n, block_id, parent_id
+
+    def backward_induction(self, terminal: Mapping[str, Fraction], stage: Callable) -> tuple:
+        """From the horizon back to time 1: ``(time-0 value, {n: {block_id: value}})``.
+
+        A block's value is ``stage(n, block_id, continuation)``, where the
+        continuation is the conditional expectation of its children's values
+        or, at the horizon, the ``terminal`` value of its atom.
+        """
+        T = self.horizon
+        values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+
+        def weighted(n: int, blocks) -> Fraction:
+            return sum((self.block_prob(n, c) * values[n][c] for c in blocks), start=Fraction(0))
+
+        for block_id, (atom,) in self.levels[T - 1].items():
+            values[T][block_id] = stage(T, block_id, terminal[atom])
+        for n in range(T - 1, 0, -1):
+            for block_id in self.levels[n - 1]:
+                below = weighted(n + 1, self.children(n, block_id))
+                values[n][block_id] = stage(n, block_id, below / self.block_prob(n, block_id))
+        return weighted(1, self.levels[0]), values
+
+    def first_stop(self, stops_at: Callable[[int, str], bool]) -> dict[str, Time]:
+        """Per atom, the first ``n`` on its path with ``stops_at(n, block_id)``, else INFINITY."""
+        stopped: dict[tuple[int, Optional[str]], Time] = {(0, None): INFINITY}
+        for n, block_id, parent_id in self.top_down():
+            t = stopped[n - 1, parent_id]
+            stopped[n, block_id] = n if t == INFINITY and stops_at(n, block_id) else t
+        return {a: stopped[self.horizon, self.block_of(self.horizon, a)] for a in self.atoms}
+
+    def spent(self, rho: Mapping[int, Mapping[str, Fraction]]) -> dict[tuple, Fraction]:
+        """``(n, block_id)`` -> the block-keyed ``rho`` summed down the path to it; root 0."""
+        spent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(0)}
+        for n, block_id, parent_id in self.top_down():
+            spent[n, block_id] = spent[n - 1, parent_id] + rho[n][block_id]
+        return spent
 
     def __repr__(self) -> str:
         return f"FilteredSpace(T={self.horizon}, atoms={len(self.atoms)})"

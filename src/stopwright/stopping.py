@@ -250,6 +250,8 @@ def _validate_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> O
         for block_id, v in level.items():
             if not 0 <= v <= 1:
                 return Violation("OutOfRange", time=n, where=block_id, detail=f"rho={v}")
+    spent = space.spent(rho)
+    T = space.horizon
     for atom in space.atoms:
         if atom not in eta.rho_inf:
             return Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
@@ -258,7 +260,7 @@ def _validate_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> O
             return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
         if not 0 <= v_inf <= 1:
             return Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={v_inf}")
-        total = v_inf + sum(rho[n][space.block_of(n, atom)] for n in range(1, space.horizon + 1))
+        total = v_inf + spent[T, space.block_of(T, atom)]
         if total != 1:
             return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
     unknown = _unknown_atom(eta.rho_inf, space)

@@ -110,6 +110,11 @@ class TestMeasureDocs:
         nu = detailed_distribution(make_r1(), e1)
         assert measure_from_doc(measure_to_doc(nu), e1) == nu
 
+    def test_arrays_rejected(self, e1):
+        for doc in ({"mass": []}, {"mass": {"w1": []}}):
+            with pytest.raises(FormatError):
+                measure_from_doc(doc, e1)
+
 
 class TestGameDocs:
     def game(self, e1, zero_sum):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from stopwright import (
+    INFINITY,
     ProbabilitySumError,
     SpaceMismatch,
     StructureError,
@@ -14,13 +15,15 @@ from stopwright import (
     check_process,
     conditional_expectation,
     constant_process,
+    densities,
     event_is_measurable,
     expectation,
     is_measurable,
+    snell_value,
 )
 from stopwright.space import FilteredSpace
 
-from fuzz import E1_NODES, random_space
+from fuzz import E1_NODES, random_process, random_randomized, random_space
 
 
 class TestBuildSpace:
@@ -206,6 +209,33 @@ class TestMeasurability:
         assert event_is_measurable(e1, {"w1", "w2"}, 1)
         assert not event_is_measurable(e1, {"w1"}, 1)
         assert event_is_measurable(e1, {"w1"}, 2)
+
+
+class TestTreePasses:
+    def test_contracts_on_e1(self, e1, r1, b1):
+        asked = []
+
+        def stops_at(n, block_id):
+            asked.append(block_id)
+            return block_id in ("A", "w3")
+
+        assert e1.first_stop(stops_at) == {"w1": 1, "w2": 1, "w3": 2, "w4": INFINITY}
+        assert sorted(asked) == ["A", "B", "w3", "w4"]  # nothing below a stop is asked
+
+        rng = random.Random(5)
+        rules = [r1, densities(b1, e1)] + [random_randomized(rng, e1) for _ in range(20)]
+        for eta in rules:
+            spent = e1.spent(eta.rho)
+            for atom in e1.atoms:
+                assert spent[2, e1.block_of(2, atom)] + eta.rho_inf[atom] == 1
+
+        for _ in range(10):
+            problem = random_process(rng, e1)
+            value, values = e1.backward_induction(
+                problem.infinity, lambda n, b, continuation: max(problem.values[n][b], continuation)
+            )
+            assert value == snell_value(problem, e1).value
+            assert set(values[2]) == set(e1.blocks(2))
 
 
 class TestProcesses:

@@ -18,11 +18,26 @@ from stopwright import (
     validate,
 )
 
+import stopwright.games
 import stopwright.stopping
-from stopwright import convert, payoff
+from stopwright import (
+    auxiliary_problem,
+    best_response_value,
+    check_epsilon_equilibrium,
+    convert,
+    game_payoff,
+    payoff,
+)
 from stopwright.convert import TARGET_TYPES
 
-from fuzz import MAKERS, make_r1, random_process, random_space, random_stopping_time
+from fuzz import (
+    MAKERS,
+    make_r1,
+    random_game,
+    random_process,
+    random_space,
+    random_stopping_time,
+)
 
 R1_TABLE = {
     "w1": {1: F(1, 8), 2: F(1, 8), INFINITY: F(0)},
@@ -275,3 +290,28 @@ class TestValidatesOnce:
         space, rules, _ = cases
         equivalent(rules[0], rules[1], space)
         assert validated == [rules[0], rules[1]]
+
+    def test_game_calls_validate_each_rule_once(self, validated, cases, monkeypatch):
+        space, rules, _ = cases
+        game = random_game(random.Random(18), space)
+        checked = []
+        real = stopwright.games.check_game
+        monkeypatch.setattr(
+            stopwright.games, "check_game", lambda *args: checked.append(1) or real(*args)
+        )
+        for eta1, eta2 in zip(rules, rules[1:] + rules[:1]):
+            checked.clear()
+            game_payoff(eta1, eta2, game, space)
+            assert sorted(validated, key=id) == sorted([eta1, eta2], key=id)
+            assert checked == [1]
+            validated.clear()
+            check_epsilon_equilibrium(eta1, eta2, game, 0, space)
+            assert sorted(validated, key=id) == sorted([eta1, eta2], key=id)
+            validated.clear()
+            for player in (1, 2):
+                auxiliary_problem(eta1, game, space, player)
+                assert validated == [eta1]
+                validated.clear()
+                best_response_value(eta1, game, player, space)
+                assert validated == [eta1]
+                validated.clear()
