@@ -22,7 +22,7 @@ from .games import (
     game_payoff,
     zero_sum_value,
 )
-from .payoffs import check_epsilon_optimal, payoff, snell_value
+from .payoffs import _within_epsilon, payoff, snell_value
 from .serialize import (
     game_from_doc,
     measure_to_doc,
@@ -192,11 +192,12 @@ def _dispatch(args) -> dict:
     if args.command == "payoff":
         eta = stopping_time_from_doc(_load_json(args.st))
         problem = process_from_doc(_load_json(args.problem))
-        doc = {"payoff": rational_str(payoff(eta, problem, space))}
+        value = payoff(eta, problem, space)
+        doc = {"payoff": rational_str(value)}
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
-            doc["epsilon_optimal"] = check_epsilon_optimal(eta, problem, epsilon, space)
+            doc["epsilon_optimal"] = _within_epsilon(value, problem, epsilon, space)
         return doc
 
     if args.command == "snell":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, as_fraction
+from .space import INFINITY, FilteredSpace, Time, as_fraction
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -86,15 +86,37 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
     many pure sections carry the whole mixture.  Each section is adapted
     because cumulative masses are.  A rule of another type is read
     through its densities.
+
+    All sections come from one pass down the tree: a block with stop mass
+    stops the sections whose cut lies in (spent at its parent, spent at
+    the block].  Cumulative mass only grows along a path, so the stops on
+    a path come in section order.
     """
-    spent = space.spent(densities(eta, space).rho)
+    rho = densities(eta, space).rho
+    spent = space.spent(rho)
     cuts = {c for c in spent.values() if c > 0}
     cuts.add(Fraction(1))
     breakpoints = (Fraction(0),) + tuple(sorted(cuts))
-    sections = tuple(
-        PureStoppingTime(stop=space.first_stop(lambda n, b: spent[n, b] >= right))
-        for right in breakpoints[1:]
-    )
+    # once the cumulative mass is c, every section whose cut is at most c has stopped
+    reached = {c: k for k, c in enumerate(breakpoints)}
+    # the stops on the path to each block, latest first: (n, sections stopped by n, earlier)
+    stops: dict[tuple[int, Optional[str]], Optional[tuple]] = {(0, None): None}
+    for n, block_id, parent_id in space.top_down():
+        earlier = stops[n - 1, parent_id]
+        if rho[n][block_id]:
+            stops[n, block_id] = (n, reached[spent[n, block_id]], earlier)
+        else:
+            stops[n, block_id] = earlier
+    rows = []
+    for atom in space.atoms:
+        row: list[Time] = [INFINITY] * (len(breakpoints) - 1)
+        stop = stops[space.horizon, space.block_of(space.horizon, atom)]
+        while stop is not None:
+            n, upto, stop = stop
+            since = 0 if stop is None else stop[1]
+            row[since:upto] = [n] * (upto - since)
+        rows.append(row)
+    sections = tuple(PureStoppingTime(stop=dict(zip(space.atoms, column))) for column in zip(*rows))
     return MixedStoppingTime(breakpoints=breakpoints, sections=sections)
 
 

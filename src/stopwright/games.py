@@ -190,22 +190,27 @@ def _fold(rho, game: StoppingGame, space: FilteredSpace, player: int) -> Adapted
     carried: dict[tuple[int, Optional[str]], tuple[Fraction, Fraction]] = {
         (0, None): (Fraction(0), Fraction(1))
     }
+    # a zero stop mass banks nothing, and once the opponent has surely
+    # stopped only ``collected`` is left: both skip their products
     for n, block_id, parent_id in space.top_down():
-        collected, unspent = carried[n - 1, parent_id]
+        here = carried[n - 1, parent_id]
+        collected, unspent = here
         stops = rho[n][block_id]
-        values[n][block_id] = (
-            collected
-            + stops * both.values[n][block_id]
-            + (unspent - stops) * solo.values[n][block_id]
-        )
-        carried[n, block_id] = (
-            collected + stops * opp_stops.values[n][block_id],
-            unspent - stops,
-        )
+        if stops:
+            left = unspent - stops
+            values[n][block_id] = (
+                collected + stops * both.values[n][block_id] + left * solo.values[n][block_id]
+            )
+            here = (collected + stops * opp_stops.values[n][block_id], left)
+        elif unspent:
+            values[n][block_id] = collected + unspent * solo.values[n][block_id]
+        else:
+            values[n][block_id] = collected
+        carried[n, block_id] = here
     infinity = {}
     for atom in space.atoms:
         collected, unspent = carried[T, space.block_of(T, atom)]
-        infinity[atom] = collected + unspent * both.infinity[atom]
+        infinity[atom] = collected + unspent * both.infinity[atom] if unspent else collected
     return AdaptedProcess(values=values, infinity=infinity)
 
 
@@ -307,6 +312,6 @@ def check_epsilon_equilibrium(
     and the pure optimum of the auxiliary problem bounds them all.
     """
     return all(
-        _within_epsilon(d, problem, epsilon, space)
+        _within_epsilon(_pair(d, problem, space), problem, epsilon, space)
         for d, problem in _faced(eta1, eta2, game, space)
     )

@@ -85,36 +85,50 @@ def _atom_cumprobs(space: FilteredSpace) -> np.ndarray:
     return c
 
 
-def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace, rng, atom_idx: np.ndarray):
-    """Column indices of realized stop times: 0..T-1 for times 1..T, T for never."""
+def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
+    """Per row, the column of the first True, else ``never``."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), never)
+
+
+def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
+    """The rule's sampler: ``columns(rng, atom_idx)`` draws one realized stop per sample.
+
+    Columns 0..T-1 are times 1..T and column T is "never".  The rule's
+    float tables are built here, once, from its own per-block parameters;
+    each call of the sampler only draws and looks up.
+    """
     T = space.horizon
     atoms = space.atoms
+
+    def per_atom(block_values) -> np.ndarray:
+        """atoms x T floats from ``{(n, block_id): Fraction}``."""
+        floats = {key: float(v) for key, v in block_values.items()}
+        return np.array(
+            [[floats[n, space.block_of(n, a)] for n in range(1, T + 1)] for a in atoms]
+        )
+
     if isinstance(eta, PureStoppingTime):
         table = np.array(
             [T if eta.stop[a] == INFINITY else int(eta.stop[a]) - 1 for a in atoms]
         )
-        return table[atom_idx]
+        return lambda rng, atom_idx: table[atom_idx]
     if isinstance(eta, RandomizedStoppingTime):
-        cum = np.empty((len(atoms), T))
-        for i, a in enumerate(atoms):
-            running = Fraction(0)
-            for n in range(1, T + 1):
-                running += eta.rho[n][space.block_of(n, a)]
-                cum[i, n - 1] = float(running)
-        r = rng.random(len(atom_idx))
-        rows = cum[atom_idx]
-        reached = (rows > 0) & (rows >= r[:, None])
-        return np.where(reached.any(axis=1), reached.argmax(axis=1), T)
+        cum = per_atom(space.spent(eta.rho))
+
+        def threshold(rng, atom_idx):
+            r = rng.random(len(atom_idx))
+            rows = cum[atom_idx]
+            return _first_true((rows > 0) & (rows >= r[:, None]), T)
+
+        return threshold
     if isinstance(eta, BehaviorStoppingTime):
-        hazard = np.array(
-            [
-                [float(eta.beta[n][space.block_of(n, a)]) for n in range(1, T + 1)]
-                for a in atoms
-            ]
-        )
-        draws = rng.random((len(atom_idx), T))
-        stopped = draws < hazard[atom_idx]
-        return np.where(stopped.any(axis=1), stopped.argmax(axis=1), T)
+        hazard = per_atom({(n, b): v for n, level in eta.beta.items() for b, v in level.items()})
+
+        def hazards(rng, atom_idx):
+            draws = rng.random((len(atom_idx), T))
+            return _first_true(draws < hazard[atom_idx], T)
+
+        return hazards
     # mixed: one draw selects the section, the section decides per atom
     cuts = np.array([float(r) for r in eta.breakpoints[1:]])
     section_cols = np.array(
@@ -123,21 +137,58 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace, rng, atom_idx: 
             for s in eta.sections
         ]
     )
-    r = rng.random(len(atom_idx))
-    k = np.searchsorted(cuts, r, side="left")
-    return section_cols[k, atom_idx]
+
+    def sections(rng, atom_idx):
+        k = np.searchsorted(cuts, rng.random(len(atom_idx)), side="left")
+        return section_cols[k, atom_idx]
+
+    return sections
+
+
+def _bincount(index: tuple, shape: tuple) -> np.ndarray:
+    """Counts of the index tuples, as an int64 array of ``shape``."""
+    flat = np.ravel_multi_index(index, shape)
+    counts = np.bincount(flat, minlength=int(np.prod(shape)))
+    return counts.astype(np.int64, copy=False).reshape(shape)
+
+
+def _detailed_counter(eta: RandomStoppingTime, space: FilteredSpace):
+    """``count(size, seed, chunk_index)`` -> one chunk's counts; tables built once."""
+    cumprobs = _atom_cumprobs(space)
+    columns = _stop_columns(eta, space)
+    shape = (len(space.atoms), space.horizon + 1)
+
+    def count(size: int, seed: int, chunk_index: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+        atom_idx = np.searchsorted(cumprobs, rng.random(size), side="left")
+        return _bincount((atom_idx, columns(rng, atom_idx)), shape)
+
+    return count
+
+
+def _joint_counter(eta1: RandomStoppingTime, eta2: RandomStoppingTime, space: FilteredSpace):
+    """``count(size, seed, chunk_index)`` -> one chunk's joint counts; tables built once."""
+    cumprobs = _atom_cumprobs(space)
+    columns1 = _stop_columns(eta1, space)
+    columns2 = _stop_columns(eta2, space)
+    shape = (len(space.atoms), space.horizon + 1, space.horizon + 1)
+
+    def count(size: int, seed: int, chunk_index: int) -> np.ndarray:
+        root = np.random.SeedSequence((seed, chunk_index))
+        rng_omega, rng1, rng2 = (np.random.default_rng(s) for s in root.spawn(3))
+        atom_idx = np.searchsorted(cumprobs, rng_omega.random(size), side="left")
+        cols1 = columns1(rng1, atom_idx)
+        cols2 = columns2(rng2, atom_idx)
+        return _bincount((atom_idx, cols1, cols2), shape)
+
+    return count
 
 
 def detailed_counts_chunk(
     eta: RandomStoppingTime, space: FilteredSpace, size: int, seed: int, chunk_index: int
 ) -> np.ndarray:
     """Stop-time counts (atoms x times) for one chunk of the sample stream."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    atom_idx = np.searchsorted(_atom_cumprobs(space), rng.random(size), side="left")
-    cols = _stop_columns(eta, space, rng, atom_idx)
-    counts = np.zeros((len(space.atoms), space.horizon + 1), dtype=np.int64)
-    np.add.at(counts, (atom_idx, cols), 1)
-    return counts
+    return _detailed_counter(eta, space)(size, seed, chunk_index)
 
 
 def joint_counts_chunk(
@@ -149,15 +200,7 @@ def joint_counts_chunk(
     chunk_index: int,
 ) -> np.ndarray:
     """Joint stop-time counts (atoms x times x times) for one chunk."""
-    root = np.random.SeedSequence((seed, chunk_index))
-    rng_omega, rng1, rng2 = (np.random.default_rng(s) for s in root.spawn(3))
-    atom_idx = np.searchsorted(_atom_cumprobs(space), rng_omega.random(size), side="left")
-    cols1 = _stop_columns(eta1, space, rng1, atom_idx)
-    cols2 = _stop_columns(eta2, space, rng2, atom_idx)
-    T = space.horizon
-    counts = np.zeros((len(space.atoms), T + 1, T + 1), dtype=np.int64)
-    np.add.at(counts, (atom_idx, cols1, cols2), 1)
-    return counts
+    return _joint_counter(eta1, eta2, space)(size, seed, chunk_index)
 
 
 def chunk_plan(samples: int) -> list[tuple[int, int]]:
@@ -200,9 +243,8 @@ def empirical_detailed_distribution(
     """Relative frequencies over (outcome, stop index), deterministic per seed."""
     require_valid(eta, space)
     _check_sampling_args(samples, seed)
-    total = np.zeros((len(space.atoms), space.horizon + 1), dtype=np.int64)
-    for index, size in chunk_plan(samples):
-        total += detailed_counts_chunk(eta, space, size, seed, index)
+    count = _detailed_counter(eta, space)
+    total = sum(count(size, seed, index) for index, size in chunk_plan(samples))
     counts = {
         atom: {t: int(total[i, j]) for j, t in enumerate(space.times)}
         for i, atom in enumerate(space.atoms)
@@ -225,6 +267,15 @@ class EmpiricalJointDistribution:
         }
 
 
+def _joint_total(eta1, eta2, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
+    """Joint counts (atoms x times x times) summed over the seeded chunks."""
+    require_valid(eta1, space)
+    require_valid(eta2, space)
+    _check_sampling_args(samples, seed)
+    count = _joint_counter(eta1, eta2, space)
+    return sum(count(size, seed, index) for index, size in chunk_plan(samples))
+
+
 def empirical_joint_distribution(
     eta1: RandomStoppingTime,
     eta2: RandomStoppingTime,
@@ -233,13 +284,7 @@ def empirical_joint_distribution(
     seed: int,
 ) -> EmpiricalJointDistribution:
     """Joint frequencies for two rules run on independent draw streams."""
-    require_valid(eta1, space)
-    require_valid(eta2, space)
-    _check_sampling_args(samples, seed)
-    T = space.horizon
-    total = np.zeros((len(space.atoms), T + 1, T + 1), dtype=np.int64)
-    for index, size in chunk_plan(samples):
-        total += joint_counts_chunk(eta1, eta2, space, size, seed, index)
+    total = _joint_total(eta1, eta2, space, samples, seed)
     counts = {
         atom: {
             (t1, t2): int(total[i, j1, j2])
@@ -259,16 +304,20 @@ def empirical_game_payoff(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Average realized payoffs over seeded sample runs of both rules."""
+    """Average realized payoffs over seeded sample runs of both rules.
+
+    Only realized cells are visited, in C order (atom, then player 1's
+    time, then player 2's), so the float sums run in a fixed order.
+    """
     check_game(space, game)
-    joint = empirical_joint_distribution(eta1, eta2, space, samples, seed)
+    total = _joint_total(eta1, eta2, space, samples, seed)
+    times = space.times
+    cells = np.nonzero(total)
     means = [0.0, 0.0]
-    for atom in space.atoms:
-        for (t1, t2), count in joint.counts[atom].items():
-            if count == 0:
-                continue
-            c = _coalition(t1, t2)
-            stop_at = min(t1, t2)
-            for i, player in enumerate((1, 2)):
-                means[i] += count * float(game.process(player, c).value_at(space, stop_at, atom))
+    for i, j1, j2, count in zip(*(axis.tolist() for axis in cells), total[cells].tolist()):
+        atom, t1, t2 = space.atoms[i], times[j1], times[j2]
+        c = _coalition(t1, t2)
+        stop_at = min(t1, t2)
+        for k, player in enumerate((1, 2)):
+            means[k] += count * float(game.process(player, c).value_at(space, stop_at, atom))
     return means[0] / samples, means[1] / samples

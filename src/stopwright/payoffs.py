@@ -29,7 +29,6 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     densities,
-    detailed_distribution,
 )
 
 
@@ -60,14 +59,19 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
 
 
 def _pair(d: RandomizedStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
-    """``payoff`` on densities and a process already checked against the space."""
+    """``payoff`` on densities and a process already checked against the space.
+
+    A cell without stop mass adds exactly nothing, so it is skipped.
+    """
     total = Fraction(0)
     for n, level in d.rho.items():
         values = problem.values[n]
         for block_id, rho in level.items():
-            total += space.block_prob(n, block_id) * rho * values[block_id]
+            if rho:
+                total += space.block_prob(n, block_id) * rho * values[block_id]
     for atom, rho_inf in d.rho_inf.items():
-        total += space.prob[atom] * rho_inf * problem.infinity[atom]
+        if rho_inf:
+            total += space.prob[atom] * rho_inf * problem.infinity[atom]
     return total
 
 
@@ -112,16 +116,21 @@ def distinguish(
 ) -> Optional[DistinguishResult]:
     """None if the rules are equivalent, else a witness cell that separates them.
 
-    The reported gap is the absolute mass difference on the cell, which is
-    exactly the payoff difference on ``witness_problem(event, time)``.
+    The witness is the first cell, atom by atom and then time by time, on
+    which the rules' densities differ.  The reported gap is the absolute
+    mass difference on the cell, which is exactly the payoff difference on
+    ``witness_problem(event, time)``.
     """
-    nu1 = detailed_distribution(eta1, space)
-    nu2 = detailed_distribution(eta2, space)
+    d1, d2 = densities(eta1, space), densities(eta2, space)
+    first = space.first_stop(lambda n, b: d1.rho[n][b] != d2.rho[n][b])
+    # the never-stop mass is what the finite times leave, so it can only
+    # differ on a path whose finite densities already do
     for atom in space.atoms:
-        for t in space.times:
-            gap = nu1.mass[atom][t] - nu2.mass[atom][t]
-            if gap != 0:
-                return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=abs(gap))
+        t = first[atom]
+        if t != INFINITY:
+            block_id = space.block_of(t, atom)
+            gap = space.prob[atom] * abs(d1.rho[t][block_id] - d2.rho[t][block_id])
+            return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=gap)
     return None
 
 
@@ -134,13 +143,12 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
-    return _within_epsilon(densities(eta, space), problem, epsilon, space)
+    return _within_epsilon(payoff(eta, problem, space), problem, epsilon, space)
 
 
-def _within_epsilon(d: RandomizedStoppingTime, problem: AdaptedProcess, epsilon, space) -> bool:
-    """The epsilon test of ``check_epsilon_optimal``, on densities already computed."""
+def _within_epsilon(value: Fraction, problem: AdaptedProcess, epsilon, space) -> bool:
+    """The epsilon test of ``check_epsilon_optimal``, on a payoff already computed."""
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    optimum = snell_value(problem, space).value  # checks the process before the pairing
-    return _pair(d, problem, space) >= optimum - epsilon
+    return value >= snell_value(problem, space).value - epsilon

@@ -29,6 +29,9 @@ from typing import Mapping, Optional, Union
 from .errors import ValidationError
 from .space import INFINITY, FilteredSpace, Time, as_fraction, time_label
 
+#: The stop mass of a cell that carries none; the density readers skip its arithmetic.
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class PureStoppingTime:
@@ -353,13 +356,18 @@ def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppi
     rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
     if isinstance(eta, BehaviorStoppingTime):
         # survive past 1..n-1, then stop at n; the survival product is carried
-        # down the tree, one factor per block
+        # down the tree, one factor per block; a zero hazard or a path that
+        # has surely stopped leaves survival as it is and spends nothing
         survival: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
         for n, block_id, parent_id in space.top_down():
             alive = survival[n - 1, parent_id]
             hazard = eta.beta[n][block_id]
-            rho[n][block_id] = alive * hazard
-            survival[n, block_id] = alive * (1 - hazard)
+            if hazard and alive:
+                rho[n][block_id] = alive * hazard
+                survival[n, block_id] = alive * (1 - hazard)
+            else:
+                rho[n][block_id] = ZERO
+                survival[n, block_id] = alive
         rho_inf = {a: survival[T, space.block_of(T, a)] for a in space.atoms}
         return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
     if isinstance(eta, PureStoppingTime):
@@ -386,10 +394,11 @@ def detailed_distribution(eta: RandomStoppingTime, space: FilteredSpace) -> Stop
     mass = {}
     for atom in space.atoms:
         p = space.prob[atom]
-        row: dict[Time, Fraction] = {
-            n: p * d.rho[n][space.block_of(n, atom)] for n in range(1, space.horizon + 1)
-        }
-        row[INFINITY] = p * d.rho_inf[atom]
+        row: dict[Time, Fraction] = {}
+        for n in range(1, space.horizon + 1):
+            rho = d.rho[n][space.block_of(n, atom)]
+            row[n] = p * rho if rho else ZERO
+        row[INFINITY] = p * d.rho_inf[atom] if d.rho_inf[atom] else ZERO
         mass[atom] = row
     return StoppingMeasure(mass=mass)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stopwright.stopping
 from stopwright import convert
 from stopwright.cli import run
 from stopwright.games import BOTH, ONLY_1, ONLY_2
@@ -170,6 +171,26 @@ class TestEvaluation:
         assert code == 0
         doc = json.loads(out)
         assert doc["epsilon_optimal"] is True
+
+    def test_payoff_with_epsilon_validates_once(self, files, capsys, monkeypatch):
+        validated = []
+        real = stopwright.stopping.validate
+
+        def counting(eta, space):
+            validated.append(eta)
+            return real(eta, space)
+
+        monkeypatch.setattr(stopwright.stopping, "validate", counting)
+        code, out, _ = run_capture(
+            capsys,
+            [
+                "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
+                "--problem", files["problem.json"], "--epsilon", "0",
+            ],
+        )
+        assert code == 0
+        assert len(validated) == 1
+        assert out == '{\n  "epsilon": "0",\n  "epsilon_optimal": false,\n  "payoff": "3/8"\n}\n'
 
     def test_snell(self, files, capsys):
         code, out, _ = run_capture(

@@ -5,10 +5,13 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    MixedStoppingTime,
     NotAStoppingMeasure,
+    PureStoppingTime,
     behavior,
     behavior_to_randomized,
     convert,
+    densities,
     detailed_distribution,
     equivalent,
     is_stopping_measure,
@@ -22,7 +25,24 @@ from stopwright import (
     validate,
 )
 
-from fuzz import random_randomized, random_space, random_stopping_time
+from fuzz import MAKERS, random_randomized, random_space, random_stopping_time
+
+
+def section_by_section(eta, space):
+    """The threshold construction with one first-stop pass per section.
+
+    Section ``k`` stops each atom at the first block whose cumulative stop
+    mass reaches the section's right breakpoint.
+    """
+    spent = space.spent(densities(eta, space).rho)
+    cuts = {c for c in spent.values() if c > 0}
+    cuts.add(F(1))
+    breakpoints = (F(0),) + tuple(sorted(cuts))
+    sections = tuple(
+        PureStoppingTime(stop=space.first_stop(lambda n, b: spent[n, b] >= right))
+        for right in breakpoints[1:]
+    )
+    return MixedStoppingTime(breakpoints=breakpoints, sections=sections)
 
 
 class TestMeasureToRandomized:
@@ -142,6 +162,14 @@ class TestRandomizedToMixed:
             assert validate(mix, space) is None
             for section in mix.sections:
                 assert validate(section, space) is None
+
+    def test_one_pass_matches_one_pass_per_section(self):
+        rng = random.Random(10)
+        for _ in range(40):
+            space = random_space(rng)
+            for maker in MAKERS:
+                eta = maker(rng, space)
+                assert randomized_to_mixed(eta, space) == section_by_section(eta, space)
 
 
 class TestMixedToMeasure:

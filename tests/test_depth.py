@@ -15,6 +15,7 @@ from stopwright import (
     ONLY_1,
     ONLY_2,
     adapted_process,
+    behavior,
     best_response_value,
     build_space,
     constant_process,
@@ -31,12 +32,16 @@ from stopwright.games import auxiliary_problem
 T = 5000
 
 
-@pytest.fixture(scope="module")
-def chain():
+def build_chain(horizon):
     nodes = [{"id": "c0", "parent": None}]
-    nodes += [{"id": f"c{n}", "parent": f"c{n - 1}"} for n in range(1, T + 1)]
+    nodes += [{"id": f"c{n}", "parent": f"c{n - 1}"} for n in range(1, horizon + 1)]
     nodes[-1]["prob"] = "1"
     return build_space(nodes)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return build_chain(T)
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +95,14 @@ def test_enumeration_has_one_rule_per_stop_time(chain):
     rules = enumerate_pure_stopping_times(chain)
     assert len(rules) == T + 1
     assert [rule.stop[chain.atoms[0]] for rule in rules] == list(range(1, T + 1)) + [INFINITY]
+
+
+def test_behavior_to_mixed_is_equivalent():
+    # Every time carries stop mass, so there are T+1 sections; checking the
+    # mixed form costs T per section, hence the shorter chain.
+    horizon = 1200
+    short = build_chain(horizon)
+    hazards = behavior(beta={n: {short.blocks(n)[0]: F(1, 2)} for n in range(1, horizon + 1)})
+    mixture = convert(hazards, "mixed", short)
+    assert len(mixture.sections) == horizon + 1
+    assert equivalent(mixture, hazards, short)

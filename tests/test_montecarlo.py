@@ -71,10 +71,10 @@ class TestSampleStopTime:
 
         atom_idx = np.arange(len(e1.atoms))
         # columns are 0-based times; column T is "never"
-        assert list(_stop_columns(b1, e1, Zeros(), atom_idx)) == [0, 0, 0, 0]
-        assert list(_stop_columns(late, e1, Zeros(), atom_idx)) == [1, 1, 1, 1]
+        assert list(_stop_columns(b1, e1)(Zeros(), atom_idx)) == [0, 0, 0, 0]
+        assert list(_stop_columns(late, e1)(Zeros(), atom_idx)) == [1, 1, 1, 1]
         hazard_zero = behavior(beta={1: {"A": 0, "B": 0}, 2: {w: 0 for w in e1.atoms}})
-        assert list(_stop_columns(hazard_zero, e1, Zeros(), atom_idx)) == [2, 2, 2, 2]
+        assert list(_stop_columns(hazard_zero, e1)(Zeros(), atom_idx)) == [2, 2, 2, 2]
 
     def test_mixed_section_selection(self, e1, r1):
         mix = randomized_to_mixed(r1, e1)

@@ -6,6 +6,7 @@ import pytest
 from stopwright import (
     INFINITY,
     BehaviorStoppingTime,
+    DistinguishResult,
     MixedStoppingTime,
     PureStoppingTime,
     RandomizedStoppingTime,
@@ -222,6 +223,18 @@ class TestWitnessProblem:
             )
 
 
+def mass_table_witness(eta1, eta2, space):
+    """The first cell, atom by atom then time by time, where the mass tables differ."""
+    nu1 = detailed_distribution(eta1, space)
+    nu2 = detailed_distribution(eta2, space)
+    for atom in space.atoms:
+        for t in space.times:
+            gap = nu1.mass[atom][t] - nu2.mass[atom][t]
+            if gap != 0:
+                return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=abs(gap))
+    return None
+
+
 class TestDistinguish:
     def test_equivalent_rules_are_indistinguishable(self, e1, r1, b1):
         assert distinguish(r1, b1, e1) is None
@@ -255,6 +268,19 @@ class TestDistinguish:
             problem = witness_problem(witness.event, witness.time, space)
             gap = abs(payoff(eta1, problem, space) - payoff(eta2, problem, space))
             assert gap == witness.payoff_gap > 0
+
+    def test_matches_mass_table_scan(self):
+        rng = random.Random(47)
+        separated = 0
+        for _ in range(40):
+            space = random_space(rng)
+            rules = [maker(rng, space) for maker in MAKERS]
+            for eta1 in rules:
+                for eta2 in rules:
+                    witness = distinguish(eta1, eta2, space)
+                    assert witness == mass_table_witness(eta1, eta2, space)
+                    separated += witness is not None
+        assert separated > 40 * 8
 
 
 class TestEpsilonOptimal:
