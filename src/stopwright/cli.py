@@ -22,7 +22,7 @@ from .games import (
     game_payoff,
     zero_sum_value,
 )
-from .payoffs import _within_epsilon, payoff, snell_value
+from .payoffs import _epsilon, payoff, snell_value
 from .serialize import (
     game_from_doc,
     measure_to_doc,
@@ -197,7 +197,8 @@ def _dispatch(args) -> dict:
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
-            doc["epsilon_optimal"] = _within_epsilon(value, problem, epsilon, space)
+            slack = _epsilon(epsilon)
+            doc["epsilon_optimal"] = value >= snell_value(problem, space).value - slack
         return doc
 
     if args.command == "snell":
@@ -266,6 +267,21 @@ def _dispatch(args) -> dict:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+#: Errors met reading an input file, by the name the JSON error gives them; first match wins.
+_FILE_ERRORS = (
+    (FileNotFoundError, "FileNotFound"),
+    (OSError, "FileError"),
+    (UnicodeDecodeError, "InvalidEncoding"),
+    (json.JSONDecodeError, "InvalidJSON"),
+)
+
+
+def _error_name(exc: Exception) -> str:
+    if isinstance(exc, StopwrightError):
+        return type(exc).__name__
+    return next(name for kind, name in _FILE_ERRORS if isinstance(exc, kind))
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -274,21 +290,8 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc = _dispatch(args)
-    except StopwrightError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except FileNotFoundError as exc:
-        print(
-            json.dumps({"error": "FileNotFound", "message": str(exc)}), file=sys.stderr
-        )
-        return 1
-    except json.JSONDecodeError as exc:
-        print(
-            json.dumps({"error": "InvalidJSON", "message": str(exc)}), file=sys.stderr
-        )
+    except (StopwrightError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(json.dumps({"error": _error_name(exc), "message": str(exc)}), file=sys.stderr)
         return 1
     _emit(doc, args.format)
     return 0

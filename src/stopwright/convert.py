@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, Time, as_fraction
+from .space import INFINITY, FilteredSpace, Table, Time, as_fraction, integers
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -22,8 +22,11 @@ from .stopping import (
     RandomizedStoppingTime,
     StoppingMeasure,
     densities,
+    density_table,
     is_stopping_measure,
 )
+
+ZERO = Fraction(0)
 
 TARGET_TYPES = ("randomized", "behavior", "mixed")
 
@@ -57,17 +60,17 @@ def randomized_to_behavior(
     Once it hits zero the quotient is 0/0; any convention gives the same
     detailed distribution and we pick 0, so a rule that has surely stopped
     never "stops again".  A rule of another type is read through its
-    densities.
+    densities.  Masses share one denominator, so each hazard is a quotient
+    of two integers.
     """
-    rho = densities(eta, space).rho
-    beta: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
-    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
-    for n, block_id, parent_id in space.top_down():
-        left = unspent[n - 1, parent_id]
-        mass = rho[n][block_id]
-        beta[n][block_id] = Fraction(0) if left == 0 else mass / left
-        unspent[n, block_id] = left - mass
-    return BehaviorStoppingTime(beta=beta)
+    d = density_table(eta, space)
+    unspent = [0] * space.root + [d.den]
+    beta = []
+    for i, p in enumerate(space.parent):
+        left, mass = unspent[p], d.blocks[i]
+        beta.append(Fraction(mass, left) if left else ZERO)
+        unspent[i] = left - mass
+    return BehaviorStoppingTime(beta=space.by_block(beta))
 
 
 def behavior_to_randomized(
@@ -92,25 +95,21 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
     the block].  Cumulative mass only grows along a path, so the stops on
     a path come in section order.
     """
-    rho = densities(eta, space).rho
-    spent = space.spent(rho)
-    cuts = {c for c in spent.values() if c > 0}
-    cuts.add(Fraction(1))
-    breakpoints = (Fraction(0),) + tuple(sorted(cuts))
+    d = density_table(eta, space)
+    spent = space.spent(d.blocks)
+    cuts = sorted({c for c in spent if c > 0} | {d.den})
+    breakpoints = (ZERO,) + tuple(Fraction(c, d.den) for c in cuts)
     # once the cumulative mass is c, every section whose cut is at most c has stopped
-    reached = {c: k for k, c in enumerate(breakpoints)}
+    reached = {c: k for k, c in enumerate(cuts, start=1)}
     # the stops on the path to each block, latest first: (n, sections stopped by n, earlier)
-    stops: dict[tuple[int, Optional[str]], Optional[tuple]] = {(0, None): None}
-    for n, block_id, parent_id in space.top_down():
-        earlier = stops[n - 1, parent_id]
-        if rho[n][block_id]:
-            stops[n, block_id] = (n, reached[spent[n, block_id]], earlier)
-        else:
-            stops[n, block_id] = earlier
+    stops: list[Optional[tuple]] = [None] * (space.root + 1)
+    for i, p in enumerate(space.parent):
+        earlier = stops[p]
+        stops[i] = (space.depth[i], reached[spent[i]], earlier) if d.blocks[i] else earlier
     rows = []
-    for atom in space.atoms:
-        row: list[Time] = [INFINITY] * (len(breakpoints) - 1)
-        stop = stops[space.horizon, space.block_of(space.horizon, atom)]
+    for i in space.leaf:
+        row: list[Time] = [INFINITY] * len(cuts)
+        stop = stops[i]
         while stop is not None:
             n, upto, stop = stop
             since = 0 if stop is None else stop[1]
@@ -147,13 +146,12 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     table = {
         int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in candidate.items()
     }
-    T = space.horizon
-    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
-    for n, block_id, parent_id in space.top_down():
-        left = unspent[n - 1, parent_id]
-        raw = table.get(n, {}).get(block_id, Fraction(0))
-        rho[n][block_id] = max(Fraction(0), min(raw, left))
-        unspent[n, block_id] = left - rho[n][block_id]
-    rho_inf = {atom: unspent[T, space.block_of(T, atom)] for atom in space.atoms}
-    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
+    raw, den = integers([table.get(n, {}).get(b, ZERO) for n, b in zip(space.depth, space.ids)])
+    unspent = [0] * space.root + [den]
+    rho = []
+    for i, p in enumerate(space.parent):
+        left = unspent[p]
+        rho.append(max(0, min(raw[i], left)))
+        unspent[i] = left - rho[i]
+    values, rho_inf = space.fractions(Table(rho, [unspent[i] for i in space.leaf], den))
+    return RandomizedStoppingTime(rho=values, rho_inf=rho_inf)

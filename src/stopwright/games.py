@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from operator import mul
+from typing import Mapping, NamedTuple
 
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
-from .payoffs import SnellResult, _pair, _within_epsilon, snell_value
+from .payoffs import SnellResult, _epsilon, _pair, _snell
 from .space import (
     AdaptedProcess,
     FilteredSpace,
+    Table,
     Time,
     check_process,
 )
@@ -31,7 +33,7 @@ from .stopping import (
     BehaviorStoppingTime,
     RandomStoppingTime,
     StoppingMeasure,
-    densities,
+    density_table,
     detailed_distribution,
     equivalent,
 )
@@ -41,6 +43,7 @@ ONLY_1 = frozenset({1})
 ONLY_2 = frozenset({2})
 BOTH = frozenset({1, 2})
 COALITIONS = (ONLY_1, ONLY_2, BOTH)
+ONE, ZERO = Fraction(1), Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,21 @@ def is_zero_sum(game: StoppingGame, space: FilteredSpace) -> bool:
     check_game(space, game)
     for c in COALITIONS:
         one, two = game.process(1, c), game.process(2, c)
-        for n in range(1, space.horizon + 1):
-            for b in space.blocks(n):
-                if one.values[n][b] + two.values[n][b] != 0:
-                    return False
-        for a in space.atoms:
-            if one.infinity[a] + two.infinity[a] != 0:
+        for n, blocks in enumerate(space.levels, start=1):
+            if not _cancel(one.values[n], two.values[n], blocks):
                 return False
+        if not _cancel(one.infinity, two.infinity, space.atoms):
+            return False
+    return True
+
+
+def _cancel(one: Mapping, two: Mapping, keys) -> bool:
+    """``one[k] + two[k] == 0`` for every key: normalised Fractions cancel
+    exactly when their numerators are opposite and their denominators equal."""
+    for k in keys:
+        x, y = one[k], two[k]
+        if x.numerator != -y.numerator or x.denominator != y.denominator:
+            return False
     return True
 
 
@@ -137,11 +148,11 @@ def game_payoff(
 
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
-    """Each player's densities and the auxiliary problem the other sets; validates each once."""
+    """Each player's density table and the auxiliary problem the other sets; validates each once."""
     check_game(space, game)
-    d2 = densities(eta2, space)
-    d1 = densities(eta1, space)
-    return ((d1, _fold(d2.rho, game, space, 1)), (d2, _fold(d1.rho, game, space, 2)))
+    d2 = density_table(eta2, space)
+    d1 = density_table(eta1, space)
+    return ((d1, _fold(d2, game, space, 1)), (d2, _fold(d1, game, space, 2)))
 
 
 def game_equivalent(
@@ -172,46 +183,45 @@ def auxiliary_problem(
     the payoff in this problem equals the game payoff, so optimizing it is
     exactly best-responding.
     """
+    values, infinity = space.fractions(_auxiliary(opponent, game, space, player))
+    return AdaptedProcess(values=values, infinity=infinity)
+
+
+def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
     if player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     check_game(space, game)
-    return _fold(densities(opponent, space).rho, game, space, player)
+    return _fold(density_table(opponent, space), game, space, player)
 
 
-def _fold(rho, game: StoppingGame, space: FilteredSpace, player: int) -> AdaptedProcess:
-    """``auxiliary_problem`` from the opponent's stop masses, for a checked game."""
+def _fold(opponent: Table, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
+    """``auxiliary_problem`` from the opponent's density table, for a checked game.
+
+    Everything is an integer over the opponent's denominator times the
+    game's: ``collected`` and ``unspent`` are carried per block in flat order.
+    """
     other = 2 if player == 1 else 1
-    solo = game.process(player, frozenset({player}))
-    opp_stops = game.process(player, frozenset({other}))
-    both = game.process(player, BOTH)
-
-    T = space.horizon
-    values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    carried: dict[tuple[int, Optional[str]], tuple[Fraction, Fraction]] = {
-        (0, None): (Fraction(0), Fraction(1))
-    }
-    # a zero stop mass banks nothing, and once the opponent has surely
-    # stopped only ``collected`` is left: both skip their products
-    for n, block_id, parent_id in space.top_down():
-        here = carried[n - 1, parent_id]
-        collected, unspent = here
-        stops = rho[n][block_id]
+    solo, opp_stops, both = space.tables(
+        game.process(player, frozenset({player})),
+        game.process(player, frozenset({other})),
+        game.process(player, BOTH),
+    )
+    rho = opponent.blocks
+    collected = [0] * (space.root + 1)
+    unspent = [0] * space.root + [opponent.den]
+    values = [0] * space.root
+    for i, p in enumerate(space.parent):
+        banked, left = collected[p], unspent[p]
+        stops = rho[i]
         if stops:
-            left = unspent - stops
-            values[n][block_id] = (
-                collected + stops * both.values[n][block_id] + left * solo.values[n][block_id]
-            )
-            here = (collected + stops * opp_stops.values[n][block_id], left)
-        elif unspent:
-            values[n][block_id] = collected + unspent * solo.values[n][block_id]
+            left -= stops
+            values[i] = banked + stops * both.blocks[i] + left * solo.blocks[i]
+            banked += stops * opp_stops.blocks[i]
         else:
-            values[n][block_id] = collected
-        carried[n, block_id] = here
-    infinity = {}
-    for atom in space.atoms:
-        collected, unspent = carried[T, space.block_of(T, atom)]
-        infinity[atom] = collected + unspent * both.infinity[atom] if unspent else collected
-    return AdaptedProcess(values=values, infinity=infinity)
+            values[i] = banked + left * solo.blocks[i]
+        collected[i], unspent[i] = banked, left
+    infinity = [collected[i] + unspent[i] * v for i, v in zip(space.leaf, both.atoms)]
+    return Table(values, infinity, opponent.den * both.den)
 
 
 def best_response_value(
@@ -221,7 +231,7 @@ def best_response_value(
     space: FilteredSpace,
 ) -> SnellResult:
     """Best payoff the player can secure against ``opponent``, with a pure rule attaining it."""
-    return snell_value(auxiliary_problem(opponent, game, space, player), space)
+    return _snell(_auxiliary(opponent, game, space, player), space)
 
 
 class StageSolution(NamedTuple):
@@ -241,23 +251,24 @@ def solve_stage_game(
     and is interior.
     """
     a, b, c, d = both_stop, row_stop, col_stop, neither
-    one, zero = Fraction(1), Fraction(0)
-    saddles = (
-        (a >= c and a <= b, a, one, one),
-        (b >= d and b <= a, b, one, zero),
-        (c >= a and c <= d, c, zero, one),
-        (d >= b and d <= c, d, zero, zero),
-    )
-    for is_saddle, value, p, q in saddles:
-        if is_saddle:
-            return StageSolution(value=value, row_stop=p, col_stop=q)
-    denom = a + d - b - c
+    if c <= a <= b:
+        return StageSolution(value=a, row_stop=ONE, col_stop=ONE)
+    if d <= b <= a:
+        return StageSolution(value=b, row_stop=ONE, col_stop=ZERO)
+    if a <= c <= d:
+        return StageSolution(value=c, row_stop=ZERO, col_stop=ONE)
+    if b <= d <= c:
+        return StageSolution(value=d, row_stop=ZERO, col_stop=ZERO)
+    # (ad - bc) / (a + d - b - c) and the stop probabilities, with d = p/q,
+    # so integer cells build each Fraction once
+    p, q = d.numerator, d.denominator
+    denom = (a - b - c) * q + p
     if denom == 0:
         raise ConsistencyFailure("2x2 game without saddle must have nonzero denominator")
     return StageSolution(
-        value=(a * d - b * c) / denom,
-        row_stop=(d - c) / denom,
-        col_stop=(d - b) / denom,
+        value=Fraction(a * p - b * c * q, denom),
+        row_stop=Fraction(p - c * q, denom),
+        col_stop=Fraction(p - b * q, denom),
     )
 
 
@@ -274,27 +285,35 @@ def zero_sum_value(game: StoppingGame, space: FilteredSpace) -> ZeroSumResult:
     INFINITY payoff at the horizon).  The stage solutions assemble into
     behavior rules that are exactly optimal: the profile passes the
     equilibrium check with epsilon = 0.
+
+    The induction runs on probability-weighted integers.  A stage game
+    scaled by its block's probability has the same saddle points and stop
+    probabilities and a value scaled alike, so only mixed stages build a
+    Fraction.
     """
     if not is_zero_sum(game, space):
         raise NotZeroSum("player payoffs do not cancel; zero-sum value undefined")
-    both = game.process(1, BOTH)
-    solo1 = game.process(1, ONLY_1)
-    solo2 = game.process(1, ONLY_2)
-    beta1: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
-    beta2: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
+    both, solo1, solo2 = space.tables(
+        game.process(1, BOTH), game.process(1, ONLY_1), game.process(1, ONLY_2)
+    )
+    mass = space.block_mass
+    both_stop, row_stop, col_stop = (list(map(mul, mass, t.blocks)) for t in (both, solo1, solo2))
+    beta1: list = [None] * space.root
+    beta2: list = [None] * space.root
 
-    def stage(n: int, b: str, continuation: Fraction) -> Fraction:
-        solution = solve_stage_game(
-            both.values[n][b], solo1.values[n][b], solo2.values[n][b], continuation
+    def stage(i: int, continuation) -> Fraction:
+        value, beta1[i], beta2[i] = solve_stage_game(
+            both_stop[i], row_stop[i], col_stop[i], continuation
         )
-        beta1[n][b] = solution.row_stop
-        beta2[n][b] = solution.col_stop
-        return solution.value
+        return value
 
-    value, _ = space.backward_induction(both.infinity, stage)
+    total, _ = space.backward_induction(list(map(mul, space.atom_mass, both.atoms)), stage)
     return ZeroSumResult(
-        value=value,
-        strategies=(BehaviorStoppingTime(beta=beta1), BehaviorStoppingTime(beta=beta2)),
+        value=Fraction(total) / (space.denominator * both.den),
+        strategies=(
+            BehaviorStoppingTime(beta=space.by_block(beta1)),
+            BehaviorStoppingTime(beta=space.by_block(beta2)),
+        ),
     )
 
 
@@ -311,7 +330,8 @@ def check_epsilon_equilibrium(
     a fixed opponent depends only on the deviation's detailed distribution,
     and the pure optimum of the auxiliary problem bounds them all.
     """
+    faced = _faced(eta1, eta2, game, space)
+    slack = _epsilon(epsilon)
     return all(
-        _within_epsilon(_pair(d, problem, space), problem, epsilon, space)
-        for d, problem in _faced(eta1, eta2, game, space)
+        _pair(d, problem, space) >= _snell(problem, space).value - slack for d, problem in faced
     )

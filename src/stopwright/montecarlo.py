@@ -3,7 +3,8 @@
 This is the package's independent cross-check: rules are *run*, sample by
 sample, from uniform draws, and the resulting frequencies are compared
 against the exact tables computed elsewhere.  Nothing here reuses the
-exact layer's arithmetic beyond reading the rule's parameters.
+exact layer's arithmetic beyond reading the rule's parameters and, for a
+randomized rule, the cumulative stop masses its validation sums.
 
 Reproducibility contract
 ------------------------
@@ -32,6 +33,7 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     require_valid,
+    spent_masses,
 )
 from .games import StoppingGame, _coalition, check_game
 
@@ -93,27 +95,19 @@ def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
 def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
     """The rule's sampler: ``columns(rng, atom_idx)`` draws one realized stop per sample.
 
-    Columns 0..T-1 are times 1..T and column T is "never".  The rule's
-    float tables are built here, once, from its own per-block parameters;
-    each call of the sampler only draws and looks up.
+    Columns 0..T-1 are times 1..T and column T is "never".  The rule is
+    validated here, and its float tables are built once, from its own
+    per-block parameters (a randomized rule's cumulative masses come from
+    the validation's spent pass).  Each call of the sampler only draws and
+    looks up.
     """
     T = space.horizon
     atoms = space.atoms
+    paths = np.array(space.paths).reshape(len(atoms), T)
 
-    def per_atom(block_values) -> np.ndarray:
-        """atoms x T floats from ``{(n, block_id): Fraction}``."""
-        floats = {key: float(v) for key, v in block_values.items()}
-        return np.array(
-            [[floats[n, space.block_of(n, a)] for n in range(1, T + 1)] for a in atoms]
-        )
-
-    if isinstance(eta, PureStoppingTime):
-        table = np.array(
-            [T if eta.stop[a] == INFINITY else int(eta.stop[a]) - 1 for a in atoms]
-        )
-        return lambda rng, atom_idx: table[atom_idx]
     if isinstance(eta, RandomizedStoppingTime):
-        cum = per_atom(space.spent(eta.rho))
+        den, spent = spent_masses(eta, space)
+        cum = np.array([c / den for c in spent])[paths]
 
         def threshold(rng, atom_idx):
             r = rng.random(len(atom_idx))
@@ -121,8 +115,14 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
             return _first_true((rows > 0) & (rows >= r[:, None]), T)
 
         return threshold
+    require_valid(eta, space)
+    if isinstance(eta, PureStoppingTime):
+        table = np.array(
+            [T if eta.stop[a] == INFINITY else int(eta.stop[a]) - 1 for a in atoms]
+        )
+        return lambda rng, atom_idx: table[atom_idx]
     if isinstance(eta, BehaviorStoppingTime):
-        hazard = per_atom({(n, b): v for n, level in eta.beta.items() for b, v in level.items()})
+        hazard = np.array([float(h) for h in space.cells(eta.beta)])[paths]
 
         def hazards(rng, atom_idx):
             draws = rng.random((len(atom_idx), T))
@@ -241,9 +241,8 @@ def empirical_detailed_distribution(
     eta: RandomStoppingTime, space: FilteredSpace, samples: int, seed: int
 ) -> EmpiricalDistribution:
     """Relative frequencies over (outcome, stop index), deterministic per seed."""
-    require_valid(eta, space)
-    _check_sampling_args(samples, seed)
     count = _detailed_counter(eta, space)
+    _check_sampling_args(samples, seed)
     total = sum(count(size, seed, index) for index, size in chunk_plan(samples))
     counts = {
         atom: {t: int(total[i, j]) for j, t in enumerate(space.times)}
@@ -269,10 +268,8 @@ class EmpiricalJointDistribution:
 
 def _joint_total(eta1, eta2, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
     """Joint counts (atoms x times x times) summed over the seeded chunks."""
-    require_valid(eta1, space)
-    require_valid(eta2, space)
-    _check_sampling_args(samples, seed)
     count = _joint_counter(eta1, eta2, space)
+    _check_sampling_args(samples, seed)
     return sum(count(size, seed, index) for index, size in chunk_plan(samples))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import ValidationError
@@ -19,17 +20,13 @@ from .space import (
     AdaptedProcess,
     Event,
     FilteredSpace,
+    Table,
     Time,
     as_fraction,
     check_process,
     conditional_expectation,
 )
-from .stopping import (
-    PureStoppingTime,
-    RandomStoppingTime,
-    RandomizedStoppingTime,
-    densities,
-)
+from .stopping import PureStoppingTime, RandomStoppingTime, density_table
 
 
 class SnellResult(NamedTuple):
@@ -53,26 +50,16 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
     block: stop mass times block probability times value, plus the
     never-stop mass times each atom's INFINITY value.
     """
-    d = densities(eta, space)
+    d = density_table(eta, space)
     check_process(space, problem)
-    return _pair(d, problem, space)
+    return _pair(d, space.tables(problem)[0], space)
 
 
-def _pair(d: RandomizedStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
-    """``payoff`` on densities and a process already checked against the space.
-
-    A cell without stop mass adds exactly nothing, so it is skipped.
-    """
-    total = Fraction(0)
-    for n, level in d.rho.items():
-        values = problem.values[n]
-        for block_id, rho in level.items():
-            if rho:
-                total += space.block_prob(n, block_id) * rho * values[block_id]
-    for atom, rho_inf in d.rho_inf.items():
-        if rho_inf:
-            total += space.prob[atom] * rho_inf * problem.infinity[atom]
-    return total
+def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
+    """``payoff`` on a density table and a process table, in one integer sum."""
+    total = sum(map(mul, map(mul, space.block_mass, d.blocks), problem.blocks))
+    total += sum(map(mul, map(mul, space.atom_mass, d.atoms), problem.atoms))
+    return Fraction(total, space.denominator * d.den * problem.den)
 
 
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
@@ -84,11 +71,19 @@ def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     still running past T never stops, because stopping at T is worse there.
     """
     check_process(space, problem)
-    value, values = space.backward_induction(
-        problem.infinity, lambda n, b, continuation: max(problem.values[n][b], continuation)
+    return _snell(space.tables(problem)[0], space)
+
+
+def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
+    """``snell_value`` on a process table, by probability-weighted induction."""
+    stop = list(map(mul, space.block_mass, problem.blocks))
+    terminal = list(map(mul, space.atom_mass, problem.atoms))
+    total, values = space.backward_induction(terminal, lambda i, continuation: max(stop[i], continuation))
+    strategy = space.first_stop(lambda i: stop[i] == values[i])
+    return SnellResult(
+        value=Fraction(total, space.denominator * problem.den),
+        strategy=PureStoppingTime(stop=strategy),
     )
-    stop = space.first_stop(lambda n, b: problem.values[n][b] == values[n][b])
-    return SnellResult(value=value, strategy=PureStoppingTime(stop=stop))
 
 
 def witness_problem(event, t: Time, space: FilteredSpace) -> AdaptedProcess:
@@ -121,16 +116,19 @@ def distinguish(
     mass difference on the cell, which is exactly the payoff difference on
     ``witness_problem(event, time)``.
     """
-    d1, d2 = densities(eta1, space), densities(eta2, space)
-    first = space.first_stop(lambda n, b: d1.rho[n][b] != d2.rho[n][b])
+    d1, d2 = density_table(eta1, space), density_table(eta2, space)
+
+    def gap(i: int) -> int:
+        return d1.blocks[i] * d2.den - d2.blocks[i] * d1.den
+
+    first = space.first_stop(gap)
     # the never-stop mass is what the finite times leave, so it can only
     # differ on a path whose finite densities already do
-    for atom in space.atoms:
+    for atom, path, p in zip(space.atoms, space.paths, space.atom_mass):
         t = first[atom]
         if t != INFINITY:
-            block_id = space.block_of(t, atom)
-            gap = space.prob[atom] * abs(d1.rho[t][block_id] - d2.rho[t][block_id])
-            return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=gap)
+            mass = Fraction(p * abs(gap(path[t - 1])), space.denominator * d1.den * d2.den)
+            return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=mass)
     return None
 
 
@@ -143,12 +141,14 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
-    return _within_epsilon(payoff(eta, problem, space), problem, epsilon, space)
+    value = payoff(eta, problem, space)
+    slack = _epsilon(epsilon)
+    return value >= snell_value(problem, space).value - slack
 
 
-def _within_epsilon(value: Fraction, problem: AdaptedProcess, epsilon, space) -> bool:
-    """The epsilon test of ``check_epsilon_optimal``, on a payoff already computed."""
+def _epsilon(epsilon) -> Fraction:
+    """The slack of an epsilon test, checked nonnegative."""
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    return value >= snell_value(problem, space).value - epsilon
+    return epsilon

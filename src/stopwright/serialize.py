@@ -1,13 +1,15 @@
 """JSON document formats for spaces, rules, processes, games, and measures.
 
-All rationals travel as strings "a/b" in lowest terms (bare integers are
-accepted as shorthand); the time index "inf" denotes the never-stop slot.
+Rationals travel as JSON integers or as strings "a/b" or "a" of ASCII
+digits; input need not be in lowest terms, output always is.  The time
+index "inf" denotes the never-stop slot.
 These formats are the package's wire contract: the CLI reads and writes
 nothing else.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FormatError, ValidationError
@@ -18,7 +20,6 @@ from .space import (
     FilteredSpace,
     Time,
     adapted_process,
-    as_fraction,
     build_space,
     time_label,
 )
@@ -42,11 +43,20 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
+#: The wire form of a rational string: an integer, or an integer over a natural number.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
-    try:
-        return as_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {value!r}: {exc}") from exc
+    """A JSON integer (not a bool) or a string "a/b" or "a"; nothing else is read."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        numerator, _, denominator = value.partition("/")
+        if denominator and int(denominator) == 0:
+            raise FormatError(f"bad rational {value!r}: zero denominator")
+        return Fraction(int(numerator), int(denominator or 1))
+    raise FormatError(f"bad rational {value!r}: expected a JSON integer or a string 'a/b'")
 
 
 def parse_time(key) -> Time:

@@ -13,9 +13,13 @@ are rejected on input so every downstream comparison stays exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter, getitem, mul
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ProbabilitySumError,
@@ -57,11 +61,65 @@ def time_label(t: Time) -> str:
     return "inf" if t == INFINITY else str(int(t))
 
 
+class Table(NamedTuple):
+    """An adapted table over the flat block numbering, in integers over one denominator.
+
+    ``blocks[i] / den`` is the value on block ``i`` and ``atoms[j] / den``
+    the value of atom ``j`` at INFINITY.  Densities (stop mass per block,
+    never-stop mass per atom) and payoff processes both take this form
+    inside the exact passes; ``FilteredSpace.fractions`` turns one back
+    into the public Fraction dicts.
+    """
+
+    blocks: list
+    atoms: list
+    den: int
+
+
+numerator_of = attrgetter("numerator")
+denominator_of = attrgetter("denominator")
+
+
+def integers(cells: Sequence) -> tuple[list[int], int]:
+    """Exact values as integer numerators over one denominator, the lcm of theirs."""
+    dens = list(map(denominator_of, cells))
+    scale = dict.fromkeys(dens)
+    den = math.lcm(*scale)
+    for q in scale:
+        scale[q] = den // q
+    return list(map(mul, map(numerator_of, cells), map(scale.__getitem__, dens))), den
+
+
+class FractionsOver(dict):
+    """``self[num]`` is ``Fraction(num, den)``, built on first use and shared after."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.den)
+        return value
+
+
 class FilteredSpace:
     """A validated scenario tree: atoms, probabilities, and partitions.
 
     ``levels[n-1]`` maps each time-``n`` block id to its member atoms.
     ``build_space`` names horizon blocks after their atoms; find them with ``block_of``.
+
+    The blocks are also numbered 0..B-1 once, level by level and in
+    partition order, so each block comes after its parent.  The exact
+    passes run over that flat numbering:
+
+    * ``ids[i]`` and ``depth[i]`` are block ``i``'s id and time;
+    * ``parent[i]`` is its parent's number, ``root`` (= B) at time 1, so a
+      pass keeps the root's state in the last slot of a list of B + 1;
+    * ``starts[n-1]:starts[n]`` are the time-``n`` blocks;
+    * ``paths[j]`` lists the blocks of atom ``j`` at times 1..T, and
+      ``leaf[j]`` is the last of them;
+    * ``block_mass[i] / denominator`` and ``atom_mass[j] / denominator``
+      are the probabilities, with ``denominator`` the lcm of the atoms'.
     """
 
     def __init__(
@@ -129,26 +187,42 @@ class FilteredSpace:
                 )
 
     def _index(self) -> None:
-        self._block_of = []
-        self._block_prob = []
-        for level in self.levels:
-            lookup = {a: b for b, members in level.items() for a in members}
-            self._block_of.append(lookup)
-            self._block_prob.append(
-                {b: sum(self.prob[a] for a in members) for b, members in level.items()}
-            )
-        self._parent = [dict.fromkeys(self.levels[0])]
-        self._children = []
-        for n in range(self.horizon - 1):
-            parent_of = {
-                child_id: self._block_of[n][members[0]]
-                for child_id, members in self.levels[n + 1].items()
-            }
-            child_map: dict[str, list[str]] = {b: [] for b in self.levels[n]}
-            for child_id, parent_id in parent_of.items():
-                child_map[parent_id].append(child_id)
-            self._parent.append(parent_of)
-            self._children.append({b: tuple(cs) for b, cs in child_map.items()})
+        self._block_of = [
+            {a: b for b, members in level.items() for a in members} for level in self.levels
+        ]
+        self.ids = [b for level in self.levels for b in level]
+        self.root = len(self.ids)
+        self.depth: list[int] = []
+        self.parent: list[int] = []
+        self.starts = [0]
+        self._number: list[dict[str, int]] = []
+        for n, level in enumerate(self.levels, start=1):
+            start = self.starts[-1]
+            self.starts.append(start + len(level))
+            self._number.append(dict(zip(level, range(start, self.starts[-1]))))
+            self.depth.extend([n] * len(level))
+            if n == 1:
+                self.parent.extend([self.root] * len(level))
+            else:
+                up_block, up_number = self._block_of[n - 2], self._number[n - 2]
+                self.parent.extend(up_number[up_block[members[0]]] for members in level.values())
+        columns = [
+            list(map(number.__getitem__, map(block_of.__getitem__, self.atoms)))
+            for number, block_of in zip(self._number, self._block_of)
+        ]
+        self.paths = list(zip(*columns))
+        self.leaf = columns[-1]
+        self.denominator = math.lcm(*(p.denominator for p in self.prob.values()))
+        self.atom_mass = [
+            self.prob[a].numerator * (self.denominator // self.prob[a].denominator)
+            for a in self.atoms
+        ]
+        mass = [0] * (self.root + 1)
+        for i, m in zip(self.leaf, self.atom_mass):
+            mass[i] = m
+        for i in range(self.root - 1, -1, -1):
+            mass[self.parent[i]] += mass[i]
+        self.block_mass = mass[: self.root]
 
     # -- structural queries ---------------------------------------------------
 
@@ -168,61 +242,114 @@ class FilteredSpace:
         """The time-``n`` block containing ``atom``."""
         return self._block_of[n - 1][atom]
 
+    def number(self, n: int, block_id: str) -> int:
+        """The flat number of a time-``n`` block."""
+        return self._number[n - 1][block_id]
+
     def block_prob(self, n: int, block_id: str) -> Fraction:
-        return self._block_prob[n - 1][block_id]
+        return Fraction(self.block_mass[self.number(n, block_id)], self.denominator)
 
     def children(self, n: int, block_id: str) -> tuple[str, ...]:
         """Blocks at time ``n+1`` refining the given time-``n`` block."""
-        return self._children[n - 1][block_id]
+        return self._children[self.number(n, block_id)]
 
-    def top_down(self) -> Iterator[tuple[int, str, Optional[str]]]:
-        """Every block with its parent: ``(n, block_id, parent_id)``, level by level.
+    @cached_property
+    def _children(self) -> list[tuple[str, ...]]:
+        below: list[list[str]] = [[] for _ in range(self.root + 1)]
+        for i, p in enumerate(self.parent):
+            below[p].append(self.ids[i])
+        return [tuple(ids) for ids in below]
 
-        Time-1 blocks have parent ``None``, standing for the root at time
-        0; within a level, blocks come in partition order.  Each time-``n``
-        block comes after its time-``n-1`` parent, so a pass that keys its
-        state by ``(n, block_id)``, seeded at ``(0, None)``, carries it from
-        parent to child with no recursion and no rescan of earlier times:
-        O(blocks) at any depth.
+    # -- the flat numbering and the public dicts ------------------------------
+
+    def by_block(self, cells) -> dict[int, dict[str, object]]:
+        """A per-block list in flat order as ``{n: {block_id: cell}}``."""
+        s = self.starts
+        return {
+            n: dict(zip(level, cells[s[n - 1] : s[n]])) for n, level in enumerate(self.levels, start=1)
+        }
+
+    def fractions(self, table: Table) -> tuple[dict, dict]:
+        """``table`` as the public dicts: ``({n: {block_id: Fraction}}, {atom: Fraction})``."""
+        value = FractionsOver(table.den).__getitem__
+        return (
+            self.by_block(list(map(value, table.blocks))),
+            dict(zip(self.atoms, map(value, table.atoms))),
+        )
+
+    def cells(self, values: Mapping[int, Mapping[str, object]]) -> list:
+        """The values of a table keyed ``{n: {block_id: value}}``, in flat order."""
+        return list(
+            chain.from_iterable(
+                map(values[n].__getitem__, level) for n, level in enumerate(self.levels, start=1)
+            )
+        )
+
+    def tables(self, *processes: "AdaptedProcess") -> list[Table]:
+        """Processes keyed exactly by the space, as Tables over one shared denominator."""
+        cells: list = []
+        for process in processes:
+            cells += self.cells(process.values)
+            cells.extend(map(process.infinity.__getitem__, self.atoms))
+        nums, den = integers(cells)
+        B, width = self.root, self.root + len(self.atoms)
+        return [Table(nums[k : k + B], nums[k + B : k + width], den) for k in range(0, len(nums), width)]
+
+    def stop_blocks(self, stops: Iterable[Time]) -> list[Optional[int]]:
+        """Per atom, the block its stop index ``stops[j]`` falls in; None for INFINITY.
+
+        Every index must be one of ``times``.
         """
-        for n, parent_of in enumerate(self._parent, start=1):
-            for block_id, parent_id in parent_of.items():
-                yield n, block_id, parent_id
+        return list(map(getitem, self._stop_paths, map(self._position.__getitem__, stops)))
 
-    def backward_induction(self, terminal: Mapping[str, Fraction], stage: Callable) -> tuple:
-        """From the horizon back to time 1: ``(time-0 value, {n: {block_id: value}})``.
+    @cached_property
+    def _position(self) -> dict[Time, int]:
+        """Stop index -> its place on a path: time n at n - 1, INFINITY past the end."""
+        return {t: k for k, t in enumerate(self.times)}
 
-        A block's value is ``stage(n, block_id, continuation)``, where the
-        continuation is the conditional expectation of its children's values
-        or, at the horizon, the ``terminal`` value of its atom.
+    @cached_property
+    def _stop_paths(self) -> list[tuple]:
+        return [path + (None,) for path in self.paths]
+
+    # -- passes over the flat numbering ---------------------------------------
+
+    def backward_induction(self, terminal: Sequence, stage: Callable) -> tuple:
+        """From the horizon back to time 1: ``(time-0 value, value per block)``.
+
+        Values are weighted by probability: a block's value is P(block) times
+        its conditional value, so its continuation is the plain sum of its
+        children's values, with no division, and at the horizon
+        ``terminal[j]``, the weighted terminal value of the block's atom
+        ``j``.  A block's value is ``stage(i, continuation)``; the time-0
+        value is the sum over the time-1 blocks.
         """
-        T = self.horizon
-        values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+        below = [0] * (self.root + 1)
+        for i, w in zip(self.leaf, terminal):
+            below[i] = w
+        values = [0] * self.root
+        parent = self.parent
+        for i in range(self.root - 1, -1, -1):
+            values[i] = value = stage(i, below[i])
+            below[parent[i]] += value
+        return below[self.root], values
 
-        def weighted(n: int, blocks) -> Fraction:
-            return sum((self.block_prob(n, c) * values[n][c] for c in blocks), start=Fraction(0))
+    def first_stop(self, stops_at: Callable[[int], bool]) -> dict[str, Time]:
+        """Per atom, the first time on its path whose block ``i`` has ``stops_at(i)``, else INFINITY.
 
-        for block_id, (atom,) in self.levels[T - 1].items():
-            values[T][block_id] = stage(T, block_id, terminal[atom])
-        for n in range(T - 1, 0, -1):
-            for block_id in self.levels[n - 1]:
-                below = weighted(n + 1, self.children(n, block_id))
-                values[n][block_id] = stage(n, block_id, below / self.block_prob(n, block_id))
-        return weighted(1, self.levels[0]), values
+        Blocks below a stop are not asked.
+        """
+        stopped: list[Time] = [INFINITY] * (self.root + 1)
+        for i, p in enumerate(self.parent):
+            t = stopped[p]
+            stopped[i] = self.depth[i] if t == INFINITY and stops_at(i) else t
+        return {a: stopped[i] for a, i in zip(self.atoms, self.leaf)}
 
-    def first_stop(self, stops_at: Callable[[int, str], bool]) -> dict[str, Time]:
-        """Per atom, the first ``n`` on its path with ``stops_at(n, block_id)``, else INFINITY."""
-        stopped: dict[tuple[int, Optional[str]], Time] = {(0, None): INFINITY}
-        for n, block_id, parent_id in self.top_down():
-            t = stopped[n - 1, parent_id]
-            stopped[n, block_id] = n if t == INFINITY and stops_at(n, block_id) else t
-        return {a: stopped[self.horizon, self.block_of(self.horizon, a)] for a in self.atoms}
-
-    def spent(self, rho: Mapping[int, Mapping[str, Fraction]]) -> dict[tuple, Fraction]:
-        """``(n, block_id)`` -> the block-keyed ``rho`` summed down the path to it; root 0."""
-        spent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(0)}
-        for n, block_id, parent_id in self.top_down():
-            spent[n, block_id] = spent[n - 1, parent_id] + rho[n][block_id]
+    def spent(self, rho: Sequence[int]) -> list[int]:
+        """Per block, the flat ``rho`` summed down the path to it, itself included."""
+        spent = [0] * (self.root + 1)
+        for i, p in enumerate(self.parent):
+            spent[i] = spent[p] + rho[i]
+        spent.pop()
         return spent
 
     def __repr__(self) -> str:
@@ -340,15 +467,14 @@ def constant_process(space: FilteredSpace, value) -> AdaptedProcess:
 
 def check_process(space: FilteredSpace, process: AdaptedProcess) -> None:
     """Raise SpaceMismatch unless ``process`` is keyed exactly by this space."""
-    expected_times = set(range(1, space.horizon + 1))
-    if set(process.values) != expected_times:
+    if process.values.keys() != set(range(1, space.horizon + 1)):
         raise SpaceMismatch(
             f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
         )
-    for n in expected_times:
-        if set(process.values[n]) != set(space.blocks(n)):
+    for n, level in enumerate(space.levels, start=1):
+        if process.values[n].keys() != level.keys():
             raise SpaceMismatch(f"process blocks at time {n} do not match the space")
-    if set(process.infinity) != set(space.atoms):
+    if process.infinity.keys() != space.prob.keys():
         raise SpaceMismatch("process INFINITY slot does not match the atom set")
 
 

@@ -22,15 +22,26 @@ equivalence, conversions and game payoffs are all read off it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, mul
 from typing import Mapping, Optional, Union
 
 from .errors import ValidationError
-from .space import INFINITY, FilteredSpace, Time, as_fraction, time_label
-
-#: The stop mass of a cell that carries none; the density readers skip its arithmetic.
-ZERO = Fraction(0)
+from .space import (
+    INFINITY,
+    AdaptedProcess,
+    FilteredSpace,
+    FractionsOver,
+    Table,
+    Time,
+    as_fraction,
+    denominator_of,
+    integers,
+    numerator_of,
+    time_label,
+)
 
 
 @dataclass(frozen=True)
@@ -170,46 +181,64 @@ class Violation:
         return f"{self.kind} {' '.join(parts)}{suffix}".strip()
 
 
-def _checked_fraction(value) -> Optional[Fraction]:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    return None
+def _exact(value) -> bool:
+    return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+#: Types whose values are exact without a closer look (``bool`` is not among them).
+_EXACT_TYPES = {Fraction, int}
 
 
 def _validate_block_table(
     table, space: FilteredSpace, name: str
-) -> tuple[Optional[dict], Optional[Violation]]:
-    """Check an {n: {block: value}} table covers exactly 1..T with exact values."""
-    checked: dict[int, dict[str, Fraction]] = {}
+) -> tuple[list, Optional[Violation]]:
+    """Check an {n: {block: value}} table covers exactly 1..T with exact values.
+
+    Returns the values in flat block order.
+    """
     for n in table:
         if isinstance(n, bool) or n not in range(1, space.horizon + 1):
-            return None, Violation(
+            return [], Violation(
                 "OutOfRange", detail=f"{name} has time {n!r} outside 1..{space.horizon}"
             )
-    for n in range(1, space.horizon + 1):
+    cells = []
+    for n, blocks in enumerate(space.levels, start=1):
         level = table.get(n)
         if level is None:
-            return None, Violation("Malformed", time=n, detail=f"{name} missing time {n}")
-        checked[n] = {}
-        for block_id in space.blocks(n):
+            return [], Violation("Malformed", time=n, detail=f"{name} missing time {n}")
+        if level.keys() == blocks.keys():
+            row = list(map(level.__getitem__, blocks))
+            if {*map(type, row)} <= _EXACT_TYPES:
+                cells += row
+                continue
+        for block_id in blocks:
             if block_id not in level:
-                return None, Violation(
+                return [], Violation(
                     "Malformed", time=n, where=block_id, detail=f"{name} missing block"
                 )
-            v = _checked_fraction(level[block_id])
-            if v is None:
-                return None, Violation(
+            v = level[block_id]
+            if not _exact(v):
+                return [], Violation(
                     "Malformed", time=n, where=block_id, detail=f"{name} holds a non-exact value"
                 )
-            checked[n][block_id] = v
-        extra = set(level) - set(space.blocks(n))
-        if extra:
-            return None, Violation(
+            cells.append(v)
+        if len(level) != len(blocks):
+            extra = set(level) - set(blocks)
+            return [], Violation(
                 "Malformed", time=n, where=sorted(extra)[0], detail=f"unknown block in {name}"
             )
-    return checked, None
+    return cells, None
+
+
+def _out_of_range(cells, space: FilteredSpace, name: str) -> Optional[Violation]:
+    """The first cell outside [0, 1], in flat order."""
+    nums = list(map(numerator_of, cells))
+    if min(nums, default=0) >= 0 and all(map(le, nums, map(denominator_of, cells))):
+        return None
+    i = next(i for i, v in enumerate(cells) if not 0 <= v <= 1)
+    return Violation(
+        "OutOfRange", time=space.depth[i], where=space.ids[i], detail=f"{name}={Fraction(cells[i])}"
+    )
 
 
 def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
@@ -219,80 +248,124 @@ def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
     return next(a for a in table if a not in space.prob)
 
 
+def _stop_blocks(eta: PureStoppingTime, space: FilteredSpace) -> list[Optional[int]]:
+    """Per atom, the number of its stop block, or None if it never stops."""
+    return space.stop_blocks(map(eta.stop.__getitem__, space.atoms))
+
+
 def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    valid_times = set(space.times)
-    for atom in space.atoms:
-        if atom not in eta.stop:
-            return Violation("Malformed", where=atom, detail="no stop index for atom")
-        t = eta.stop[atom]
-        if t not in valid_times or isinstance(t, bool):
-            return Violation("OutOfRange", time=t if type(t) in (int, float) else None,
-                             where=atom, detail=f"stop index {t!r} outside 1..{space.horizon}, inf")
-    unknown = _unknown_atom(eta.stop, space)
-    if unknown is not None:
-        return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
-    for n in range(1, space.horizon + 1):
-        for block_id in space.blocks(n):
-            members = space.members(n, block_id)
-            stopped = [a for a in members if eta.stop[a] == n]
-            if stopped and len(stopped) != len(members):
+    """``{stop = n}`` is checked only at the atoms' stop blocks, where it can split a block.
+
+    Every split is found, and the first in flat order (by time, then
+    partition order) is reported.
+    """
+    times = range(1, space.horizon + 1)
+
+    def is_time(t) -> bool:
+        return not isinstance(t, bool) and (t == INFINITY or t in times)
+
+    # one look at the distinct stop indices; atom by atom only to find a fault
+    indices = list(map(eta.stop.get, space.atoms))
+    if not (
+        eta.stop.keys() == space.prob.keys()
+        and {*map(type, indices)} <= {int, float}
+        and all(map(is_time, set(indices)))
+    ):
+        for atom in space.atoms:
+            if atom not in eta.stop:
+                return Violation("Malformed", where=atom, detail="no stop index for atom")
+            t = eta.stop[atom]
+            if not is_time(t):
                 return Violation(
-                    "NotAdapted",
-                    time=n,
-                    where=block_id,
-                    detail=f"{{stop={n}}} splits block {block_id}",
+                    "OutOfRange",
+                    time=t if type(t) in (int, float) else None,
+                    where=atom,
+                    detail=f"stop index {t!r} outside 1..{space.horizon}, inf",
                 )
-    return None
-
-
-def _validate_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    rho, bad = _validate_block_table(eta.rho, space, "rho")
-    if bad:
-        return bad
-    for n, level in rho.items():
-        for block_id, v in level.items():
-            if not 0 <= v <= 1:
-                return Violation("OutOfRange", time=n, where=block_id, detail=f"rho={v}")
-    spent = space.spent(rho)
-    T = space.horizon
-    for atom in space.atoms:
-        if atom not in eta.rho_inf:
-            return Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
-        v_inf = _checked_fraction(eta.rho_inf[atom])
-        if v_inf is None:
-            return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
-        if not 0 <= v_inf <= 1:
-            return Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={v_inf}")
-        total = v_inf + spent[T, space.block_of(T, atom)]
-        if total != 1:
-            return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
-    unknown = _unknown_atom(eta.rho_inf, space)
-    if unknown is not None:
+        unknown = _unknown_atom(eta.stop, space)
+        if unknown is not None:
+            return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
+    first_split = space.root
+    for i in set(_stop_blocks(eta, space)) - {None}:
+        n = space.depth[i]
+        if i < first_split and {*map(eta.stop.__getitem__, space.members(n, space.ids[i]))} != {n}:
+            first_split = i
+    if first_split < space.root:
+        n, block_id = space.depth[first_split], space.ids[first_split]
         return Violation(
-            "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
+            "NotAdapted", time=n, where=block_id, detail=f"{{stop={n}}} splits block {block_id}"
         )
     return None
 
 
-def _validate_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    beta, bad = _validate_block_table(eta.beta, space, "beta")
+def _validate_randomized(
+    eta: RandomizedStoppingTime, space: FilteredSpace
+) -> tuple[Optional[Violation], tuple]:
+    """The violation, and for a valid rule ``(den, spent)``: its cumulative stop
+    masses over one denominator, from the sum check's one spent pass."""
+    cells, bad = _validate_block_table(eta.rho, space, "rho")
     if bad:
-        return bad
-    for n, level in beta.items():
-        for block_id, v in level.items():
-            if not 0 <= v <= 1:
-                return Violation("OutOfRange", time=n, where=block_id, detail=f"beta={v}")
-    return None
+        return bad, ()
+    bad = _out_of_range(cells, space, "rho")
+    if bad:
+        return bad, ()
+    rho, den = integers(cells)
+    spent = space.spent(rho)
+    # what the finite times leave each atom, over den: rho_inf must be exactly that
+    left = [den - spent[i] for i in space.leaf]
+    if _leaves(eta.rho_inf, left, den, space):
+        return None, (den, spent)
+    for atom, rest in zip(space.atoms, left):
+        if atom not in eta.rho_inf:
+            bad = Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
+        elif not _exact(eta.rho_inf[atom]):
+            bad = Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
+        elif not 0 <= eta.rho_inf[atom] <= 1:
+            v_inf = Fraction(eta.rho_inf[atom])
+            bad = Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={v_inf}")
+        elif eta.rho_inf[atom] != Fraction(rest, den):
+            total = eta.rho_inf[atom] + Fraction(den - rest, den)
+            bad = Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
+        if bad:
+            return bad, ()
+    unknown = _unknown_atom(eta.rho_inf, space)
+    if unknown is None:
+        return None, (den, spent)
+    return Violation(
+        "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
+    ), ()
+
+
+def _leaves(rho_inf, left: list[int], den: int, space: FilteredSpace) -> bool:
+    """True iff ``rho_inf`` names exactly the atoms, each with ``left[j] / den``
+    as an exact value in [0, 1]."""
+    if rho_inf.keys() != space.prob.keys():
+        return False
+    cells = list(map(rho_inf.__getitem__, space.atoms))
+    if not {*map(type, cells)} <= _EXACT_TYPES:
+        return False
+    nums, dens = list(map(numerator_of, cells)), list(map(denominator_of, cells))
+    return (
+        min(nums) >= 0
+        and all(map(le, nums, dens))
+        and list(map(den.__mul__, nums)) == list(map(mul, left, dens))
+    )
+
+
+def _validate_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Optional[Violation]:
+    cells, bad = _validate_block_table(eta.beta, space, "beta")
+    return bad or _out_of_range(cells, space, "beta")
 
 
 def _validate_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Optional[Violation]:
+    """Each section is checked as a pure rule, O(atoms) apiece; the first bad one is reported."""
     bps = eta.breakpoints
     if len(bps) < 2 or len(eta.sections) != len(bps) - 1:
         return Violation(
             "Malformed",
             detail=f"{len(eta.sections)} sections for {len(bps)} breakpoints",
         )
-    if any(_checked_fraction(r) is None for r in bps):
+    if not all(map(_exact, bps)):
         return Violation("Malformed", detail="non-exact breakpoint")
     if bps[0] != 0 or bps[-1] != 1:
         return Violation("Malformed", detail="breakpoints must start at 0 and end at 1")
@@ -319,7 +392,7 @@ def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violatio
     if isinstance(eta, PureStoppingTime):
         return _validate_pure(eta, space)
     if isinstance(eta, RandomizedStoppingTime):
-        return _validate_randomized(eta, space)
+        return _validate_randomized(eta, space)[0]
     if isinstance(eta, BehaviorStoppingTime):
         return _validate_behavior(eta, space)
     if isinstance(eta, MixedStoppingTime):
@@ -327,13 +400,73 @@ def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violatio
     raise TypeError(f"not a stopping rule: {type(eta).__name__}")
 
 
-def require_valid(eta: RandomStoppingTime, space: FilteredSpace) -> None:
-    violation = validate(eta, space)
+def _raise(violation: Optional[Violation]) -> None:
     if violation is not None:
         raise ValidationError(str(violation), violation=violation)
 
 
+def require_valid(eta: RandomStoppingTime, space: FilteredSpace) -> None:
+    _raise(validate(eta, space))
+
+
+def spent_masses(eta: RandomizedStoppingTime, space: FilteredSpace) -> tuple[int, list[int]]:
+    """Validate a randomized rule and return its cumulative stop masses per block,
+    ``(den, spent)`` with ``spent[i] / den`` at block ``i``, from the validation's spent pass."""
+    violation, parsed = _validate_randomized(eta, space)
+    _raise(violation)
+    return parsed
+
+
 # -- the canonical form -----------------------------------------------------------
+
+
+def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
+    """``densities`` as a Table, the form the exact passes read.  Validates ``eta`` once."""
+    require_valid(eta, space)
+    if isinstance(eta, RandomizedStoppingTime):
+        # the randomized form is shaped like a process: a value per block and per atom
+        return space.tables(AdaptedProcess(values=eta.rho, infinity=eta.rho_inf))[0]
+    if isinstance(eta, BehaviorStoppingTime):
+        return _survival(space.cells(eta.beta), space)
+    if isinstance(eta, PureStoppingTime):
+        return _sections([_stop_blocks(eta, space)], [1], 1, space)
+    cuts, den = integers(eta.breakpoints)
+    weights = [b - a for a, b in zip(cuts, cuts[1:])]
+    return _sections([_stop_blocks(s, space) for s in eta.sections], weights, den, space)
+
+
+def _survival(hazards: list, space: FilteredSpace) -> Table:
+    """Survive past 1..n-1, then stop at n: the survival carried down the tree in integers.
+
+    The denominator is the product over times of the lcm of that time's
+    hazard denominators, so every product divides exactly.
+    """
+    den = 1
+    for n in range(space.horizon):
+        den *= math.lcm(*set(map(denominator_of, hazards[space.starts[n] : space.starts[n + 1]])))
+    alive = [0] * space.root + [den]
+    rho = [0] * space.root
+    for i, p in enumerate(space.parent):
+        left = alive[p]
+        h = hazards[i]
+        if left and h.numerator:
+            rho[i] = stop = left * h.numerator // h.denominator
+            left -= stop
+        alive[i] = left
+    return Table(rho, [alive[i] for i in space.leaf], den)
+
+
+def _sections(sections, weights, den: int, space: FilteredSpace) -> Table:
+    """Weighted pure rules summed per stop block and per never-stopping atom."""
+    rho = [0] * space.root
+    rho_inf = [0] * len(space.atoms)
+    for stops, w in zip(sections, weights):
+        for i in set(stops) - {None}:
+            rho[i] += w
+        for j, i in enumerate(stops):
+            if i is None:
+                rho_inf[j] += w
+    return Table(rho, rho_inf, den)
 
 
 def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppingTime:
@@ -344,61 +477,22 @@ def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppi
     is read off it.  Validates ``eta`` first; the result holds Fractions
     keyed exactly by the space's blocks, times and atoms.
     """
-    require_valid(eta, space)
-    T = space.horizon
-    if isinstance(eta, RandomizedStoppingTime):
-        return RandomizedStoppingTime(
-            rho={
-                n: {b: Fraction(eta.rho[n][b]) for b in space.blocks(n)} for n in range(1, T + 1)
-            },
-            rho_inf={a: Fraction(eta.rho_inf[a]) for a in space.atoms},
-        )
-    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
-    if isinstance(eta, BehaviorStoppingTime):
-        # survive past 1..n-1, then stop at n; the survival product is carried
-        # down the tree, one factor per block; a zero hazard or a path that
-        # has surely stopped leaves survival as it is and spends nothing
-        survival: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
-        for n, block_id, parent_id in space.top_down():
-            alive = survival[n - 1, parent_id]
-            hazard = eta.beta[n][block_id]
-            if hazard and alive:
-                rho[n][block_id] = alive * hazard
-                survival[n, block_id] = alive * (1 - hazard)
-            else:
-                rho[n][block_id] = ZERO
-                survival[n, block_id] = alive
-        rho_inf = {a: survival[T, space.block_of(T, a)] for a in space.atoms}
-        return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
-    if isinstance(eta, PureStoppingTime):
-        weighted = ((eta, Fraction(1)),)
-    else:
-        weighted = tuple(zip(eta.sections, eta.weights()))
-    # a stop index is constant on blocks of its time, so one member decides
-    for n in range(1, T + 1):
-        for block_id in space.blocks(n):
-            atom = space.members(n, block_id)[0]
-            rho[n][block_id] = sum(
-                (w for s, w in weighted if s.stop[atom] == n), start=Fraction(0)
-            )
-    rho_inf = {
-        a: sum((w for s, w in weighted if s.stop[a] == INFINITY), start=Fraction(0))
-        for a in space.atoms
-    }
+    rho, rho_inf = space.fractions(density_table(eta, space))
     return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
 def detailed_distribution(eta: RandomStoppingTime, space: FilteredSpace) -> StoppingMeasure:
     """The exact joint law of (outcome, stop index) induced by ``eta``."""
-    d = densities(eta, space)
+    d = density_table(eta, space)
+    value = FractionsOver(space.denominator * d.den).__getitem__
+    stop_mass = d.blocks.__getitem__
+    times = range(1, space.horizon + 1)
     mass = {}
-    for atom in space.atoms:
-        p = space.prob[atom]
-        row: dict[Time, Fraction] = {}
-        for n in range(1, space.horizon + 1):
-            rho = d.rho[n][space.block_of(n, atom)]
-            row[n] = p * rho if rho else ZERO
-        row[INFINITY] = p * d.rho_inf[atom] if d.rho_inf[atom] else ZERO
+    for atom, path, p, inf in zip(space.atoms, space.paths, space.atom_mass, d.atoms):
+        row: dict[Time, Fraction] = dict(
+            zip(times, map(value, map(p.__mul__, map(stop_mass, path))))
+        )
+        row[INFINITY] = value(p * inf)
         mass[atom] = row
     return StoppingMeasure(mass=mass)
 
@@ -436,7 +530,8 @@ def equivalent(
     Every atom has positive probability, so equal mass tables are equal
     densities.
     """
-    return densities(eta1, space) == densities(eta2, space)
+    d1, d2 = density_table(eta1, space), density_table(eta2, space)
+    return [x * d2.den for x in d1.blocks + d1.atoms] == [y * d1.den for y in d2.blocks + d2.atoms]
 
 
 # -- enumeration -----------------------------------------------------------------

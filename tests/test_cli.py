@@ -87,6 +87,22 @@ class TestValidate:
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFound"
 
+    def test_directory_as_file(self, tmp_path, capsys):
+        code, out, err = run_capture(capsys, ["validate", "--space", str(tmp_path)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "FileError"
+
+    def test_file_not_utf8(self, files, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"type": "pure", "stop": {"w\xe9": 1}}'.encode("latin-1"))
+        code, out, err = run_capture(
+            capsys, ["validate", "--space", files["e1.json"], "--st", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidEncoding"
+
 
 class TestConvert:
     def test_r1_to_behavior_is_b1(self, files, capsys):

@@ -25,6 +25,7 @@ from stopwright import (
     validate,
 )
 
+import oracles
 from fuzz import MAKERS, random_randomized, random_space, random_stopping_time
 
 
@@ -34,12 +35,12 @@ def section_by_section(eta, space):
     Section ``k`` stops each atom at the first block whose cumulative stop
     mass reaches the section's right breakpoint.
     """
-    spent = space.spent(densities(eta, space).rho)
+    spent = oracles.spent(space, densities(eta, space).rho)
     cuts = {c for c in spent.values() if c > 0}
     cuts.add(F(1))
     breakpoints = (F(0),) + tuple(sorted(cuts))
     sections = tuple(
-        PureStoppingTime(stop=space.first_stop(lambda n, b: spent[n, b] >= right))
+        PureStoppingTime(stop=oracles.first_stop(space, lambda n, b: spent[n, b] >= right))
         for right in breakpoints[1:]
     )
     return MixedStoppingTime(breakpoints=breakpoints, sections=sections)

@@ -6,6 +6,7 @@ import pytest
 
 from stopwright import (
     BOTH,
+    ValidationError,
     INFINITY,
     ONLY_1,
     ONLY_2,
@@ -24,6 +25,7 @@ from stopwright import (
     stopping_game,
 )
 from stopwright.montecarlo import _stop_columns, chunk_plan, detailed_counts_chunk
+from stopwright.space import FilteredSpace
 
 from fuzz import negate_process, random_stopping_time
 
@@ -200,3 +202,39 @@ class TestEmpiricalGamePayoff:
         first = empirical_game_payoff(eta1, eta2, game, e1, 30_000, seed=31)
         second = empirical_game_payoff(eta1, eta2, game, e1, 30_000, seed=31)
         assert first == second
+
+
+class TestOneSpentPass:
+    """A randomized rule is validated and gets its sampler's cumulative table from one spent pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = FilteredSpace.spent
+
+        def counting(self, rho):
+            calls.append(rho)
+            return real(self, rho)
+
+        monkeypatch.setattr(FilteredSpace, "spent", counting)
+        return calls
+
+    def test_one_pass_per_randomized_rule_per_call(self, passes, e1, r1, b1):
+        game = stopping_game(
+            {(j, c): constant_process(e1, 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
+        )
+        empirical_game_payoff(r1, b1, game, e1, 1000, seed=1)
+        assert len(passes) == 1
+        passes.clear()
+        empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
+        assert len(passes) == 2
+        passes.clear()
+        empirical_detailed_distribution(r1, e1, 1000, seed=1)
+        assert len(passes) == 1
+
+    def test_invalid_rule_still_rejected_first(self, e1, r1):
+        broken = randomized(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})
+        with pytest.raises(ValidationError, match="SumNotOne"):
+            empirical_detailed_distribution(broken, e1, 0, seed=-1)
+        with pytest.raises(ValueError, match="samples"):
+            empirical_detailed_distribution(r1, e1, 0, seed=1)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,23 @@ class TestScalars:
             parse_rational("not-a-number")
         with pytest.raises(FormatError):
             parse_rational(0.5)
+
+    def test_parse_rational_accepts_integers_and_a_over_b_only(self):
+        assert parse_rational("-6/4") == F(-3, 2)  # need not be in lowest terms
+        assert parse_rational("0") == 0 and parse_rational(-7) == -7
+        for bad in ("1.5", "1_000", " 3", "3 ", "1e2000", "+1", "1/-2", "1/0", "", "/2", "\u0663", True):
+            with pytest.raises(FormatError):
+                parse_rational(bad)
+
+    def test_cli_rejects_loose_rationals(self, tmp_path, capsys):
+        from stopwright.cli import run
+
+        nodes = [dict(n) for n in E1_NODES]
+        nodes[-1]["prob"] = "1e2000"
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"nodes": nodes}))
+        assert run(["validate", "--space", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
 
     def test_parse_time(self):
         assert parse_time("inf") == INFINITY

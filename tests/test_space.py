@@ -22,6 +22,7 @@ from stopwright import (
     snell_value,
 )
 from stopwright.space import FilteredSpace
+from stopwright.stopping import density_table
 
 from fuzz import E1_NODES, random_process, random_randomized, random_space
 
@@ -215,9 +216,9 @@ class TestTreePasses:
     def test_contracts_on_e1(self, e1, r1, b1):
         asked = []
 
-        def stops_at(n, block_id):
-            asked.append(block_id)
-            return block_id in ("A", "w3")
+        def stops_at(i):
+            asked.append(e1.ids[i])
+            return e1.ids[i] in ("A", "w3")
 
         assert e1.first_stop(stops_at) == {"w1": 1, "w2": 1, "w3": 2, "w4": INFINITY}
         assert sorted(asked) == ["A", "B", "w3", "w4"]  # nothing below a stop is asked
@@ -225,17 +226,31 @@ class TestTreePasses:
         rng = random.Random(5)
         rules = [r1, densities(b1, e1)] + [random_randomized(rng, e1) for _ in range(20)]
         for eta in rules:
-            spent = e1.spent(eta.rho)
+            d = density_table(eta, e1)
+            spent = e1.spent(d.blocks)
             for atom in e1.atoms:
-                assert spent[2, e1.block_of(2, atom)] + eta.rho_inf[atom] == 1
+                assert F(spent[e1.number(2, e1.block_of(2, atom))], d.den) + eta.rho_inf[atom] == 1
 
         for _ in range(10):
             problem = random_process(rng, e1)
+            (table,) = e1.tables(problem)
+            stop = [m * v for m, v in zip(e1.block_mass, table.blocks)]
             value, values = e1.backward_induction(
-                problem.infinity, lambda n, b, continuation: max(problem.values[n][b], continuation)
+                [m * v for m, v in zip(e1.atom_mass, table.atoms)],
+                lambda i, continuation: max(stop[i], continuation),
             )
-            assert value == snell_value(problem, e1).value
-            assert set(values[2]) == set(e1.blocks(2))
+            assert F(value, e1.denominator * table.den) == snell_value(problem, e1).value
+            assert set(e1.by_block(values)[2]) == set(e1.blocks(2))
+
+    def test_flat_numbering_on_e1(self, e1):
+        assert e1.ids == ["A", "B", "w1", "w2", "w3", "w4"]
+        assert e1.depth == [1, 1, 2, 2, 2, 2]
+        assert e1.parent == [6, 6, 0, 0, 1, 1] and e1.root == 6
+        assert e1.starts == [0, 2, 6]
+        assert e1.paths == [(0, 2), (0, 3), (1, 4), (1, 5)]
+        assert e1.leaf == [2, 3, 4, 5]
+        assert e1.denominator == 4
+        assert e1.atom_mass == [1, 1, 1, 1] and e1.block_mass == [2, 2, 1, 1, 1, 1]
 
 
 class TestProcesses:

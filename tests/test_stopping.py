@@ -5,8 +5,11 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    BehaviorStoppingTime,
+    RandomizedStoppingTime,
     ValidationError,
     behavior,
+    build_space,
     detailed_distribution,
     enumerate_pure_stopping_times,
     equivalent,
@@ -131,6 +134,93 @@ class TestValidate:
         violation = validate(mixed([0, 1], [bad_section]), e1)
         assert violation.kind == "SectionNotStoppingTime"
         assert violation.where == "sections[0]"
+
+
+def binary_tree(depth: int):
+    """Binary tree of uniform leaves; a node's id spells its path, "1" before "0"."""
+    nodes = [{"id": "r", "parent": None}]
+    frontier = ["r"]
+    for _ in range(depth):
+        frontier = [f"{p}{side}" if p != "r" else side for p in frontier for side in "10"]
+        nodes.extend({"id": c, "parent": c[:-1] or "r"} for c in frontier)
+    for node in nodes[-len(frontier):]:
+        node["prob"] = f"1/{len(frontier)}"
+    return build_space(nodes)
+
+
+def violation_fields(violation):
+    return (violation.kind, violation.time, violation.where, violation.detail)
+
+
+class TestFirstViolation:
+    """The first violation reported, among several, is pinned: the CLI prints it."""
+
+    @pytest.fixture
+    def tree(self):
+        return binary_tree(3)
+
+    def splitting(self, tree):
+        # {stop=2} splits "11" and "00"; {stop=1} splits "0"; the atom listed
+        # first ("111") is in a split time-2 block, the split time-1 block
+        # comes later in atom order
+        stop = {a: INFINITY for a in tree.atoms}
+        stop.update({"111": 2, "101": 2, "100": 2, "011": 1, "001": 2, "000": 3})
+        return pure(stop)
+
+    def test_pure_reports_the_earliest_time_then_partition_order(self, tree):
+        assert tree.atoms[0] == "111"
+        violation = validate(self.splitting(tree), tree)
+        assert violation_fields(violation) == ("NotAdapted", 1, "0", "{stop=1} splits block 0")
+
+    def test_pure_atom_checks_come_before_adaptedness(self, tree):
+        stop = dict(self.splitting(tree).stop)
+        stop["001"] = 7
+        violation = validate(pure(stop), tree)
+        assert violation_fields(violation) == (
+            "OutOfRange", 7, "001", "stop index 7 outside 1..3, inf"
+        )
+
+    def test_pure_same_time_reports_partition_order(self, tree):
+        stop = {a: INFINITY for a in tree.atoms}
+        stop.update({"000": 2, "100": 2, "110": 3})
+        violation = validate(pure(stop), tree)
+        assert violation_fields(violation) == ("NotAdapted", 2, "10", "{stop=2} splits block 10")
+
+    def test_mixed_reports_the_first_bad_section(self, tree):
+        good = pure({a: 3 for a in tree.atoms})
+        late = {a: INFINITY for a in tree.atoms}
+        late.update({"110": 2, "011": 3})
+        rule = mixed([0, "1/4", "1/2", 1], [good, pure(late), self.splitting(tree)])
+        violation = validate(rule, tree)
+        assert violation_fields(violation) == (
+            "SectionNotStoppingTime", 2, "sections[1]", "NotAdapted n=2 at 11 ({stop=2} splits block 11)"
+        )
+
+    def test_exact_values_of_other_types_are_checked_one_by_one(self, e1, r1, b1):
+        class Exact(F):
+            pass
+
+        class Index(int):
+            pass
+
+        rho_inf = {a: Exact(v) for a, v in r1.rho_inf.items()}
+        assert validate(RandomizedStoppingTime(rho=r1.rho, rho_inf=rho_inf), e1) is None
+        beta = {n: {b: Exact(v) for b, v in level.items()} for n, level in b1.beta.items()}
+        assert validate(BehaviorStoppingTime(beta=beta), e1) is None
+        beta[2]["w3"] = Exact(4, 3)
+        assert violation_fields(validate(BehaviorStoppingTime(beta=beta), e1)) == (
+            "OutOfRange", 2, "w3", "beta=4/3"
+        )
+        assert validate(pure({a: Index(2) for a in e1.atoms}), e1) is None
+        assert validate(pure({a: Index(3) for a in e1.atoms}), e1).kind == "OutOfRange"
+
+    def test_mixed_malformed_section_before_later_split(self, tree):
+        missing = {a: 3 for a in tree.atoms if a != "010"}
+        rule = mixed([0, "1/3", 1], [pure(missing), self.splitting(tree)])
+        violation = validate(rule, tree)
+        assert violation_fields(violation) == (
+            "SectionNotStoppingTime", None, "sections[0]", "Malformed at 010 (no stop index for atom)"
+        )
 
 
 class TestDetailedDistribution:
