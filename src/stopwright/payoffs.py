@@ -78,7 +78,7 @@ def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
     """``snell_value`` on a process table, by probability-weighted induction."""
     stop = list(map(mul, space.block_mass, problem.blocks))
     terminal = list(map(mul, space.atom_mass, problem.atoms))
-    total, values = space.backward_induction(terminal, lambda i, continuation: max(stop[i], continuation))
+    total, values = space.backward_induction(terminal, lambda i, below: max(stop[i], below))
     strategy = space.first_stop(lambda i: stop[i] == values[i])
     return SnellResult(
         value=Fraction(total, space.denominator * problem.den),

@@ -266,7 +266,8 @@ class FilteredSpace:
         """A per-block list in flat order as ``{n: {block_id: cell}}``."""
         s = self.starts
         return {
-            n: dict(zip(level, cells[s[n - 1] : s[n]])) for n, level in enumerate(self.levels, start=1)
+            n: dict(zip(level, cells[s[n - 1] : s[n]]))
+            for n, level in enumerate(self.levels, start=1)
         }
 
     def fractions(self, table: Table) -> tuple[dict, dict]:
@@ -293,7 +294,10 @@ class FilteredSpace:
             cells.extend(map(process.infinity.__getitem__, self.atoms))
         nums, den = integers(cells)
         B, width = self.root, self.root + len(self.atoms)
-        return [Table(nums[k : k + B], nums[k + B : k + width], den) for k in range(0, len(nums), width)]
+        return [
+            Table(nums[k : k + B], nums[k + B : k + width], den)
+            for k in range(0, len(nums), width)
+        ]
 
     def stop_blocks(self, stops: Iterable[Time]) -> list[Optional[int]]:
         """Per atom, the block its stop index ``stops[j]`` falls in; None for INFINITY.
@@ -334,9 +338,9 @@ class FilteredSpace:
         return below[self.root], values
 
     def first_stop(self, stops_at: Callable[[int], bool]) -> dict[str, Time]:
-        """Per atom, the first time on its path whose block ``i`` has ``stops_at(i)``, else INFINITY.
+        """Per atom, the first time whose block ``i`` on its path has ``stops_at(i)``.
 
-        Blocks below a stop are not asked.
+        INFINITY if there is none.  Blocks below a stop are not asked.
         """
         stopped: list[Time] = [INFINITY] * (self.root + 1)
         for i, p in enumerate(self.parent):

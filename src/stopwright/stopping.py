@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul
+from operator import le
 from typing import Mapping, Optional, Union
 
 from .errors import ValidationError
@@ -311,45 +311,26 @@ def _validate_randomized(
         return bad, ()
     rho, den = integers(cells)
     spent = space.spent(rho)
-    # what the finite times leave each atom, over den: rho_inf must be exactly that
-    left = [den - spent[i] for i in space.leaf]
-    if _leaves(eta.rho_inf, left, den, space):
-        return None, (den, spent)
-    for atom, rest in zip(space.atoms, left):
+    for atom, i in zip(space.atoms, space.leaf):
         if atom not in eta.rho_inf:
             bad = Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
-        elif not _exact(eta.rho_inf[atom]):
-            bad = Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
-        elif not 0 <= eta.rho_inf[atom] <= 1:
-            v_inf = Fraction(eta.rho_inf[atom])
-            bad = Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={v_inf}")
-        elif eta.rho_inf[atom] != Fraction(rest, den):
-            total = eta.rho_inf[atom] + Fraction(den - rest, den)
-            bad = Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
-        if bad:
             return bad, ()
+        v = eta.rho_inf[atom]
+        if not _exact(v):
+            return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf"), ()
+        p, q = v.numerator, v.denominator
+        if p < 0 or p > q:
+            bad = Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={Fraction(v)}")
+            return bad, ()
+        if p * den != (den - spent[i]) * q:  # v + spent / den != 1
+            total = v + Fraction(spent[i], den)
+            return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}"), ()
     unknown = _unknown_atom(eta.rho_inf, space)
-    if unknown is None:
-        return None, (den, spent)
-    return Violation(
-        "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
-    ), ()
-
-
-def _leaves(rho_inf, left: list[int], den: int, space: FilteredSpace) -> bool:
-    """True iff ``rho_inf`` names exactly the atoms, each with ``left[j] / den``
-    as an exact value in [0, 1]."""
-    if rho_inf.keys() != space.prob.keys():
-        return False
-    cells = list(map(rho_inf.__getitem__, space.atoms))
-    if not {*map(type, cells)} <= _EXACT_TYPES:
-        return False
-    nums, dens = list(map(numerator_of, cells)), list(map(denominator_of, cells))
-    return (
-        min(nums) >= 0
-        and all(map(le, nums, dens))
-        and list(map(den.__mul__, nums)) == list(map(mul, left, dens))
-    )
+    if unknown is not None:
+        return Violation(
+            "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
+        ), ()
+    return None, (den, spent)
 
 
 def _validate_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Optional[Violation]:

@@ -16,7 +16,10 @@ from stopwright.games import BOTH, COALITIONS, check_game
 
 
 def top_down(space):
-    """Every block with its parent: ``(n, block_id, parent_id)``, level by level; time-1 parents are None."""
+    """Every block with its parent, ``(n, block_id, parent_id)``, level by level.
+
+    Time-1 blocks have parent None.
+    """
     for n, level in enumerate(space.levels, start=1):
         for block_id, members in level.items():
             yield n, block_id, (None if n == 1 else space.block_of(n - 1, members[0]))
@@ -40,7 +43,10 @@ def first_stop(space, stops_at) -> dict:
 
 
 def backward_induction(space, terminal, stage) -> tuple:
-    """``(time-0 value, {n: {block_id: value}})``; the continuation is the conditional expectation."""
+    """``(time-0 value, {n: {block_id: value}})``.
+
+    The continuation is the conditional expectation of the children's values.
+    """
     T = space.horizon
     values: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
 

@@ -67,7 +67,7 @@ def chain_hazards(rng, space):
     """Hazards 1/2, 1/3 or 2/3, so survival denominators grow about a bit per level."""
     choices = (F(1, 2), F(1, 3), F(2, 3))
     return BehaviorStoppingTime(
-        beta={n: {b: rng.choice(choices) for b in space.blocks(n)} for n in range(1, space.horizon + 1)}
+        beta={n: {b: rng.choice(choices) for b in space.blocks(n)} for n in space.times[:-1]}
     )
 
 

@@ -193,7 +193,10 @@ class TestFirstViolation:
         rule = mixed([0, "1/4", "1/2", 1], [good, pure(late), self.splitting(tree)])
         violation = validate(rule, tree)
         assert violation_fields(violation) == (
-            "SectionNotStoppingTime", 2, "sections[1]", "NotAdapted n=2 at 11 ({stop=2} splits block 11)"
+            "SectionNotStoppingTime",
+            2,
+            "sections[1]",
+            "NotAdapted n=2 at 11 ({stop=2} splits block 11)",
         )
 
     def test_exact_values_of_other_types_are_checked_one_by_one(self, e1, r1, b1):
@@ -219,7 +222,10 @@ class TestFirstViolation:
         rule = mixed([0, "1/3", 1], [pure(missing), self.splitting(tree)])
         violation = validate(rule, tree)
         assert violation_fields(violation) == (
-            "SectionNotStoppingTime", None, "sections[0]", "Malformed at 010 (no stop index for atom)"
+            "SectionNotStoppingTime",
+            None,
+            "sections[0]",
+            "Malformed at 010 (no stop index for atom)",
         )
 
 
