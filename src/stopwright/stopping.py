@@ -419,12 +419,18 @@ def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
 def _survival(hazards: list, space: FilteredSpace) -> Table:
     """Survive past 1..n-1, then stop at n: the survival carried down the tree in integers.
 
-    The denominator is the product over times of the lcm of that time's
-    hazard denominators, so every product divides exactly.
+    The denominator is the product over times of the lcm of the
+    denominators of that time's hazards that can act, so every product
+    divides exactly.  A hazard below a sure stop (a hazard of 1 on the
+    path) meets no survival and is left out of the lcm.
     """
+    reached = [True] * (space.root + 1)
+    for i, p in enumerate(space.parent):
+        reached[i] = reached[p] and hazards[i].numerator != hazards[i].denominator
     den = 1
     for n in range(space.horizon):
-        den *= math.lcm(*set(map(denominator_of, hazards[space.starts[n] : space.starts[n + 1]])))
+        level = range(space.starts[n], space.starts[n + 1])
+        den *= math.lcm(*{hazards[i].denominator for i in level if reached[space.parent[i]]})
     alive = [0] * space.root + [den]
     rho = [0] * space.root
     for i, p in enumerate(space.parent):
