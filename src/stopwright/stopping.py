@@ -206,7 +206,7 @@ def _validate_block_table(
         level = table.get(n)
         if level is None:
             return [], Violation("Malformed", time=n, detail=f"{name} missing time {n}")
-        if level.keys() == blocks.keys():
+        if isinstance(level, Mapping) and level.keys() == blocks.keys():
             row = list(map(level.__getitem__, blocks))
             if {*map(type, row)} <= _EXACT_TYPES:
                 cells += row
@@ -264,13 +264,15 @@ def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Viol
     def is_time(t) -> bool:
         return not isinstance(t, bool) and (t == INFINITY or t in times)
 
-    # one look at the distinct stop indices; atom by atom only to find a fault
-    indices = list(map(eta.stop.get, space.atoms))
-    if not (
-        eta.stop.keys() == space.prob.keys()
-        and {*map(type, indices)} <= {int, float}
-        and all(map(is_time, set(indices)))
-    ):
+    def maps_atoms_to_times(stop) -> bool:
+        """True iff ``stop`` maps exactly the atoms to times; one look at the distinct
+        indices, and the atom-by-atom loop below only to find a fault."""
+        if not (isinstance(stop, Mapping) and stop.keys() == space.prob.keys()):
+            return False
+        indices = list(stop.values())
+        return {*map(type, indices)} <= {int, float} and all(map(is_time, set(indices)))
+
+    if not maps_atoms_to_times(eta.stop):
         for atom in space.atoms:
             if atom not in eta.stop:
                 return Violation("Malformed", where=atom, detail="no stop index for atom")
