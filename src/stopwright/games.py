@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Mapping, NamedTuple
+from operator import is_, mul, neg
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
 from .payoffs import SnellResult, _epsilon, _pair, _snell
@@ -44,6 +44,10 @@ ONLY_2 = frozenset({2})
 BOTH = frozenset({1, 2})
 COALITIONS = (ONLY_1, ONLY_2, BOTH)
 ONE, ZERO = Fraction(1), Fraction(0)
+#: A game's six processes in the order of ``game_tables``: player 1's, then player 2's.
+KEYS = tuple((j, c) for j in PLAYERS for c in COALITIONS)
+#: How many translated games a space keeps, each holding its game's processes alive.
+MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -71,27 +75,46 @@ def check_game(space: FilteredSpace, game: StoppingGame) -> None:
             check_process(space, game.process(j, c))
 
 
+def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
+    """The checked game's six processes as Tables over one shared denominator, in ``KEYS`` order.
+
+    The space keeps the translations of its last few games.  One is reused
+    only while every cell gathered now is the very object it was translated
+    from; Fractions are immutable, so the kept tables are then exact, and a
+    mutated or replaced process is translated again.  An entry holds the
+    processes whose ids key it, so no id is reused while the entry lives.
+    """
+    check_game(space, game)
+    processes = [game.payoffs[key] for key in KEYS]
+    cells = space.gather(processes)
+    key = tuple(map(id, processes))
+    memo = space.game_memo
+    entry = memo.pop(key, None)
+    if entry is None or not all(map(is_, cells, entry[1])):
+        entry = (processes, cells, space.translate(cells))
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = entry
+    return entry[2]
+
+
+def _own(tables: Sequence[Table], player: int) -> tuple[Table, Table, Table]:
+    """A player's tables for stopping alone, the opponent stopping alone and both stopping."""
+    one, two, both = tables[3 * player - 3 : 3 * player]
+    return (one, two, both) if player == 1 else (two, one, both)
+
+
 def is_zero_sum(game: StoppingGame, space: FilteredSpace) -> bool:
     """True iff the players' payoffs cancel for every coalition, time, and atom."""
-    check_game(space, game)
-    for c in COALITIONS:
-        one, two = game.process(1, c), game.process(2, c)
-        for n, blocks in enumerate(space.levels, start=1):
-            if not _cancel(one.values[n], two.values[n], blocks):
-                return False
-        if not _cancel(one.infinity, two.infinity, space.atoms):
-            return False
-    return True
+    return _cancels(game_tables(game, space))
 
 
-def _cancel(one: Mapping, two: Mapping, keys) -> bool:
-    """``one[k] + two[k] == 0`` for every key: normalised Fractions cancel
-    exactly when their numerators are opposite and their denominators equal."""
-    for k in keys:
-        x, y = one[k], two[k]
-        if x.numerator != -y.numerator or x.denominator != y.denominator:
-            return False
-    return True
+def _cancels(tables: Sequence[Table]) -> bool:
+    """Over one shared denominator, payoffs cancel exactly when the numerators are opposite."""
+    return all(
+        two.blocks == list(map(neg, one.blocks)) and two.atoms == list(map(neg, one.atoms))
+        for one, two in zip(tables[:3], tables[3:])
+    )
 
 
 @dataclass(frozen=True)
@@ -129,14 +152,6 @@ def joint_detailed_distribution(
     return JointStoppingMeasure(mass=mass)
 
 
-def _coalition(t1: Time, t2: Time) -> frozenset:
-    if t1 < t2:
-        return ONLY_1
-    if t2 < t1:
-        return ONLY_2
-    return BOTH  # includes the nobody-stops case t1 = t2 = INFINITY
-
-
 def game_payoff(
     eta1: RandomStoppingTime,
     eta2: RandomStoppingTime,
@@ -149,10 +164,10 @@ def game_payoff(
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
     """Each player's density table and the auxiliary problem the other sets; validates each once."""
-    check_game(space, game)
+    tables = game_tables(game, space)
     d2 = density_table(eta2, space)
     d1 = density_table(eta1, space)
-    return ((d1, _fold(d2, game, space, 1)), (d2, _fold(d1, game, space, 2)))
+    return ((d1, _fold(d2, _own(tables, 1), space)), (d2, _fold(d1, _own(tables, 2), space)))
 
 
 def game_equivalent(
@@ -190,22 +205,17 @@ def auxiliary_problem(
 def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
     if player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
-    check_game(space, game)
-    return _fold(density_table(opponent, space), game, space, player)
+    tables = game_tables(game, space)
+    return _fold(density_table(opponent, space), _own(tables, player), space)
 
 
-def _fold(opponent: Table, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
-    """``auxiliary_problem`` from the opponent's density table, for a checked game.
+def _fold(opponent: Table, own: Sequence[Table], space: FilteredSpace) -> Table:
+    """``auxiliary_problem`` from the opponent's density table and the player's ``_own`` tables.
 
     Everything is an integer over the opponent's denominator times the
     game's: ``collected`` and ``unspent`` are carried per block in flat order.
     """
-    other = 2 if player == 1 else 1
-    solo, opp_stops, both = space.tables(
-        game.process(player, frozenset({player})),
-        game.process(player, frozenset({other})),
-        game.process(player, BOTH),
-    )
+    solo, opp_stops, both = own
     rho = opponent.blocks
     collected = [0] * (space.root + 1)
     unspent = [0] * space.root + [opponent.den]
@@ -291,11 +301,10 @@ def zero_sum_value(game: StoppingGame, space: FilteredSpace) -> ZeroSumResult:
     probabilities and a value scaled alike, so only mixed stages build a
     Fraction.
     """
-    if not is_zero_sum(game, space):
+    tables = game_tables(game, space)
+    if not _cancels(tables):
         raise NotZeroSum("player payoffs do not cancel; zero-sum value undefined")
-    both, solo1, solo2 = space.tables(
-        game.process(1, BOTH), game.process(1, ONLY_1), game.process(1, ONLY_2)
-    )
+    solo1, solo2, both = tables[:3]
     mass = space.block_mass
     both_stop, row_stop, col_stop = (list(map(mul, mass, t.blocks)) for t in (both, solo1, solo2))
     beta1: list = [None] * space.root

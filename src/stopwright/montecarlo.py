@@ -3,8 +3,9 @@
 This is the package's independent cross-check: rules are *run*, sample by
 sample, from uniform draws, and the resulting frequencies are compared
 against the exact tables computed elsewhere.  Nothing here reuses the
-exact layer's arithmetic beyond reading the rule's parameters and, for a
-randomized rule, the cumulative stop masses its validation sums.
+exact layer's arithmetic beyond reading the rule's parameters, for a
+randomized rule the cumulative stop masses its validation sums, and for a
+game the integer tables its exact calls share.
 
 Reproducibility contract
 ------------------------
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .space import INFINITY, FilteredSpace, Time
+from .space import INFINITY, FilteredSpace, Table, Time
 from .stopping import (
     BehaviorStoppingTime,
     PureStoppingTime,
@@ -35,7 +36,7 @@ from .stopping import (
     require_valid,
     spent_masses,
 )
-from .games import StoppingGame, _coalition, check_game
+from .games import StoppingGame, game_tables
 
 CHUNK_SIZE = 4096
 
@@ -304,17 +305,29 @@ def empirical_game_payoff(
     """Average realized payoffs over seeded sample runs of both rules.
 
     Only realized cells are visited, in C order (atom, then player 1's
-    time, then player 2's), so the float sums run in a fixed order.
+    time, then player 2's), and each player's ``count * payoff`` terms are
+    added one after another from 0.0, so the float sums run in a fixed order.
     """
-    check_game(space, game)
+    grids = _payoff_grids(game_tables(game, space), space)
     total = _joint_total(eta1, eta2, space, samples, seed)
-    times = space.times
-    cells = np.nonzero(total)
-    means = [0.0, 0.0]
-    for i, j1, j2, count in zip(*(axis.tolist() for axis in cells), total[cells].tolist()):
-        atom, t1, t2 = space.atoms[i], times[j1], times[j2]
-        c = _coalition(t1, t2)
-        stop_at = min(t1, t2)
-        for k, player in enumerate((1, 2)):
-            means[k] += count * float(game.process(player, c).value_at(space, stop_at, atom))
-    return means[0] / samples, means[1] / samples
+    i, j1, j2 = np.nonzero(total)
+    coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
+    terms = total[i, j1, j2] * grids[:, coalition, i, np.minimum(j1, j2)]
+    sums = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    # a sum started at 0.0 never ends at -0.0: adding 0.0 maps -0.0 to 0.0 and keeps the rest
+    return tuple((s + 0.0) / samples for s in sums)
+
+
+def _payoff_grids(tables: list[Table], space: FilteredSpace) -> np.ndarray:
+    """Float payoffs by (player, coalition, atom, stop column), column T meaning INFINITY.
+
+    The tables share one denominator; ``num / den`` of Python integers
+    rounds exactly as ``float`` of the Fraction does.
+    """
+    den = tables[0].den
+    paths = np.array(space.paths).reshape(len(space.atoms), space.horizon)
+    grids = []
+    for t in tables:
+        blocks = np.array([n / den for n in t.blocks], float)
+        grids.append(np.column_stack((blocks[paths], [n / den for n in t.atoms])))
+    return np.stack(grids).reshape(2, 3, len(space.atoms), space.horizon + 1)

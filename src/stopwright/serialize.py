@@ -45,6 +45,7 @@ def rational_str(x: Fraction) -> str:
 
 #: The wire form of a rational string: an integer, or an integer over a natural number.
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(value) -> Fraction:
@@ -60,16 +61,13 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_time(key) -> Time:
-    """An integer, an integer string, or "inf"; bools and fractional numbers are rejected."""
-    if key == "inf" or key == INFINITY:
+    """A JSON integer (not a bool), a string of ASCII digits with an optional "-", or "inf"."""
+    if key == "inf":
         return INFINITY
     if isinstance(key, int) and not isinstance(key, bool):
         return key
-    if isinstance(key, str):
-        try:
-            return int(key)
-        except ValueError:
-            pass
+    if isinstance(key, str) and _INTEGER.fullmatch(key):
+        return int(key)
     raise FormatError(f"bad time index {key!r} (expected an integer or 'inf')")
 
 
@@ -241,8 +239,11 @@ def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
         if player not in (1, 2):
             raise FormatError(f"bad player in payoff key {key!r}")
         table[(player, coalition)] = process_from_doc(proc_doc)
+    declared = doc.get("zero_sum", False)
+    if not isinstance(declared, bool):
+        raise FormatError(f"game 'zero_sum' must be true or false, got {declared!r}")
     game = stopping_game(table)
-    if doc.get("zero_sum") and not is_zero_sum(game, space):
+    if declared and not is_zero_sum(game, space):
         raise ValidationError("game declares zero_sum but player payoffs do not cancel")
     return game
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter, getitem, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -135,6 +134,8 @@ class FilteredSpace:
         self.levels = tuple({b: tuple(members) for b, members in level.items()} for level in levels)
         self._validate()
         self._index()
+        #: ``games.game_tables``' translations of the last few games, keyed by their processes' ids
+        self.game_memo: dict = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -280,18 +281,22 @@ class FilteredSpace:
 
     def cells(self, values: Mapping[int, Mapping[str, object]]) -> list:
         """The values of a table keyed ``{n: {block_id: value}}``, in flat order."""
-        return list(
-            chain.from_iterable(
-                map(values[n].__getitem__, level) for n, level in enumerate(self.levels, start=1)
-            )
-        )
+        return list(map(getitem, map(values.__getitem__, self.depth), self.ids))
 
-    def tables(self, *processes: "AdaptedProcess") -> list[Table]:
-        """Processes keyed exactly by the space, as Tables over one shared denominator."""
+    def gather(self, processes: Iterable["AdaptedProcess"]) -> list:
+        """Each process's cells in turn: its blocks in flat order, then its atoms at INFINITY."""
         cells: list = []
         for process in processes:
             cells += self.cells(process.values)
-            cells.extend(map(process.infinity.__getitem__, self.atoms))
+            cells += map(process.infinity.__getitem__, self.atoms)
+        return cells
+
+    def tables(self, *processes: "AdaptedProcess") -> list[Table]:
+        """Processes keyed exactly by the space, as Tables over one shared denominator."""
+        return self.translate(self.gather(processes))
+
+    def translate(self, cells: Sequence) -> list[Table]:
+        """Cells as ``gather`` lays them out, as Tables over one shared denominator."""
         nums, den = integers(cells)
         B, width = self.root, self.root + len(self.atoms)
         return [

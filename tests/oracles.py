@@ -11,8 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from stopwright import INFINITY, AdaptedProcess, RandomizedStoppingTime
-from stopwright.games import BOTH, COALITIONS, check_game
+from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS, check_game
 
 
 def top_down(space):
@@ -133,3 +135,21 @@ def is_zero_sum(game, space) -> bool:
             if one.infinity[a] + two.infinity[a] != 0:
                 return False
     return True
+
+
+def empirical_game_payoff(total, game, space, samples: int) -> tuple[float, float]:
+    """Mean payoffs of joint counts ``total`` (atoms x times x times).
+
+    Each realized cell, in C order, looks its payoffs up in the game's
+    Fraction dicts and adds ``count * float(payoff)`` to each player's sum.
+    """
+    times = space.times
+    cells = np.nonzero(total)
+    means = [0.0, 0.0]
+    for i, j1, j2, count in zip(*(axis.tolist() for axis in cells), total[cells].tolist()):
+        atom, t1, t2 = space.atoms[i], times[j1], times[j2]
+        # both stopping includes nobody stopping, t1 = t2 = INFINITY
+        c = ONLY_1 if t1 < t2 else ONLY_2 if t2 < t1 else BOTH
+        for k, player in enumerate(PLAYERS):
+            means[k] += count * float(game.process(player, c).value_at(space, min(t1, t2), atom))
+    return means[0] / samples, means[1] / samples

@@ -15,9 +15,12 @@ from stopwright import (
     behavior,
     best_response_value,
     check_epsilon_equilibrium,
+    AdaptedProcess,
+    FilteredSpace,
     constant_process,
     convert,
     detailed_distribution,
+    empirical_game_payoff,
     enumerate_pure_stopping_times,
     game_equivalent,
     game_payoff,
@@ -28,12 +31,14 @@ from stopwright import (
     stopping_game,
     zero_sum_value,
 )
+import stopwright.space
 from stopwright.games import StoppingGame
 
 from fuzz import (
     make_r1,
     negate_process,
     random_game,
+    random_process,
     random_space,
     random_stopping_time,
     random_zero_sum_game,
@@ -388,3 +393,119 @@ class TestEquilibriumCheck:
                 )
                 assert check_epsilon_equilibrium(replaced[0], replaced[1], game, 0, space)
             done += 1
+
+
+def game_results(game, space, eta1, eta2) -> dict:
+    """Everything the game calls return for one profile; ``None`` for a zero-sum value undefined."""
+    try:
+        value = zero_sum_value(game, space)
+    except NotZeroSum:
+        value = None
+    return {
+        "is_zero_sum": is_zero_sum(game, space),
+        "zero_sum_value": value,
+        "game_payoff": game_payoff(eta1, eta2, game, space),
+        "check_epsilon_equilibrium": check_epsilon_equilibrium(eta1, eta2, game, 0, space),
+        "best_response_value": [
+            best_response_value(eta2, game, 1, space),
+            best_response_value(eta1, game, 2, space),
+        ],
+        "auxiliary_problem": auxiliary_problem(eta2, game, space, 2),
+        "empirical_game_payoff": empirical_game_payoff(eta1, eta2, game, space, 500, 1),
+    }
+
+
+def rebuilt(game) -> StoppingGame:
+    """The same game in new process objects, so no translation of the old one applies."""
+    return stopping_game(
+        {
+            key: AdaptedProcess(
+                values={n: dict(level) for n, level in process.values.items()},
+                infinity=dict(process.infinity),
+            )
+            for key, process in game.payoffs.items()
+        }
+    )
+
+
+class TestGameMemo:
+    """Each space translates a game to integers once, and a changed game again."""
+
+    @pytest.fixture
+    def translated(self, monkeypatch):
+        """Every cell list handed to ``stopwright.space.integers``."""
+        calls = []
+        real = stopwright.space.integers
+
+        def counting(cells):
+            calls.append(list(cells))
+            return real(cells)
+
+        monkeypatch.setattr(stopwright.space, "integers", counting)
+        return calls
+
+    def test_repeated_calls_translate_no_game_cell_again(self, translated):
+        rng = random.Random(808)
+        for _ in range(6):
+            tree = random_space(rng)
+            game = random_zero_sum_game(rng, tree)
+            eta1, eta2 = random_stopping_time(rng, tree), random_stopping_time(rng, tree)
+            # the game's own cell objects, alive while ``game`` is
+            cells = {
+                id(c)
+                for process in game.payoffs.values()
+                for table in (*process.values.values(), process.infinity)
+                for c in table.values()
+            }
+            calls = {
+                "zero_sum_value": lambda space: zero_sum_value(game, space),
+                "game_payoff": lambda space: game_payoff(eta1, eta2, game, space),
+                "check_epsilon_equilibrium": lambda space: check_epsilon_equilibrium(
+                    eta1, eta2, game, 0, space
+                ),
+                "best_response_value": lambda space: best_response_value(eta2, game, 2, space),
+                "is_zero_sum": lambda space: is_zero_sum(game, space),
+                "empirical_game_payoff": lambda space: empirical_game_payoff(
+                    eta1, eta2, game, space, 200, 3
+                ),
+            }
+            for name, call in calls.items():
+                # a copy of the tree starts with no translations
+                space = FilteredSpace(tree.horizon, tree.atoms, tree.prob, tree.levels)
+                translated.clear()
+                first = call(space)
+                assert any(id(c) in cells for batch in translated for c in batch), name
+                translated.clear()
+                assert call(space) == first, name
+                assert not any(id(c) in cells for batch in translated for c in batch), name
+
+    def test_changed_game_gives_the_results_of_a_fresh_one(self):
+        rng = random.Random(909)
+        for _ in range(6):
+            space = random_space(rng)
+            game = random_zero_sum_game(rng, space)
+            at_one = pure({a: 1 for a in space.atoms})
+            profiles = [
+                (at_one, at_one),
+                (random_stopping_time(rng, space), random_stopping_time(rng, space)),
+            ]
+
+            def results(game):
+                return [game_results(game, space, eta1, eta2) for eta1, eta2 in profiles]
+
+            before = results(game)
+            # one value of each player, in place and still zero-sum
+            b = rng.choice(space.blocks(1))
+            game.payoffs[1, BOTH].values[1][b] += 5
+            game.payoffs[2, BOTH].values[1][b] -= 5
+            changed = results(game)
+            assert changed == results(rebuilt(game))
+            # both players stopping at time 1 are paid the changed value
+            assert changed[0]["game_payoff"] != before[0]["game_payoff"]
+            # one value of player 1 alone: the game is no longer zero-sum
+            game.payoffs[1, ONLY_1].values[1][b] += 1
+            assert results(game) == results(rebuilt(game))
+            assert results(game)[0]["zero_sum_value"] is None
+            # one whole process replaced
+            game.payoffs[2, ONLY_2] = random_process(rng, space)
+            assert results(game) == results(rebuilt(game))

@@ -23,7 +23,7 @@ from stopwright import (
     payoff,
     snell_value,
 )
-from stopwright.games import _fold, is_zero_sum
+from stopwright.games import _fold, _own, game_tables, is_zero_sum
 from stopwright.payoffs import _pair
 from stopwright.space import FilteredSpace
 from stopwright.stopping import BehaviorStoppingTime, density_table
@@ -106,7 +106,8 @@ def assert_passes_agree(rng, space, rules, problem, game):
             assert auxiliary_problem(eta, game, space, player) == oracles.fold(
                 public.rho, game, space, player
             )
-            values, infinity = space.fractions(_fold(d, game, space, player))
+            own = _own(game_tables(game, space), player)
+            values, infinity = space.fractions(_fold(d, own, space))
             expected = oracles.fold(public.rho, game, space, player)
             assert (values, infinity) == (expected.values, expected.infinity)
     # game payoff from the oracle fold and pair

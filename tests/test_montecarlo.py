@@ -24,10 +24,11 @@ from stopwright import (
     sample_stop_time,
     stopping_game,
 )
-from stopwright.montecarlo import _stop_columns, chunk_plan, detailed_counts_chunk
+from stopwright.montecarlo import _joint_total, _stop_columns, chunk_plan, detailed_counts_chunk
 from stopwright.space import FilteredSpace
 
-from fuzz import negate_process, random_stopping_time
+import oracles
+from fuzz import MAKERS, negate_process, random_game, random_space, random_stopping_time
 
 SAMPLES = 100_000
 TOLERANCE = 0.02
@@ -202,6 +203,53 @@ class TestEmpiricalGamePayoff:
         first = empirical_game_payoff(eta1, eta2, game, e1, 30_000, seed=31)
         second = empirical_game_payoff(eta1, eta2, game, e1, 30_000, seed=31)
         assert first == second
+
+
+class TestGamePayoffMatchesPerCellLoop:
+    """The means equal the per-cell loop of ``oracles.empirical_game_payoff`` exactly."""
+
+    @staticmethod
+    def big_denominators(rng, space):
+        """A game whose values need every bit of a float, over a shared denominator of many bits."""
+
+        def value():
+            return F(rng.randrange(-(2**90), 2**90), rng.randrange(1, 2**70))
+
+        def process():
+            return adapted_process(
+                values={n: {b: value() for b in space.blocks(n)} for n in space.times[:-1]},
+                infinity={a: value() for a in space.atoms},
+            )
+
+        return stopping_game({(j, c): process() for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)})
+
+    def test_every_pair_of_rule_kinds_on_fuzzed_spaces(self):
+        rng = random.Random(707)
+        seen = set()
+        for k in range(8):
+            space = random_space(rng)
+            game = random_game(rng, space) if k % 2 else self.big_denominators(rng, space)
+            rules = [maker(rng, space) for maker in MAKERS]
+            for eta1 in rules:
+                for eta2 in rules:
+                    samples, seed = rng.randint(1, 3000), rng.randrange(100)
+                    total = _joint_total(eta1, eta2, space, samples, seed)
+                    expected = oracles.empirical_game_payoff(total, game, space, samples)
+                    got = empirical_game_payoff(eta1, eta2, game, space, samples, seed)
+                    assert repr(got) == repr(expected)
+                    for _, j1, j2 in zip(*np.nonzero(total)):
+                        tie = "never" if j1 == j2 == space.horizon else "tie"
+                        seen.add("1 first" if j1 < j2 else "2 first" if j2 < j1 else tie)
+        # each player's lone-stop coalition, both stopping, and nobody ever stopping
+        assert seen == {"1 first", "2 first", "tie", "never"}
+
+    def test_payoffs_that_round_to_minus_zero(self, e1, r1, b1):
+        # every term is -0.0; a sum started at 0.0 stays 0.0
+        tiny = constant_process(e1, F(-1, 10**400))
+        game = stopping_game({(j, c): tiny for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)})
+        expected = oracles.empirical_game_payoff(_joint_total(r1, b1, e1, 700, 2), game, e1, 700)
+        got = empirical_game_payoff(r1, b1, game, e1, 700, seed=2)
+        assert repr(got) == repr(expected) == "(0.0, 0.0)"
 
 
 class TestOneSpentPass:

@@ -77,6 +77,16 @@ class TestScalars:
             with pytest.raises(FormatError):
                 parse_time(key)
 
+    def test_parse_time_reads_only_ascii_digits(self):
+        assert parse_time("-1") == -1
+        assert parse_time("007") == 7
+        # underscores, non-ASCII digits, padding, a plus sign, a float infinity
+        for key in ("1_0", "\u0661", " 2", "2 ", "2\n", "+3", "", "-", INFINITY, "Infinity"):
+            with pytest.raises(FormatError):
+                parse_time(key)
+        with pytest.raises(FormatError):
+            stopping_time_from_doc({"type": "pure", "stop": {"w1": "1_0"}})
+
 
 class TestSpaceDoc:
     def test_accepts_wrapped_and_bare_lists(self):
@@ -159,6 +169,15 @@ class TestGameDocs:
         doc["zero_sum"] = True
         with pytest.raises(ValidationError):
             game_from_doc(doc, e1)
+
+    def test_zero_sum_flag_must_be_a_bool(self, e1):
+        doc = game_to_doc(self.game(e1, zero_sum=False), e1)
+        for flag in ("false", "true", 0, 1, None, []):
+            doc["zero_sum"] = flag
+            with pytest.raises(FormatError, match="zero_sum"):
+                game_from_doc(doc, e1)
+        del doc["zero_sum"]
+        assert game_from_doc(doc, e1).payoffs == self.game(e1, zero_sum=False).payoffs
 
     def test_bad_keys_rejected(self, e1):
         doc = game_to_doc(self.game(e1, zero_sum=True), e1)
