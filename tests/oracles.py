@@ -3,7 +3,9 @@
 The package runs these passes over its flat block numbering, in integers
 over one denominator per table.  The versions here walk the tree block by
 block in Fractions, the way the definitions read, and the tests assert
-that every kernel agrees with its oracle exactly.
+that every kernel agrees with its oracle exactly.  The per-cell loop of
+``empirical_game_payoff`` is kept here too, as the reference for the
+numpy sum's float means.
 """
 
 from __future__ import annotations
