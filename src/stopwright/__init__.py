@@ -8,6 +8,8 @@ stopping, two-player stopping games, and a seeded Monte-Carlo layer that
 cross-checks the exact computations by actually running the rules.
 """
 
+import importlib
+
 from .errors import (
     ConsistencyFailure,
     FormatError,
@@ -93,13 +95,26 @@ from .games import (
     stopping_game,
     zero_sum_value,
 )
-from .montecarlo import (
-    EmpiricalDistribution,
-    EmpiricalJointDistribution,
-    empirical_detailed_distribution,
-    empirical_game_payoff,
-    empirical_joint_distribution,
-    sample_stop_time,
-)
 
 __version__ = "0.1.0"
+
+#: The Monte-Carlo layer needs numpy, so it is imported on first use (PEP 562):
+#: ``import stopwright`` and every exact computation load no numpy.
+_MONTECARLO_NAMES = frozenset(
+    (
+        "EmpiricalDistribution",
+        "EmpiricalJointDistribution",
+        "empirical_detailed_distribution",
+        "empirical_game_payoff",
+        "empirical_joint_distribution",
+        "sample_stop_time",
+    )
+)
+
+
+def __getattr__(name: str):
+    if name not in _MONTECARLO_NAMES and name != "montecarlo":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    montecarlo = importlib.import_module(".montecarlo", __name__)
+    globals().update((n, getattr(montecarlo, n)) for n in _MONTECARLO_NAMES)
+    return globals()[name]

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import montecarlo
 from .convert import TARGET_TYPES, convert
 from .errors import FormatError, StopwrightError
 from .games import (
@@ -248,9 +247,12 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "sample":
+        # Only sampling needs numpy; importing it here keeps it out of every other command.
+        from .montecarlo import empirical_detailed_distribution
+
         eta = stopping_time_from_doc(_load_json(args.st))
         seed = _resolve_seed(args.seed)
-        result = montecarlo.empirical_detailed_distribution(eta, space, args.samples, seed)
+        result = empirical_detailed_distribution(eta, space, args.samples, seed)
         return {
             "samples": args.samples,
             "seed": seed,

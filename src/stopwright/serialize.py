@@ -219,6 +219,7 @@ def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:
 
 # -- games ----------------------------------------------------------------------------
 
+_PLAYER_KEYS = {"1": 1, "2": 2}
 _COALITION_KEYS = {"{1}": ONLY_1, "{2}": ONLY_2, "{12}": BOTH}
 _COALITION_LABELS = {ONLY_1: "{1}", ONLY_2: "{2}", BOTH: "{12}"}
 
@@ -230,14 +231,11 @@ def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
     payoff_docs = _require(doc, "payoffs", "game", dict)
     table = {}
     for key, proc_doc in payoff_docs.items():
-        try:
-            player_part, coalition_part = key.split("|", 1)
-            player = int(player_part)
-            coalition = _COALITION_KEYS[coalition_part]
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f"bad payoff key {key!r} (expected e.g. '1|{{12}}')") from exc
-        if player not in (1, 2):
-            raise FormatError(f"bad player in payoff key {key!r}")
+        player_part, _, coalition_part = key.partition("|")
+        player = _PLAYER_KEYS.get(player_part)
+        coalition = _COALITION_KEYS.get(coalition_part)
+        if player is None or coalition is None:
+            raise FormatError(f"bad payoff key {key!r} (expected e.g. '1|{{12}}')")
         table[(player, coalition)] = process_from_doc(proc_doc)
     declared = doc.get("zero_sum", False)
     if not isinstance(declared, bool):

@@ -42,8 +42,10 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or rational string ("a/b", "3") to Fraction.
 
     Floats are rejected: the whole exact layer depends on no rounding ever
-    entering a probability or payoff.
+    entering a probability or payoff.  A plain Fraction comes back as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):
@@ -151,11 +153,12 @@ class FilteredSpace:
             raise StructureError("duplicate atom ids")
         if set(self.prob) != atom_set:
             raise StructureError("probability table does not match the atom set")
-        for a in self.atoms:
-            if self.prob[a] <= 0:
+        self.atom_mass, self.denominator = integers([self.prob[a] for a in self.atoms])
+        for a, m in zip(self.atoms, self.atom_mass):
+            if m <= 0:
                 raise ZeroProbabilityError(f"atom {a!r} has probability {self.prob[a]} <= 0")
-        total = sum(self.prob.values())
-        if total != 1:
+        if sum(self.atom_mass) != self.denominator:
+            total = sum(self.prob.values())
             raise ProbabilitySumError(f"atom probabilities sum to {total}, expected 1")
 
         previous: list[tuple[str, ...]] | None = None
@@ -213,11 +216,6 @@ class FilteredSpace:
         ]
         self.paths = list(zip(*columns))
         self.leaf = columns[-1]
-        self.denominator = math.lcm(*(p.denominator for p in self.prob.values()))
-        self.atom_mass = [
-            self.prob[a].numerator * (self.denominator // self.prob[a].denominator)
-            for a in self.atoms
-        ]
         mass = [0] * (self.root + 1)
         for i, m in zip(self.leaf, self.atom_mass):
             mass[i] = m

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stopwright
 import stopwright.stopping
 from stopwright import convert
 from stopwright.cli import run
@@ -328,6 +332,97 @@ class TestOutputFormats:
     def test_missing_required_flag_is_usage_error(self, files, capsys):
         code, _, _ = run_capture(capsys, ["dist", "--space", files["e1.json"]])
         assert code == 2
+
+
+#: Runs ``cli.run`` on its arguments in a fresh interpreter, then says on stderr whether numpy got loaded.
+CHILD = """
+import sys
+from stopwright.cli import run
+code = run(sys.argv[1:])
+sys.stderr.write("numpy loaded" if "numpy" in sys.modules else "no numpy")
+sys.exit(code)
+"""
+
+MONTECARLO_NAMES = (
+    "EmpiricalDistribution",
+    "EmpiricalJointDistribution",
+    "empirical_detailed_distribution",
+    "empirical_game_payoff",
+    "empirical_joint_distribution",
+    "sample_stop_time",
+)
+
+
+def fresh_python(*args):
+    """``python args`` in a new interpreter that imports the stopwright under test."""
+    package_root = os.path.dirname(os.path.dirname(stopwright.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestStartWithoutNumpy:
+    """Only ``sample`` needs numpy; no other command and no bare import loads it."""
+
+    def commands(self, files):
+        space, r1, b1, game = files["e1.json"], files["r1.json"], files["b1.json"], files["game.json"]
+        return {
+            "validate": ["--st", r1],
+            "dist": ["--st", r1],
+            "convert": ["--st", r1, "--to", "mixed"],
+            "equiv": ["--st", r1, "--st2", b1],
+            "payoff": ["--st", r1, "--problem", files["problem.json"], "--epsilon", "1/2"],
+            "snell": ["--problem", files["problem.json"]],
+            "game-payoff": ["--st", r1, "--st2", b1, "--game", game],
+            "game-value": ["--game", game],
+            "br": ["--st", r1, "--game", game, "--player", "2"],
+            "eq-check": ["--st", r1, "--st2", b1, "--game", game],
+        }, space
+
+    def test_no_command_but_sample_loads_numpy(self, files, capsys):
+        commands, space = self.commands(files)
+        for command, rest in commands.items():
+            argv = [command, "--space", space, *rest]
+            child = fresh_python("-c", CHILD, *argv)
+            assert (child.returncode, child.stderr) == (0, "no numpy"), command
+            code, out, _ = run_capture(capsys, argv)
+            assert (code, out) == (0, child.stdout), command
+
+    def test_sample_loads_numpy_and_prints_the_same_bytes(self, files, capsys):
+        argv = ["sample", "--space", files["e1.json"], "--st", files["r1.json"],
+                "--samples", "500", "--seed", "3"]
+        child = fresh_python("-c", CHILD, *argv)
+        assert (child.returncode, child.stderr) == (0, "numpy loaded")
+        code, out, _ = run_capture(capsys, argv)
+        assert (code, out) == (0, child.stdout)
+
+    def test_bare_import_loads_no_numpy(self):
+        child = fresh_python("-c", "import sys, stopwright; print('numpy' in sys.modules)")
+        assert (child.returncode, child.stdout) == (0, "False\n")
+
+    def test_montecarlo_names_resolve_on_first_use(self):
+        script = (
+            "import sys, stopwright\n"
+            f"names = {MONTECARLO_NAMES!r}\n"
+            "from stopwright import empirical_game_payoff\n"
+            "assert 'numpy' in sys.modules\n"
+            "from stopwright import montecarlo\n"
+            "assert stopwright.montecarlo is montecarlo is sys.modules['stopwright.montecarlo']\n"
+            "assert empirical_game_payoff is montecarlo.empirical_game_payoff\n"
+            "assert all(getattr(stopwright, n) is getattr(montecarlo, n) for n in names)\n"
+            "print('ok')\n"
+        )
+        child = fresh_python("-c", script)
+        assert (child.returncode, child.stdout) == (0, "ok\n"), child.stderr
+        for name in MONTECARLO_NAMES:
+            assert getattr(stopwright, name) is getattr(stopwright.montecarlo, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stopwright.no_such_name
+        with pytest.raises(ImportError):
+            from stopwright import no_such_name  # noqa: F401
 
 
 class TestMalformedSpace:

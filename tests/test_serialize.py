@@ -184,3 +184,21 @@ class TestGameDocs:
         doc["payoffs"]["3|{1}"] = doc["payoffs"]["1|{1}"]
         with pytest.raises(FormatError):
             game_from_doc(doc, e1)
+
+    @pytest.mark.parametrize(
+        "key, renamed",
+        [
+            ("1|{1}", "+1|{1}"),
+            ("1|{1}", " 1|{1}"),
+            ("1|{1}", "1 |{1}"),
+            ("1|{1}", "01|{1}"),
+            ("2|{2}", "\u0662|{2}"),  # an Arabic-Indic two
+            ("1|{12}", "1|{12} "),
+            ("2|{1}", "2{1}"),
+        ],
+    )
+    def test_player_is_exactly_1_or_2(self, e1, key, renamed):
+        doc = game_to_doc(self.game(e1, zero_sum=True), e1)
+        doc["payoffs"][renamed] = doc["payoffs"].pop(key)
+        with pytest.raises(FormatError, match="bad payoff key"):
+            game_from_doc(doc, e1)

@@ -47,10 +47,11 @@ class TestBuildSpace:
         assert e1.block_prob(1, "A") == F(1, 2)
 
     def test_probability_sum_error(self):
-        nodes = [dict(n) for n in E1_NODES]
-        nodes[-1]["prob"] = "1/3"
-        with pytest.raises(ProbabilitySumError):
-            build_space(nodes)
+        for w3, w4, total in (("1/4", "1/3", "13/12"), ("1/8", "1/8", "3/4")):
+            nodes = [dict(n) for n in E1_NODES]
+            nodes[-2]["prob"], nodes[-1]["prob"] = w3, w4
+            with pytest.raises(ProbabilitySumError, match=f"sum to {total}, expected 1"):
+                build_space(nodes)
 
     def test_zero_probability_error(self):
         nodes = [dict(n) for n in E1_NODES]
@@ -58,6 +59,12 @@ class TestBuildSpace:
         nodes[-2]["prob"] = "1/2"
         with pytest.raises(ZeroProbabilityError):
             build_space(nodes)
+        # reported before the sum check: here the other three sum to 3/4
+        for prob, shown in (("0", "0"), ("-1/4", "-1/4"), ("0/7", "0")):
+            nodes = [dict(n) for n in E1_NODES]
+            nodes[-1]["prob"] = prob
+            with pytest.raises(ZeroProbabilityError, match=f"'w4' has probability {shown} <= 0"):
+                build_space(nodes)
 
     def test_uneven_leaf_depths(self):
         nodes = [
@@ -137,6 +144,17 @@ class TestAsFraction:
         assert as_fraction("3/4") == F(3, 4)
         assert as_fraction(2) == F(2)
         assert as_fraction(F(1, 3)) == F(1, 3)
+
+        class Sub(F):
+            pass
+
+        for value, expected in ((Sub(3, 4), F(3, 4)), (3, F(3)), ("3/4", F(3, 4))):
+            got = as_fraction(value)
+            assert type(got) is F and got == expected
+
+    def test_a_fraction_comes_back_as_it_is(self):
+        q = F(5, 7)
+        assert as_fraction(q) is q
 
     def test_rejects_floats_and_bools(self):
         with pytest.raises(TypeError):
