@@ -365,25 +365,22 @@ def fresh_python(*args):
 class TestStartWithoutNumpy:
     """Only ``sample`` needs numpy; no other command and no bare import loads it."""
 
-    def commands(self, files):
-        space, r1, b1, game = files["e1.json"], files["r1.json"], files["b1.json"], files["game.json"]
-        return {
+    def test_no_command_but_sample_loads_numpy(self, files, capsys):
+        r1, b1, game, problem = (files[f"{name}.json"] for name in ("r1", "b1", "game", "problem"))
+        flags = {
             "validate": ["--st", r1],
             "dist": ["--st", r1],
             "convert": ["--st", r1, "--to", "mixed"],
             "equiv": ["--st", r1, "--st2", b1],
-            "payoff": ["--st", r1, "--problem", files["problem.json"], "--epsilon", "1/2"],
-            "snell": ["--problem", files["problem.json"]],
+            "payoff": ["--st", r1, "--problem", problem, "--epsilon", "1/2"],
+            "snell": ["--problem", problem],
             "game-payoff": ["--st", r1, "--st2", b1, "--game", game],
             "game-value": ["--game", game],
             "br": ["--st", r1, "--game", game, "--player", "2"],
             "eq-check": ["--st", r1, "--st2", b1, "--game", game],
-        }, space
-
-    def test_no_command_but_sample_loads_numpy(self, files, capsys):
-        commands, space = self.commands(files)
-        for command, rest in commands.items():
-            argv = [command, "--space", space, *rest]
+        }
+        for command, rest in flags.items():
+            argv = [command, "--space", files["e1.json"], *rest]
             child = fresh_python("-c", CHILD, *argv)
             assert (child.returncode, child.stderr) == (0, "no numpy"), command
             code, out, _ = run_capture(capsys, argv)
