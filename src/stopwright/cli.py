@@ -21,7 +21,7 @@ from .games import (
     game_payoff,
     zero_sum_value,
 )
-from .payoffs import _epsilon, payoff, snell_value
+from .payoffs import _epsilon, _payoff_and_table, _snell, snell_value
 from .serialize import (
     game_from_doc,
     measure_to_doc,
@@ -33,7 +33,7 @@ from .serialize import (
     stopping_time_to_doc,
     time_label,
 )
-from .stopping import detailed_distribution, equivalent, require_valid
+from .stopping import check, detailed_distribution, equivalent
 
 DEFAULT_SAMPLES = 100_000
 SEED_ENV_VAR = "STOPWRIGHT_SEED"
@@ -172,7 +172,7 @@ def _dispatch(args) -> dict:
 
     if args.command == "validate":
         if getattr(args, "st", None):
-            require_valid(stopping_time_from_doc(_load_json(args.st)), space)
+            check(stopping_time_from_doc(_load_json(args.st)), space)
         return {"valid": True}
 
     if args.command == "convert":
@@ -191,13 +191,13 @@ def _dispatch(args) -> dict:
     if args.command == "payoff":
         eta = stopping_time_from_doc(_load_json(args.st))
         problem = process_from_doc(_load_json(args.problem))
-        value = payoff(eta, problem, space)
+        value, table = _payoff_and_table(eta, problem, space)
         doc = {"payoff": rational_str(value)}
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
             slack = _epsilon(epsilon)
-            doc["epsilon_optimal"] = value >= snell_value(problem, space).value - slack
+            doc["epsilon_optimal"] = value >= _snell(table, space).value - slack
         return doc
 
     if args.command == "snell":
@@ -293,7 +293,11 @@ def run(argv) -> int:
     try:
         doc = _dispatch(args)
     except (StopwrightError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": _error_name(exc), "message": str(exc)}), file=sys.stderr)
+        error = {"error": _error_name(exc), "message": str(exc)}
+        v = getattr(exc, "violation", None)
+        if v is not None:  # its fields in order, the time written as in messages
+            error["violation"] = {**vars(v), "time": None if v.time is None else time_label(v.time)}
+        print(json.dumps(error), file=sys.stderr)
         return 1
     _emit(doc, args.format)
     return 0

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class StopwrightError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors; ``violation`` is their structured cause, if known."""
+
+    def __init__(self, message: str = "", violation=None):
+        super().__init__(message)
+        self.violation = violation
 
 
 class ProbabilitySumError(StopwrightError):
@@ -20,14 +24,7 @@ class StructureError(StopwrightError):
 
 
 class ValidationError(StopwrightError):
-    """A stopping-rule or process failed validation.
-
-    Carries the structured ``violation`` that caused it when one is known.
-    """
-
-    def __init__(self, message: str, violation=None):
-        super().__init__(message)
-        self.violation = violation
+    """A stopping rule or a process value failed validation."""
 
 
 class SpaceMismatch(StopwrightError):

@@ -27,7 +27,6 @@ from .space import (
     FilteredSpace,
     Table,
     Time,
-    check_process,
 )
 from .stopping import (
     BehaviorStoppingTime,
@@ -69,22 +68,16 @@ def stopping_game(payoffs) -> StoppingGame:
     return StoppingGame(payoffs=table)
 
 
-def check_game(space: FilteredSpace, game: StoppingGame) -> None:
-    for j in PLAYERS:
-        for c in COALITIONS:
-            check_process(space, game.process(j, c))
-
-
 def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
-    """The checked game's six processes as Tables over one shared denominator, in ``KEYS`` order.
+    """The game's six processes as Tables over one shared denominator, in ``KEYS`` order.
 
-    The space keeps the translations of its last few games.  One is reused
-    only while every cell gathered now is the very object it was translated
-    from; Fractions are immutable, so the kept tables are then exact, and a
-    mutated or replaced process is translated again.  An entry holds the
-    processes whose ids key it, so no id is reused while the entry lives.
+    Every call reads each process once, checking it as its cells are
+    gathered.  The space keeps the translations of its last few games.  One
+    is reused only while every cell gathered now is the very object it was
+    translated from; Fractions are immutable, so the kept tables are then
+    exact, and a mutated or replaced process is translated again.  An entry
+    holds the processes whose ids key it, so no id is reused while it lives.
     """
-    check_game(space, game)
     processes = [game.payoffs[key] for key in KEYS]
     cells = space.gather(processes)
     key = tuple(map(id, processes))

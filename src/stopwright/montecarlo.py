@@ -3,9 +3,9 @@
 This is the package's independent cross-check: rules are *run*, sample by
 sample, from uniform draws, and the resulting frequencies are compared
 against the exact tables computed elsewhere.  Nothing here reuses the
-exact layer's arithmetic beyond reading the rule's parameters, for a
-randomized rule the cumulative stop masses its validation sums, and for a
-game the integer tables its exact calls share.
+exact layer's arithmetic beyond reading the rule's parameters and the parts
+its check builds (for a randomized rule, the cumulative stop masses its sum
+check adds up), and for a game the integer tables its exact calls share.
 
 Reproducibility contract
 ------------------------
@@ -33,8 +33,7 @@ from .stopping import (
     PureStoppingTime,
     RandomStoppingTime,
     RandomizedStoppingTime,
-    require_valid,
-    spent_masses,
+    check,
 )
 from .games import StoppingGame, game_tables
 
@@ -54,7 +53,7 @@ def sample_stop_time(
     positive cumulative mass reaches the draw, so a draw of 0 never
     realizes a stop with zero mass.
     """
-    require_valid(eta, space)
+    check(eta, space)
     draws = iter(uniforms)
     if isinstance(eta, PureStoppingTime):
         return eta.stop[atom]
@@ -97,17 +96,21 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
     """The rule's sampler: ``columns(rng, atom_idx)`` draws one realized stop per sample.
 
     Columns 0..T-1 are times 1..T and column T is "never".  The rule is
-    validated here, and its float tables are built once, from its own
-    per-block parameters (a randomized rule's cumulative masses come from
-    the validation's spent pass).  Each call of the sampler only draws and
-    looks up.
+    checked here, and its float tables are built once, from its own
+    per-block parameters as its check gathered them (a randomized rule's
+    cumulative masses come from the check's spent pass).  Each call of the
+    sampler only draws and looks up.
     """
     T = space.horizon
-    atoms = space.atoms
-    paths = np.array(space.paths).reshape(len(atoms), T)
+    paths = np.array(space.paths).reshape(len(space.atoms), T)
+    parts = check(eta, space)
+
+    def columns(stops) -> list:
+        """Per atom, the column of its stop block, T if it has none."""
+        return [T if i is None else space.depth[i] - 1 for i in stops]
 
     if isinstance(eta, RandomizedStoppingTime):
-        den, spent = spent_masses(eta, space)
+        _, den, spent = parts
         cum = np.array([c / den for c in spent])[paths]
 
         def threshold(rng, atom_idx):
@@ -116,14 +119,11 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
             return _first_true((rows > 0) & (rows >= r[:, None]), T)
 
         return threshold
-    require_valid(eta, space)
     if isinstance(eta, PureStoppingTime):
-        table = np.array(
-            [T if eta.stop[a] == INFINITY else int(eta.stop[a]) - 1 for a in atoms]
-        )
+        table = np.array(columns(parts))
         return lambda rng, atom_idx: table[atom_idx]
     if isinstance(eta, BehaviorStoppingTime):
-        hazard = np.array([float(h) for h in space.cells(eta.beta)])[paths]
+        hazard = np.array([float(h) for h in parts])[paths]
 
         def hazards(rng, atom_idx):
             draws = rng.random((len(atom_idx), T))
@@ -132,12 +132,7 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
         return hazards
     # mixed: one draw selects the section, the section decides per atom
     cuts = np.array([float(r) for r in eta.breakpoints[1:]])
-    section_cols = np.array(
-        [
-            [T if s.stop[a] == INFINITY else int(s.stop[a]) - 1 for a in atoms]
-            for s in eta.sections
-        ]
-    )
+    section_cols = np.array([columns(stops) for stops in parts[0]])
 
     def sections(rng, atom_idx):
         k = np.searchsorted(cuts, rng.random(len(atom_idx)), side="left")

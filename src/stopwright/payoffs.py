@@ -23,7 +23,6 @@ from .space import (
     Table,
     Time,
     as_fraction,
-    check_process,
     conditional_expectation,
 )
 from .stopping import PureStoppingTime, RandomStoppingTime, density_table
@@ -50,9 +49,14 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
     block: stop mass times block probability times value, plus the
     never-stop mass times each atom's INFINITY value.
     """
+    return _payoff_and_table(eta, problem, space)[0]
+
+
+def _payoff_and_table(eta, problem: AdaptedProcess, space: FilteredSpace) -> tuple:
+    """``payoff`` and the problem as a Table, for a caller that also solves the problem."""
     d = density_table(eta, space)
-    check_process(space, problem)
-    return _pair(d, space.tables(problem)[0], space)
+    (table,) = space.tables(problem)
+    return _pair(d, table, space), table
 
 
 def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
@@ -70,8 +74,8 @@ def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     stopping attains that value, so ties stop as early as possible; an atom
     still running past T never stops, because stopping at T is worse there.
     """
-    check_process(space, problem)
-    return _snell(space.tables(problem)[0], space)
+    (table,) = space.tables(problem)
+    return _snell(table, space)
 
 
 def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
@@ -141,9 +145,9 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
-    value = payoff(eta, problem, space)
+    value, table = _payoff_and_table(eta, problem, space)
     slack = _epsilon(epsilon)
-    return value >= snell_value(problem, space).value - slack
+    return value >= _snell(table, space).value - slack
 
 
 def _epsilon(epsilon) -> Fraction:

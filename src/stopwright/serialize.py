@@ -145,6 +145,8 @@ def stopping_time_from_doc(doc) -> RandomStoppingTime:
         )
     if kind == "mixed":
         sections = _require(doc, "sections", "mixed rule", list)
+        if any(_require(s, "type", "mixed section") != "pure" for s in sections):
+            raise FormatError("every section of a mixed rule must be a 'pure' rule document")
         return mixed(
             breakpoints=[
                 parse_rational(r) for r in _require(doc, "breakpoints", "mixed rule", list)
@@ -226,7 +228,7 @@ _COALITION_LABELS = {ONLY_1: "{1}", ONLY_2: "{2}", BOTH: "{12}"}
 
 def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
     players = _require(doc, "players", "game")
-    if players != 2:
+    if type(players) is not int or players != 2:
         raise FormatError(f"only 2-player games are supported, got players={players!r}")
     payoff_docs = _require(doc, "payoffs", "game", dict)
     table = {}

@@ -17,13 +17,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, getitem, mul
+from itertools import chain
+from operator import attrgetter, eq, getitem, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ProbabilitySumError,
     SpaceMismatch,
     StructureError,
+    ValidationError,
     ZeroProbabilityError,
 )
 
@@ -62,6 +64,40 @@ def time_label(t: Time) -> str:
     return "inf" if t == INFINITY else str(int(t))
 
 
+@dataclass(frozen=True)
+class Violation:
+    """First violated clause of a rule's or a process's invariants.
+
+    kind is one of NotAdapted, SumNotOne, OutOfRange,
+    SectionNotStoppingTime, or Malformed (structurally incomplete table).
+    """
+
+    kind: str
+    time: Optional[Time] = None
+    where: Optional[str] = None
+    detail: str = ""
+
+    def __str__(self) -> str:
+        parts = []
+        if self.time is not None:
+            parts.append(f"n={time_label(self.time)}")
+        if self.where is not None:
+            parts.append(f"at {self.where}")
+        suffix = f" ({self.detail})" if self.detail else ""
+        return f"{self.kind} {' '.join(parts)}{suffix}".strip()
+
+
+def _exact(value) -> bool:
+    return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+#: Types whose values are exact without a closer look (``bool`` is not among them).
+_EXACT_TYPES = {Fraction, int}
+
+#: How the detail of a Violation ends when a value is not an int or a Fraction.
+NOT_EXACT = "holds a non-exact value"
+
+
 class Table(NamedTuple):
     """An adapted table over the flat block numbering, in integers over one denominator.
 
@@ -77,6 +113,7 @@ class Table(NamedTuple):
     den: int
 
 
+_lookup = attrgetter("__getitem__")
 numerator_of = attrgetter("numerator")
 denominator_of = attrgetter("denominator")
 
@@ -216,6 +253,7 @@ class FilteredSpace:
         ]
         self.paths = list(zip(*columns))
         self.leaf = columns[-1]
+        self._times = set(range(1, self.horizon + 1))
         mass = [0] * (self.root + 1)
         for i, m in zip(self.leaf, self.atom_mass):
             mass[i] = m
@@ -277,20 +315,61 @@ class FilteredSpace:
             dict(zip(self.atoms, map(value, table.atoms))),
         )
 
-    def cells(self, values: Mapping[int, Mapping[str, object]]) -> list:
-        """The values of a table keyed ``{n: {block_id: value}}``, in flat order."""
-        return list(map(getitem, map(values.__getitem__, self.depth), self.ids))
+    def read(self, table, name: str, infinity=None) -> Union[list, Violation]:
+        """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
+
+        With ``infinity``, an ``{atom: value}`` slot at INFINITY is read
+        after it.  Returns the values in flat block order, then the atoms in
+        atom order, or the first Violation in that order: a time outside
+        1..T, then per time a missing time, key or non-exact value, then an
+        unknown key.  A table keyed exactly by the space and holding ints
+        and Fractions is read in one look per time; the cell-by-cell loop
+        runs only to find a fault or to admit exact values of other types.
+        """
+        if type(table) is dict and {*map(type, table)} == {int} and table.keys() == self._times:
+            rows = list(map(table.__getitem__, range(1, self.horizon + 1)))
+            same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
+            keyed = {*map(type, rows)} == {dict} and all(same)
+            if infinity is not None:
+                keyed = keyed and type(infinity) is dict and infinity.keys() == self.prob.keys()
+            if keyed:
+                # each time's values, in its partition's order
+                cells = list(chain.from_iterable(map(map, map(_lookup, rows), self.levels)))
+                if infinity is not None:
+                    cells += map(infinity.__getitem__, self.atoms)
+                if {*map(type, cells)} <= _EXACT_TYPES:
+                    return cells
+        T = self.horizon
+        for n in table:
+            if isinstance(n, bool) or n not in range(1, T + 1):
+                return Violation("OutOfRange", detail=f"{name} has time {n!r} outside 1..{T}")
+        rows = [(n, table.get(n), level, name, "block") for n, level in enumerate(self.levels, 1)]
+        if infinity is not None:
+            rows.append((INFINITY, infinity, self.prob, "infinity", "atom"))
+        cells = []
+        for n, row, keys, label, noun in rows:
+            if row is None:
+                return Violation("Malformed", time=n, detail=f"{label} missing time {n}")
+            for key in keys:
+                if key not in row:
+                    return Violation("Malformed", n, key, f"{label} missing {noun}")
+                if not _exact(row[key]):
+                    return Violation("Malformed", n, key, f"{label} {NOT_EXACT}")
+                cells.append(row[key])
+            if len(row) != len(keys):
+                unknown = min(set(row) - set(keys))
+                return Violation("Malformed", n, unknown, f"unknown {noun} in {label}")
+        return cells
 
     def gather(self, processes: Iterable["AdaptedProcess"]) -> list:
-        """Each process's cells in turn: its blocks in flat order, then its atoms at INFINITY."""
+        """Each process's cells in turn, as ``check_process`` reads them."""
         cells: list = []
         for process in processes:
-            cells += self.cells(process.values)
-            cells += map(process.infinity.__getitem__, self.atoms)
+            cells += check_process(self, process)
         return cells
 
     def tables(self, *processes: "AdaptedProcess") -> list[Table]:
-        """Processes keyed exactly by the space, as Tables over one shared denominator."""
+        """Processes read by ``check_process``, as Tables over one shared denominator."""
         return self.translate(self.gather(processes))
 
     def translate(self, cells: Sequence) -> list[Table]:
@@ -472,17 +551,17 @@ def constant_process(space: FilteredSpace, value) -> AdaptedProcess:
     )
 
 
-def check_process(space: FilteredSpace, process: AdaptedProcess) -> None:
-    """Raise SpaceMismatch unless ``process`` is keyed exactly by this space."""
-    if process.values.keys() != set(range(1, space.horizon + 1)):
-        raise SpaceMismatch(
-            f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
-        )
-    for n, level in enumerate(space.levels, start=1):
-        if process.values[n].keys() != level.keys():
-            raise SpaceMismatch(f"process blocks at time {n} do not match the space")
-    if process.infinity.keys() != space.prob.keys():
-        raise SpaceMismatch("process INFINITY slot does not match the atom set")
+def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
+    """The process's cells, read once: its blocks in flat order, then its atoms at INFINITY.
+
+    Raises SpaceMismatch unless ``process`` is keyed exactly by the space, and
+    ValidationError unless every value is an int or a Fraction, with the first Violation.
+    """
+    cells = space.read(process.values, "values", process.infinity)
+    if isinstance(cells, Violation):
+        error = ValidationError if cells.detail.endswith(NOT_EXACT) else SpaceMismatch
+        raise error(str(cells), violation=cells)
+    return cells
 
 
 def expectation(space: FilteredSpace, f: Mapping[str, Fraction]) -> Fraction:

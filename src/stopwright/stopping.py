@@ -31,16 +31,16 @@ from typing import Mapping, Optional, Union
 from .errors import ValidationError
 from .space import (
     INFINITY,
-    AdaptedProcess,
     FilteredSpace,
     FractionsOver,
     Table,
     Time,
+    Violation,
+    _exact,
     as_fraction,
     denominator_of,
     integers,
     numerator_of,
-    time_label,
 )
 
 
@@ -158,83 +158,14 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First violated clause of a representation's invariants.
-
-    kind is one of NotAdapted, SumNotOne, OutOfRange,
-    SectionNotStoppingTime, or Malformed (structurally incomplete table).
-    """
-
-    kind: str
-    time: Optional[Time] = None
-    where: Optional[str] = None
-    detail: str = ""
-
-    def __str__(self) -> str:
-        parts = []
-        if self.time is not None:
-            parts.append(f"n={time_label(self.time)}")
-        if self.where is not None:
-            parts.append(f"at {self.where}")
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"{self.kind} {' '.join(parts)}{suffix}".strip()
-
-
-def _exact(value) -> bool:
-    return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
-
-
-#: Types whose values are exact without a closer look (``bool`` is not among them).
-_EXACT_TYPES = {Fraction, int}
-
-
-def _validate_block_table(
-    table, space: FilteredSpace, name: str
-) -> tuple[list, Optional[Violation]]:
-    """Check an {n: {block: value}} table covers exactly 1..T with exact values.
-
-    Returns the values in flat block order.
-    """
-    for n in table:
-        if isinstance(n, bool) or n not in range(1, space.horizon + 1):
-            return [], Violation(
-                "OutOfRange", detail=f"{name} has time {n!r} outside 1..{space.horizon}"
-            )
-    cells = []
-    for n, blocks in enumerate(space.levels, start=1):
-        level = table.get(n)
-        if level is None:
-            return [], Violation("Malformed", time=n, detail=f"{name} missing time {n}")
-        if isinstance(level, Mapping) and level.keys() == blocks.keys():
-            row = list(map(level.__getitem__, blocks))
-            if {*map(type, row)} <= _EXACT_TYPES:
-                cells += row
-                continue
-        for block_id in blocks:
-            if block_id not in level:
-                return [], Violation(
-                    "Malformed", time=n, where=block_id, detail=f"{name} missing block"
-                )
-            v = level[block_id]
-            if not _exact(v):
-                return [], Violation(
-                    "Malformed", time=n, where=block_id, detail=f"{name} holds a non-exact value"
-                )
-            cells.append(v)
-        if len(level) != len(blocks):
-            extra = set(level) - set(blocks)
-            return [], Violation(
-                "Malformed", time=n, where=sorted(extra)[0], detail=f"unknown block in {name}"
-            )
-    return cells, None
-
-
-def _out_of_range(cells, space: FilteredSpace, name: str) -> Optional[Violation]:
-    """The first cell outside [0, 1], in flat order."""
+def _unit_cells(table, space: FilteredSpace, name: str) -> Union[Violation, list]:
+    """The cells of a block table of values in [0, 1], in flat order, or the first Violation."""
+    cells = space.read(table, name)
+    if isinstance(cells, Violation):
+        return cells
     nums = list(map(numerator_of, cells))
     if min(nums, default=0) >= 0 and all(map(le, nums, map(denominator_of, cells))):
-        return None
+        return cells
     i = next(i for i, v in enumerate(cells) if not 0 <= v <= 1)
     return Violation(
         "OutOfRange", time=space.depth[i], where=space.ids[i], detail=f"{name}={Fraction(cells[i])}"
@@ -248,16 +179,12 @@ def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
     return next(a for a in table if a not in space.prob)
 
 
-def _stop_blocks(eta: PureStoppingTime, space: FilteredSpace) -> list[Optional[int]]:
-    """Per atom, the number of its stop block, or None if it never stops."""
-    return space.stop_blocks(map(eta.stop.__getitem__, space.atoms))
+def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
+    """The first Violation, or per atom the number of its stop block (None if it never stops).
 
-
-def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    """``{stop = n}`` is checked only at the atoms' stop blocks, where it can split a block.
-
-    Every split is found, and the first in flat order (by time, then
-    partition order) is reported.
+    ``{stop = n}`` is checked only at the atoms' stop blocks, where it can
+    split a block.  Every split is found, and the first in flat order (by
+    time, then partition order) is reported.
     """
     times = range(1, space.horizon + 1)
 
@@ -287,8 +214,9 @@ def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Viol
         unknown = _unknown_atom(eta.stop, space)
         if unknown is not None:
             return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
+    stops = space.stop_blocks(map(eta.stop.__getitem__, space.atoms))
     first_split = space.root
-    for i in set(_stop_blocks(eta, space)) - {None}:
+    for i in set(stops) - {None}:
         n = space.depth[i]
         if i < first_split and {*map(eta.stop.__getitem__, space.members(n, space.ids[i]))} != {n}:
             first_split = i
@@ -297,51 +225,42 @@ def _validate_pure(eta: PureStoppingTime, space: FilteredSpace) -> Optional[Viol
         return Violation(
             "NotAdapted", time=n, where=block_id, detail=f"{{stop={n}}} splits block {block_id}"
         )
-    return None
+    return stops
 
 
-def _validate_randomized(
-    eta: RandomizedStoppingTime, space: FilteredSpace
-) -> tuple[Optional[Violation], tuple]:
-    """The violation, and for a valid rule ``(den, spent)``: its cumulative stop
-    masses over one denominator, from the sum check's one spent pass."""
-    cells, bad = _validate_block_table(eta.rho, space, "rho")
-    if bad:
-        return bad, ()
-    bad = _out_of_range(cells, space, "rho")
-    if bad:
-        return bad, ()
+def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
+    """The first Violation, or ``(rho, den, spent)``: the stop masses and their sums down
+    each path, in integers over one denominator, from the sum check's one spent pass."""
+    cells = _unit_cells(eta.rho, space, "rho")
+    if isinstance(cells, Violation):
+        return cells
     rho, den = integers(cells)
     spent = space.spent(rho)
     for atom, i in zip(space.atoms, space.leaf):
         if atom not in eta.rho_inf:
-            bad = Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
-            return bad, ()
+            return Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
         v = eta.rho_inf[atom]
         if not _exact(v):
-            return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf"), ()
+            return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
         p, q = v.numerator, v.denominator
         if p < 0 or p > q:
-            bad = Violation("OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={Fraction(v)}")
-            return bad, ()
+            return Violation(
+                "OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={Fraction(v)}"
+            )
         if p * den != (den - spent[i]) * q:  # v + spent / den != 1
             total = v + Fraction(spent[i], den)
-            return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}"), ()
+            return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
     unknown = _unknown_atom(eta.rho_inf, space)
     if unknown is not None:
         return Violation(
             "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
-        ), ()
-    return None, (den, spent)
+        )
+    return rho, den, spent
 
 
-def _validate_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    cells, bad = _validate_block_table(eta.beta, space, "beta")
-    return bad or _out_of_range(cells, space, "beta")
-
-
-def _validate_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Optional[Violation]:
-    """Each section is checked as a pure rule, O(atoms) apiece; the first bad one is reported."""
+def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
+    """The first Violation, or ``(stops, weights, den)``: each section's stop blocks and
+    its weight over ``den``.  Each section costs O(atoms); the first bad one is reported."""
     bps = eta.breakpoints
     if len(bps) < 2 or len(eta.sections) != len(bps) - 1:
         return Violation(
@@ -352,18 +271,22 @@ def _validate_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Optional[Vi
         return Violation("Malformed", detail="non-exact breakpoint")
     if bps[0] != 0 or bps[-1] != 1:
         return Violation("Malformed", detail="breakpoints must start at 0 and end at 1")
-    if any(bps[k] >= bps[k + 1] for k in range(len(bps) - 1)):
+    cuts, den = integers(bps)
+    weights = [b - a for a, b in zip(cuts, cuts[1:])]
+    if min(weights) <= 0:
         return Violation("Malformed", detail="breakpoints must increase strictly")
+    stops = []
     for k, section in enumerate(eta.sections):
-        inner = _validate_pure(section, space)
-        if inner is not None:
+        inner = _check_pure(section, space)
+        if isinstance(inner, Violation):
             return Violation(
                 "SectionNotStoppingTime",
                 time=inner.time,
                 where=f"sections[{k}]",
                 detail=str(inner),
             )
-    return None
+        stops.append(inner)
+    return stops, weights, den
 
 
 def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violation]:
@@ -372,50 +295,27 @@ def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violatio
     Returns the first violated clause as a structured ``Violation`` rather
     than raising, so candidates can be inspected without try/except.
     """
-    if isinstance(eta, PureStoppingTime):
-        return _validate_pure(eta, space)
-    if isinstance(eta, RandomizedStoppingTime):
-        return _validate_randomized(eta, space)[0]
-    if isinstance(eta, BehaviorStoppingTime):
-        return _validate_behavior(eta, space)
-    if isinstance(eta, MixedStoppingTime):
-        return _validate_mixed(eta, space)
-    raise TypeError(f"not a stopping rule: {type(eta).__name__}")
+    parts = _kind(eta)[0](eta, space)
+    return parts if isinstance(parts, Violation) else None
 
 
-def _raise(violation: Optional[Violation]) -> None:
-    if violation is not None:
-        raise ValidationError(str(violation), violation=violation)
-
-
-def require_valid(eta: RandomStoppingTime, space: FilteredSpace) -> None:
-    _raise(validate(eta, space))
-
-
-def spent_masses(eta: RandomizedStoppingTime, space: FilteredSpace) -> tuple[int, list[int]]:
-    """Validate a randomized rule and return its cumulative stop masses per block,
-    ``(den, spent)`` with ``spent[i] / den`` at block ``i``, from the validation's spent pass."""
-    violation, parsed = _validate_randomized(eta, space)
-    _raise(violation)
-    return parsed
+def check(eta: RandomStoppingTime, space: FilteredSpace):
+    """The parts a valid rule's check built: per atom its stop block (pure), ``(rho, den,
+    spent)`` (randomized), the hazards in flat order (behavior) or ``(stops, weights, den)``
+    (mixed).  Raises ValidationError with the first Violation for an invalid rule.
+    """
+    parts = _kind(eta)[0](eta, space)
+    if isinstance(parts, Violation):
+        raise ValidationError(str(parts), violation=parts)
+    return parts
 
 
 # -- the canonical form -----------------------------------------------------------
 
 
 def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
-    """``densities`` as a Table, the form the exact passes read.  Validates ``eta`` once."""
-    require_valid(eta, space)
-    if isinstance(eta, RandomizedStoppingTime):
-        # the randomized form is shaped like a process: a value per block and per atom
-        return space.tables(AdaptedProcess(values=eta.rho, infinity=eta.rho_inf))[0]
-    if isinstance(eta, BehaviorStoppingTime):
-        return _survival(space.cells(eta.beta), space)
-    if isinstance(eta, PureStoppingTime):
-        return _sections([_stop_blocks(eta, space)], [1], 1, space)
-    cuts, den = integers(eta.breakpoints)
-    weights = [b - a for a, b in zip(cuts, cuts[1:])]
-    return _sections([_stop_blocks(s, space) for s in eta.sections], weights, den, space)
+    """``densities`` as a Table, the form the exact passes read, built from ``check``'s parts."""
+    return _kind(eta)[1](check(eta, space), space)
 
 
 def _survival(hazards: list, space: FilteredSpace) -> Table:
@@ -456,6 +356,30 @@ def _sections(sections, weights, den: int, space: FilteredSpace) -> Table:
             if i is None:
                 rho_inf[j] += w
     return Table(rho, rho_inf, den)
+
+
+def _spent_table(parts: tuple, space: FilteredSpace) -> Table:
+    """A randomized rule's densities: what each path leaves unspent is its never-stop mass."""
+    rho, den, spent = parts
+    return Table(rho, [den - spent[i] for i in space.leaf], den)
+
+
+#: Per rule type, its check, which returns the first Violation or the parts it built,
+#: and the reduction of those parts to the rule's densities.
+_KINDS = {
+    PureStoppingTime: (_check_pure, lambda stops, space: _sections([stops], [1], 1, space)),
+    RandomizedStoppingTime: (_check_randomized, _spent_table),
+    BehaviorStoppingTime: (lambda eta, space: _unit_cells(eta.beta, space, "beta"), _survival),
+    MixedStoppingTime: (_check_mixed, lambda parts, space: _sections(*parts, space)),
+}
+
+
+def _kind(eta) -> tuple:
+    """``eta``'s check and reduction: the one dispatch on rule type."""
+    kind = _KINDS.get(type(eta))
+    if kind is None:
+        raise TypeError(f"not a stopping rule: {type(eta).__name__}")
+    return kind
 
 
 def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppingTime:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from stopwright import INFINITY, AdaptedProcess, RandomizedStoppingTime
-from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS, check_game
+from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS
 
 
 def top_down(space):
@@ -126,7 +126,7 @@ def pair(d: RandomizedStoppingTime, problem: AdaptedProcess, space) -> Fraction:
 
 def is_zero_sum(game, space) -> bool:
     """The players' payoffs add to zero for every coalition, time, and atom."""
-    check_game(space, game)
+    space.gather(game.payoffs.values())  # the boundary check
     for c in COALITIONS:
         one, two = game.process(1, c), game.process(2, c)
         for n in range(1, space.horizon + 1):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stopwright
+import stopwright.space
 import stopwright.stopping
 from stopwright import convert
 from stopwright.cli import run
@@ -194,13 +195,21 @@ class TestEvaluation:
 
     def test_payoff_with_epsilon_validates_once(self, files, capsys, monkeypatch):
         validated = []
-        real = stopwright.stopping.validate
+        real = stopwright.stopping.check
 
         def counting(eta, space):
             validated.append(eta)
             return real(eta, space)
 
-        monkeypatch.setattr(stopwright.stopping, "validate", counting)
+        read = []
+        real_read = stopwright.space.check_process
+
+        def counting_reads(space, process):
+            read.append(process)
+            return real_read(space, process)
+
+        monkeypatch.setattr(stopwright.stopping, "check", counting)
+        monkeypatch.setattr(stopwright.space, "check_process", counting_reads)
         code, out, _ = run_capture(
             capsys,
             [
@@ -210,6 +219,7 @@ class TestEvaluation:
         )
         assert code == 0
         assert len(validated) == 1
+        assert len(read) == 1
         assert out == '{\n  "epsilon": "0",\n  "epsilon_optimal": false,\n  "payoff": "3/8"\n}\n'
 
     def test_snell(self, files, capsys):
@@ -477,6 +487,64 @@ class TestMalformedDocuments:
     def test_mixed_breakpoints_number(self, capsys, tmp_path, files):
         doc = {"type": "mixed", "breakpoints": 3, "sections": [{"type": "pure", "stop": {}}]}
         self.check(capsys, tmp_path, files, "dist", "--st", doc)
+
+    @pytest.mark.parametrize("tag", [{"type": "behavior"}, {"type": None}, {}])
+    def test_mixed_section_must_be_a_pure_document(self, capsys, tmp_path, files, tag):
+        doc = stopping_time_to_doc(convert(make_r1(), "mixed", make_e1()))
+        section = {key: value for key, value in doc["sections"][0].items() if key != "type"}
+        doc["sections"][0] = {**section, **tag}
+        self.check(capsys, tmp_path, files, "dist", "--st", doc)
+
+    @pytest.mark.parametrize("players", [2.0, "2", True])
+    def test_players_must_be_the_integer_2(self, capsys, tmp_path, files, players):
+        with open(files["game.json"], encoding="utf-8") as handle:
+            doc = {**json.load(handle), "players": players}
+        self.check(capsys, tmp_path, files, "game-value", "--game", doc)
+
+
+class TestStructuredErrors:
+    """An error caused by a Violation carries it as JSON after the unchanged error and message."""
+
+    def run(self, capsys, tmp_path, files, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [files.get(a, str(path) if a == "DOC" else a) for a in argv]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        return err
+
+    def test_rule_fault(self, capsys, tmp_path, files):
+        doc = stopping_time_to_doc(make_r1())
+        doc["rho_inf"]["w1"] = "1/2"
+        err = self.run(capsys, tmp_path, files, ["dist", "--space", "e1.json", "--st", "DOC"], doc)
+        message = "SumNotOne at w1 (stop masses sum to 3/2)"
+        assert err.startswith(json.dumps({"error": "ValidationError", "message": message})[:-1])
+        assert json.loads(err)["violation"] == {
+            "kind": "SumNotOne", "time": None, "where": "w1", "detail": "stop masses sum to 3/2"
+        }
+
+    def test_process_fault(self, capsys, tmp_path, files):
+        with open(files["problem.json"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        del doc["values"]["2"]["w3"]
+        argv = ["snell", "--space", "e1.json", "--problem", "DOC"]
+        err = self.run(capsys, tmp_path, files, argv, doc)
+        message = "Malformed n=2 at w3 (values missing block)"
+        assert err.startswith(json.dumps({"error": "SpaceMismatch", "message": message})[:-1])
+        assert json.loads(err)["violation"] == {
+            "kind": "Malformed", "time": "2", "where": "w3", "detail": "values missing block"
+        }
+
+    def test_infinity_written_as_time_label(self, capsys, tmp_path, files):
+        doc = stopping_time_to_doc(make_r1())
+        del doc["rho_inf"]["w1"]
+        err = self.run(capsys, tmp_path, files, ["dist", "--space", "e1.json", "--st", "DOC"], doc)
+        assert json.loads(err)["violation"]["time"] == "inf"
+
+    def test_no_violation_no_field(self, files, capsys):
+        code, _, err = run_capture(capsys, ["validate", "--space", files["bad.json"]])
+        assert code == 1
+        assert "violation" not in json.loads(err)
 
 
 

@@ -10,8 +10,11 @@ from stopwright import (
     MixedStoppingTime,
     PureStoppingTime,
     RandomizedStoppingTime,
+    BOTH,
+    COALITIONS,
     SpaceMismatch,
     ValidationError,
+    Violation,
     adapted_process,
     check_epsilon_optimal,
     constant_process,
@@ -21,10 +24,14 @@ from stopwright import (
     enumerate_pure_stopping_times,
     equivalent,
     expectation,
+    game_payoff,
+    is_zero_sum,
     payoff,
     pure,
     snell_value,
+    stopping_game,
     witness_problem,
+    zero_sum_value,
 )
 
 from fuzz import (
@@ -319,3 +326,74 @@ class TestEpsilonOptimal:
                     assert not check_epsilon_optimal(
                         twin, problem, max(gap - F(1, 1000), 0), space
                     )
+
+
+class TestStrictProcessRead:
+    """A process value is an int or a Fraction, as a rule's is; a key fault is a SpaceMismatch."""
+
+    def calls(self, e1, r1, b1):
+        """Each process-reading entry point, as a function of the problem it reads."""
+
+        def game(problem):
+            payoffs = {(j, c): constant_process(e1, 0) for j in (1, 2) for c in COALITIONS}
+            payoffs[2, BOTH] = problem
+            return stopping_game(payoffs)
+
+        return {
+            "payoff": lambda p: payoff(r1, p, e1),
+            "snell_value": lambda p: snell_value(p, e1),
+            "game_payoff": lambda p: game_payoff(r1, b1, game(p), e1),
+            "is_zero_sum": lambda p: is_zero_sum(game(p), e1),
+            "zero_sum_value": lambda p: zero_sum_value(game(p), e1),
+        }
+
+    @pytest.mark.parametrize("bad", [1.5, "1/2", None, True])
+    def test_non_exact_value_is_a_validation_error(self, e1, r1, b1, bad):
+        problem = constant_process(e1, 0)
+        problem.values[2]["w3"] = bad
+        for name, call in self.calls(e1, r1, b1).items():
+            with pytest.raises(ValidationError) as raised:
+                call(problem)
+            assert raised.value.violation == Violation(
+                "Malformed", time=2, where="w3", detail="values holds a non-exact value"
+            ), name
+
+    def test_non_exact_infinity_value(self, e1, r1, b1):
+        problem = constant_process(e1, 0)
+        problem.infinity["w2"] = 0.0
+        for call in self.calls(e1, r1, b1).values():
+            with pytest.raises(ValidationError, match="Malformed n=inf at w2"):
+                call(problem)
+
+    def test_exact_subclasses_are_read(self, e1, r1, b1):
+        class Exact(F):
+            pass
+
+        class Count(int):
+            pass
+
+        plain = constant_process(e1, 0)
+        problem = constant_process(e1, 0)
+        problem.values[1]["A"] = Exact(0)
+        problem.infinity["w4"] = Count(0)
+        for name, call in self.calls(e1, r1, b1).items():
+            assert call(problem) == call(plain), name
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda p: p.values.pop(2),
+            lambda p: p.values[1].pop("B"),
+            lambda p: p.values[1].update(C=F(0)),
+            lambda p: p.values.update({3: {}}),
+            lambda p: p.infinity.pop("w1"),
+            lambda p: p.infinity.update(w9=F(0)),
+        ],
+    )
+    def test_key_faults_are_a_space_mismatch(self, e1, r1, b1, fault):
+        problem = constant_process(e1, 0)
+        fault(problem)
+        for name, call in self.calls(e1, r1, b1).items():
+            with pytest.raises(SpaceMismatch) as raised:
+                call(problem)
+            assert isinstance(raised.value.violation, Violation), name

@@ -22,20 +22,28 @@ from stopwright import (
 )
 
 import stopwright.games
+import stopwright.space
 import stopwright.stopping
 from stopwright import (
     auxiliary_problem,
     best_response_value,
     check_epsilon_equilibrium,
+    check_epsilon_optimal,
     convert,
     game_payoff,
+    is_zero_sum,
     payoff,
+    snell_value,
+    stopping_game,
+    zero_sum_value,
 )
+from stopwright.games import COALITIONS
 from stopwright.convert import TARGET_TYPES
 
 from fuzz import (
     MAKERS,
     make_r1,
+    negate_process,
     random_game,
     random_process,
     random_space,
@@ -344,18 +352,31 @@ class TestEnumeration:
 
 
 class TestValidatesOnce:
-    """Each public entry point validates each rule it is given exactly once."""
+    """Each public entry point reads each rule, process and game it is given exactly once."""
 
     @pytest.fixture
     def validated(self, monkeypatch):
         calls = []
-        real = stopwright.stopping.validate
+        real = stopwright.stopping.check
 
         def counting(eta, space):
             calls.append(eta)
             return real(eta, space)
 
-        monkeypatch.setattr(stopwright.stopping, "validate", counting)
+        monkeypatch.setattr(stopwright.stopping, "check", counting)
+        return calls
+
+    @pytest.fixture
+    def read(self, monkeypatch):
+        """The processes read, in the order ``check_process`` is called on them."""
+        calls = []
+        real = stopwright.space.check_process
+
+        def counting(space, process):
+            calls.append(process)
+            return real(space, process)
+
+        monkeypatch.setattr(stopwright.space, "check_process", counting)
         return calls
 
     @pytest.fixture
@@ -374,6 +395,18 @@ class TestValidatesOnce:
             assert validated == [eta]
             validated.clear()
 
+    def test_problem_read_once(self, validated, read, cases):
+        space, rules, problem = cases
+        payoff(rules[0], problem, space)
+        assert read == [problem]
+        read.clear()
+        snell_value(problem, space)
+        assert read == [problem]
+        read.clear()
+        check_epsilon_optimal(rules[0], problem, 0, space)
+        assert read == [problem]
+        assert validated == [rules[0]] * 2
+
     def test_convert_every_target(self, validated, cases):
         space, rules, _ = cases
         for eta in rules:
@@ -391,9 +424,9 @@ class TestValidatesOnce:
         space, rules, _ = cases
         game = random_game(random.Random(18), space)
         checked = []
-        real = stopwright.games.check_game
+        real = stopwright.games.game_tables
         monkeypatch.setattr(
-            stopwright.games, "check_game", lambda *args: checked.append(1) or real(*args)
+            stopwright.games, "game_tables", lambda *args: checked.append(1) or real(*args)
         )
         for eta1, eta2 in zip(rules, rules[1:] + rules[:1]):
             checked.clear()
@@ -411,3 +444,28 @@ class TestValidatesOnce:
                 best_response_value(eta1, game, player, space)
                 assert validated == [eta1]
                 validated.clear()
+
+    def test_game_processes_read_once_per_call(self, read, cases):
+        space, rules, _ = cases
+        game = random_game(random.Random(19), space)
+        calls = [
+            lambda: game_payoff(rules[0], rules[1], game, space),
+            lambda: check_epsilon_equilibrium(rules[0], rules[1], game, 0, space),
+            lambda: best_response_value(rules[0], game, 2, space),
+            lambda: auxiliary_problem(rules[0], game, space, 1),
+            lambda: is_zero_sum(game, space),
+        ]
+        for call in calls * 2:  # the second round reuses the space's translation
+            call()
+            assert sorted(read, key=id) == sorted(game.payoffs.values(), key=id)
+            read.clear()
+
+    def test_zero_sum_value_reads_each_process_once(self, read):
+        rng = random.Random(20)
+        space = random_space(rng, max_depth=3)
+        own = {c: random_process(rng, space) for c in COALITIONS}
+        payoffs = {(1, c): p for c, p in own.items()}
+        payoffs.update({(2, c): negate_process(p) for c, p in own.items()})
+        game = stopping_game(payoffs)
+        zero_sum_value(game, space)
+        assert sorted(read, key=id) == sorted(game.payoffs.values(), key=id)
