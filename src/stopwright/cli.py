@@ -196,8 +196,7 @@ def _dispatch(args) -> dict:
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
-            slack = _epsilon(epsilon)
-            doc["epsilon_optimal"] = value >= _snell(table, space).value - slack
+            doc["epsilon_optimal"] = value + _epsilon(epsilon) >= _snell(table, space).value
         return doc
 
     if args.command == "snell":

@@ -146,8 +146,7 @@ def check_epsilon_optimal(
     table and every mass table is a mixture of pure rules.
     """
     value, table = _payoff_and_table(eta, problem, space)
-    slack = _epsilon(epsilon)
-    return value >= _snell(table, space).value - slack
+    return value + _epsilon(epsilon) >= _snell(table, space).value
 
 
 def _epsilon(epsilon) -> Fraction:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter, eq, getitem, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -94,10 +93,6 @@ def _exact(value) -> bool:
 #: Types whose values are exact without a closer look (``bool`` is not among them).
 _EXACT_TYPES = {Fraction, int}
 
-#: How the detail of a Violation ends when a value is not an int or a Fraction.
-NOT_EXACT = "holds a non-exact value"
-
-
 class Table(NamedTuple):
     """An adapted table over the flat block numbering, in integers over one denominator.
 
@@ -113,7 +108,6 @@ class Table(NamedTuple):
     den: int
 
 
-_lookup = attrgetter("__getitem__")
 numerator_of = attrgetter("numerator")
 denominator_of = attrgetter("denominator")
 
@@ -315,16 +309,17 @@ class FilteredSpace:
             dict(zip(self.atoms, map(value, table.atoms))),
         )
 
-    def read(self, table, name: str, infinity=None) -> Union[list, Violation]:
+    def read(self, table, name: str, infinity=None, value_error=None) -> Union[list, Violation]:
         """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
 
         With ``infinity``, an ``{atom: value}`` slot at INFINITY is read
         after it.  Returns the values in flat block order, then the atoms in
         atom order, or the first Violation in that order: a time outside
         1..T, then per time a missing time, key or non-exact value, then an
-        unknown key.  A table keyed exactly by the space and holding ints
-        and Fractions is read in one look per time; the cell-by-cell loop
-        runs only to find a fault or to admit exact values of other types.
+        unknown key; with ``value_error``, a non-exact value raises it
+        instead.  A table keyed exactly by the space and holding ints and
+        Fractions is read in one look per time; the cell-by-cell loop runs
+        only to find a fault or to admit exact values of other types.
         """
         if type(table) is dict and {*map(type, table)} == {int} and table.keys() == self._times:
             rows = list(map(table.__getitem__, range(1, self.horizon + 1)))
@@ -333,8 +328,7 @@ class FilteredSpace:
             if infinity is not None:
                 keyed = keyed and type(infinity) is dict and infinity.keys() == self.prob.keys()
             if keyed:
-                # each time's values, in its partition's order
-                cells = list(chain.from_iterable(map(map, map(_lookup, rows), self.levels)))
+                cells = [row[key] for row, level in zip(rows, self.levels) for key in level]
                 if infinity is not None:
                     cells += map(infinity.__getitem__, self.atoms)
                 if {*map(type, cells)} <= _EXACT_TYPES:
@@ -345,7 +339,7 @@ class FilteredSpace:
                 return Violation("OutOfRange", detail=f"{name} has time {n!r} outside 1..{T}")
         rows = [(n, table.get(n), level, name, "block") for n, level in enumerate(self.levels, 1)]
         if infinity is not None:
-            rows.append((INFINITY, infinity, self.prob, "infinity", "atom"))
+            rows.append((INFINITY, infinity, self.atoms, "infinity", "atom"))
         cells = []
         for n, row, keys, label, noun in rows:
             if row is None:
@@ -354,7 +348,10 @@ class FilteredSpace:
                 if key not in row:
                     return Violation("Malformed", n, key, f"{label} missing {noun}")
                 if not _exact(row[key]):
-                    return Violation("Malformed", n, key, f"{label} {NOT_EXACT}")
+                    fault = Violation("Malformed", n, key, f"{label} holds a non-exact value")
+                    if value_error is None:
+                        return fault
+                    raise value_error(str(fault), violation=fault)
                 cells.append(row[key])
             if len(row) != len(keys):
                 unknown = min(set(row) - set(keys))
@@ -557,11 +554,16 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
     Raises SpaceMismatch unless ``process`` is keyed exactly by the space, and
     ValidationError unless every value is an int or a Fraction, with the first Violation.
     """
-    cells = space.read(process.values, "values", process.infinity)
-    if isinstance(cells, Violation):
-        error = ValidationError if cells.detail.endswith(NOT_EXACT) else SpaceMismatch
-        raise error(str(cells), violation=cells)
-    return cells
+    cells = space.read(process.values, "values", process.infinity, ValidationError)
+    if not isinstance(cells, Violation):
+        return cells
+    if cells.time is None or process.values.keys() != space._times:
+        message = f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
+    elif cells.time == INFINITY:
+        message = "process INFINITY slot does not match the atom set"
+    else:
+        message = f"process blocks at time {cells.time} do not match the space"
+    raise SpaceMismatch(message, violation=cells)
 
 
 def expectation(space: FilteredSpace, f: Mapping[str, Fraction]) -> Fraction:

@@ -529,7 +529,7 @@ class TestStructuredErrors:
         del doc["values"]["2"]["w3"]
         argv = ["snell", "--space", "e1.json", "--problem", "DOC"]
         err = self.run(capsys, tmp_path, files, argv, doc)
-        message = "Malformed n=2 at w3 (values missing block)"
+        message = "process blocks at time 2 do not match the space"
         assert err.startswith(json.dumps({"error": "SpaceMismatch", "message": message})[:-1])
         assert json.loads(err)["violation"] == {
             "kind": "Malformed", "time": "2", "where": "w3", "detail": "values missing block"

@@ -12,6 +12,7 @@ from stopwright import (
     RandomizedStoppingTime,
     BOTH,
     COALITIONS,
+    FilteredSpace,
     SpaceMismatch,
     ValidationError,
     Violation,
@@ -379,21 +380,40 @@ class TestStrictProcessRead:
         for name, call in self.calls(e1, r1, b1).items():
             assert call(problem) == call(plain), name
 
+    def test_subclasses_read_in_atom_order(self, e1, r1, b1):
+        """The INFINITY slot is read in atom order, whatever the order of ``prob``."""
+
+        class Exact(F):
+            pass
+
+        space = FilteredSpace(e1.horizon, e1.atoms, dict(reversed(e1.prob.items())), e1.levels)
+        assert list(space.prob) != list(space.atoms)
+        infinity = {a: F(k, 3) for k, a in enumerate(space.atoms)}
+        plain = constant_process(space, 0)
+        plain.infinity.update(infinity)
+        problem = constant_process(space, 0)
+        problem.infinity.update(infinity)
+        problem.values[1]["A"] = Exact(0)
+        calls = self.calls(space, r1, b1)
+        for name in ("payoff", "snell_value", "game_payoff"):
+            assert calls[name](problem) == calls[name](plain), name
+
     @pytest.mark.parametrize(
-        "fault",
+        "fault, message",
         [
-            lambda p: p.values.pop(2),
-            lambda p: p.values[1].pop("B"),
-            lambda p: p.values[1].update(C=F(0)),
-            lambda p: p.values.update({3: {}}),
-            lambda p: p.infinity.pop("w1"),
-            lambda p: p.infinity.update(w9=F(0)),
+            (lambda p: p.values.pop(2), "process defined at times [1], space has 1..2"),
+            (lambda p: p.values[1].pop("B"), "process blocks at time 1 do not match the space"),
+            (lambda p: p.values[1].update(C=F(0)), "process blocks at time 1 do not match the space"),
+            (lambda p: p.values.update({3: {}}), "process defined at times [1, 2, 3], space has 1..2"),
+            (lambda p: p.infinity.pop("w1"), "process INFINITY slot does not match the atom set"),
+            (lambda p: p.infinity.update(w9=F(0)), "process INFINITY slot does not match the atom set"),
         ],
     )
-    def test_key_faults_are_a_space_mismatch(self, e1, r1, b1, fault):
+    def test_key_faults_are_a_space_mismatch(self, e1, r1, b1, fault, message):
         problem = constant_process(e1, 0)
         fault(problem)
         for name, call in self.calls(e1, r1, b1).items():
             with pytest.raises(SpaceMismatch) as raised:
                 call(problem)
+            assert str(raised.value) == message, name
             assert isinstance(raised.value.violation, Violation), name
