@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import is_, mul, neg
+from operator import mul, neg
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConsistencyFailure, NotZeroSum, ValidationError
@@ -25,6 +25,7 @@ from .payoffs import SnellResult, _epsilon, _pair, _snell
 from .space import (
     AdaptedProcess,
     FilteredSpace,
+    Kept,
     Table,
     Time,
 )
@@ -45,8 +46,6 @@ COALITIONS = (ONLY_1, ONLY_2, BOTH)
 ONE, ZERO = Fraction(1), Fraction(0)
 #: A game's six processes in the order of ``game_tables``: player 1's, then player 2's.
 KEYS = tuple((j, c) for j in PLAYERS for c in COALITIONS)
-#: How many translated games a space keeps, each holding its game's processes alive.
-MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -69,26 +68,15 @@ def stopping_game(payoffs) -> StoppingGame:
 
 
 def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
-    """The game's six processes as Tables over one shared denominator, in ``KEYS`` order.
+    """The game's six processes as Tables over one shared denominator, in ``KEYS`` order."""
+    return kept_game(game, space).parts
 
-    Every call reads each process once, checking it as its cells are
-    gathered.  The space keeps the translations of its last few games.  One
-    is reused only while every cell gathered now is the very object it was
-    translated from; Fractions are immutable, so the kept tables are then
-    exact, and a mutated or replaced process is translated again.  An entry
-    holds the processes whose ids key it, so no id is reused while it lives.
-    """
-    processes = [game.payoffs[key] for key in KEYS]
-    cells = space.gather(processes)
-    key = tuple(map(id, processes))
-    memo = space.game_memo
-    entry = memo.pop(key, None)
-    if entry is None or not all(map(is_, cells, entry[1])):
-        entry = (processes, cells, space.translate(cells))
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = entry
-    return entry[2]
+
+def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
+    """The game's translation, kept by the space (``FilteredSpace.recall``); every call reads
+    and checks each process once, and the cells read guard the reuse."""
+    cells = space.gather([game.payoffs[key] for key in KEYS])
+    return space.recall(game, cells, space.translate)
 
 
 def _own(tables: Sequence[Table], player: int) -> tuple[Table, Table, Table]:

@@ -35,7 +35,7 @@ from .stopping import (
     RandomizedStoppingTime,
     check,
 )
-from .games import StoppingGame, game_tables
+from .games import StoppingGame, kept_game
 
 CHUNK_SIZE = 4096
 
@@ -81,10 +81,17 @@ def sample_stop_time(
 # -- vectorized chunk sampling -------------------------------------------------
 
 
-def _atom_cumprobs(space: FilteredSpace) -> np.ndarray:
-    c = np.cumsum([float(space.prob[a]) for a in space.atoms])
-    c[-1] = 1.0
-    return c
+def _space_arrays(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms' cumulative probabilities and (atoms, T) block paths, kept by the space as a
+    check is, with itself as the input and no cells.  ``mass / denominator`` of Python
+    integers rounds as ``float`` of the Fraction does."""
+
+    def build(_):
+        c = np.cumsum([m / space.denominator for m in space.atom_mass])
+        c[-1] = 1.0
+        return c, np.array(space.paths).reshape(len(space.atoms), space.horizon)
+
+    return space.recall(space, [], build).parts
 
 
 def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
@@ -102,8 +109,8 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
     sampler only draws and looks up.
     """
     T = space.horizon
-    paths = np.array(space.paths).reshape(len(space.atoms), T)
-    parts = check(eta, space)
+    paths = _space_arrays(space)[1]
+    parts = check(eta, space).parts
 
     def columns(stops) -> list:
         """Per atom, the column of its stop block, T if it has none."""
@@ -150,7 +157,7 @@ def _bincount(index: tuple, shape: tuple) -> np.ndarray:
 
 def _detailed_counter(eta: RandomStoppingTime, space: FilteredSpace):
     """``count(size, seed, chunk_index)`` -> one chunk's counts; tables built once."""
-    cumprobs = _atom_cumprobs(space)
+    cumprobs = _space_arrays(space)[0]
     columns = _stop_columns(eta, space)
     shape = (len(space.atoms), space.horizon + 1)
 
@@ -164,7 +171,7 @@ def _detailed_counter(eta: RandomStoppingTime, space: FilteredSpace):
 
 def _joint_counter(eta1: RandomStoppingTime, eta2: RandomStoppingTime, space: FilteredSpace):
     """``count(size, seed, chunk_index)`` -> one chunk's joint counts; tables built once."""
-    cumprobs = _atom_cumprobs(space)
+    cumprobs = _space_arrays(space)[0]
     columns1 = _stop_columns(eta1, space)
     columns2 = _stop_columns(eta2, space)
     shape = (len(space.atoms), space.horizon + 1, space.horizon + 1)
@@ -303,7 +310,7 @@ def empirical_game_payoff(
     time, then player 2's), and each player's ``count * payoff`` terms are
     added one after another from 0.0, so the float sums run in a fixed order.
     """
-    grids = _payoff_grids(game_tables(game, space), space)
+    grids = kept_game(game, space).derive(_payoff_grids, space)
     total = _joint_total(eta1, eta2, space, samples, seed)
     i, j1, j2 = np.nonzero(total)
     coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
@@ -320,7 +327,7 @@ def _payoff_grids(tables: list[Table], space: FilteredSpace) -> np.ndarray:
     rounds exactly as ``float`` of the Fraction does.
     """
     den = tables[0].den
-    paths = np.array(space.paths).reshape(len(space.atoms), space.horizon)
+    paths = _space_arrays(space)[1]
     grids = []
     for t in tables:
         blocks = np.array([n / den for n in t.blocks], float)

@@ -14,10 +14,11 @@ are rejected on input so every downstream comparison stays exact.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, eq, getitem, mul
+from operator import attrgetter, eq, getitem, is_, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -59,8 +60,9 @@ def as_fraction(value) -> Fraction:
 
 
 def time_label(t: Time) -> str:
-    """Render a time index for messages and JSON keys ('1', ..., 'inf')."""
-    return "inf" if t == INFINITY else str(int(t))
+    """Render a time index for messages and JSON keys ('1', ..., 'inf'); a float off the
+    integers, such as 2.5 or nan, as its repr."""
+    return "inf" if t == INFINITY else str(int(t)) if t % 1 == 0 else repr(t)
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,22 @@ class FractionsOver(dict):
         return value
 
 
+class Kept:
+    """A check kept by ``FilteredSpace.recall``: the cells it read, the parts it built and
+    what ``derive`` built from those, shared by every call that reuses it: never mutated."""
+
+    __slots__ = ("ref", "cells", "parts", "derived")
+
+    def __init__(self, cells: Optional[list], parts):
+        self.ref, self.cells, self.parts, self.derived = None, cells, parts, {}
+
+    def derive(self, make: Callable, space: "FilteredSpace"):
+        """``make(parts, space)``, built on first use and shared after."""
+        if make not in self.derived:
+            self.derived[make] = make(self.parts, space)
+        return self.derived[make]
+
+
 class FilteredSpace:
     """A validated scenario tree: atoms, probabilities, and partitions.
 
@@ -167,8 +185,8 @@ class FilteredSpace:
         self.levels = tuple({b: tuple(members) for b, members in level.items()} for level in levels)
         self._validate()
         self._index()
-        #: ``games.game_tables``' translations of the last few games, keyed by their processes' ids
-        self.game_memo: dict = {}
+        #: ``recall``'s kept checks, by the type and id of their input
+        self._kept: dict = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -321,18 +339,9 @@ class FilteredSpace:
         Fractions is read in one look per time; the cell-by-cell loop runs
         only to find a fault or to admit exact values of other types.
         """
-        if type(table) is dict and {*map(type, table)} == {int} and table.keys() == self._times:
-            rows = list(map(table.__getitem__, range(1, self.horizon + 1)))
-            same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
-            keyed = {*map(type, rows)} == {dict} and all(same)
-            if infinity is not None:
-                keyed = keyed and type(infinity) is dict and infinity.keys() == self.prob.keys()
-            if keyed:
-                cells = [row[key] for row, level in zip(rows, self.levels) for key in level]
-                if infinity is not None:
-                    cells += map(infinity.__getitem__, self.atoms)
-                if {*map(type, cells)} <= _EXACT_TYPES:
-                    return cells
+        cells = self.keyed(table, infinity)
+        if cells is not None:
+            return cells
         T = self.horizon
         for n in table:
             if isinstance(n, bool) or n not in range(1, T + 1):
@@ -354,9 +363,51 @@ class FilteredSpace:
                     raise value_error(str(fault), violation=fault)
                 cells.append(row[key])
             if len(row) != len(keys):
-                unknown = min(set(row) - set(keys))
-                return Violation("Malformed", n, unknown, f"unknown {noun} in {label}")
+                unknown = set(row) - set(keys)
+                try:
+                    first = min(unknown)
+                except TypeError:  # keys that do not compare, such as 5 and "zz"
+                    first = min(unknown, key=repr)
+                return Violation("Malformed", n, first, f"unknown {noun} in {label}")
         return cells
+
+    def keyed(self, table, infinity=None) -> Optional[list]:
+        """``read``'s one look per time: the cells of a table of plain dicts keyed exactly by
+        the space and holding only ints and Fractions, else None."""
+        if type(table) is not dict or {*map(type, table)} != {int} or table.keys() != self._times:
+            return None
+        rows = list(map(table.__getitem__, range(1, self.horizon + 1)))
+        same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
+        slot = infinity is None or type(infinity) is dict and infinity.keys() == self.prob.keys()
+        if {*map(type, rows)} != {dict} or not all(same) or not slot:
+            return None
+        cells = [row[key] for row, level in zip(rows, self.levels) for key in level]
+        if infinity is not None:
+            cells += map(infinity.__getitem__, self.atoms)
+        return cells if {*map(type, cells)} <= _EXACT_TYPES else None
+
+    def recall(self, source, cells: Optional[list], check: Callable) -> Union[Kept, Violation]:
+        """``source``'s check, kept while ``source`` lives (a weakref callback drops it).
+
+        ``cells`` are what ``source``'s fast read gathered just now, None after a
+        slow read.  The kept check is reused for the same object of the same type
+        whose cells are, one by one, the very objects (``is``) it was made from:
+        Fractions are immutable, so it is then exact.  Otherwise ``check(cells)``
+        gives the parts, kept if the cells were gathered, or the first Violation.
+        """
+        key = (type(source), id(source))
+        kept = self._kept.get(key)
+        if kept and cells is not None and kept.ref() is source and len(cells) == len(kept.cells):
+            if all(map(is_, cells, kept.cells)):
+                return kept
+        parts = check(cells)
+        if isinstance(parts, Violation):
+            return parts
+        kept = Kept(cells, parts)
+        if cells is not None:
+            kept.ref = weakref.ref(source, lambda _, memo=self._kept: memo.pop(key, None))
+            self._kept[key] = kept
+        return kept
 
     def gather(self, processes: Iterable["AdaptedProcess"]) -> list:
         """Each process's cells in turn, as ``check_process`` reads them."""

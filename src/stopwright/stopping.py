@@ -33,9 +33,11 @@ from .space import (
     INFINITY,
     FilteredSpace,
     FractionsOver,
+    Kept,
     Table,
     Time,
     Violation,
+    _EXACT_TYPES,
     _exact,
     as_fraction,
     denominator_of,
@@ -158,9 +160,11 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
 # -- validation ----------------------------------------------------------------
 
 
-def _unit_cells(table, space: FilteredSpace, name: str) -> Union[Violation, list]:
-    """The cells of a block table of values in [0, 1], in flat order, or the first Violation."""
-    cells = space.read(table, name)
+def _unit_cells(table, space: FilteredSpace, name: str, cells=None) -> Union[Violation, list]:
+    """The cells of a block table of values in [0, 1], in flat order, or the first Violation;
+    ``cells`` are the table's, if its fast read gathered them."""
+    if cells is None:
+        cells = space.read(table, name)
     if isinstance(cells, Violation):
         return cells
     nums = list(map(numerator_of, cells))
@@ -179,9 +183,21 @@ def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
     return next(a for a in table if a not in space.prob)
 
 
-def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
+def _stop_cells(rules, space: FilteredSpace) -> Optional[list]:
+    """The fast read of pure rules: their stop indices in turn, each in atom order, from plain
+    dicts keyed exactly by the atoms and holding only ints and floats, else None."""
+    cells = []
+    for stop in (getattr(eta, "stop", None) for eta in rules):
+        if type(stop) is not dict or stop.keys() != space.prob.keys():
+            return None
+        cells += map(stop.__getitem__, space.atoms)
+    return cells if {*map(type, cells)} <= {int, float} else None
+
+
+def _check_pure(eta: PureStoppingTime, space: FilteredSpace, cells) -> Union[Violation, list]:
     """The first Violation, or per atom the number of its stop block (None if it never stops).
 
+    Without the fast read's ``cells``, or to find a fault, atoms are checked one by one.
     ``{stop = n}`` is checked only at the atoms' stop blocks, where it can
     split a block.  Every split is found, and the first in flat order (by
     time, then partition order) is reported.
@@ -191,15 +207,7 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
     def is_time(t) -> bool:
         return not isinstance(t, bool) and (t == INFINITY or t in times)
 
-    def maps_atoms_to_times(stop) -> bool:
-        """True iff ``stop`` maps exactly the atoms to times; one look at the distinct
-        indices, and the atom-by-atom loop below only to find a fault."""
-        if not (isinstance(stop, Mapping) and stop.keys() == space.prob.keys()):
-            return False
-        indices = list(stop.values())
-        return {*map(type, indices)} <= {int, float} and all(map(is_time, set(indices)))
-
-    if not maps_atoms_to_times(eta.stop):
+    if cells is None or not all(map(is_time, set(cells))):
         for atom in space.atoms:
             if atom not in eta.stop:
                 return Violation("Malformed", where=atom, detail="no stop index for atom")
@@ -214,7 +222,8 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
         unknown = _unknown_atom(eta.stop, space)
         if unknown is not None:
             return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
-    stops = space.stop_blocks(map(eta.stop.__getitem__, space.atoms))
+        cells = map(eta.stop.__getitem__, space.atoms)
+    stops = space.stop_blocks(cells)
     first_split = space.root
     for i in set(stops) - {None}:
         n = space.depth[i]
@@ -228,10 +237,10 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
     return stops
 
 
-def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
+def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace, cells) -> Union[Violation, tuple]:
     """The first Violation, or ``(rho, den, spent)``: the stop masses and their sums down
     each path, in integers over one denominator, from the sum check's one spent pass."""
-    cells = _unit_cells(eta.rho, space, "rho")
+    cells = _unit_cells(eta.rho, space, "rho", cells and cells[: space.root])
     if isinstance(cells, Violation):
         return cells
     rho, den = integers(cells)
@@ -258,7 +267,16 @@ def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Unio
     return rho, den, spent
 
 
-def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
+def _mixed_cells(eta: MixedStoppingTime, space: FilteredSpace) -> Optional[list]:
+    """The fast read of a mixed rule: its exact breakpoints, then its sections' stop indices."""
+    bps = list(eta.breakpoints)
+    if len(eta.sections) != len(bps) - 1 or not {*map(type, bps)} <= _EXACT_TYPES:
+        return None
+    stops = _stop_cells(eta.sections, space)
+    return None if stops is None else bps + stops
+
+
+def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace, cells) -> Union[Violation, tuple]:
     """The first Violation, or ``(stops, weights, den)``: each section's stop blocks and
     its weight over ``den``.  Each section costs O(atoms); the first bad one is reported."""
     bps = eta.breakpoints
@@ -275,9 +293,9 @@ def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violatio
     weights = [b - a for a, b in zip(cuts, cuts[1:])]
     if min(weights) <= 0:
         return Violation("Malformed", detail="breakpoints must increase strictly")
-    stops = []
+    stops, A = [], len(space.atoms)
     for k, section in enumerate(eta.sections):
-        inner = _check_pure(section, space)
+        inner = _check_pure(section, space, cells and cells[len(bps) + k * A : len(bps) + k * A + A])
         if isinstance(inner, Violation):
             return Violation(
                 "SectionNotStoppingTime",
@@ -295,27 +313,33 @@ def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violatio
     Returns the first violated clause as a structured ``Violation`` rather
     than raising, so candidates can be inspected without try/except.
     """
-    parts = _kind(eta)[0](eta, space)
-    return parts if isinstance(parts, Violation) else None
+    kept = _checked(eta, space)
+    return kept if isinstance(kept, Violation) else None
 
 
-def check(eta: RandomStoppingTime, space: FilteredSpace):
-    """The parts a valid rule's check built: per atom its stop block (pure), ``(rho, den,
-    spent)`` (randomized), the hazards in flat order (behavior) or ``(stops, weights, den)``
-    (mixed).  Raises ValidationError with the first Violation for an invalid rule.
+def check(eta: RandomStoppingTime, space: FilteredSpace) -> Kept:
+    """A valid rule's kept check.  Its ``parts`` are per atom its stop block (pure), ``(rho,
+    den, spent)`` (randomized), the hazards in flat order (behavior) or ``(stops, weights,
+    den)`` (mixed).  Raises ValidationError with the first Violation for an invalid rule.
     """
-    parts = _kind(eta)[0](eta, space)
-    if isinstance(parts, Violation):
-        raise ValidationError(str(parts), violation=parts)
-    return parts
+    kept = _checked(eta, space)
+    if isinstance(kept, Violation):
+        raise ValidationError(str(kept), violation=kept)
+    return kept
+
+
+def _checked(eta, space: FilteredSpace) -> Union[Kept, Violation]:
+    """``eta``'s check on its fast read's cells, kept by the space (``FilteredSpace.recall``)."""
+    gather, inspect, _ = _kind(eta)
+    return space.recall(eta, gather(eta, space), lambda cells: inspect(eta, space, cells))
 
 
 # -- the canonical form -----------------------------------------------------------
 
 
 def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
-    """``densities`` as a Table, the form the exact passes read, built from ``check``'s parts."""
-    return _kind(eta)[1](check(eta, space), space)
+    """``densities`` as a Table, the form the exact passes read, built once from ``check``'s parts."""
+    return check(eta, space).derive(_kind(eta)[2], space)
 
 
 def _survival(hazards: list, space: FilteredSpace) -> Table:
@@ -364,18 +388,28 @@ def _spent_table(parts: tuple, space: FilteredSpace) -> Table:
     return Table(rho, [den - spent[i] for i in space.leaf], den)
 
 
-#: Per rule type, its check, which returns the first Violation or the parts it built,
-#: and the reduction of those parts to the rule's densities.
+#: Per rule type: its fast read, which gathers its cells or gives None; its check, which returns
+#: the first Violation or the parts it built; and the reduction of those parts to densities.
 _KINDS = {
-    PureStoppingTime: (_check_pure, lambda stops, space: _sections([stops], [1], 1, space)),
-    RandomizedStoppingTime: (_check_randomized, _spent_table),
-    BehaviorStoppingTime: (lambda eta, space: _unit_cells(eta.beta, space, "beta"), _survival),
-    MixedStoppingTime: (_check_mixed, lambda parts, space: _sections(*parts, space)),
+    PureStoppingTime: (
+        lambda eta, space: _stop_cells([eta], space),
+        _check_pure,
+        lambda stops, space: _sections([stops], [1], 1, space),
+    ),
+    RandomizedStoppingTime: (
+        lambda eta, space: space.keyed(eta.rho, eta.rho_inf), _check_randomized, _spent_table
+    ),
+    BehaviorStoppingTime: (
+        lambda eta, space: space.keyed(eta.beta),
+        lambda eta, space, cells: _unit_cells(eta.beta, space, "beta", cells),
+        _survival,
+    ),
+    MixedStoppingTime: (_mixed_cells, _check_mixed, lambda parts, space: _sections(*parts, space)),
 }
 
 
 def _kind(eta) -> tuple:
-    """``eta``'s check and reduction: the one dispatch on rule type."""
+    """``eta``'s fast read, check and reduction: the one dispatch on rule type."""
     kind = _KINDS.get(type(eta))
     if kind is None:
         raise TypeError(f"not a stopping rule: {type(eta).__name__}")

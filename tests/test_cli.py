@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stopwright
-import stopwright.space
-import stopwright.stopping
 from stopwright import convert
 from stopwright.cli import run
 from stopwright.games import BOTH, ONLY_1, ONLY_2
@@ -193,34 +191,19 @@ class TestEvaluation:
         doc = json.loads(out)
         assert doc["epsilon_optimal"] is True
 
-    def test_payoff_with_epsilon_validates_once(self, files, capsys, monkeypatch):
-        validated = []
-        real = stopwright.stopping.check
-
-        def counting(eta, space):
-            validated.append(eta)
-            return real(eta, space)
-
-        read = []
-        real_read = stopwright.space.check_process
-
-        def counting_reads(space, process):
-            read.append(process)
-            return real_read(space, process)
-
-        monkeypatch.setattr(stopwright.stopping, "check", counting)
-        monkeypatch.setattr(stopwright.space, "check_process", counting_reads)
-        code, out, _ = run_capture(
-            capsys,
-            [
-                "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
-                "--problem", files["problem.json"], "--epsilon", "0",
-            ],
-        )
-        assert code == 0
-        assert len(validated) == 1
-        assert len(read) == 1
-        assert out == '{\n  "epsilon": "0",\n  "epsilon_optimal": false,\n  "payoff": "3/8"\n}\n'
+    def test_payoff_with_epsilon_validates_once(self, files, capsys, checked, read):
+        args = [
+            "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
+            "--problem", files["problem.json"], "--epsilon", "0",
+        ]
+        for _ in range(2):  # each run reads its documents afresh, so checks its rule again
+            code, out, _ = run_capture(capsys, args)
+            assert code == 0
+            assert len(checked) == 1
+            assert len(read) == 1
+            assert out == '{\n  "epsilon": "0",\n  "epsilon_optimal": false,\n  "payoff": "3/8"\n}\n'
+            checked.clear()
+            read.clear()
 
     def test_snell(self, files, capsys):
         code, out, _ = run_capture(

@@ -28,7 +28,7 @@ from stopwright.montecarlo import _joint_total, _stop_columns, chunk_plan, detai
 from stopwright.space import FilteredSpace
 
 import oracles
-from fuzz import MAKERS, negate_process, random_game, random_space, random_stopping_time
+from fuzz import MAKERS, make_r1, negate_process, random_game, random_space, random_stopping_time
 
 SAMPLES = 100_000
 TOLERANCE = 0.02
@@ -267,17 +267,24 @@ class TestOneSpentPass:
         monkeypatch.setattr(FilteredSpace, "spent", counting)
         return calls
 
-    def test_one_pass_per_randomized_rule_per_call(self, passes, e1, r1, b1):
+    def test_one_pass_per_randomized_rule_per_call(self, passes, touch, e1, r1, b1):
         game = stopping_game(
             {(j, c): constant_process(e1, 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
         )
         empirical_game_payoff(r1, b1, game, e1, 1000, seed=1)
         assert len(passes) == 1
         passes.clear()
+        # r1's check is kept: no call after the first adds it up again
+        empirical_game_payoff(r1, b1, game, e1, 1000, seed=1)
         empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
-        assert len(passes) == 2
-        passes.clear()
         empirical_detailed_distribution(r1, e1, 1000, seed=1)
+        assert len(passes) == 0
+        touch(r1)
+        empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
+        assert len(passes) == 1
+        passes.clear()
+        other = make_r1()
+        empirical_detailed_distribution(other, e1, 1000, seed=1)
         assert len(passes) == 1
 
     def test_invalid_rule_still_rejected_first(self, e1, r1):

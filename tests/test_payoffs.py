@@ -398,6 +398,18 @@ class TestStrictProcessRead:
         for name in ("payoff", "snell_value", "game_payoff"):
             assert calls[name](problem) == calls[name](plain), name
 
+    @pytest.mark.parametrize("keys, first", [((5, "zz"), "zz"), (("D", "C"), "C"), ((7, 5), 5)])
+    def test_unknown_keys_of_any_types(self, e1, r1, b1, keys, first):
+        problem = constant_process(e1, 0)
+        problem.values[1].update(dict.fromkeys(keys, F(0)))
+        for name, call in self.calls(e1, r1, b1).items():
+            with pytest.raises(SpaceMismatch) as raised:
+                call(problem)
+            assert str(raised.value) == "process blocks at time 1 do not match the space", name
+            assert raised.value.violation == Violation(
+                "Malformed", 1, first, "unknown block in values"
+            ), name
+
     @pytest.mark.parametrize(
         "fault, message",
         [

@@ -10,6 +10,7 @@ from stopwright import (
     ValidationError,
     behavior,
     build_space,
+    constant_process,
     detailed_distribution,
     enumerate_pure_stopping_times,
     equivalent,
@@ -22,8 +23,6 @@ from stopwright import (
 )
 
 import stopwright.games
-import stopwright.space
-import stopwright.stopping
 from stopwright import (
     auxiliary_problem,
     best_response_value,
@@ -37,7 +36,8 @@ from stopwright import (
     stopping_game,
     zero_sum_value,
 )
-from stopwright.games import COALITIONS
+from stopwright.games import BOTH, COALITIONS
+from stopwright.stopping import check
 from stopwright.convert import TARGET_TYPES
 
 from fuzz import (
@@ -78,6 +78,17 @@ class TestValidate:
         bad = pure({"w1": 3, "w2": 3, "w3": 3, "w4": 3})
         violation = validate(bad, e1)
         assert violation.kind == "OutOfRange"
+
+    @pytest.mark.parametrize("index, label", [(2.5, "2.5"), (float("nan"), "nan")])
+    def test_pure_float_stop_index_is_reported_as_given(self, e1, index, label):
+        bad = pure({"w1": index, "w2": 2, "w3": 2, "w4": 2})
+        expected = f"OutOfRange n={label} at w1 (stop index {index!r} outside 1..2, inf)"
+        assert str(validate(bad, e1)) == expected
+        problem = constant_process(e1, 1)
+        for call in (check, detailed_distribution, lambda eta, space: payoff(eta, problem, space)):
+            with pytest.raises(ValidationError) as raised:
+                call(bad, e1)
+            assert str(raised.value) == expected
 
     def test_pure_bool_stop_index(self, e1):
         violation = validate(pure({a: True for a in e1.atoms}), e1)
@@ -352,32 +363,9 @@ class TestEnumeration:
 
 
 class TestValidatesOnce:
-    """Each public entry point reads each rule, process and game it is given exactly once."""
-
-    @pytest.fixture
-    def validated(self, monkeypatch):
-        calls = []
-        real = stopwright.stopping.check
-
-        def counting(eta, space):
-            calls.append(eta)
-            return real(eta, space)
-
-        monkeypatch.setattr(stopwright.stopping, "check", counting)
-        return calls
-
-    @pytest.fixture
-    def read(self, monkeypatch):
-        """The processes read, in the order ``check_process`` is called on them."""
-        calls = []
-        real = stopwright.space.check_process
-
-        def counting(space, process):
-            calls.append(process)
-            return real(space, process)
-
-        monkeypatch.setattr(stopwright.space, "check_process", counting)
-        return calls
+    """Each public entry point reads each rule, process and game it is given once, and checks
+    a rule or game only when the space keeps no check of it: a first call checks it once, an
+    unchanged repeat not at all and a rule changed in place once again."""
 
     @pytest.fixture
     def cases(self):
@@ -385,17 +373,21 @@ class TestValidatesOnce:
         space = random_space(rng, max_depth=3)
         return space, [maker(rng, space) for maker in MAKERS], random_process(rng, space)
 
-    def test_detailed_distribution_and_payoff(self, validated, cases):
+    def test_detailed_distribution_and_payoff(self, checked, touch, cases):
         space, rules, problem = cases
         for eta in rules:
             detailed_distribution(eta, space)
-            assert validated == [eta]
-            validated.clear()
+            assert checked == [eta]
+            checked.clear()
             payoff(eta, problem, space)
-            assert validated == [eta]
-            validated.clear()
+            detailed_distribution(eta, space)
+            assert checked == []
+            touch(eta)
+            payoff(eta, problem, space)
+            assert checked == [eta]
+            checked.clear()
 
-    def test_problem_read_once(self, validated, read, cases):
+    def test_problem_read_once(self, checked, read, touch, cases):
         space, rules, problem = cases
         payoff(rules[0], problem, space)
         assert read == [problem]
@@ -405,45 +397,64 @@ class TestValidatesOnce:
         read.clear()
         check_epsilon_optimal(rules[0], problem, 0, space)
         assert read == [problem]
-        assert validated == [rules[0]] * 2
+        assert checked == [rules[0]]
+        touch(rules[0])
+        check_epsilon_optimal(rules[0], problem, 0, space)
+        assert checked == [rules[0]] * 2
 
-    def test_convert_every_target(self, validated, cases):
+    def test_convert_every_target(self, checked, touch, cases):
         space, rules, _ = cases
         for eta in rules:
             for target in TARGET_TYPES:
                 convert(eta, target, space)
-                assert validated == [eta]
-                validated.clear()
+            assert checked == [eta]
+            checked.clear()
+            touch(eta)
+            for target in TARGET_TYPES:
+                convert(eta, target, space)
+            assert checked == [eta]
+            checked.clear()
 
-    def test_equivalent_validates_both(self, validated, cases):
+    def test_equivalent_validates_both(self, checked, touch, cases):
         space, rules, _ = cases
         equivalent(rules[0], rules[1], space)
-        assert validated == [rules[0], rules[1]]
+        assert checked == [rules[0], rules[1]]
+        equivalent(rules[1], rules[0], space)
+        assert checked == [rules[0], rules[1]]
+        touch(rules[1])
+        equivalent(rules[0], rules[1], space)
+        assert checked == [rules[0], rules[1], rules[1]]
 
-    def test_game_calls_validate_each_rule_once(self, validated, cases, monkeypatch):
+    def test_game_calls_validate_each_rule_once(self, checked, touch, cases, monkeypatch):
         space, rules, _ = cases
         game = random_game(random.Random(18), space)
-        checked = []
+        counted = []
         real = stopwright.games.game_tables
         monkeypatch.setattr(
-            stopwright.games, "game_tables", lambda *args: checked.append(1) or real(*args)
+            stopwright.games, "game_tables", lambda *args: counted.append(1) or real(*args)
         )
+        fresh = [game, *rules]  # each is checked by the first call given it, and only then
         for eta1, eta2 in zip(rules, rules[1:] + rules[:1]):
+            for _ in range(2):
+                counted.clear()
+                game_payoff(eta1, eta2, game, space)
+                assert counted == [1]
+                check_epsilon_equilibrium(eta1, eta2, game, 0, space)
+                for player in (1, 2):
+                    auxiliary_problem(eta1, game, space, player)
+                    best_response_value(eta1, game, player, space)
+                given = [x for x in fresh if any(x is y for y in (game, eta1, eta2))]
+                assert sorted(checked, key=id) == sorted(given, key=id)
+                fresh = [x for x in fresh if all(x is not y for y in given)]
+                checked.clear()
+        for eta in rules:
+            touch(eta)
+            best_response_value(eta, game, 1, space)
+            assert checked == [eta]
             checked.clear()
-            game_payoff(eta1, eta2, game, space)
-            assert sorted(validated, key=id) == sorted([eta1, eta2], key=id)
-            assert checked == [1]
-            validated.clear()
-            check_epsilon_equilibrium(eta1, eta2, game, 0, space)
-            assert sorted(validated, key=id) == sorted([eta1, eta2], key=id)
-            validated.clear()
-            for player in (1, 2):
-                auxiliary_problem(eta1, game, space, player)
-                assert validated == [eta1]
-                validated.clear()
-                best_response_value(eta1, game, player, space)
-                assert validated == [eta1]
-                validated.clear()
+        game.payoffs[1, BOTH].infinity[space.atoms[0]] += 1
+        best_response_value(rules[0], game, 1, space)
+        assert checked == [game]
 
     def test_game_processes_read_once_per_call(self, read, cases):
         space, rules, _ = cases
