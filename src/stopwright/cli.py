@@ -32,6 +32,7 @@ from .serialize import (
     stopping_time_from_doc,
     stopping_time_to_doc,
     time_label,
+    too_many_digits,
 )
 from .stopping import check, detailed_distribution, equivalent
 
@@ -122,7 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past the interpreter's limit on digits
+        raise FormatError(too_many_digits()) from None
 
 
 def _flatten(doc, prefix=()):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, Table, Time, as_fraction, integers
+from .space import INFINITY, FilteredSpace, Table, Time, fraction_table, integers
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -143,9 +143,7 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     coming from an actual stopping measure this is a no-op; it only changes
     tables that were inconsistent to begin with.
     """
-    table = {
-        int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in candidate.items()
-    }
+    table = fraction_table(candidate)
     raw, den = integers([table.get(n, {}).get(b, ZERO) for n, b in zip(space.depth, space.ids)])
     unspent = [0] * space.root + [den]
     rho = []

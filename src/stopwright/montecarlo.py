@@ -9,18 +9,21 @@ check adds up), and for a game the integer tables its exact calls share.
 
 Reproducibility contract
 ------------------------
-Sampling is chunked: chunk ``i`` covers samples ``[i*CHUNK_SIZE, ...)`` and
-draws from ``numpy.random.default_rng((seed, i))`` (PCG64 seeded through
-``SeedSequence``).  Within a chunk the draw order is fixed: outcome
-uniforms first, then the rule's stop draws (for two players, three
-generators spawned from the chunk's SeedSequence in the order outcome,
-player 1, player 2).  Totals are sums of per-chunk counts, so any split of
-whole chunks across workers reproduces the single-worker result bit for
-bit, and identical seeds always give identical output.
+One counter serves one rule or two.  Sampling is chunked: chunk ``i``
+covers samples ``[i*CHUNK_SIZE, ...)`` and is seeded with
+``numpy.random.SeedSequence((seed, i))`` (PCG64).  One rule draws from that
+sequence's generator, outcome uniforms first and then its stop draws; two
+rules draw from the three generators spawned from it, in the order
+outcome, player 1, player 2.  A chunk's counts, by (atom, *stop columns),
+depend only on ``seed``, ``i`` and its size, and totals are sums of
+per-chunk counts, so any split of whole chunks across workers reproduces
+the single-worker result bit for bit, and identical seeds always give
+identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -155,34 +158,26 @@ def _bincount(index: tuple, shape: tuple) -> np.ndarray:
     return counts.astype(np.int64, copy=False).reshape(shape)
 
 
-def _detailed_counter(eta: RandomStoppingTime, space: FilteredSpace):
-    """``count(size, seed, chunk_index)`` -> one chunk's counts; tables built once."""
+def _counter(rules: tuple, space: FilteredSpace):
+    """``count(size, seed, chunk_index)`` -> one chunk's counts by (atom, *stop columns).
+
+    One rule draws everything from the chunk's generator; two rules draw
+    from the three generators it spawns (outcome, player 1, player 2).
+    Each rule's sampler is built once.
+    """
     cumprobs = _space_arrays(space)[0]
-    columns = _stop_columns(eta, space)
-    shape = (len(space.atoms), space.horizon + 1)
-
-    def count(size: int, seed: int, chunk_index: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        atom_idx = np.searchsorted(cumprobs, rng.random(size), side="left")
-        return _bincount((atom_idx, columns(rng, atom_idx)), shape)
-
-    return count
-
-
-def _joint_counter(eta1: RandomStoppingTime, eta2: RandomStoppingTime, space: FilteredSpace):
-    """``count(size, seed, chunk_index)`` -> one chunk's joint counts; tables built once."""
-    cumprobs = _space_arrays(space)[0]
-    columns1 = _stop_columns(eta1, space)
-    columns2 = _stop_columns(eta2, space)
-    shape = (len(space.atoms), space.horizon + 1, space.horizon + 1)
+    samplers = [_stop_columns(eta, space) for eta in rules]
+    shape = (len(space.atoms),) + (space.horizon + 1,) * len(rules)
 
     def count(size: int, seed: int, chunk_index: int) -> np.ndarray:
         root = np.random.SeedSequence((seed, chunk_index))
-        rng_omega, rng1, rng2 = (np.random.default_rng(s) for s in root.spawn(3))
-        atom_idx = np.searchsorted(cumprobs, rng_omega.random(size), side="left")
-        cols1 = columns1(rng1, atom_idx)
-        cols2 = columns2(rng2, atom_idx)
-        return _bincount((atom_idx, cols1, cols2), shape)
+        if len(rules) == 1:
+            rngs = [np.random.default_rng(root)] * 2
+        else:
+            rngs = [np.random.default_rng(s) for s in root.spawn(3)]
+        atom_idx = np.searchsorted(cumprobs, rngs[0].random(size), side="left")
+        columns = [sampler(rng, atom_idx) for sampler, rng in zip(samplers, rngs[1:])]
+        return _bincount((atom_idx, *columns), shape)
 
     return count
 
@@ -191,19 +186,7 @@ def detailed_counts_chunk(
     eta: RandomStoppingTime, space: FilteredSpace, size: int, seed: int, chunk_index: int
 ) -> np.ndarray:
     """Stop-time counts (atoms x times) for one chunk of the sample stream."""
-    return _detailed_counter(eta, space)(size, seed, chunk_index)
-
-
-def joint_counts_chunk(
-    eta1: RandomStoppingTime,
-    eta2: RandomStoppingTime,
-    space: FilteredSpace,
-    size: int,
-    seed: int,
-    chunk_index: int,
-) -> np.ndarray:
-    """Joint stop-time counts (atoms x times x times) for one chunk."""
-    return _joint_counter(eta1, eta2, space)(size, seed, chunk_index)
+    return _counter((eta,), space)(size, seed, chunk_index)
 
 
 def chunk_plan(samples: int) -> list[tuple[int, int]]:
@@ -225,6 +208,20 @@ def _check_sampling_args(samples: int, seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
+def _total(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
+    """Counts by (atom, *stop columns) summed over the seeded chunks."""
+    count = _counter(rules, space)
+    _check_sampling_args(samples, seed)
+    return sum(count(size, seed, index) for index, size in chunk_plan(samples))
+
+
+def _counts(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> dict:
+    """Per atom, the counts of each cell: a time for one rule, ``(t1, t2)`` in C order for two."""
+    total = _total(rules, space, samples, seed)
+    cells = space.times if len(rules) == 1 else list(itertools.product(space.times, repeat=2))
+    return {atom: dict(zip(cells, row.ravel().tolist())) for atom, row in zip(space.atoms, total)}
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Counts of realized (outcome, stop index) pairs from seeded sampling."""
@@ -233,47 +230,25 @@ class EmpiricalDistribution:
     counts: Mapping[str, Mapping[Time, int]]
 
     @property
-    def frequencies(self) -> dict[str, dict[Time, float]]:
-        return {
-            atom: {t: c / self.samples for t, c in row.items()}
-            for atom, row in self.counts.items()
-        }
-
-
-def empirical_detailed_distribution(
-    eta: RandomStoppingTime, space: FilteredSpace, samples: int, seed: int
-) -> EmpiricalDistribution:
-    """Relative frequencies over (outcome, stop index), deterministic per seed."""
-    count = _detailed_counter(eta, space)
-    _check_sampling_args(samples, seed)
-    total = sum(count(size, seed, index) for index, size in chunk_plan(samples))
-    counts = {
-        atom: {t: int(total[i, j]) for j, t in enumerate(space.times)}
-        for i, atom in enumerate(space.atoms)
-    }
-    return EmpiricalDistribution(samples=samples, counts=counts)
-
-
-@dataclass(frozen=True)
-class EmpiricalJointDistribution:
-    """Counts of realized (outcome, stop index 1, stop index 2) triples."""
-
-    samples: int
-    counts: Mapping[str, Mapping[tuple[Time, Time], int]]
-
-    @property
-    def frequencies(self) -> dict[str, dict[tuple[Time, Time], float]]:
+    def frequencies(self) -> dict[str, dict]:
         return {
             atom: {cell: c / self.samples for cell, c in row.items()}
             for atom, row in self.counts.items()
         }
 
 
-def _joint_total(eta1, eta2, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
-    """Joint counts (atoms x times x times) summed over the seeded chunks."""
-    count = _joint_counter(eta1, eta2, space)
-    _check_sampling_args(samples, seed)
-    return sum(count(size, seed, index) for index, size in chunk_plan(samples))
+@dataclass(frozen=True)
+class EmpiricalJointDistribution(EmpiricalDistribution):
+    """Counts of realized (outcome, stop index 1, stop index 2) triples."""
+
+    counts: Mapping[str, Mapping[tuple[Time, Time], int]]
+
+
+def empirical_detailed_distribution(
+    eta: RandomStoppingTime, space: FilteredSpace, samples: int, seed: int
+) -> EmpiricalDistribution:
+    """Relative frequencies over (outcome, stop index), deterministic per seed."""
+    return EmpiricalDistribution(samples, _counts((eta,), space, samples, seed))
 
 
 def empirical_joint_distribution(
@@ -284,16 +259,7 @@ def empirical_joint_distribution(
     seed: int,
 ) -> EmpiricalJointDistribution:
     """Joint frequencies for two rules run on independent draw streams."""
-    total = _joint_total(eta1, eta2, space, samples, seed)
-    counts = {
-        atom: {
-            (t1, t2): int(total[i, j1, j2])
-            for j1, t1 in enumerate(space.times)
-            for j2, t2 in enumerate(space.times)
-        }
-        for i, atom in enumerate(space.atoms)
-    }
-    return EmpiricalJointDistribution(samples=samples, counts=counts)
+    return EmpiricalJointDistribution(samples, _counts((eta1, eta2), space, samples, seed))
 
 
 def empirical_game_payoff(
@@ -311,7 +277,7 @@ def empirical_game_payoff(
     added one after another from 0.0, so the float sums run in a fixed order.
     """
     grids = kept_game(game, space).derive(_payoff_grids, space)
-    total = _joint_total(eta1, eta2, space, samples, seed)
+    total = _total((eta1, eta2), space, samples, seed)
     i, j1, j2 = np.nonzero(total)
     coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
     terms = total[i, j1, j2] * grids[:, coalition, i, np.minimum(j1, j2)]

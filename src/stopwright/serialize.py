@@ -10,6 +10,7 @@ nothing else.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import FormatError, ValidationError
@@ -48,15 +49,24 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+def too_many_digits() -> str:
+    """What a number past the interpreter's limit on the digits of an int string is told."""
+    return f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+
 def parse_rational(value) -> Fraction:
     """A JSON integer (not a bool) or a string "a/b" or "a"; nothing else is read."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         numerator, _, denominator = value.partition("/")
-        if denominator and int(denominator) == 0:
+        try:
+            numerator, denominator = int(numerator), int(denominator or 1)
+        except ValueError:  # past the interpreter's limit on the digits of an int string
+            raise FormatError(f"bad rational: {too_many_digits()}") from None
+        if denominator == 0:
             raise FormatError(f"bad rational {value!r}: zero denominator")
-        return Fraction(int(numerator), int(denominator or 1))
+        return Fraction(numerator, denominator)
     raise FormatError(f"bad rational {value!r}: expected a JSON integer or a string 'a/b'")
 
 
@@ -67,7 +77,10 @@ def parse_time(key) -> Time:
     if isinstance(key, int) and not isinstance(key, bool):
         return key
     if isinstance(key, str) and _INTEGER.fullmatch(key):
-        return int(key)
+        try:
+            return int(key)
+        except ValueError:  # past the interpreter's limit on the digits of an int string
+            raise FormatError(f"bad time index: {too_many_digits()}") from None
     raise FormatError(f"bad time index {key!r} (expected an integer or 'inf')")
 
 

@@ -59,6 +59,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def fraction_table(table) -> dict[int, dict[str, Fraction]]:
+    """A per-time block table with ``int`` times and ``as_fraction`` values, in its own order."""
+    return {int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in table.items()}
+
+
 def time_label(t: Time) -> str:
     """Render a time index for messages and JSON keys ('1', ..., 'inf'); a float off the
     integers, such as 2.5 or nan, as its repr."""
@@ -585,7 +590,7 @@ class AdaptedProcess:
 def adapted_process(values, infinity) -> AdaptedProcess:
     """Build an AdaptedProcess, coercing ints/strings to exact Fractions."""
     return AdaptedProcess(
-        values={int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in values.items()},
+        values=fraction_table(values),
         infinity={a: as_fraction(v) for a, v in infinity.items()},
     )
 

@@ -41,6 +41,7 @@ from .space import (
     _exact,
     as_fraction,
     denominator_of,
+    fraction_table,
     integers,
     numerator_of,
 )
@@ -127,15 +128,13 @@ def pure(stop: Mapping[str, Time]) -> PureStoppingTime:
 
 def randomized(rho, rho_inf) -> RandomizedStoppingTime:
     return RandomizedStoppingTime(
-        rho={int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in rho.items()},
+        rho=fraction_table(rho),
         rho_inf={a: as_fraction(v) for a, v in rho_inf.items()},
     )
 
 
 def behavior(beta) -> BehaviorStoppingTime:
-    return BehaviorStoppingTime(
-        beta={int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in beta.items()}
-    )
+    return BehaviorStoppingTime(beta=fraction_table(beta))
 
 
 def mixed(breakpoints, sections) -> MixedStoppingTime:

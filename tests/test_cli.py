@@ -18,6 +18,14 @@ from fuzz import E1_NODES, make_b1, make_e1, make_r1, negate_process, random_pro
 import random
 
 
+#: The interpreter's limit on the digits of an int string; 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "1" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter puts no limit on the digits of an int string"
+)
+
+
 @pytest.fixture
 def files(tmp_path):
     """Write the standard fixture documents to disk; returns path strings."""
@@ -483,6 +491,35 @@ class TestMalformedDocuments:
         with open(files["game.json"], encoding="utf-8") as handle:
             doc = {**json.load(handle), "players": players}
         self.check(capsys, tmp_path, files, "game-value", "--game", doc)
+
+    def check_space(self, capsys, tmp_path, text, error):
+        path = tmp_path / "space.json"
+        path.write_text(text)
+        code, out, err = run_capture(capsys, ["validate", "--space", str(path)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+
+    def test_arrays_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        self.check_space(capsys, tmp_path, "[" * 100_000 + "]" * 100_000, "InvalidJSON")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["integer", "rational-string"])
+    def test_leaf_prob_past_the_int_digit_limit(self, capsys, tmp_path, quote):
+        nodes = [dict(n) for n in E1_NODES]
+        nodes[-1]["prob"] = "PROB"
+        prob = TOO_LONG + ("/2" if quote else "")
+        text = json.dumps({"nodes": nodes}).replace('"PROB"', quote + prob + quote)
+        self.check_space(capsys, tmp_path, text, "FormatError")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "doc",
+        [{"type": "pure", "stop": {"w1": TOO_LONG}}, {"type": "behavior", "beta": {TOO_LONG: {}}}],
+        ids=["stop-index", "time-key"],
+    )
+    def test_time_index_past_the_int_digit_limit(self, capsys, tmp_path, files, doc):
+        self.check(capsys, tmp_path, files, "dist", "--st", doc)
 
 
 class TestStructuredErrors:

@@ -24,7 +24,7 @@ from stopwright import (
     sample_stop_time,
     stopping_game,
 )
-from stopwright.montecarlo import _joint_total, _stop_columns, chunk_plan, detailed_counts_chunk
+from stopwright.montecarlo import _counter, _stop_columns, _total, chunk_plan, detailed_counts_chunk
 from stopwright.space import FilteredSpace
 
 import oracles
@@ -116,23 +116,27 @@ class TestEmpiricalDistribution:
         third = empirical_detailed_distribution(b1, e1, 20_000, seed=10)
         assert third.counts != first.counts
 
-    def test_partitioning_does_not_change_totals(self, e1, r1):
-        samples, seed = 10_000, 5
-        whole = empirical_detailed_distribution(r1, e1, samples, seed)
+    @pytest.mark.parametrize("players", [1, 2], ids=["one-rule", "two-rules"])
+    def test_partitioning_does_not_change_totals(self, e1, r1, b1, players):
+        rules, samples, seed = (r1, b1)[:players], 10_000, 5
+        if players == 1:
+            whole = empirical_detailed_distribution(r1, e1, samples, seed)
+        else:
+            whole = empirical_joint_distribution(r1, b1, e1, samples, seed)
+        # the public counts, per atom, in the counter's C order of cells
+        expected = np.array([list(row.values()) for row in whole.counts.values()])
         plan = chunk_plan(samples)
         assert len(plan) > 1
-        # split the chunk list across two "workers" in two different ways
+        # split the chunk list across two "workers" in two different ways, the later first
         for cut in (1, len(plan) - 1):
-            partial = None
-            for worker in (plan[:cut], plan[cut:]):
-                for index, size in worker:
-                    counts = detailed_counts_chunk(r1, e1, size, seed, index)
-                    partial = counts if partial is None else partial + counts
-            merged = {
-                atom: {t: int(partial[i, j]) for j, t in enumerate(e1.times)}
-                for i, atom in enumerate(e1.atoms)
-            }
-            assert merged == whole.counts
+            partial = 0
+            for worker in (plan[cut:], plan[:cut]):
+                count = _counter(rules, e1)
+                partial = partial + sum(count(size, seed, index) for index, size in worker)
+            assert np.array_equal(partial.reshape(len(e1.atoms), -1), expected)
+        if players == 1:  # the public one-chunk call is the same counter
+            chunk = detailed_counts_chunk(r1, e1, 100, seed, 3)
+            assert np.array_equal(chunk, _counter(rules, e1)(100, seed, 3))
 
 
 class TestEmpiricalJoint:
@@ -233,7 +237,7 @@ class TestGamePayoffMatchesPerCellLoop:
             for eta1 in rules:
                 for eta2 in rules:
                     samples, seed = rng.randint(1, 3000), rng.randrange(100)
-                    total = _joint_total(eta1, eta2, space, samples, seed)
+                    total = _total((eta1, eta2), space, samples, seed)
                     expected = oracles.empirical_game_payoff(total, game, space, samples)
                     got = empirical_game_payoff(eta1, eta2, game, space, samples, seed)
                     assert repr(got) == repr(expected)
@@ -247,7 +251,7 @@ class TestGamePayoffMatchesPerCellLoop:
         # every term is -0.0; a sum started at 0.0 stays 0.0
         tiny = constant_process(e1, F(-1, 10**400))
         game = stopping_game({(j, c): tiny for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)})
-        expected = oracles.empirical_game_payoff(_joint_total(r1, b1, e1, 700, 2), game, e1, 700)
+        expected = oracles.empirical_game_payoff(_total((r1, b1), e1, 700, 2), game, e1, 700)
         got = empirical_game_payoff(r1, b1, game, e1, 700, seed=2)
         assert repr(got) == repr(expected) == "(0.0, 0.0)"
 
