@@ -21,7 +21,7 @@ from .games import (
     game_payoff,
     zero_sum_value,
 )
-from .payoffs import _epsilon, _payoff_and_table, _snell, snell_value
+from .payoffs import check_epsilon_optimal, payoff, snell_value
 from .serialize import (
     game_from_doc,
     measure_to_doc,
@@ -200,12 +200,11 @@ def _dispatch(args) -> dict:
     if args.command == "payoff":
         eta = stopping_time_from_doc(_load_json(args.st))
         problem = process_from_doc(_load_json(args.problem))
-        value, table = _payoff_and_table(eta, problem, space)
-        doc = {"payoff": rational_str(value)}
+        doc = {"payoff": rational_str(payoff(eta, problem, space))}
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
-            doc["epsilon_optimal"] = value + _epsilon(epsilon) >= _snell(table, space).value
+            doc["epsilon_optimal"] = check_epsilon_optimal(eta, problem, epsilon, space)
         return doc
 
     if args.command == "snell":

@@ -28,6 +28,7 @@ from .space import (
     Kept,
     Table,
     Time,
+    read_only,
 )
 from .stopping import (
     BehaviorStoppingTime,
@@ -54,17 +55,19 @@ class StoppingGame:
 
     payoffs: Mapping[tuple[int, frozenset], AdaptedProcess]
 
+    def __post_init__(self):
+        object.__setattr__(self, "payoffs", read_only(self.payoffs))
+        missing = [(j, set(c)) for j, c in KEYS if (j, c) not in self.payoffs]
+        if missing:
+            raise ValidationError(f"game is missing payoff processes for {missing}")
+
     def process(self, player: int, coalition) -> AdaptedProcess:
         return self.payoffs[(player, frozenset(coalition))]
 
 
 def stopping_game(payoffs) -> StoppingGame:
     """Build a StoppingGame from {(player, coalition): AdaptedProcess}."""
-    table = {(int(j), frozenset(c)): proc for (j, c), proc in payoffs.items()}
-    missing = [(j, set(c)) for j in PLAYERS for c in COALITIONS if (j, c) not in table]
-    if missing:
-        raise ValidationError(f"game is missing payoff processes for {missing}")
-    return StoppingGame(payoffs=table)
+    return StoppingGame(payoffs={(int(j), frozenset(c)): p for (j, c), p in payoffs.items()})
 
 
 def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
@@ -73,10 +76,8 @@ def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
 
 
 def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
-    """The game's translation, kept by the space (``FilteredSpace.recall``); every call reads
-    and checks each process once, and the cells read guard the reuse."""
-    cells = space.gather([game.payoffs[key] for key in KEYS])
-    return space.recall(game, cells, space.translate)
+    """The game's translation, kept by the space while the game lives (``FilteredSpace.recall``)."""
+    return space.recall(game, lambda: space.tables(*map(game.payoffs.__getitem__, KEYS)))
 
 
 def _own(tables: Sequence[Table], player: int) -> tuple[Table, Table, Table]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .space import INFINITY, FilteredSpace, Table, Time
 from .stopping import (
     BehaviorStoppingTime,
+    MixedStoppingTime,
     PureStoppingTime,
     RandomStoppingTime,
     RandomizedStoppingTime,
@@ -86,15 +88,15 @@ def sample_stop_time(
 
 def _space_arrays(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
     """The atoms' cumulative probabilities and (atoms, T) block paths, kept by the space as a
-    check is, with itself as the input and no cells.  ``mass / denominator`` of Python
-    integers rounds as ``float`` of the Fraction does."""
+    check is, with itself as the input.  ``mass / denominator`` of Python integers rounds
+    as ``float`` of the Fraction does."""
 
-    def build(_):
+    def build():
         c = np.cumsum([m / space.denominator for m in space.atom_mass])
         c[-1] = 1.0
         return c, np.array(space.paths).reshape(len(space.atoms), space.horizon)
 
-    return space.recall(space, [], build).parts
+    return space.recall(space, build).parts
 
 
 def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
@@ -105,50 +107,55 @@ def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
 def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
     """The rule's sampler: ``columns(rng, atom_idx)`` draws one realized stop per sample.
 
-    Columns 0..T-1 are times 1..T and column T is "never".  The rule is
-    checked here, and its float tables are built once, from its own
-    per-block parameters as its check gathered them (a randomized rule's
-    cumulative masses come from the check's spent pass).  Each call of the
-    sampler only draws and looks up.
+    Columns 0..T-1 are times 1..T and column T is "never".  The rule is checked here, and
+    the sampler is built once per kept check from the check's parts: a randomized rule's
+    cumulative masses from its spent pass, a mixed rule's cuts from its integer weights
+    (``int / int`` rounds as ``float`` of the Fraction does).  It only draws and looks up.
     """
-    T = space.horizon
-    paths = _space_arrays(space)[1]
-    parts = check(eta, space).parts
+    return check(eta, space).derive(_SAMPLERS[type(eta)], space)
 
-    def columns(stops) -> list:
-        """Per atom, the column of its stop block, T if it has none."""
-        return [T if i is None else space.depth[i] - 1 for i in stops]
 
-    if isinstance(eta, RandomizedStoppingTime):
-        _, den, spent = parts
-        cum = np.array([c / den for c in spent])[paths]
+def _columns(stops, space: FilteredSpace) -> list:
+    """Per atom, the column of its stop block, T if it has none."""
+    return [space.horizon if i is None else space.depth[i] - 1 for i in stops]
 
-        def threshold(rng, atom_idx):
-            r = rng.random(len(atom_idx))
-            rows = cum[atom_idx]
-            return _first_true((rows > 0) & (rows >= r[:, None]), T)
 
-        return threshold
-    if isinstance(eta, PureStoppingTime):
-        table = np.array(columns(parts))
-        return lambda rng, atom_idx: table[atom_idx]
-    if isinstance(eta, BehaviorStoppingTime):
-        hazard = np.array([float(h) for h in parts])[paths]
+def _pick(table, rng, atom_idx):
+    return table[atom_idx]
 
-        def hazards(rng, atom_idx):
-            draws = rng.random((len(atom_idx), T))
-            return _first_true(draws < hazard[atom_idx], T)
 
-        return hazards
-    # mixed: one draw selects the section, the section decides per atom
-    cuts = np.array([float(r) for r in eta.breakpoints[1:]])
-    section_cols = np.array([columns(stops) for stops in parts[0]])
+def _threshold(cum, rng, atom_idx):
+    r = rng.random(len(atom_idx))
+    rows = cum[atom_idx]
+    return _first_true((rows > 0) & (rows >= r[:, None]), cum.shape[1])
 
-    def sections(rng, atom_idx):
-        k = np.searchsorted(cuts, rng.random(len(atom_idx)), side="left")
-        return section_cols[k, atom_idx]
 
-    return sections
+def _hazards(hazard, rng, atom_idx):
+    draws = rng.random((len(atom_idx), hazard.shape[1]))
+    return _first_true(draws < hazard[atom_idx], hazard.shape[1])
+
+
+def _sections(cuts, section_cols, rng, atom_idx):
+    """One draw selects the section, the section decides per atom."""
+    k = np.searchsorted(cuts, rng.random(len(atom_idx)), side="left")
+    return section_cols[k, atom_idx]
+
+
+#: Per rule type, its sampler from its check's parts.
+_SAMPLERS = {
+    PureStoppingTime: lambda stops, space: partial(_pick, np.array(_columns(stops, space))),
+    RandomizedStoppingTime: lambda parts, space: partial(
+        _threshold, np.array([c / parts[1] for c in parts[2]])[_space_arrays(space)[1]]
+    ),
+    BehaviorStoppingTime: lambda hazards, space: partial(
+        _hazards, np.array([float(h) for h in hazards])[_space_arrays(space)[1]]
+    ),
+    MixedStoppingTime: lambda parts, space: partial(
+        _sections,
+        np.array([c / parts[2] for c in itertools.accumulate(parts[1])]),
+        np.array([_columns(stops, space) for stops in parts[0]]),
+    ),
+}
 
 
 def _bincount(index: tuple, shape: tuple) -> np.ndarray:

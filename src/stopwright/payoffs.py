@@ -49,14 +49,12 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
     block: stop mass times block probability times value, plus the
     never-stop mass times each atom's INFINITY value.
     """
-    return _payoff_and_table(eta, problem, space)[0]
+    return _pair(density_table(eta, space), _table(problem, space), space)
 
 
-def _payoff_and_table(eta, problem: AdaptedProcess, space: FilteredSpace) -> tuple:
-    """``payoff`` and the problem as a Table, for a caller that also solves the problem."""
-    d = density_table(eta, space)
-    (table,) = space.tables(problem)
-    return _pair(d, table, space), table
+def _table(problem: AdaptedProcess, space: FilteredSpace) -> Table:
+    """The problem as a Table, read by ``check_process`` once while it lives."""
+    return space.recall(problem, lambda: space.tables(problem)[0]).parts
 
 
 def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
@@ -74,8 +72,7 @@ def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     stopping attains that value, so ties stop as early as possible; an atom
     still running past T never stops, because stopping at T is worse there.
     """
-    (table,) = space.tables(problem)
-    return _snell(table, space)
+    return _snell(_table(problem, space), space)
 
 
 def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
@@ -145,8 +142,7 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
-    value, table = _payoff_and_table(eta, problem, space)
-    return value + _epsilon(epsilon) >= _snell(table, space).value
+    return payoff(eta, problem, space) + _epsilon(epsilon) >= snell_value(problem, space).value
 
 
 def _epsilon(epsilon) -> Fraction:

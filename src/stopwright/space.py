@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, eq, getitem, is_, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from operator import attrgetter, eq, getitem, mul
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ProbabilitySumError,
@@ -59,6 +61,34 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+class ReadOnly(dict):
+    """A dict that refuses every change in place.  Rules, processes and games hold their tables
+    in it, so each stays the input it was when built; ``dict(table)`` is a copy to edit."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("this table is read-only; edit a copy, such as dict(table)")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return ReadOnly, (dict(self),)
+
+
+def read_only(table):
+    """A mapping as a ReadOnly copy, or itself if it is one; anything else as it is."""
+    return ReadOnly(table) if type(table) is not ReadOnly and isinstance(table, Mapping) else table
+
+
+def read_only_rows(table):
+    """A per-time table as a ReadOnly copy whose mapping rows are ``read_only`` too; a ReadOnly
+    table of ReadOnly rows, or anything not a mapping, as it is."""
+    if not isinstance(table, Mapping) or {type(table), *map(type, table.values())} == {ReadOnly}:
+        return table
+    return ReadOnly({n: ReadOnly(r) if type(r) is dict else read_only(r) for n, r in table.items()})
+
+
 def fraction_table(table) -> dict[int, dict[str, Fraction]]:
     """A per-time block table with ``int`` times and ``as_fraction`` values, in its own order."""
     return {int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in table.items()}
@@ -66,8 +96,11 @@ def fraction_table(table) -> dict[int, dict[str, Fraction]]:
 
 def time_label(t: Time) -> str:
     """Render a time index for messages and JSON keys ('1', ..., 'inf'); a float off the
-    integers, such as 2.5 or nan, as its repr."""
-    return "inf" if t == INFINITY else str(int(t)) if t % 1 == 0 else repr(t)
+    integers, such as 2.5 or nan, as its repr, and an int too long to write by its size."""
+    try:
+        return "inf" if t == INFINITY else str(int(t)) if t % 1 == 0 else repr(t)
+    except ValueError:  # past the interpreter's limit on the digits of an int string
+        return f"an int of {int(t).bit_length()} bits"
 
 
 @dataclass(frozen=True)
@@ -96,9 +129,6 @@ class Violation:
 def _exact(value) -> bool:
     return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
 
-
-#: Types whose values are exact without a closer look (``bool`` is not among them).
-_EXACT_TYPES = {Fraction, int}
 
 class Table(NamedTuple):
     """An adapted table over the flat block numbering, in integers over one denominator.
@@ -142,13 +172,13 @@ class FractionsOver(dict):
 
 
 class Kept:
-    """A check kept by ``FilteredSpace.recall``: the cells it read, the parts it built and
-    what ``derive`` built from those, shared by every call that reuses it: never mutated."""
+    """A check kept by ``FilteredSpace.recall``: the parts it built and what ``derive`` built
+    from those, shared by every call that reuses it: never mutated."""
 
-    __slots__ = ("ref", "cells", "parts", "derived")
+    __slots__ = ("ref", "parts", "derived")
 
-    def __init__(self, cells: Optional[list], parts):
-        self.ref, self.cells, self.parts, self.derived = None, cells, parts, {}
+    def __init__(self, ref: weakref.ref, parts):
+        self.ref, self.parts, self.derived = ref, parts, {}
 
     def derive(self, make: Callable, space: "FilteredSpace"):
         """``make(parts, space)``, built on first use and shared after."""
@@ -316,38 +346,44 @@ class FilteredSpace:
 
     # -- the flat numbering and the public dicts ------------------------------
 
-    def by_block(self, cells) -> dict[int, dict[str, object]]:
-        """A per-block list in flat order as ``{n: {block_id: cell}}``."""
+    def by_block(self, cells) -> ReadOnly:
+        """A per-block list in flat order as ``{n: {block_id: cell}}``, read-only."""
         s = self.starts
-        return {
-            n: dict(zip(level, cells[s[n - 1] : s[n]]))
-            for n, level in enumerate(self.levels, start=1)
-        }
+        return ReadOnly(
+            {n: ReadOnly(zip(level, cells[s[n - 1] : s[n]])) for n, level in enumerate(self.levels, 1)}
+        )
 
-    def fractions(self, table: Table) -> tuple[dict, dict]:
+    def fractions(self, table: Table) -> tuple[ReadOnly, ReadOnly]:
         """``table`` as the public dicts: ``({n: {block_id: Fraction}}, {atom: Fraction})``."""
         value = FractionsOver(table.den).__getitem__
         return (
             self.by_block(list(map(value, table.blocks))),
-            dict(zip(self.atoms, map(value, table.atoms))),
+            ReadOnly(zip(self.atoms, map(value, table.atoms))),
         )
 
-    def read(self, table, name: str, infinity=None, value_error=None) -> Union[list, Violation]:
+    def read(self, table, name: str, infinity=None) -> Union[list, Violation]:
         """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
 
-        With ``infinity``, an ``{atom: value}`` slot at INFINITY is read
-        after it.  Returns the values in flat block order, then the atoms in
-        atom order, or the first Violation in that order: a time outside
-        1..T, then per time a missing time, key or non-exact value, then an
-        unknown key; with ``value_error``, a non-exact value raises it
-        instead.  A table keyed exactly by the space and holding ints and
-        Fractions is read in one look per time; the cell-by-cell loop runs
-        only to find a fault or to admit exact values of other types.
+        With ``infinity``, an ``{atom: value}`` slot at INFINITY is read after it.  Returns
+        the values in flat block order, then the atoms in atom order, or the first Violation
+        in that order: a time outside 1..T, then per time a missing time, key or non-exact
+        value, then an unknown key.  A read-only table keyed exactly by the space and holding
+        ints and Fractions is gathered in one look per row; the cell-by-cell loop runs only
+        to name a fault or to admit exact values of other types.
         """
-        cells = self.keyed(table, infinity)
-        if cells is not None:
-            return cells
         T = self.horizon
+        if type(table) is ReadOnly and {*map(type, table)} == {int} and table.keys() == self._times:
+            rows = list(map(table.__getitem__, range(1, T + 1)))
+            same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
+            slot = infinity is None or type(infinity) is ReadOnly and infinity.keys() == self.prob.keys()
+            if slot and {*map(type, rows)} == {ReadOnly} and all(same):
+                if [*chain.from_iterable(rows)] == self.ids:  # each row in partition order
+                    cells = [*chain.from_iterable(map(dict.values, rows))]
+                else:
+                    cells = list(map(getitem, map(table.__getitem__, self.depth), self.ids))
+                cells += () if infinity is None else map(infinity.__getitem__, self.atoms)
+                if {*map(type, cells)} <= {Fraction, int}:  # a bool is neither
+                    return cells
         for n in table:
             if isinstance(n, bool) or n not in range(1, T + 1):
                 return Violation("OutOfRange", detail=f"{name} has time {n!r} outside 1..{T}")
@@ -362,10 +398,7 @@ class FilteredSpace:
                 if key not in row:
                     return Violation("Malformed", n, key, f"{label} missing {noun}")
                 if not _exact(row[key]):
-                    fault = Violation("Malformed", n, key, f"{label} holds a non-exact value")
-                    if value_error is None:
-                        return fault
-                    raise value_error(str(fault), violation=fault)
+                    return Violation("Malformed", n, key, f"{label} holds a non-exact value")
                 cells.append(row[key])
             if len(row) != len(keys):
                 unknown = set(row) - set(keys)
@@ -376,58 +409,27 @@ class FilteredSpace:
                 return Violation("Malformed", n, first, f"unknown {noun} in {label}")
         return cells
 
-    def keyed(self, table, infinity=None) -> Optional[list]:
-        """``read``'s one look per time: the cells of a table of plain dicts keyed exactly by
-        the space and holding only ints and Fractions, else None."""
-        if type(table) is not dict or {*map(type, table)} != {int} or table.keys() != self._times:
-            return None
-        rows = list(map(table.__getitem__, range(1, self.horizon + 1)))
-        same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
-        slot = infinity is None or type(infinity) is dict and infinity.keys() == self.prob.keys()
-        if {*map(type, rows)} != {dict} or not all(same) or not slot:
-            return None
-        cells = [row[key] for row, level in zip(rows, self.levels) for key in level]
-        if infinity is not None:
-            cells += map(infinity.__getitem__, self.atoms)
-        return cells if {*map(type, cells)} <= _EXACT_TYPES else None
-
-    def recall(self, source, cells: Optional[list], check: Callable) -> Union[Kept, Violation]:
+    def recall(self, source, check: Callable) -> Union[Kept, Violation]:
         """``source``'s check, kept while ``source`` lives (a weakref callback drops it).
 
-        ``cells`` are what ``source``'s fast read gathered just now, None after a
-        slow read.  The kept check is reused for the same object of the same type
-        whose cells are, one by one, the very objects (``is``) it was made from:
-        Fractions are immutable, so it is then exact.  Otherwise ``check(cells)``
-        gives the parts, kept if the cells were gathered, or the first Violation.
+        Rules, processes and games are read-only, so the same live object of the same type
+        is the same input and reuses its kept check.  Otherwise ``check()`` gives the parts,
+        which are kept, or the first Violation.
         """
         key = (type(source), id(source))
         kept = self._kept.get(key)
-        if kept and cells is not None and kept.ref() is source and len(cells) == len(kept.cells):
-            if all(map(is_, cells, kept.cells)):
-                return kept
-        parts = check(cells)
+        if kept is not None and kept.ref() is source:
+            return kept
+        parts = check()
         if isinstance(parts, Violation):
             return parts
-        kept = Kept(cells, parts)
-        if cells is not None:
-            kept.ref = weakref.ref(source, lambda _, memo=self._kept: memo.pop(key, None))
-            self._kept[key] = kept
+        ref = weakref.ref(source, lambda _, memo=self._kept: memo.pop(key, None))
+        kept = self._kept[key] = Kept(ref, parts)
         return kept
-
-    def gather(self, processes: Iterable["AdaptedProcess"]) -> list:
-        """Each process's cells in turn, as ``check_process`` reads them."""
-        cells: list = []
-        for process in processes:
-            cells += check_process(self, process)
-        return cells
 
     def tables(self, *processes: "AdaptedProcess") -> list[Table]:
         """Processes read by ``check_process``, as Tables over one shared denominator."""
-        return self.translate(self.gather(processes))
-
-    def translate(self, cells: Sequence) -> list[Table]:
-        """Cells as ``gather`` lays them out, as Tables over one shared denominator."""
-        nums, den = integers(cells)
+        nums, den = integers([*chain.from_iterable(check_process(self, p) for p in processes)])
         B, width = self.root, self.root + len(self.atoms)
         return [
             Table(nums[k : k + B], nums[k + B : k + width], den)
@@ -581,6 +583,10 @@ class AdaptedProcess:
     values: Mapping[int, Mapping[str, Fraction]]
     infinity: Mapping[str, Fraction]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", read_only_rows(self.values))
+        object.__setattr__(self, "infinity", read_only(self.infinity))
+
     def value_at(self, space: FilteredSpace, t: Time, atom: str) -> Fraction:
         if t == INFINITY:
             return self.infinity[atom]
@@ -610,9 +616,11 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
     Raises SpaceMismatch unless ``process`` is keyed exactly by the space, and
     ValidationError unless every value is an int or a Fraction, with the first Violation.
     """
-    cells = space.read(process.values, "values", process.infinity, ValidationError)
+    cells = space.read(process.values, "values", process.infinity)
     if not isinstance(cells, Violation):
         return cells
+    if cells.detail.endswith("non-exact value"):
+        raise ValidationError(str(cells), violation=cells)
     if cells.time is None or process.values.keys() != space._times:
         message = f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
     elif cells.time == INFINITY:

@@ -34,16 +34,19 @@ from .space import (
     FilteredSpace,
     FractionsOver,
     Kept,
+    ReadOnly,
     Table,
     Time,
     Violation,
-    _EXACT_TYPES,
     _exact,
     as_fraction,
     denominator_of,
     fraction_table,
     integers,
     numerator_of,
+    read_only,
+    read_only_rows,
+    time_label,
 )
 
 
@@ -53,6 +56,9 @@ class PureStoppingTime:
 
     stop: Mapping[str, Time]
 
+    def __post_init__(self):
+        object.__setattr__(self, "stop", read_only(self.stop))
+
 
 @dataclass(frozen=True)
 class RandomizedStoppingTime:
@@ -61,12 +67,19 @@ class RandomizedStoppingTime:
     rho: Mapping[int, Mapping[str, Fraction]]
     rho_inf: Mapping[str, Fraction]
 
+    def __post_init__(self):
+        object.__setattr__(self, "rho", read_only_rows(self.rho))
+        object.__setattr__(self, "rho_inf", read_only(self.rho_inf))
+
 
 @dataclass(frozen=True)
 class BehaviorStoppingTime:
     """Per-time conditional stop probabilities (hazards), block-keyed."""
 
     beta: Mapping[int, Mapping[str, Fraction]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta", read_only_rows(self.beta))
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,10 @@ class MixedStoppingTime:
 
     breakpoints: tuple[Fraction, ...]
     sections: tuple[PureStoppingTime, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        object.__setattr__(self, "sections", tuple(self.sections))
 
     def weights(self) -> tuple[Fraction, ...]:
         """Interval lengths, one per section."""
@@ -123,7 +140,7 @@ class StoppingMeasure:
 
 
 def pure(stop: Mapping[str, Time]) -> PureStoppingTime:
-    return PureStoppingTime(stop=dict(stop))
+    return PureStoppingTime(stop=ReadOnly(stop))
 
 
 def randomized(rho, rho_inf) -> RandomizedStoppingTime:
@@ -159,11 +176,9 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
 # -- validation ----------------------------------------------------------------
 
 
-def _unit_cells(table, space: FilteredSpace, name: str, cells=None) -> Union[Violation, list]:
-    """The cells of a block table of values in [0, 1], in flat order, or the first Violation;
-    ``cells`` are the table's, if its fast read gathered them."""
-    if cells is None:
-        cells = space.read(table, name)
+def _unit_cells(table, space: FilteredSpace, name: str) -> Union[Violation, list]:
+    """The cells of a block table of values in [0, 1], in flat order, or the first Violation."""
+    cells = space.read(table, name)
     if isinstance(cells, Violation):
         return cells
     nums = list(map(numerator_of, cells))
@@ -182,51 +197,44 @@ def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
     return next(a for a in table if a not in space.prob)
 
 
-def _stop_cells(rules, space: FilteredSpace) -> Optional[list]:
-    """The fast read of pure rules: their stop indices in turn, each in atom order, from plain
-    dicts keyed exactly by the atoms and holding only ints and floats, else None."""
-    cells = []
-    for stop in (getattr(eta, "stop", None) for eta in rules):
-        if type(stop) is not dict or stop.keys() != space.prob.keys():
-            return None
-        cells += map(stop.__getitem__, space.atoms)
-    return cells if {*map(type, cells)} <= {int, float} else None
-
-
-def _check_pure(eta: PureStoppingTime, space: FilteredSpace, cells) -> Union[Violation, list]:
+def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
     """The first Violation, or per atom the number of its stop block (None if it never stops).
 
-    Without the fast read's ``cells``, or to find a fault, atoms are checked one by one.
-    ``{stop = n}`` is checked only at the atoms' stop blocks, where it can
-    split a block.  Every split is found, and the first in flat order (by
-    time, then partition order) is reported.
+    A read-only table of ints and floats that are times, one per atom, is gathered in one
+    look; to find a fault, atoms are checked one by one.  ``{stop = n}`` is checked only at
+    the atoms' stop blocks, where it can split a block.  Every split is found, and the first
+    in flat order (by time, then partition order) is reported.
     """
     times = range(1, space.horizon + 1)
 
     def is_time(t) -> bool:
         return not isinstance(t, bool) and (t == INFINITY or t in times)
 
-    if cells is None or not all(map(is_time, set(cells))):
+    stop = eta.stop
+    cells = [*map(stop.get, space.atoms)] if type(stop) is ReadOnly else [None]
+    whole = {*map(type, cells)} <= {int, float} and len(stop) == len(cells)
+    if not whole or not all(map(is_time, set(cells))):
         for atom in space.atoms:
-            if atom not in eta.stop:
+            if atom not in stop:
                 return Violation("Malformed", where=atom, detail="no stop index for atom")
-            t = eta.stop[atom]
+            t = stop[atom]
             if not is_time(t):
+                shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
                 return Violation(
                     "OutOfRange",
                     time=t if type(t) in (int, float) else None,
                     where=atom,
-                    detail=f"stop index {t!r} outside 1..{space.horizon}, inf",
+                    detail=f"stop index {shown} outside 1..{space.horizon}, inf",
                 )
-        unknown = _unknown_atom(eta.stop, space)
+        unknown = _unknown_atom(stop, space)
         if unknown is not None:
             return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
-        cells = map(eta.stop.__getitem__, space.atoms)
+        cells = map(stop.__getitem__, space.atoms)
     stops = space.stop_blocks(cells)
     first_split = space.root
     for i in set(stops) - {None}:
         n = space.depth[i]
-        if i < first_split and {*map(eta.stop.__getitem__, space.members(n, space.ids[i]))} != {n}:
+        if i < first_split and {*map(stop.__getitem__, space.members(n, space.ids[i]))} != {n}:
             first_split = i
     if first_split < space.root:
         n, block_id = space.depth[first_split], space.ids[first_split]
@@ -236,10 +244,10 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace, cells) -> Union[Vio
     return stops
 
 
-def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace, cells) -> Union[Violation, tuple]:
+def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
     """The first Violation, or ``(rho, den, spent)``: the stop masses and their sums down
     each path, in integers over one denominator, from the sum check's one spent pass."""
-    cells = _unit_cells(eta.rho, space, "rho", cells and cells[: space.root])
+    cells = _unit_cells(eta.rho, space, "rho")
     if isinstance(cells, Violation):
         return cells
     rho, den = integers(cells)
@@ -266,16 +274,7 @@ def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace, cells) 
     return rho, den, spent
 
 
-def _mixed_cells(eta: MixedStoppingTime, space: FilteredSpace) -> Optional[list]:
-    """The fast read of a mixed rule: its exact breakpoints, then its sections' stop indices."""
-    bps = list(eta.breakpoints)
-    if len(eta.sections) != len(bps) - 1 or not {*map(type, bps)} <= _EXACT_TYPES:
-        return None
-    stops = _stop_cells(eta.sections, space)
-    return None if stops is None else bps + stops
-
-
-def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace, cells) -> Union[Violation, tuple]:
+def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
     """The first Violation, or ``(stops, weights, den)``: each section's stop blocks and
     its weight over ``den``.  Each section costs O(atoms); the first bad one is reported."""
     bps = eta.breakpoints
@@ -292,9 +291,9 @@ def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace, cells) -> Union[V
     weights = [b - a for a, b in zip(cuts, cuts[1:])]
     if min(weights) <= 0:
         return Violation("Malformed", detail="breakpoints must increase strictly")
-    stops, A = [], len(space.atoms)
+    stops = []
     for k, section in enumerate(eta.sections):
-        inner = _check_pure(section, space, cells and cells[len(bps) + k * A : len(bps) + k * A + A])
+        inner = _check_pure(section, space)
         if isinstance(inner, Violation):
             return Violation(
                 "SectionNotStoppingTime",
@@ -328,9 +327,9 @@ def check(eta: RandomStoppingTime, space: FilteredSpace) -> Kept:
 
 
 def _checked(eta, space: FilteredSpace) -> Union[Kept, Violation]:
-    """``eta``'s check on its fast read's cells, kept by the space (``FilteredSpace.recall``)."""
-    gather, inspect, _ = _kind(eta)
-    return space.recall(eta, gather(eta, space), lambda cells: inspect(eta, space, cells))
+    """``eta``'s check, kept by the space while ``eta`` lives (``FilteredSpace.recall``)."""
+    inspect = _kind(eta)[0]
+    return space.recall(eta, lambda: inspect(eta, space))
 
 
 # -- the canonical form -----------------------------------------------------------
@@ -338,7 +337,7 @@ def _checked(eta, space: FilteredSpace) -> Union[Kept, Violation]:
 
 def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
     """``densities`` as a Table, the form the exact passes read, built once from ``check``'s parts."""
-    return check(eta, space).derive(_kind(eta)[2], space)
+    return check(eta, space).derive(_kind(eta)[1], space)
 
 
 def _survival(hazards: list, space: FilteredSpace) -> Table:
@@ -387,28 +386,17 @@ def _spent_table(parts: tuple, space: FilteredSpace) -> Table:
     return Table(rho, [den - spent[i] for i in space.leaf], den)
 
 
-#: Per rule type: its fast read, which gathers its cells or gives None; its check, which returns
-#: the first Violation or the parts it built; and the reduction of those parts to densities.
+#: Per rule type: its check (the first Violation, or the parts it built) and their reduction.
 _KINDS = {
-    PureStoppingTime: (
-        lambda eta, space: _stop_cells([eta], space),
-        _check_pure,
-        lambda stops, space: _sections([stops], [1], 1, space),
-    ),
-    RandomizedStoppingTime: (
-        lambda eta, space: space.keyed(eta.rho, eta.rho_inf), _check_randomized, _spent_table
-    ),
-    BehaviorStoppingTime: (
-        lambda eta, space: space.keyed(eta.beta),
-        lambda eta, space, cells: _unit_cells(eta.beta, space, "beta", cells),
-        _survival,
-    ),
-    MixedStoppingTime: (_mixed_cells, _check_mixed, lambda parts, space: _sections(*parts, space)),
+    PureStoppingTime: (_check_pure, lambda stops, space: _sections([stops], [1], 1, space)),
+    RandomizedStoppingTime: (_check_randomized, _spent_table),
+    BehaviorStoppingTime: (lambda eta, space: _unit_cells(eta.beta, space, "beta"), _survival),
+    MixedStoppingTime: (_check_mixed, lambda parts, space: _sections(*parts, space)),
 }
 
 
 def _kind(eta) -> tuple:
-    """``eta``'s fast read, check and reduction: the one dispatch on rule type."""
+    """``eta``'s check and reduction: the one dispatch on rule type."""
     kind = _KINDS.get(type(eta))
     if kind is None:
         raise TypeError(f"not a stopping rule: {type(eta).__name__}")

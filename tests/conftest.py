@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 import stopwright.space
 from stopwright.space import FilteredSpace
-from stopwright.stopping import MixedStoppingTime, PureStoppingTime, RandomizedStoppingTime
 
 from fuzz import make_b1, make_e1, make_r1, make_singleton, make_uneven
 
@@ -36,17 +33,18 @@ def uneven():
 
 @pytest.fixture
 def checked(monkeypatch):
-    """The rules and games a space checks afresh, in order; a reused check is not listed."""
+    """The rules, processes and games a space checks afresh, in order; a kept check is not
+    listed."""
     calls = []
     real = FilteredSpace.recall
 
-    def recall(space, source, cells, check):
-        def counted(cells):
+    def recall(space, source, check):
+        def counted():
             if source is not space:  # the space's own arrays are not an input
                 calls.append(source)
-            return check(cells)
+            return check()
 
-        return real(space, source, cells, counted)
+        return real(space, source, counted)
 
     monkeypatch.setattr(FilteredSpace, "recall", recall)
     return calls
@@ -64,21 +62,3 @@ def read(monkeypatch):
 
     monkeypatch.setattr(stopwright.space, "check_process", counting)
     return calls
-
-
-@pytest.fixture
-def touch():
-    """``touch(eta)`` puts an equal but new object in one cell of the rule ``eta``, in place:
-    the rule keeps its value, and a space must check it again."""
-    return _touch
-
-
-def _touch(eta) -> None:
-    if isinstance(eta, (PureStoppingTime, MixedStoppingTime)):
-        table = (eta.sections[0] if isinstance(eta, MixedStoppingTime) else eta).stop
-        key = next(iter(table))
-        table[key] = table[key] + 0.0  # a float time is a time
-        return
-    table = eta.rho_inf if isinstance(eta, RandomizedStoppingTime) else eta.beta[1]
-    key = next(iter(table))
-    table[key] = Fraction(table[key].numerator, table[key].denominator)

@@ -126,7 +126,7 @@ def pair(d: RandomizedStoppingTime, problem: AdaptedProcess, space) -> Fraction:
 
 def is_zero_sum(game, space) -> bool:
     """The players' payoffs add to zero for every coalition, time, and atom."""
-    space.gather(game.payoffs.values())  # the boundary check
+    space.tables(*game.payoffs.values())  # the boundary check
     for c in COALITIONS:
         one, two = game.process(1, c), game.process(2, c)
         for n in range(1, space.horizon + 1):

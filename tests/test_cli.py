@@ -204,10 +204,10 @@ class TestEvaluation:
             "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
             "--problem", files["problem.json"], "--epsilon", "0",
         ]
-        for _ in range(2):  # each run reads its documents afresh, so checks its rule again
+        for _ in range(2):  # each run reads its documents afresh, so checks them again
             code, out, _ = run_capture(capsys, args)
             assert code == 0
-            assert len(checked) == 1
+            assert [type(x).__name__ for x in checked] == ["RandomizedStoppingTime", "AdaptedProcess"]
             assert len(read) == 1
             assert out == '{\n  "epsilon": "0",\n  "epsilon_optimal": false,\n  "payoff": "3/8"\n}\n'
             checked.clear()
@@ -221,6 +221,15 @@ class TestEvaluation:
         doc = json.loads(out)
         assert doc["value"] == "1"
         assert doc["strategy"]["stop"] == {"w1": 2, "w2": 2, "w3": 2, "w4": 2}
+
+    def test_game_value_reads_each_process_once(self, files, capsys, read):
+        with open(files["game.json"], encoding="utf-8") as handle:
+            assert json.load(handle)["zero_sum"] is True
+        code, _, _ = run_capture(
+            capsys, ["game-value", "--space", files["e1.json"], "--game", files["game.json"]]
+        )
+        assert code == 0
+        assert len(read) == len({id(process) for process in read}) == 6
 
     def test_game_value_and_eq_check(self, files, capsys, tmp_path):
         code, out, _ = run_capture(

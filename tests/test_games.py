@@ -494,18 +494,45 @@ class TestGameMemo:
                 return [game_results(game, space, eta1, eta2) for eta1, eta2 in profiles]
 
             before = results(game)
-            # one value of each player, in place and still zero-sum
             b = rng.choice(space.blocks(1))
-            game.payoffs[1, BOTH].values[1][b] += 5
-            game.payoffs[2, BOTH].values[1][b] -= 5
-            changed = results(game)
-            assert changed == results(rebuilt(game))
+            with pytest.raises(TypeError):
+                game.payoffs[1, BOTH].values[1][b] += 5
+            with pytest.raises(TypeError):
+                game.payoffs[2, ONLY_2] = random_process(rng, space)
+            assert results(game) == before
+            # one value of each player, in a copy and still zero-sum
+            changed_game = edited(game, {(1, BOTH): 5, (2, BOTH): -5}, b)
+            changed = results(changed_game)
+            assert changed == results(rebuilt(changed_game))
             # both players stopping at time 1 are paid the changed value
             assert changed[0]["game_payoff"] != before[0]["game_payoff"]
             # one value of player 1 alone: the game is no longer zero-sum
-            game.payoffs[1, ONLY_1].values[1][b] += 1
-            assert results(game) == results(rebuilt(game))
-            assert results(game)[0]["zero_sum_value"] is None
+            skewed = edited(changed_game, {(1, ONLY_1): 1}, b)
+            assert results(skewed) == results(rebuilt(skewed))
+            assert results(skewed)[0]["zero_sum_value"] is None
             # one whole process replaced
-            game.payoffs[2, ONLY_2] = random_process(rng, space)
-            assert results(game) == results(rebuilt(game))
+            replaced = stopping_game({**skewed.payoffs, (2, ONLY_2): random_process(rng, space)})
+            assert results(replaced) == results(rebuilt(replaced))
+
+
+def edited(game, shifts, block) -> StoppingGame:
+    """A copy of ``game`` whose time-1 value at ``block`` moves by ``shifts[key]`` per process."""
+    payoffs = dict(game.payoffs)
+    for key, shift in shifts.items():
+        values = {n: dict(level) for n, level in payoffs[key].values.items()}
+        values[1][block] += shift
+        payoffs[key] = AdaptedProcess(values=values, infinity=payoffs[key].infinity)
+    return StoppingGame(payoffs=payoffs)
+
+
+class TestDirectConstruction:
+    def test_a_game_missing_a_process_is_refused(self, e1):
+        with pytest.raises(ValidationError) as raised:
+            StoppingGame(payoffs={})
+        assert str(raised.value).startswith("game is missing payoff processes for [(1, {1}),")
+        complete = {(j, c): constant_process(e1, j) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
+        del complete[2, BOTH]
+        with pytest.raises(ValidationError, match=r"missing payoff processes for \[\(2, \{1, 2\}\)\]"):
+            StoppingGame(payoffs=complete)
+        with pytest.raises(ValidationError, match="missing payoff processes"):
+            stopping_game(complete)

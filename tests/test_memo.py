@@ -1,10 +1,14 @@
-"""The space's memo of checked rules and games: reused only while exact, kept only while alive."""
+"""Read-only rules, processes and games, and the space's memo of their checks: reused by
+identity, kept only while alive."""
 
 import copy
+import dataclasses
 import gc
+import operator
 import pickle
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -25,12 +29,19 @@ from stopwright import (
     game_payoff,
     is_zero_sum,
     payoff,
+    snell_value,
     validate,
     zero_sum_value,
 )
 from stopwright.convert import TARGET_TYPES
-from stopwright.games import game_tables
-from stopwright.space import Violation
+from stopwright.games import StoppingGame, game_tables
+from stopwright.space import AdaptedProcess, ReadOnly, Violation
+from stopwright.stopping import (
+    BehaviorStoppingTime,
+    MixedStoppingTime,
+    PureStoppingTime,
+    RandomizedStoppingTime,
+)
 
 from fuzz import (
     random_behavior,
@@ -71,37 +82,132 @@ def rule_results(eta, space, other, problem, game) -> dict:
     }
 
 
-def change_pure(rng, stop, space):
-    """One stop index in place: never at a stop at T, else T; now and then out of range."""
+def change_pure(rng, stop, space) -> PureStoppingTime:
+    """One stop index changed, in a copy: never at a stop at T, else T; now and then out of
+    range."""
+    stop = dict(stop)
     atom = rng.choice(space.atoms)
     stop[atom] = rng.choice([INFINITY if stop[atom] == space.horizon else space.horizon, 0])
+    return PureStoppingTime(stop=stop)
 
 
-def change_randomized(rng, eta, space):
-    """A horizon block's stop mass with its atom's never-stop mass, or the latter alone."""
+def change_randomized(rng, eta, space) -> RandomizedStoppingTime:
+    """In a copy, a horizon block's stop mass with its atom's never-stop mass, or the latter
+    alone."""
+    rho, rho_inf = {n: dict(level) for n, level in eta.rho.items()}, dict(eta.rho_inf)
     atom = rng.choice(space.atoms)
     block = space.block_of(space.horizon, atom)
     if rng.random() < 0.7:
-        eta.rho[space.horizon][block] += eta.rho_inf[atom]
-        eta.rho_inf[atom] = F(0)
+        rho[space.horizon][block] += rho_inf[atom]
+        rho_inf[atom] = F(0)
     else:
-        eta.rho_inf[atom] += F(1, 3)
+        rho_inf[atom] += F(1, 3)
+    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
-def change_behavior(rng, eta, space):
+def change_behavior(rng, eta, space) -> BehaviorStoppingTime:
+    beta = {n: dict(level) for n, level in eta.beta.items()}
     n = rng.randint(1, space.horizon)
-    eta.beta[n][rng.choice(space.blocks(n))] = rng.choice([F(1, 7), F(1), F(9, 7)])
+    beta[n][rng.choice(space.blocks(n))] = rng.choice([F(1, 7), F(1), F(9, 7)])
+    return BehaviorStoppingTime(beta=beta)
+
+
+def change_mixed(rng, eta, space) -> MixedStoppingTime:
+    sections = list(eta.sections)
+    k = rng.randrange(len(sections))
+    sections[k] = change_pure(rng, sections[k].stop, space)
+    return dataclasses.replace(eta, sections=sections)
 
 
 CHANGES = {
     "pure": (random_pure, lambda rng, eta, space: change_pure(rng, eta.stop, space)),
     "randomized": (random_randomized, change_randomized),
     "behavior": (random_behavior, change_behavior),
-    "mixed": (
-        random_mixed,
-        lambda rng, eta, space: change_pure(rng, rng.choice(eta.sections).stop, space),
-    ),
+    "mixed": (random_mixed, change_mixed),
 }
+
+
+def tables_of(source) -> list:
+    """Every table and row a space reads of a rule, a process or a game."""
+    if isinstance(source, PureStoppingTime):
+        return [source.stop]
+    if isinstance(source, MixedStoppingTime):
+        return [section.stop for section in source.sections]
+    if isinstance(source, StoppingGame):
+        return [source.payoffs] + [t for p in source.payoffs.values() for t in tables_of(p)]
+    if isinstance(source, RandomizedStoppingTime):
+        return [source.rho, *source.rho.values(), source.rho_inf]
+    if isinstance(source, BehaviorStoppingTime):
+        return [source.beta, *source.beta.values()]
+    return [source.values, *source.values.values(), source.infinity]
+
+
+#: Every way a dict changes in place, as ``edit(table, key)``.
+EDITS = {
+    "setitem": lambda table, key: operator.setitem(table, key, table[key]),
+    "delitem": operator.delitem,
+    "ior": lambda table, key: operator.ior(table, {key: table[key]}),
+    "clear": lambda table, key: table.clear(),
+    "pop": lambda table, key: table.pop(key),
+    "popitem": lambda table, key: table.popitem(),
+    "setdefault": lambda table, key: table.setdefault(key, table[key]),
+    "update": lambda table, key: table.update({key: table[key]}),
+}
+
+SOURCES = {
+    **{kind: make for kind, (make, _) in CHANGES.items()},
+    "process": random_process,
+    "game": random_game,
+}
+
+
+def results_of(source, space) -> list:
+    """What the space computes from a rule, a process or a game."""
+    if isinstance(source, AdaptedProcess):
+        return [snell_value(source, space)]
+    if isinstance(source, StoppingGame):
+        return [game_tables(source, space)]
+    return [detailed_distribution(source, space), densities(source, space)]
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_every_table_refuses_change_in_place(self, kind):
+        rng = random.Random(f"read-only {kind}")
+        space = random_space(rng, max_depth=3)
+        source = SOURCES[kind](rng, space)
+        before, results = copy.deepcopy(source), results_of(source, space)
+        for table in tables_of(source):
+            key = next(iter(table))
+            for edit in EDITS.values():
+                with pytest.raises(TypeError, match="read-only"):
+                    edit(table, key)
+        assert source == before
+        assert results_of(source, space) == results
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_copies_are_read_only_and_give_the_same_results(self, kind):
+        rng = random.Random(f"copies {kind}")
+        space = random_space(rng, max_depth=3)
+        source = SOURCES[kind](rng, space)
+        copies = [
+            copy.deepcopy(source),
+            pickle.loads(pickle.dumps(source)),
+            dataclasses.replace(source),
+        ]
+        for twin in copies:
+            assert twin == source and twin is not source
+            assert all(type(table) is ReadOnly for table in tables_of(twin))
+            assert results_of(twin, space) == results_of(source, space)
+        if kind == "mixed":
+            assert type(source.breakpoints) is type(source.sections) is tuple
+
+    def test_other_mappings_are_copied_to_read_only_tables(self, e1, b1):
+        beta = MappingProxyType({n: MappingProxyType(dict(row)) for n, row in b1.beta.items()})
+        twin = BehaviorStoppingTime(beta=beta)
+        assert all(type(table) is ReadOnly for table in tables_of(twin))
+        assert twin == b1
+        assert detailed_distribution(twin, e1) == detailed_distribution(b1, e1)
 
 
 class TestChangedRule:
@@ -115,13 +221,17 @@ class TestChangedRule:
             eta, other = make(rng, space), random_stopping_time(rng, space)
             problem, game = random_process(rng, space), random_game(rng, space)
             before = rule_results(eta, space, other, problem, game)
-            change(rng, eta, space)
-            changed = rule_results(eta, space, other, problem, game)
-            assert changed == rule_results(copy.deepcopy(eta), space, other, problem, game)
+            table = tables_of(eta)[-1]
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = 0
+            assert rule_results(eta, space, other, problem, game) == before
+            edited = change(rng, eta, space)
+            changed = rule_results(edited, space, other, problem, game)
+            assert changed == rule_results(copy.deepcopy(edited), space, other, problem, game)
             invalid += isinstance(changed["validate"], Violation)
             assert changed != before or changed["validate"] is None
-            # and again, from the check kept of the changed rule
-            assert rule_results(eta, space, other, problem, game) == changed
+            # and again, from the check kept of the edited copy
+            assert rule_results(edited, space, other, problem, game) == changed
         assert 0 < invalid < 8
 
 
@@ -175,13 +285,13 @@ class TestLifetime:
         gc.collect()
         assert not any(key in space._kept for key in keys)
 
-    def test_invalid_and_slow_read_rules_are_not_kept(self, e1, r1):
-        bad = copy.deepcopy(r1)
-        bad.rho_inf["w1"] = F(1, 2)
+    def test_invalid_rules_are_not_kept_and_subclass_valued_ones_are(self, e1, r1):
+        bad = RandomizedStoppingTime(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})
         assert validate(bad, e1).kind == "SumNotOne"
-        subclassed = copy.deepcopy(r1)
-        subclassed.rho[1]["A"] = type("Half", (F,), {})(1, 2)
-        assert validate(subclassed, e1) is None
         assert e1._kept == {}
+        rho = {n: dict(level) for n, level in r1.rho.items()}
+        rho[1]["A"] = type("Half", (F,), {})(1, 2)
+        subclassed = RandomizedStoppingTime(rho=rho, rho_inf=r1.rho_inf)
+        assert validate(subclassed, e1) is None
         assert validate(r1, e1) is None
-        assert list(e1._kept) == [(type(r1), id(r1))]
+        assert list(e1._kept) == [(type(subclassed), id(subclassed)), (type(r1), id(r1))]

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -271,7 +272,7 @@ class TestOneSpentPass:
         monkeypatch.setattr(FilteredSpace, "spent", counting)
         return calls
 
-    def test_one_pass_per_randomized_rule_per_call(self, passes, touch, e1, r1, b1):
+    def test_one_pass_per_randomized_rule_per_call(self, passes, e1, r1, b1):
         game = stopping_game(
             {(j, c): constant_process(e1, 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
         )
@@ -283,13 +284,24 @@ class TestOneSpentPass:
         empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
         empirical_detailed_distribution(r1, e1, 1000, seed=1)
         assert len(passes) == 0
-        touch(r1)
-        empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
+        with pytest.raises(TypeError):
+            r1.rho_inf["w1"] = F(0)
+        twin = copy.deepcopy(r1)
+        assert empirical_joint_distribution(twin, twin, e1, 1000, seed=1) == (
+            empirical_joint_distribution(r1, r1, e1, 1000, seed=1)
+        )
         assert len(passes) == 1
         passes.clear()
         other = make_r1()
         empirical_detailed_distribution(other, e1, 1000, seed=1)
         assert len(passes) == 1
+
+    def test_each_sampler_is_built_once_per_kept_check(self, e1):
+        rng = random.Random(31)
+        for make in MAKERS:
+            eta = make(rng, e1)
+            assert _stop_columns(eta, e1) is _stop_columns(eta, e1)
+            assert _stop_columns(copy.deepcopy(eta), e1) is not _stop_columns(eta, e1)
 
     def test_invalid_rule_still_rejected_first(self, e1, r1):
         broken = randomized(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})

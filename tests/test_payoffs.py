@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from stopwright import (
     INFINITY,
+    AdaptedProcess,
     BehaviorStoppingTime,
     DistinguishResult,
     MixedStoppingTime,
@@ -329,6 +331,17 @@ class TestEpsilonOptimal:
                     )
 
 
+def faulty(space, fault) -> AdaptedProcess:
+    """``constant_process(space, 0)`` with ``fault`` applied to plain copies of its tables, before
+    the process is built: a built process cannot change."""
+    base = constant_process(space, 0)
+    draft = SimpleNamespace(
+        values={n: dict(level) for n, level in base.values.items()}, infinity=dict(base.infinity)
+    )
+    fault(draft)
+    return AdaptedProcess(values=draft.values, infinity=draft.infinity)
+
+
 class TestStrictProcessRead:
     """A process value is an int or a Fraction, as a rule's is; a key fault is a SpaceMismatch."""
 
@@ -350,8 +363,7 @@ class TestStrictProcessRead:
 
     @pytest.mark.parametrize("bad", [1.5, "1/2", None, True])
     def test_non_exact_value_is_a_validation_error(self, e1, r1, b1, bad):
-        problem = constant_process(e1, 0)
-        problem.values[2]["w3"] = bad
+        problem = faulty(e1, lambda p: p.values[2].update(w3=bad))
         for name, call in self.calls(e1, r1, b1).items():
             with pytest.raises(ValidationError) as raised:
                 call(problem)
@@ -360,8 +372,7 @@ class TestStrictProcessRead:
             ), name
 
     def test_non_exact_infinity_value(self, e1, r1, b1):
-        problem = constant_process(e1, 0)
-        problem.infinity["w2"] = 0.0
+        problem = faulty(e1, lambda p: p.infinity.update(w2=0.0))
         for call in self.calls(e1, r1, b1).values():
             with pytest.raises(ValidationError, match="Malformed n=inf at w2"):
                 call(problem)
@@ -374,9 +385,12 @@ class TestStrictProcessRead:
             pass
 
         plain = constant_process(e1, 0)
-        problem = constant_process(e1, 0)
-        problem.values[1]["A"] = Exact(0)
-        problem.infinity["w4"] = Count(0)
+
+        def subclassed(p):
+            p.values[1]["A"] = Exact(0)
+            p.infinity["w4"] = Count(0)
+
+        problem = faulty(e1, subclassed)
         for name, call in self.calls(e1, r1, b1).items():
             assert call(problem) == call(plain), name
 
@@ -389,19 +403,20 @@ class TestStrictProcessRead:
         space = FilteredSpace(e1.horizon, e1.atoms, dict(reversed(e1.prob.items())), e1.levels)
         assert list(space.prob) != list(space.atoms)
         infinity = {a: F(k, 3) for k, a in enumerate(space.atoms)}
-        plain = constant_process(space, 0)
-        plain.infinity.update(infinity)
-        problem = constant_process(space, 0)
-        problem.infinity.update(infinity)
-        problem.values[1]["A"] = Exact(0)
+        plain = faulty(space, lambda p: p.infinity.update(infinity))
+
+        def subclassed(p):
+            p.infinity.update(infinity)
+            p.values[1]["A"] = Exact(0)
+
+        problem = faulty(space, subclassed)
         calls = self.calls(space, r1, b1)
         for name in ("payoff", "snell_value", "game_payoff"):
             assert calls[name](problem) == calls[name](plain), name
 
     @pytest.mark.parametrize("keys, first", [((5, "zz"), "zz"), (("D", "C"), "C"), ((7, 5), 5)])
     def test_unknown_keys_of_any_types(self, e1, r1, b1, keys, first):
-        problem = constant_process(e1, 0)
-        problem.values[1].update(dict.fromkeys(keys, F(0)))
+        problem = faulty(e1, lambda p: p.values[1].update(dict.fromkeys(keys, F(0))))
         for name, call in self.calls(e1, r1, b1).items():
             with pytest.raises(SpaceMismatch) as raised:
                 call(problem)
@@ -422,8 +437,7 @@ class TestStrictProcessRead:
         ],
     )
     def test_key_faults_are_a_space_mismatch(self, e1, r1, b1, fault, message):
-        problem = constant_process(e1, 0)
-        fault(problem)
+        problem = faulty(e1, fault)
         for name, call in self.calls(e1, r1, b1).items():
             with pytest.raises(SpaceMismatch) as raised:
                 call(problem)

@@ -138,6 +138,39 @@ class TestFilteredSpaceInvariants:
                 levels=[{"a": ("x",)}],
             )
 
+    HALVES = {"x": F(1, 2), "y": F(1, 2)}
+
+    @pytest.mark.parametrize(
+        "horizon, atoms, prob, levels, message",
+        [
+            (0, ("x", "y"), HALVES, [], "horizon must be at least 1"),
+            (2, ("x", "y"), HALVES, [{"x": ("x",), "y": ("y",)}], "expected 2 partition levels, got 1"),
+            (1, ("x", "x"), HALVES, [{"x": ("x",)}], "duplicate atom ids"),
+            (1, ("x", "y"), {"x": 1}, [{"x": ("x",), "y": ("y",)}], "probability table does not match"),
+            (1, ("x", "y"), HALVES, [{"x": ("x",), "y": ("y",), "e": ()}], "block 'e' at time 1 is empty"),
+            (1, ("x", "y"), HALVES, [{"x": ("x", "z")}], "block 'x' references unknown atom 'z'"),
+            (1, ("x", "y"), HALVES, [{"a": ("x",), "b": ("x", "y")}], "atom 'x' appears in two blocks at time 1"),
+        ],
+    )
+    def test_direct_construction_faults(self, horizon, atoms, prob, levels, message):
+        with pytest.raises(StructureError, match=message):
+            FilteredSpace(horizon, atoms, prob, levels)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (E1_NODES + [{"id": "A", "parent": "root"}], "duplicate node id 'A'"),
+            ([{"id": "a", "parent": "b", "prob": "1"}, {"id": "b", "parent": "a"}], "no root node"),
+            (
+                E1_NODES + [{"id": "x", "parent": "y", "prob": "0"}, {"id": "y", "parent": "x"}],
+                "tree contains nodes unreachable from the root",
+            ),
+        ],
+    )
+    def test_build_space_faults(self, nodes, message):
+        with pytest.raises(StructureError, match=message):
+            build_space(nodes)
+
 
 class TestAsFraction:
     def test_accepts_strings_and_ints(self):

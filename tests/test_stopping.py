@@ -1,4 +1,6 @@
+import copy
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +39,8 @@ from stopwright import (
     zero_sum_value,
 )
 from stopwright.games import BOTH, COALITIONS
-from stopwright.stopping import check
+from stopwright.space import Violation
+from stopwright.stopping import MixedStoppingTime, PureStoppingTime, StoppingMeasure, check
 from stopwright.convert import TARGET_TYPES
 
 from fuzz import (
@@ -48,6 +51,13 @@ from fuzz import (
     random_process,
     random_space,
     random_stopping_time,
+)
+
+#: The interpreter's limit on the digits of an int string; 0 where it has none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter puts no limit on the digits of an int string"
 )
 
 R1_TABLE = {
@@ -89,6 +99,17 @@ class TestValidate:
             with pytest.raises(ValidationError) as raised:
                 call(bad, e1)
             assert str(raised.value) == expected
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("kind", [int, type("Index", (int,), {})])
+    def test_pure_stop_index_past_the_int_digit_limit(self, e1, kind):
+        bad = pure({"w1": kind(10**5000), "w2": 1, "w3": 1, "w4": 1})
+        violation = validate(bad, e1)
+        label = f"an int of {(10**5000).bit_length()} bits"
+        shown = f"OutOfRange n={label} at w1 " if kind is int else "OutOfRange at w1 "
+        assert str(violation) == f"{shown}(stop index {label} outside 1..2, inf)"
+        with pytest.raises(ValidationError, match="OutOfRange"):
+            check(bad, e1)
 
     def test_pure_bool_stop_index(self, e1):
         violation = validate(pure({a: True for a in e1.atoms}), e1)
@@ -147,6 +168,37 @@ class TestValidate:
         sigma = pure({a: 1 for a in e1.atoms})
         assert validate(mixed([0, "1/2"], [sigma]), e1).kind == "Malformed"
         assert validate(mixed(["1/4", 1], [sigma]), e1).kind == "Malformed"
+
+    def test_non_exact_rho_inf(self, e1, r1):
+        bad = RandomizedStoppingTime(rho=r1.rho, rho_inf={**r1.rho_inf, "w2": 0.125})
+        assert validate(bad, e1) == Violation(
+            "Malformed", INFINITY, "w2", "non-exact rho_inf"
+        )
+
+    @pytest.mark.parametrize("name", ["rho", "beta"])
+    def test_float_in_a_block_table(self, e1, r1, b1, name):
+        table = {n: dict(level) for n, level in getattr(r1 if name == "rho" else b1, name).items()}
+        table[2]["w3"] = float(table[2]["w3"])
+        if name == "rho":
+            bad = RandomizedStoppingTime(rho=table, rho_inf=r1.rho_inf)
+        else:
+            bad = BehaviorStoppingTime(beta=table)
+        assert validate(bad, e1) == Violation(
+            "Malformed", 2, "w3", f"{name} holds a non-exact value"
+        )
+
+    @pytest.mark.parametrize(
+        "breakpoints, count, detail",
+        [
+            ((0, F(1, 2), 1), 1, "1 sections for 3 breakpoints"),
+            ((0, 0.5, 1), 2, "non-exact breakpoint"),
+            ((0, F(1, 2), F(1, 2), 1), 3, "breakpoints must increase strictly"),
+        ],
+    )
+    def test_mixed_malformed_breakpoints(self, e1, breakpoints, count, detail):
+        sigma = pure({a: 1 for a in e1.atoms})
+        bad = MixedStoppingTime(breakpoints=breakpoints, sections=(sigma,) * count)
+        assert validate(bad, e1) == Violation("Malformed", detail=detail)
 
     def test_mixed_bad_section(self, e1):
         bad_section = pure({"w1": 1, "w2": 2, "w3": 1, "w4": 1})
@@ -303,6 +355,17 @@ class TestIsStoppingMeasure:
         )
         assert not is_stopping_measure(nu, e1)
 
+    def test_unknown_atom(self, e1):
+        with pytest.raises(ValidationError, match=r"unknown atoms \['zz'\]"):
+            stopping_measure({"zz": {1: F(1, 4)}}, e1)
+
+    def test_key_sets_must_match_the_space(self, e1, r1):
+        mass = detailed_distribution(r1, e1).mass
+        missing_atom = {a: row for a, row in mass.items() if a != "w4"}
+        assert not is_stopping_measure(StoppingMeasure(mass=missing_atom), e1)
+        missing_time = {a: {t: m for t, m in row.items() if t != 2} for a, row in mass.items()}
+        assert not is_stopping_measure(StoppingMeasure(mass=missing_time), e1)
+
 
 class TestEquivalent:
     def test_r1_equivalent_to_b1(self, e1, r1, b1):
@@ -362,10 +425,21 @@ class TestEnumeration:
         assert table.event_mass(("w1", "w2"), 1) == F(1, 4)
 
 
+def refuses_touch(eta) -> None:
+    """Putting an equal but new object in one cell of ``eta``, in place, raises TypeError."""
+    if isinstance(eta, (PureStoppingTime, MixedStoppingTime)):
+        table = (eta.sections[0] if isinstance(eta, MixedStoppingTime) else eta).stop
+    else:
+        table = eta.rho_inf if isinstance(eta, RandomizedStoppingTime) else eta.beta[1]
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = copy.copy(table[key])
+
+
 class TestValidatesOnce:
-    """Each public entry point reads each rule, process and game it is given once, and checks
-    a rule or game only when the space keeps no check of it: a first call checks it once, an
-    unchanged repeat not at all and a rule changed in place once again."""
+    """Each public entry point reads each rule, process and game it is given once per lifetime:
+    a first call checks it once, and no later call checks it again while it lives.  It cannot
+    change in place, and an equal copy is a new input, checked once."""
 
     @pytest.fixture
     def cases(self):
@@ -373,59 +447,61 @@ class TestValidatesOnce:
         space = random_space(rng, max_depth=3)
         return space, [maker(rng, space) for maker in MAKERS], random_process(rng, space)
 
-    def test_detailed_distribution_and_payoff(self, checked, touch, cases):
+    def test_detailed_distribution_and_payoff(self, checked, cases):
         space, rules, problem = cases
         for eta in rules:
             detailed_distribution(eta, space)
             assert checked == [eta]
             checked.clear()
-            payoff(eta, problem, space)
+            value = payoff(eta, problem, space)
             detailed_distribution(eta, space)
-            assert checked == []
-            touch(eta)
-            payoff(eta, problem, space)
-            assert checked == [eta]
+            assert checked == ([problem] if eta is rules[0] else [])
+            checked.clear()
+            refuses_touch(eta)
+            twin = copy.deepcopy(eta)
+            assert payoff(twin, problem, space) == value
+            assert checked == [twin]
             checked.clear()
 
-    def test_problem_read_once(self, checked, read, touch, cases):
+    def test_problem_read_once(self, checked, read, cases):
         space, rules, problem = cases
         payoff(rules[0], problem, space)
         assert read == [problem]
-        read.clear()
         snell_value(problem, space)
-        assert read == [problem]
-        read.clear()
         check_epsilon_optimal(rules[0], problem, 0, space)
         assert read == [problem]
-        assert checked == [rules[0]]
-        touch(rules[0])
-        check_epsilon_optimal(rules[0], problem, 0, space)
-        assert checked == [rules[0]] * 2
+        assert checked == [rules[0], problem]
+        twin = copy.deepcopy(problem)
+        assert check_epsilon_optimal(rules[0], twin, 0, space) == check_epsilon_optimal(
+            rules[0], problem, 0, space
+        )
+        assert read == [problem, twin]
+        assert checked == [rules[0], problem, twin]
 
-    def test_convert_every_target(self, checked, touch, cases):
+    def test_convert_every_target(self, checked, cases):
         space, rules, _ = cases
         for eta in rules:
-            for target in TARGET_TYPES:
-                convert(eta, target, space)
+            converted = [convert(eta, target, space) for target in TARGET_TYPES]
             assert checked == [eta]
             checked.clear()
-            touch(eta)
-            for target in TARGET_TYPES:
-                convert(eta, target, space)
-            assert checked == [eta]
+            refuses_touch(eta)
+            twin = copy.deepcopy(eta)
+            assert [convert(twin, target, space) for target in TARGET_TYPES] == converted
+            assert checked == [twin]
             checked.clear()
 
-    def test_equivalent_validates_both(self, checked, touch, cases):
+    def test_equivalent_validates_both(self, checked, cases):
         space, rules, _ = cases
         equivalent(rules[0], rules[1], space)
         assert checked == [rules[0], rules[1]]
         equivalent(rules[1], rules[0], space)
         assert checked == [rules[0], rules[1]]
-        touch(rules[1])
-        equivalent(rules[0], rules[1], space)
-        assert checked == [rules[0], rules[1], rules[1]]
+        refuses_touch(rules[1])
+        twin = copy.deepcopy(rules[1])
+        assert equivalent(rules[0], twin, space) == equivalent(rules[0], rules[1], space)
+        assert checked == [rules[0], rules[1], twin]
 
-    def test_game_calls_validate_each_rule_once(self, checked, touch, cases, monkeypatch):
+    def test_game_calls_validate_each_rule_once(self, checked, cases, monkeypatch):
         space, rules, _ = cases
         game = random_game(random.Random(18), space)
         counted = []
@@ -448,13 +524,20 @@ class TestValidatesOnce:
                 fresh = [x for x in fresh if all(x is not y for y in given)]
                 checked.clear()
         for eta in rules:
-            touch(eta)
-            best_response_value(eta, game, 1, space)
-            assert checked == [eta]
+            refuses_touch(eta)
+            twin = copy.deepcopy(eta)
+            assert best_response_value(twin, game, 1, space) == best_response_value(
+                eta, game, 1, space
+            )
+            assert checked == [twin]
             checked.clear()
-        game.payoffs[1, BOTH].infinity[space.atoms[0]] += 1
-        best_response_value(rules[0], game, 1, space)
-        assert checked == [game]
+        with pytest.raises(TypeError):
+            game.payoffs[1, BOTH].infinity[space.atoms[0]] += 1
+        twin = copy.deepcopy(game)
+        assert best_response_value(rules[0], twin, 1, space) == best_response_value(
+            rules[0], game, 1, space
+        )
+        assert checked == [twin]
 
     def test_game_processes_read_once_per_call(self, read, cases):
         space, rules, _ = cases
@@ -466,10 +549,9 @@ class TestValidatesOnce:
             lambda: auxiliary_problem(rules[0], game, space, 1),
             lambda: is_zero_sum(game, space),
         ]
-        for call in calls * 2:  # the second round reuses the space's translation
+        for call in calls * 2:  # the first call reads the game; the others reuse its translation
             call()
             assert sorted(read, key=id) == sorted(game.payoffs.values(), key=id)
-            read.clear()
 
     def test_zero_sum_value_reads_each_process_once(self, read):
         rng = random.Random(20)
