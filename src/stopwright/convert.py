@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, Table, Time, fraction_table, integers
+from .space import INFINITY, FilteredSpace, ReadOnly, Table, Time, fraction_table, integers
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -115,7 +115,7 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
             since = 0 if stop is None else stop[1]
             row[since:upto] = [n] * (upto - since)
         rows.append(row)
-    sections = tuple(PureStoppingTime(stop=dict(zip(space.atoms, column))) for column in zip(*rows))
+    sections = tuple(PureStoppingTime(ReadOnly(zip(space.atoms, column))) for column in zip(*rows))
     return MixedStoppingTime(breakpoints=breakpoints, sections=sections)
 
 

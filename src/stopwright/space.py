@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, eq, getitem, mul
+from operator import attrgetter, getitem, mul
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -89,9 +89,10 @@ def read_only_rows(table):
     return ReadOnly({n: ReadOnly(r) if type(r) is dict else read_only(r) for n, r in table.items()})
 
 
-def fraction_table(table) -> dict[int, dict[str, Fraction]]:
-    """A per-time block table with ``int`` times and ``as_fraction`` values, in its own order."""
-    return {int(n): {b: as_fraction(v) for b, v in level.items()} for n, level in table.items()}
+def fraction_table(table) -> ReadOnly:
+    """A per-time block table as read-only ``{int(n): {b: as_fraction(v)}}``, in its own order."""
+    rows = {int(n): ReadOnly({b: as_fraction(v) for b, v in r.items()}) for n, r in table.items()}
+    return ReadOnly(rows)
 
 
 def time_label(t: Time) -> str:
@@ -301,6 +302,7 @@ class FilteredSpace:
         self.paths = list(zip(*columns))
         self.leaf = columns[-1]
         self._times = set(range(1, self.horizon + 1))
+        self._widths = list(map(len, self.levels))
         mass = [0] * (self.root + 1)
         for i, m in zip(self.leaf, self.atom_mass):
             mass[i] = m
@@ -348,10 +350,8 @@ class FilteredSpace:
 
     def by_block(self, cells) -> ReadOnly:
         """A per-block list in flat order as ``{n: {block_id: cell}}``, read-only."""
-        s = self.starts
-        return ReadOnly(
-            {n: ReadOnly(zip(level, cells[s[n - 1] : s[n]])) for n, level in enumerate(self.levels, 1)}
-        )
+        s, levels = self.starts, enumerate(self.levels, start=1)
+        return ReadOnly({n: ReadOnly(zip(level, cells[s[n - 1] : s[n]])) for n, level in levels})
 
     def fractions(self, table: Table) -> tuple[ReadOnly, ReadOnly]:
         """``table`` as the public dicts: ``({n: {block_id: Fraction}}, {atom: Fraction})``."""
@@ -361,26 +361,25 @@ class FilteredSpace:
             ReadOnly(zip(self.atoms, map(value, table.atoms))),
         )
 
-    def read(self, table, name: str, infinity=None) -> Union[list, Violation]:
+    def read(self, table, name: str, infinity=None, value_error=None) -> Union[list, Violation]:
         """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
 
         With ``infinity``, an ``{atom: value}`` slot at INFINITY is read after it.  Returns
         the values in flat block order, then the atoms in atom order, or the first Violation
         in that order: a time outside 1..T, then per time a missing time, key or non-exact
-        value, then an unknown key.  A read-only table keyed exactly by the space and holding
-        ints and Fractions is gathered in one look per row; the cell-by-cell loop runs only
-        to name a fault or to admit exact values of other types.
+        value, then an unknown key; with ``value_error``, a non-exact value raises it
+        instead.  Read-only rows of ints and Fractions that list the space's blocks in
+        partition order are gathered in one look; anything else is read cell by cell.
         """
         T = self.horizon
         if type(table) is ReadOnly and {*map(type, table)} == {int} and table.keys() == self._times:
             rows = list(map(table.__getitem__, range(1, T + 1)))
-            same = map(eq, map(dict.keys, rows), map(dict.keys, self.levels))
-            slot = infinity is None or type(infinity) is ReadOnly and infinity.keys() == self.prob.keys()
-            if slot and {*map(type, rows)} == {ReadOnly} and all(same):
-                if [*chain.from_iterable(rows)] == self.ids:  # each row in partition order
-                    cells = [*chain.from_iterable(map(dict.values, rows))]
-                else:
-                    cells = list(map(getitem, map(table.__getitem__, self.depth), self.ids))
+            slot = infinity is None or (
+                type(infinity) is ReadOnly and infinity.keys() == self.prob.keys()
+            )
+            sized = {*map(type, rows)} == {ReadOnly} and [*map(len, rows)] == self._widths
+            if slot and sized and [*chain.from_iterable(rows)] == self.ids:
+                cells = [*chain.from_iterable(map(dict.values, rows))]
                 cells += () if infinity is None else map(infinity.__getitem__, self.atoms)
                 if {*map(type, cells)} <= {Fraction, int}:  # a bool is neither
                     return cells
@@ -398,7 +397,10 @@ class FilteredSpace:
                 if key not in row:
                     return Violation("Malformed", n, key, f"{label} missing {noun}")
                 if not _exact(row[key]):
-                    return Violation("Malformed", n, key, f"{label} holds a non-exact value")
+                    fault = Violation("Malformed", n, key, f"{label} holds a non-exact value")
+                    if value_error is None:
+                        return fault
+                    raise value_error(str(fault), violation=fault)
                 cells.append(row[key])
             if len(row) != len(keys):
                 unknown = set(row) - set(keys)
@@ -605,7 +607,7 @@ def constant_process(space: FilteredSpace, value) -> AdaptedProcess:
     """The process equal to ``value`` at every time and at INFINITY."""
     c = as_fraction(value)
     return AdaptedProcess(
-        values={n: {b: c for b in space.blocks(n)} for n in range(1, space.horizon + 1)},
+        values=space.by_block([c] * space.root),
         infinity={a: c for a in space.atoms},
     )
 
@@ -616,11 +618,9 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
     Raises SpaceMismatch unless ``process`` is keyed exactly by the space, and
     ValidationError unless every value is an int or a Fraction, with the first Violation.
     """
-    cells = space.read(process.values, "values", process.infinity)
+    cells = space.read(process.values, "values", process.infinity, ValidationError)
     if not isinstance(cells, Violation):
         return cells
-    if cells.detail.endswith("non-exact value"):
-        raise ValidationError(str(cells), violation=cells)
     if cells.time is None or process.values.keys() != space._times:
         message = f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
     elif cells.time == INFINITY:

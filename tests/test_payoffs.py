@@ -414,6 +414,27 @@ class TestStrictProcessRead:
         for name in ("payoff", "snell_value", "game_payoff"):
             assert calls[name](problem) == calls[name](plain), name
 
+    def test_rows_out_of_partition_order(self, e1, r1, b1):
+        """A table whose times and blocks are listed out of partition order is gathered by key."""
+        times = range(1, e1.horizon + 1)
+        values = {n: {b: F(k + n, 7) for k, b in enumerate(e1.blocks(n))} for n in times}
+        infinity = {a: F(k, 5) for k, a in enumerate(e1.atoms)}
+        ordered = AdaptedProcess(values, infinity)
+        shuffled = AdaptedProcess(
+            {n: dict(reversed(row.items())) for n, row in reversed(values.items())},
+            dict(reversed(infinity.items())),
+        )
+        assert [list(row) for row in shuffled.values.values()] != [
+            list(row) for row in ordered.values.values()
+        ]
+        cells = e1.read(ordered.values, "values", ordered.infinity)
+        assert e1.read(shuffled.values, "values", shuffled.infinity) == cells
+        calls = self.calls(e1, r1, b1)
+        for name in ("payoff", "snell_value", "game_payoff", "is_zero_sum"):
+            assert calls[name](shuffled) == calls[name](ordered), name
+        beta = BehaviorStoppingTime({n: dict(reversed(row.items())) for n, row in b1.beta.items()})
+        assert detailed_distribution(beta, e1) == detailed_distribution(b1, e1)
+
     @pytest.mark.parametrize("keys, first", [((5, "zz"), "zz"), (("D", "C"), "C"), ((7, 5), 5)])
     def test_unknown_keys_of_any_types(self, e1, r1, b1, keys, first):
         problem = faulty(e1, lambda p: p.values[1].update(dict.fromkeys(keys, F(0))))
