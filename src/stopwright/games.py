@@ -15,6 +15,7 @@ player's game payoff is their payoff in that same problem.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
@@ -26,6 +27,7 @@ from .space import (
     AdaptedProcess,
     FilteredSpace,
     Kept,
+    ReadOnly,
     Table,
     Time,
     read_only,
@@ -34,7 +36,8 @@ from .stopping import (
     BehaviorStoppingTime,
     RandomStoppingTime,
     StoppingMeasure,
-    density_table,
+    check,
+    density_of,
     detailed_distribution,
     equivalent,
 )
@@ -107,30 +110,24 @@ class JointStoppingMeasure:
 
     def marginal(self, space: FilteredSpace, player: int) -> StoppingMeasure:
         """Integrate out the other player's stop index."""
-        table = {}
+        rows = []
         for atom in space.atoms:
-            row = {t: Fraction(0) for t in space.times}
+            row = dict.fromkeys(space.times, ZERO)
             for (t1, t2), m in self.mass[atom].items():
                 row[t1 if player == 1 else t2] += m
-            table[atom] = row
-        return StoppingMeasure(mass=table)
+            rows.append(ReadOnly(row))
+        return StoppingMeasure(mass=ReadOnly(zip(space.atoms, rows)))
 
 
 def joint_detailed_distribution(
     eta1: RandomStoppingTime, eta2: RandomStoppingTime, space: FilteredSpace
 ) -> JointStoppingMeasure:
     """Product of the two rules' densities: independent external randomness."""
-    nu1 = detailed_distribution(eta1, space)
-    nu2 = detailed_distribution(eta2, space)
+    nu1, nu2 = detailed_distribution(eta1, space).mass, detailed_distribution(eta2, space).mass
     mass = {}
-    for atom in space.atoms:
-        p = space.prob[atom]
-        row = {}
-        for t1 in space.times:
-            d1 = nu1.density(space, atom, t1)
-            for t2 in space.times:
-                row[(t1, t2)] = p * d1 * nu2.density(space, atom, t2)
-        mass[atom] = row
+    for atom in space.atoms:  # p * d1 * d2, where each density d is m / p
+        cells = itertools.product(nu1[atom].items(), nu2[atom].items())
+        mass[atom] = {(t1, t2): m1 * m2 / space.prob[atom] for (t1, m1), (t2, m2) in cells}
     return JointStoppingMeasure(mass=mass)
 
 
@@ -146,10 +143,12 @@ def game_payoff(
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
     """Each player's density table and the auxiliary problem the other sets; validates each once."""
-    tables = game_tables(game, space)
-    d2 = density_table(eta2, space)
-    d1 = density_table(eta1, space)
-    return ((d1, _fold(d2, _own(tables, 1), space)), (d2, _fold(d1, _own(tables, 2), space)))
+    kept = kept_game(game, space)
+    two, one = check(eta2, space), check(eta1, space)
+    return (
+        (one.derive(density_of, space), two.derive(_folded, space, kept, 1)),
+        (two.derive(density_of, space), one.derive(_folded, space, kept, 2)),
+    )
 
 
 def game_equivalent(
@@ -187,8 +186,14 @@ def auxiliary_problem(
 def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
     if player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
-    tables = game_tables(game, space)
-    return _fold(density_table(opponent, space), _own(tables, player), space)
+    kept = kept_game(game, space)
+    return check(opponent, space).derive(_folded, space, kept, player)
+
+
+def _folded(opponent: Kept, space: FilteredSpace, game: Kept, player: int) -> Table:
+    """The problem ``player`` faces in the kept ``game`` against the kept ``opponent``, kept
+    with the opponent: keyed by the game's Kept, which no later game can share."""
+    return _fold(opponent.derive(density_of, space), _own(game.parts, player), space)
 
 
 def _fold(opponent: Table, own: Sequence[Table], space: FilteredSpace) -> Table:

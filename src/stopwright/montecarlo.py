@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .space import INFINITY, FilteredSpace, Table, Time
+from .space import INFINITY, FilteredSpace, Kept, Time
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -141,19 +141,19 @@ def _sections(cuts, section_cols, rng, atom_idx):
     return section_cols[k, atom_idx]
 
 
-#: Per rule type, its sampler from its check's parts.
+#: Per rule type, its sampler from its kept check's parts.
 _SAMPLERS = {
-    PureStoppingTime: lambda stops, space: partial(_pick, np.array(_columns(stops, space))),
-    RandomizedStoppingTime: lambda parts, space: partial(
-        _threshold, np.array([c / parts[1] for c in parts[2]])[_space_arrays(space)[1]]
+    PureStoppingTime: lambda kept, space: partial(_pick, np.array(_columns(kept.parts, space))),
+    RandomizedStoppingTime: lambda kept, space: partial(
+        _threshold, np.array([c / kept.parts[1] for c in kept.parts[2]])[_space_arrays(space)[1]]
     ),
-    BehaviorStoppingTime: lambda hazards, space: partial(
-        _hazards, np.array([float(h) for h in hazards])[_space_arrays(space)[1]]
+    BehaviorStoppingTime: lambda kept, space: partial(
+        _hazards, np.array([float(h) for h in kept.parts])[_space_arrays(space)[1]]
     ),
-    MixedStoppingTime: lambda parts, space: partial(
+    MixedStoppingTime: lambda kept, space: partial(
         _sections,
-        np.array([c / parts[2] for c in itertools.accumulate(parts[1])]),
-        np.array([_columns(stops, space) for stops in parts[0]]),
+        np.array([c / kept.parts[2] for c in itertools.accumulate(kept.parts[1])]),
+        np.array([_columns(stops, space) for stops in kept.parts[0]]),
     ),
 }
 
@@ -293,16 +293,16 @@ def empirical_game_payoff(
     return tuple((s + 0.0) / samples for s in sums)
 
 
-def _payoff_grids(tables: list[Table], space: FilteredSpace) -> np.ndarray:
+def _payoff_grids(game: Kept, space: FilteredSpace) -> np.ndarray:
     """Float payoffs by (player, coalition, atom, stop column), column T meaning INFINITY.
 
-    The tables share one denominator; ``num / den`` of Python integers
-    rounds exactly as ``float`` of the Fraction does.
+    The game's tables share one denominator; ``num / den`` of Python
+    integers rounds exactly as ``float`` of the Fraction does.
     """
-    den = tables[0].den
+    den = game.parts[0].den
     paths = _space_arrays(space)[1]
     grids = []
-    for t in tables:
+    for t in game.parts:
         blocks = np.array([n / den for n in t.blocks], float)
         grids.append(np.column_stack((blocks[paths], [n / den for n in t.atoms])))
     return np.stack(grids).reshape(2, 3, len(space.atoms), space.horizon + 1)

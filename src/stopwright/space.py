@@ -181,11 +181,14 @@ class Kept:
     def __init__(self, ref: weakref.ref, parts):
         self.ref, self.parts, self.derived = ref, parts, {}
 
-    def derive(self, make: Callable, space: "FilteredSpace"):
-        """``make(parts, space)``, built on first use and shared after."""
-        if make not in self.derived:
-            self.derived[make] = make(self.parts, space)
-        return self.derived[make]
+    def derive(self, make: Callable, space: "FilteredSpace", *args):
+        """``make(self, space, *args)``, built on the first call with this ``make`` and these
+        ``args`` and shared after, so it dies with this check."""
+        key = (make, *args)
+        value = self.derived.get(key)
+        if value is None:
+            value = self.derived[key] = make(self, space, *args)
+        return value
 
 
 class FilteredSpace:
@@ -193,6 +196,7 @@ class FilteredSpace:
 
     ``levels[n-1]`` maps each time-``n`` block id to its member atoms.
     ``build_space`` names horizon blocks after their atoms; find them with ``block_of``.
+    ``prob`` and the ``levels`` rows are read-only, as the results kept from them assume.
 
     The blocks are also numbered 0..B-1 once, level by level and in
     partition order, so each block comes after its parent.  The exact
@@ -217,8 +221,8 @@ class FilteredSpace:
     ):
         self.horizon = int(horizon)
         self.atoms = tuple(atoms)
-        self.prob = {a: as_fraction(p) for a, p in prob.items()}
-        self.levels = tuple({b: tuple(members) for b, members in level.items()} for level in levels)
+        self.prob = ReadOnly({a: as_fraction(p) for a, p in prob.items()})
+        self.levels = tuple(ReadOnly(zip(level, map(tuple, level.values()))) for level in levels)
         self._validate()
         self._index()
         #: ``recall``'s kept checks, by the type and id of their input
@@ -453,6 +457,11 @@ class FilteredSpace:
     @cached_property
     def _stop_paths(self) -> list[tuple]:
         return [path + (None,) for path in self.paths]
+
+    @cached_property
+    def slots(self) -> list[list[int]]:
+        """Per stop index in ``times``, each atom's cell in a Table's ``blocks + atoms``."""
+        return [*map(list, zip(*self.paths)), list(range(self.root, self.root + len(self.atoms)))]
 
     # -- passes over the flat numbering ---------------------------------------
 

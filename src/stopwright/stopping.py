@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import le, mul
 from typing import Mapping, Optional, Union
 
 from .errors import ValidationError
@@ -111,7 +111,7 @@ RandomStoppingTime = Union[
 
 @dataclass(frozen=True)
 class StoppingMeasure:
-    """Mass table over (atom, stop index).
+    """Mass table over (atom, stop index), read-only as a rule's tables are.
 
     A *stopping measure* additionally projects to the space's probability
     on atoms and has time-``n`` densities constant on time-``n`` blocks;
@@ -121,6 +121,9 @@ class StoppingMeasure:
     """
 
     mass: Mapping[str, Mapping[Time, Fraction]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "mass", read_only_rows(self.mass))
 
     def total_mass(self) -> Fraction:
         return sum(
@@ -163,14 +166,12 @@ def mixed(breakpoints, sections) -> MixedStoppingTime:
 
 def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
     """Dense mass table from possibly sparse input; missing cells become 0."""
-    table = {}
-    for atom in space.atoms:
-        row = mass.get(atom, {})
-        table[atom] = {t: as_fraction(row.get(t, 0)) for t in space.times}
+    rows = (mass.get(atom, {}) for atom in space.atoms)
+    table = [ReadOnly({t: as_fraction(row.get(t, 0)) for t in space.times}) for row in rows]
     unknown = set(mass) - set(space.atoms)
     if unknown:
         raise ValidationError(f"mass table references unknown atoms {sorted(unknown)}")
-    return StoppingMeasure(mass=table)
+    return StoppingMeasure(mass=ReadOnly(zip(space.atoms, table)))
 
 
 # -- validation ----------------------------------------------------------------
@@ -337,7 +338,12 @@ def _checked(eta, space: FilteredSpace) -> Union[Kept, Violation]:
 
 def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
     """``densities`` as a Table, the form the exact passes read, built once from ``check``'s parts."""
-    return check(eta, space).derive(_kind(eta)[1], space)
+    return check(eta, space).derive(density_of, space)
+
+
+def density_of(kept: Kept, space: FilteredSpace) -> Table:
+    """A valid rule's density Table, reduced from its kept check's parts."""
+    return _kind(kept.ref())[1](kept.parts, space)
 
 
 def _survival(hazards: list, space: FilteredSpace) -> Table:
@@ -409,26 +415,28 @@ def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppi
     Every representation reduces to this randomized form, and everything
     observable about a rule (its mass table, payoffs, equivalence, games)
     is read off it.  Validates ``eta`` first; the result holds Fractions
-    keyed exactly by the space's blocks, times and atoms.
+    keyed exactly by the space's blocks, times and atoms, read-only and shared by every call.
     """
-    rho, rho_inf = space.fractions(density_table(eta, space))
+    return check(eta, space).derive(_randomized, space)
+
+
+def _randomized(kept: Kept, space: FilteredSpace) -> RandomizedStoppingTime:
+    rho, rho_inf = space.fractions(kept.derive(density_of, space))
     return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
 def detailed_distribution(eta: RandomStoppingTime, space: FilteredSpace) -> StoppingMeasure:
-    """The exact joint law of (outcome, stop index) induced by ``eta``."""
-    d = density_table(eta, space)
+    """The exact joint law of (outcome, stop index) induced by ``eta``, read-only and shared."""
+    return check(eta, space).derive(_measure, space)
+
+
+def _measure(kept: Kept, space: FilteredSpace) -> StoppingMeasure:
+    d = kept.derive(density_of, space)
     value = FractionsOver(space.denominator * d.den).__getitem__
-    stop_mass = d.blocks.__getitem__
-    times = range(1, space.horizon + 1)
-    mass = {}
-    for atom, path, p, inf in zip(space.atoms, space.paths, space.atom_mass, d.atoms):
-        row: dict[Time, Fraction] = dict(
-            zip(times, map(value, map(p.__mul__, map(stop_mass, path))))
-        )
-        row[INFINITY] = value(p * inf)
-        mass[atom] = row
-    return StoppingMeasure(mass=mass)
+    cell = (d.blocks + d.atoms).__getitem__
+    columns = [map(value, map(mul, space.atom_mass, map(cell, slots))) for slots in space.slots]
+    rows = map(ReadOnly, map(zip, itertools.repeat(space.times), zip(*columns)))
+    return StoppingMeasure(mass=ReadOnly(zip(space.atoms, rows)))
 
 
 def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:

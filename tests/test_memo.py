@@ -34,7 +34,7 @@ from stopwright import (
     zero_sum_value,
 )
 from stopwright.convert import TARGET_TYPES
-from stopwright.games import StoppingGame, game_tables
+from stopwright.games import StoppingGame, _auxiliary, game_tables
 from stopwright.space import AdaptedProcess, ReadOnly, Violation
 from stopwright.stopping import (
     BehaviorStoppingTime,
@@ -295,3 +295,61 @@ class TestLifetime:
         assert validate(subclassed, e1) is None
         assert validate(r1, e1) is None
         assert list(e1._kept) == [(type(subclassed), id(subclassed)), (type(r1), id(r1))]
+
+
+class TestDerived:
+    """A rule's mass table, its densities and each fold against it are built once per kept check,
+    shared read-only, and kept no longer than the rule."""
+
+    @pytest.mark.parametrize("kind", sorted(CHANGES))
+    def test_repeat_calls_share_one_read_only_result(self, kind):
+        rng = random.Random(f"derived {kind}")
+        space = random_space(rng, max_depth=3)
+        eta = CHANGES[kind][0](rng, space)
+        nu, rho = detailed_distribution(eta, space), densities(eta, space)
+        assert detailed_distribution(eta, space) is nu and densities(eta, space) is rho
+        atom = space.atoms[0]
+        with pytest.raises(TypeError, match="read-only"):
+            nu.mass[atom][INFINITY] = F(0)
+        for table in (nu.mass, rho.rho, rho.rho[1], rho.rho_inf):
+            with pytest.raises(TypeError, match="read-only"):
+                table[next(iter(table))] = F(0)
+        twin = copy.deepcopy(eta)
+        assert detailed_distribution(twin, space) == nu
+        assert detailed_distribution(twin, space) is not nu
+        assert densities(twin, space) == rho and densities(twin, space) is not rho
+        key = (type(eta), id(eta))
+        del eta
+        gc.collect()
+        assert key not in space._kept
+        assert (type(twin), id(twin)) in space._kept
+
+    def test_folds_are_kept_with_the_opponent_not_the_game(self):
+        rng = random.Random(1300)
+        space = random_space(rng, max_depth=3)
+        game, rule = random_game(rng, space), random_stopping_time(rng, space)
+        empirical_game_payoff(rule, rule, game, space, 50, 1)
+        kept = space._kept[type(game), id(game)]
+        size = len(kept.derived)
+        fold = _auxiliary(rule, game, space, 1)
+        assert _auxiliary(rule, game, space, 1) is fold
+        for _ in range(200):
+            opponent = random_stopping_time(rng, space)
+            game_payoff(rule, opponent, game, space)
+            best_response_value(opponent, game, 1, space)
+            auxiliary_problem(opponent, game, space, 2)
+            assert len(kept.derived) == size
+        del opponent
+        gc.collect()
+        assert len(space._kept) == 3  # the game, the rule and the space's own sampling arrays
+
+    def test_a_new_game_is_folded_afresh(self):
+        rng = random.Random(1301)
+        space = random_space(rng, max_depth=3)
+        rule = random_stopping_time(rng, space)
+        for _ in range(20):  # a collected game's id is often reused by the next
+            game = random_game(rng, space)
+            fresh = best_response_value(copy.deepcopy(rule), copy.deepcopy(game), 2, space)
+            assert best_response_value(rule, game, 2, space) == fresh
+            del game
+            gc.collect()

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from stopwright import (
     stopping_game,
 )
 from stopwright.games import BOTH, ONLY_1, ONLY_2
+from stopwright.space import ReadOnly
 from stopwright.serialize import (
     game_from_doc,
     game_to_doc,
@@ -137,6 +139,22 @@ class TestMeasureDocs:
     def test_round_trip(self, e1):
         nu = detailed_distribution(make_r1(), e1)
         assert measure_from_doc(measure_to_doc(nu), e1) == nu
+
+    def test_read_only_measure_writes_the_same_bytes(self, e1):
+        nu = detailed_distribution(make_r1(), e1)
+        plain = SimpleNamespace(mass={atom: dict(row) for atom, row in nu.mass.items()})
+        written = json.dumps(measure_to_doc(nu))
+        assert written == json.dumps(measure_to_doc(plain))
+        assert written == (
+            '{"mass": {"w1": {"1": "1/8", "2": "1/8", "inf": "0"}, '
+            '"w2": {"1": "1/8", "2": "0", "inf": "1/8"}, '
+            '"w3": {"1": "1/16", "2": "1/16", "inf": "1/8"}, '
+            '"w4": {"1": "1/16", "2": "3/16", "inf": "0"}}}'
+        )
+        back = measure_from_doc(json.loads(written), e1)
+        assert {type(back.mass), *map(type, back.mass.values())} == {ReadOnly}
+        with pytest.raises(TypeError, match="read-only"):
+            back.mass["w1"][1] = F(0)
 
     def test_arrays_rejected(self, e1):
         for doc in ({"mass": []}, {"mass": {"w1": []}}):

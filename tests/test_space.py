@@ -36,6 +36,16 @@ class TestBuildSpace:
         assert space.atoms == ("w",)
         assert space.prob["w"] == 1
 
+    def test_probabilities_and_partitions_refuse_change_in_place(self, e1):
+        with pytest.raises(TypeError, match="read-only"):
+            e1.prob["w1"] = F(1, 2)
+        for level in e1.levels:
+            with pytest.raises(TypeError, match="read-only"):
+                level[next(iter(level))] = ("w1",)
+        one = {a: F(1) for a in e1.atoms}
+        assert expectation(e1, one) == 1
+        assert snell_value(constant_process(e1, 1), e1).value == 1
+
     def test_e1_structure(self, e1):
         assert e1.horizon == 2
         assert len(e1.blocks(1)) == 2

@@ -24,7 +24,6 @@ from stopwright import (
     validate,
 )
 
-import stopwright.games
 from stopwright import (
     auxiliary_problem,
     best_response_value,
@@ -39,7 +38,7 @@ from stopwright import (
     zero_sum_value,
 )
 from stopwright.games import BOTH, COALITIONS
-from stopwright.space import Violation
+from stopwright.space import FilteredSpace, Violation
 from stopwright.stopping import MixedStoppingTime, PureStoppingTime, StoppingMeasure, check
 from stopwright.convert import TARGET_TYPES
 
@@ -504,23 +503,25 @@ class TestValidatesOnce:
     def test_game_calls_validate_each_rule_once(self, checked, cases, monkeypatch):
         space, rules, _ = cases
         game = random_game(random.Random(18), space)
-        counted = []
-        real = stopwright.games.game_tables
+        translated = []
+        real = FilteredSpace.tables
         monkeypatch.setattr(
-            stopwright.games, "game_tables", lambda *args: counted.append(1) or real(*args)
+            FilteredSpace, "tables", lambda *args: translated.append(1) or real(*args)
         )
         fresh = [game, *rules]  # each is checked by the first call given it, and only then
         for eta1, eta2 in zip(rules, rules[1:] + rules[:1]):
-            for _ in range(2):
-                counted.clear()
+            for repeat in (False, True):
+                translated.clear()
                 game_payoff(eta1, eta2, game, space)
-                assert counted == [1]
+                # a first call for the pair translates the game at most once, a repeat not at all
+                assert len(translated) <= (0 if repeat else 1)
                 check_epsilon_equilibrium(eta1, eta2, game, 0, space)
                 for player in (1, 2):
                     auxiliary_problem(eta1, game, space, player)
                     best_response_value(eta1, game, player, space)
                 given = [x for x in fresh if any(x is y for y in (game, eta1, eta2))]
                 assert sorted(checked, key=id) == sorted(given, key=id)
+                assert len(translated) == any(x is game for x in given)
                 fresh = [x for x in fresh if all(x is not y for y in given)]
                 checked.clear()
         for eta in rules:
