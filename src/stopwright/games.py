@@ -138,16 +138,20 @@ def game_payoff(
     space: FilteredSpace,
 ) -> tuple[Fraction, Fraction]:
     """Expected payoff pair: each player's payoff in the auxiliary problem the other sets."""
-    return tuple(_pair(d, problem, space) for d, problem in _faced(eta1, eta2, game, space))
+    return tuple(
+        _pair(d, opponent.derive(_folded, space, *key), space)
+        for d, opponent, key in _faced(eta1, eta2, game, space)
+    )
 
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
-    """Each player's density table and the auxiliary problem the other sets; validates each once."""
+    """Per player: their density table, the opponent's kept check, and the key of the problem
+    the opponent sets, ``(the game's Kept, player)``; validates each input once."""
     kept = kept_game(game, space)
     two, one = check(eta2, space), check(eta1, space)
     return (
-        (one.derive(density_of, space), two.derive(_folded, space, kept, 1)),
-        (two.derive(density_of, space), one.derive(_folded, space, kept, 2)),
+        (one.derive(density_of, space), two, (kept, 1)),
+        (two.derive(density_of, space), one, (kept, 2)),
     )
 
 
@@ -184,16 +188,26 @@ def auxiliary_problem(
 
 
 def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
+    return _against(_folded, opponent, game, space, player)
+
+
+def _against(make, opponent, game: StoppingGame, space: FilteredSpace, player: int):
+    """``make`` derived on the opponent's kept check for the kept game and ``player``."""
     if player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     kept = kept_game(game, space)
-    return check(opponent, space).derive(_folded, space, kept, player)
+    return check(opponent, space).derive(make, space, kept, player)
 
 
 def _folded(opponent: Kept, space: FilteredSpace, game: Kept, player: int) -> Table:
     """The problem ``player`` faces in the kept ``game`` against the kept ``opponent``, kept
     with the opponent: keyed by the game's Kept, which no later game can share."""
     return _fold(opponent.derive(density_of, space), _own(game.parts, player), space)
+
+
+def _best(opponent: Kept, space: FilteredSpace, game: Kept, player: int) -> SnellResult:
+    """The optimum of the problem ``_folded`` keeps, kept beside it."""
+    return _snell(opponent.derive(_folded, space, game, player), space)
 
 
 def _fold(opponent: Table, own: Sequence[Table], space: FilteredSpace) -> Table:
@@ -227,8 +241,11 @@ def best_response_value(
     player: int,
     space: FilteredSpace,
 ) -> SnellResult:
-    """Best payoff the player can secure against ``opponent``, with a pure rule attaining it."""
-    return _snell(_auxiliary(opponent, game, space, player), space)
+    """Best payoff the player can secure against ``opponent``, with a pure rule attaining it.
+
+    Repeat calls on the same live opponent and game share one read-only result.
+    """
+    return _against(_best, opponent, game, space, player)
 
 
 class StageSolution(NamedTuple):
@@ -287,8 +304,16 @@ def zero_sum_value(game: StoppingGame, space: FilteredSpace) -> ZeroSumResult:
     scaled by its block's probability has the same saddle points and stop
     probabilities and a value scaled alike, so only mixed stages build a
     Fraction.
+
+    Repeat calls on the same live game share one read-only result, strategies
+    included, so checking that profile again reuses their kept checks.
     """
-    tables = game_tables(game, space)
+    return kept_game(game, space).derive(_zero_sum, space)
+
+
+def _zero_sum(game: Kept, space: FilteredSpace) -> ZeroSumResult:
+    """``zero_sum_value`` on the kept game's tables."""
+    tables = game.parts
     if not _cancels(tables):
         raise NotZeroSum("player payoffs do not cancel; zero-sum value undefined")
     solo1, solo2, both = tables[:3]
@@ -326,8 +351,9 @@ def check_epsilon_equilibrium(
     a fixed opponent depends only on the deviation's detailed distribution,
     and the pure optimum of the auxiliary problem bounds them all.
     """
-    faced = _faced(eta1, eta2, game, space)
     slack = _epsilon(epsilon)
     return all(
-        _pair(d, problem, space) >= _snell(problem, space).value - slack for d, problem in faced
+        _pair(d, opponent.derive(_folded, space, *key), space)
+        >= opponent.derive(_best, space, *key).value - slack
+        for d, opponent, key in _faced(eta1, eta2, game, space)
     )

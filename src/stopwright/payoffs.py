@@ -20,6 +20,7 @@ from .space import (
     AdaptedProcess,
     Event,
     FilteredSpace,
+    Kept,
     Table,
     Time,
     as_fraction,
@@ -49,12 +50,13 @@ def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpac
     block: stop mass times block probability times value, plus the
     never-stop mass times each atom's INFINITY value.
     """
-    return _pair(density_table(eta, space), _table(problem, space), space)
+    return _pair(density_table(eta, space), _kept(problem, space).parts, space)
 
 
-def _table(problem: AdaptedProcess, space: FilteredSpace) -> Table:
-    """The problem as a Table, read by ``check_process`` once while it lives."""
-    return space.recall(problem, lambda: space.tables(problem)[0]).parts
+def _kept(problem: AdaptedProcess, space: FilteredSpace) -> Kept:
+    """The problem's check, whose parts are its Table, read by ``check_process`` once while it
+    lives."""
+    return space.recall(problem, lambda: space.tables(problem)[0])
 
 
 def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
@@ -71,8 +73,15 @@ def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:
     stopping, at the horizon).  The strategy stops at the first block where
     stopping attains that value, so ties stop as early as possible; an atom
     still running past T never stops, because stopping at T is worse there.
+
+    Repeat calls on the same live problem share one read-only result.
     """
-    return _snell(_table(problem, space), space)
+    return _kept(problem, space).derive(_optimum, space)
+
+
+def _optimum(problem: Kept, space: FilteredSpace) -> SnellResult:
+    """``snell_value`` on the kept problem's Table."""
+    return _snell(problem.parts, space)
 
 
 def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
@@ -142,7 +151,8 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
-    return payoff(eta, problem, space) + _epsilon(epsilon) >= snell_value(problem, space).value
+    slack = _epsilon(epsilon)
+    return payoff(eta, problem, space) + slack >= snell_value(problem, space).value
 
 
 def _epsilon(epsilon) -> Fraction:

@@ -174,21 +174,40 @@ class FractionsOver(dict):
 
 class Kept:
     """A check kept by ``FilteredSpace.recall``: the parts it built and what ``derive`` built
-    from those, shared by every call that reuses it: never mutated."""
+    from those, shared by every call that reuses it: never mutated.
 
-    __slots__ = ("ref", "parts", "derived")
+    ``users`` are the checks holding an entry that ``derive`` keyed by this one, in the order
+    they first did (a dict used as an ordered set)."""
+
+    __slots__ = ("ref", "parts", "derived", "users")
 
     def __init__(self, ref: weakref.ref, parts):
-        self.ref, self.parts, self.derived = ref, parts, {}
+        self.ref, self.parts, self.derived, self.users = ref, parts, {}, {}
 
     def derive(self, make: Callable, space: "FilteredSpace", *args):
         """``make(self, space, *args)``, built on the first call with this ``make`` and these
-        ``args`` and shared after, so it dies with this check."""
+        ``args`` and shared after, so it dies with this check or with any Kept in ``args``."""
         key = (make, *args)
         value = self.derived.get(key)
         if value is None:
             value = self.derived[key] = make(self, space, *args)
+            for arg in args:
+                if type(arg) is Kept:
+                    arg.users[self] = None
         return value
+
+    def release(self) -> None:
+        """Let go of everything derived from this check: its own entries, and each user's
+        entries keyed by it.  The entries are let go only after every table is consistent,
+        since that may collect what they held and drop those checks in turn."""
+        released = [self.derived]
+        for key in self.derived:
+            for arg in key[1:]:
+                if type(arg) is Kept:
+                    arg.users.pop(self, None)
+        for user in self.users:
+            released += [user.derived.pop(key) for key in [*user.derived] if self in key]
+        self.derived, self.users = {}, {}
 
 
 class FilteredSpace:
@@ -420,7 +439,8 @@ class FilteredSpace:
 
         Rules, processes and games are read-only, so the same live object of the same type
         is the same input and reuses its kept check.  Otherwise ``check()`` gives the parts,
-        which are kept, or the first Violation.
+        which are kept, or the first Violation.  A dropped check releases what was derived
+        from it (``Kept.release``), so nothing derived outlives an input it was derived from.
         """
         key = (type(source), id(source))
         kept = self._kept.get(key)
@@ -429,8 +449,13 @@ class FilteredSpace:
         parts = check()
         if isinstance(parts, Violation):
             return parts
-        ref = weakref.ref(source, lambda _, memo=self._kept: memo.pop(key, None))
-        kept = self._kept[key] = Kept(ref, parts)
+
+        def drop(_, memo=self._kept):
+            gone = memo.pop(key, None)
+            if gone is not None:
+                gone.release()
+
+        kept = self._kept[key] = Kept(weakref.ref(source, drop), parts)
         return kept
 
     def tables(self, *processes: "AdaptedProcess") -> list[Table]:

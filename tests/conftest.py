@@ -51,6 +51,20 @@ def checked(monkeypatch):
 
 
 @pytest.fixture
+def translated(monkeypatch):
+    """Every cell list handed to ``stopwright.space.integers``."""
+    calls = []
+    real = stopwright.space.integers
+
+    def counting(cells):
+        calls.append(list(cells))
+        return real(cells)
+
+    monkeypatch.setattr(stopwright.space, "integers", counting)
+    return calls
+
+
+@pytest.fixture
 def read(monkeypatch):
     """The processes read, in the order ``check_process`` is called on them."""
     calls = []

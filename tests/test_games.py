@@ -31,7 +31,6 @@ from stopwright import (
     stopping_game,
     zero_sum_value,
 )
-import stopwright.space
 from stopwright.games import StoppingGame
 
 from fuzz import (
@@ -374,10 +373,11 @@ class TestEquilibriumCheck:
         assert not check_epsilon_equilibrium(stopper, stopper, game, "199/100", singleton)
         assert check_epsilon_equilibrium(stopper, stopper, game, 2, singleton)
 
-    def test_negative_epsilon_rejected(self, singleton):
+    def test_negative_epsilon_rejected(self, singleton, checked):
         game = singleton_game(singleton, 0, 0, 0, 0)
         with pytest.raises(ValidationError):
             check_epsilon_equilibrium(pure({"w": 1}), pure({"w": 1}), game, -1, singleton)
+        assert checked == []  # refused before any rule is checked or the game translated
 
     def test_equilibrium_survives_equivalent_replacement(self):
         rng = random.Random(157)
@@ -430,19 +430,6 @@ def rebuilt(game) -> StoppingGame:
 
 class TestGameMemo:
     """Each space translates a game to integers once, and a changed game again."""
-
-    @pytest.fixture
-    def translated(self, monkeypatch):
-        """Every cell list handed to ``stopwright.space.integers``."""
-        calls = []
-        real = stopwright.space.integers
-
-        def counting(cells):
-            calls.append(list(cells))
-            return real(cells)
-
-        monkeypatch.setattr(stopwright.space, "integers", counting)
-        return calls
 
     def test_repeated_calls_translate_no_game_cell_again(self, translated):
         rng = random.Random(808)

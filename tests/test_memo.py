@@ -7,6 +7,7 @@ import gc
 import operator
 import pickle
 import random
+import weakref
 from fractions import Fraction as F
 from types import MappingProxyType
 
@@ -14,6 +15,7 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    NotZeroSum,
     ValidationError,
     auxiliary_problem,
     best_response_value,
@@ -41,6 +43,7 @@ from stopwright.stopping import (
     MixedStoppingTime,
     PureStoppingTime,
     RandomizedStoppingTime,
+    check,
 )
 
 from fuzz import (
@@ -298,8 +301,9 @@ class TestLifetime:
 
 
 class TestDerived:
-    """A rule's mass table, its densities and each fold against it are built once per kept check,
-    shared read-only, and kept no longer than the rule."""
+    """A rule's mass table, its densities, each fold against it and its optimum, a problem's
+    optimum and a game's zero-sum solution are built once per kept check, shared read-only,
+    and kept no longer than any input they were derived from."""
 
     @pytest.mark.parametrize("kind", sorted(CHANGES))
     def test_repeat_calls_share_one_read_only_result(self, kind):
@@ -339,6 +343,7 @@ class TestDerived:
             best_response_value(opponent, game, 1, space)
             auxiliary_problem(opponent, game, space, 2)
             assert len(kept.derived) == size
+            assert len(kept.users) <= 2  # the rule and the live opponent, none of the dead
         del opponent
         gc.collect()
         assert len(space._kept) == 3  # the game, the rule and the space's own sampling arrays
@@ -353,3 +358,82 @@ class TestDerived:
             assert best_response_value(rule, game, 2, space) == fresh
             del game
             gc.collect()
+
+    def test_solutions_are_shared_and_a_repeat_profile_check_does_no_work(
+        self, checked, translated, monkeypatch
+    ):
+        rng = random.Random(1302)
+        space = random_space(rng, max_depth=3)
+        game, problem = random_zero_sum_game(rng, space), random_process(rng, space)
+        rule = random_stopping_time(rng, space)
+        calls = {
+            "zero_sum_value": lambda: zero_sum_value(game, space),
+            "snell_value": lambda: snell_value(problem, space),
+            "best_response_value": lambda: best_response_value(rule, game, 2, space),
+        }
+        first = {name: call() for name, call in calls.items()}
+        profile = first["zero_sum_value"].strategies
+        assert check_epsilon_equilibrium(*profile, game, 0, space)
+        inductions = []
+        real = type(space).backward_induction
+        monkeypatch.setattr(
+            type(space), "backward_induction", lambda *args: inductions.append(1) or real(*args)
+        )
+        checked.clear()
+        translated.clear()
+        for name, call in calls.items():
+            assert call() is first[name], name
+        assert zero_sum_value(game, space).strategies[0] is profile[0]
+        assert check_epsilon_equilibrium(*profile, game, 0, space)
+        assert checked == [] and translated == [] and inductions == []
+        twin = copy.deepcopy(game)
+        assert zero_sum_value(twin, space) == first["zero_sum_value"]
+        assert zero_sum_value(twin, space) is not first["zero_sum_value"]
+
+    def test_a_game_that_is_not_zero_sum_raises_on_every_call(self):
+        rng = random.Random(1303)
+        space = random_space(rng, max_depth=3)
+        game = random_game(rng, space)
+        assert not is_zero_sum(game, space)
+        for _ in range(3):
+            with pytest.raises(NotZeroSum):
+                zero_sum_value(game, space)
+
+    def test_a_game_takes_its_solution_and_every_entry_of_its_strategies_along(self):
+        rng = random.Random(1304)
+        space = random_space(rng, max_depth=3)
+        game, rule = random_zero_sum_game(rng, space), random_stopping_time(rng, space)
+        result = zero_sum_value(game, space)
+        check_epsilon_equilibrium(*result.strategies, game, 0, space)
+        game_payoff(result.strategies[0], rule, game, space)
+        best_response_value(result.strategies[1], game, 1, space)
+        replies = [rule]  # past this test's names, each is held only by the entry it answers
+        for player in (2, 1, 2, 1):
+            replies.append(best_response_value(replies[-1], game, player, space).strategy)
+        check(replies[-1], space)
+        strategies = (*result.strategies, *replies[1:])
+        refs = [weakref.ref(eta) for eta in strategies]
+        keys = [(type(eta), id(eta)) for eta in strategies]
+        assert all(key in space._kept for key in keys)
+        del result, replies, strategies, game  # the game last, so it alone holds them
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert not any(key in space._kept for key in keys)
+        assert list(space._kept) == [(type(rule), id(rule))]
+
+    def test_a_rule_lets_go_of_its_folds_against_each_dead_game(self):
+        rng = random.Random(1305)
+        space = random_space(rng, max_depth=3)
+        rule = random_stopping_time(rng, space)
+        kept = check(rule, space)
+        detailed_distribution(rule, space)
+        size = len(kept.derived)
+        for _ in range(300):
+            game = random_zero_sum_game(rng, space)
+            best_response_value(rule, game, 2, space)
+            check_epsilon_equilibrium(rule, rule, game, 1, space)
+            assert len(kept.derived) > size
+            del game  # collected here: nothing derived from a game holds it in a cycle
+            assert len(kept.derived) == size
+        gc.collect()
+        assert list(space._kept) == [(type(rule), id(rule))]

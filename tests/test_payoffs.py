@@ -311,9 +311,10 @@ class TestEpsilonOptimal:
     def test_constant_problem_everything_optimal(self, e1, b1):
         assert check_epsilon_optimal(b1, constant_process(e1, 9), 0, e1)
 
-    def test_negative_epsilon_rejected(self, e1, r1):
+    def test_negative_epsilon_rejected(self, e1, r1, checked):
         with pytest.raises(ValidationError):
             check_epsilon_optimal(r1, constant_process(e1, 0), "-1/2", e1)
+        assert checked == []  # refused before the rule or the problem is checked
 
     def test_transfers_across_equivalent_rules(self):
         rng = random.Random(53)
