@@ -218,12 +218,13 @@ def _check_sampling_args(samples: int, seed: int) -> None:
 def _total(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
     """Counts by (atom, *stop columns) summed over the seeded chunks."""
     count = _counter(rules, space)
-    _check_sampling_args(samples, seed)
     return sum(count(size, seed, index) for index, size in chunk_plan(samples))
 
 
 def _counts(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> dict:
-    """Per atom, the counts of each cell: a time for one rule, ``(t1, t2)`` in C order for two."""
+    """Per atom, the counts of each cell: a time for one rule, ``(t1, t2)`` in C order for two.
+    ``samples`` and ``seed`` are checked before any rule."""
+    _check_sampling_args(samples, seed)
     total = _total(rules, space, samples, seed)
     cells = space.times if len(rules) == 1 else list(itertools.product(space.times, repeat=2))
     return {atom: dict(zip(cells, row.ravel().tolist())) for atom, row in zip(space.atoms, total)}
@@ -282,7 +283,9 @@ def empirical_game_payoff(
     Only realized cells are visited, in C order (atom, then player 1's
     time, then player 2's), and each player's ``count * payoff`` terms are
     added one after another from 0.0, so the float sums run in a fixed order.
+    ``samples`` and ``seed`` are checked before any rule or the game.
     """
+    _check_sampling_args(samples, seed)
     grids = kept_game(game, space).derive(_payoff_grids, space)
     total = _total((eta1, eta2), space, samples, seed)
     i, j1, j2 = np.nonzero(total)

@@ -174,40 +174,25 @@ class FractionsOver(dict):
 
 class Kept:
     """A check kept by ``FilteredSpace.recall``: the parts it built and what ``derive`` built
-    from those, shared by every call that reuses it: never mutated.
+    from those, shared by every call that reuses it: never mutated."""
 
-    ``users`` are the checks holding an entry that ``derive`` keyed by this one, in the order
-    they first did (a dict used as an ordered set)."""
-
-    __slots__ = ("ref", "parts", "derived", "users")
+    __slots__ = ("ref", "parts", "derived", "crossed", "__weakref__")
 
     def __init__(self, ref: weakref.ref, parts):
-        self.ref, self.parts, self.derived, self.users = ref, parts, {}, {}
+        self.ref, self.parts, self.derived = ref, parts, {}
+        self.crossed = weakref.WeakKeyDictionary()
 
     def derive(self, make: Callable, space: "FilteredSpace", *args):
         """``make(self, space, *args)``, built on the first call with this ``make`` and these
-        ``args`` and shared after, so it dies with this check or with any Kept in ``args``."""
-        key = (make, *args)
-        value = self.derived.get(key)
+        ``args`` and shared after.  A result keyed by another check, a Kept first in ``args``,
+        is kept in ``crossed`` under that check's weak key, so it dies with either check."""
+        table, key = self.derived, (make, *args)
+        if args and type(args[0]) is Kept:
+            table, key = self.crossed.setdefault(args[0], {}), (make, *args[1:])
+        value = table.get(key)
         if value is None:
-            value = self.derived[key] = make(self, space, *args)
-            for arg in args:
-                if type(arg) is Kept:
-                    arg.users[self] = None
+            value = table[key] = make(self, space, *args)
         return value
-
-    def release(self) -> None:
-        """Let go of everything derived from this check: its own entries, and each user's
-        entries keyed by it.  The entries are let go only after every table is consistent,
-        since that may collect what they held and drop those checks in turn."""
-        released = [self.derived]
-        for key in self.derived:
-            for arg in key[1:]:
-                if type(arg) is Kept:
-                    arg.users.pop(self, None)
-        for user in self.users:
-            released += [user.derived.pop(key) for key in [*user.derived] if self in key]
-        self.derived, self.users = {}, {}
 
 
 class FilteredSpace:
@@ -439,8 +424,7 @@ class FilteredSpace:
 
         Rules, processes and games are read-only, so the same live object of the same type
         is the same input and reuses its kept check.  Otherwise ``check()`` gives the parts,
-        which are kept, or the first Violation.  A dropped check releases what was derived
-        from it (``Kept.release``), so nothing derived outlives an input it was derived from.
+        which are kept, or the first Violation.
         """
         key = (type(source), id(source))
         kept = self._kept.get(key)
@@ -451,9 +435,7 @@ class FilteredSpace:
             return parts
 
         def drop(_, memo=self._kept):
-            gone = memo.pop(key, None)
-            if gone is not None:
-                gone.release()
+            memo.pop(key, None)
 
         kept = self._kept[key] = Kept(weakref.ref(source, drop), parts)
         return kept

@@ -165,12 +165,17 @@ def mixed(breakpoints, sections) -> MixedStoppingTime:
 
 
 def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
-    """Dense mass table from possibly sparse input; missing cells become 0."""
-    rows = (mass.get(atom, {}) for atom in space.atoms)
+    """Dense mass table from possibly sparse input; missing cells become 0.  Mass at an atom
+    or a time outside the space is refused."""
+    rows = [mass.get(atom, {}) for atom in space.atoms]
     table = [ReadOnly({t: as_fraction(row.get(t, 0)) for t in space.times}) for row in rows]
     unknown = set(mass) - set(space.atoms)
     if unknown:
         raise ValidationError(f"mass table references unknown atoms {sorted(unknown)}")
+    for atom, row, cells in zip(space.atoms, rows, table):
+        stray = [t for t in row if t not in cells]
+        if stray:
+            raise ValidationError(f"mass table references unknown time {stray[0]!r} at {atom!r}")
     return StoppingMeasure(mass=ReadOnly(zip(space.atoms, table)))
 
 

@@ -239,9 +239,13 @@ class TestChangedRule:
 
 
 def kept_state(space) -> list[bytes]:
-    """Every kept check's parts and what was derived from them, as bytes."""
+    """Every kept check's parts and what was derived from them, weakly keyed results too, as
+    bytes."""
     return sorted(
-        pickle.dumps((kept.parts, list(kept.derived.values()))) for kept in space._kept.values()
+        pickle.dumps(
+            (kept.parts, [*kept.derived.values()], [[*d.values()] for d in kept.crossed.values()])
+        )
+        for kept in space._kept.values()
     )
 
 
@@ -343,7 +347,7 @@ class TestDerived:
             best_response_value(opponent, game, 1, space)
             auxiliary_problem(opponent, game, space, 2)
             assert len(kept.derived) == size
-            assert len(kept.users) <= 2  # the rule and the live opponent, none of the dead
+            assert len(space._kept) == 4  # the game, the rule, the arrays, the live opponent
         del opponent
         gc.collect()
         assert len(space._kept) == 3  # the game, the rule and the space's own sampling arrays
@@ -432,8 +436,34 @@ class TestDerived:
             game = random_zero_sum_game(rng, space)
             best_response_value(rule, game, 2, space)
             check_epsilon_equilibrium(rule, rule, game, 1, space)
-            assert len(kept.derived) > size
+            assert len(kept.crossed) == 1 and len(kept.derived) == size
             del game  # collected here: nothing derived from a game holds it in a cycle
-            assert len(kept.derived) == size
+            assert len(kept.crossed) == 0 and len(kept.derived) == size
         gc.collect()
         assert list(space._kept) == [(type(rule), id(rule))]
+
+    def test_a_game_takes_everything_derived_from_it_along_by_refcount_alone(self):
+        rng = random.Random(1306)
+        space = random_space(rng, max_depth=3)
+        game, rule = random_zero_sum_game(rng, space), random_stopping_time(rng, space)
+        kept = check(rule, space)
+        gc.collect()
+        gc.disable()
+        try:
+            result = zero_sum_value(game, space)
+            check_epsilon_equilibrium(*result.strategies, game, 0, space)
+            game_payoff(rule, result.strategies[1], game, space)
+            replies = [rule]
+            for player in (2, 1, 2, 1):
+                replies.append(best_response_value(replies[-1], game, player, space).strategy)
+            check(replies[-1], space)
+            strategies = (*result.strategies, *replies[1:])
+            refs = [weakref.ref(eta) for eta in (game, *strategies)]
+            folded = [check(eta, space) for eta in (rule, *result.strategies)]
+            assert all(len(entry.crossed) == 1 for entry in folded)
+            del result, replies, strategies, folded, game
+            assert all(ref() is None for ref in refs)
+            assert len(kept.crossed) == 0
+            assert list(space._kept) == [(type(rule), id(rule))]
+        finally:
+            gc.enable()

@@ -303,9 +303,22 @@ class TestOneSpentPass:
             assert _stop_columns(eta, e1) is _stop_columns(eta, e1)
             assert _stop_columns(copy.deepcopy(eta), e1) is not _stop_columns(eta, e1)
 
-    def test_invalid_rule_still_rejected_first(self, e1, r1):
+    def test_sampling_arguments_are_checked_before_any_input(self, e1, r1, checked, translated):
         broken = randomized(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})
+        game = stopping_game(
+            {(j, c): constant_process(e1, 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
+        )
+        calls = (
+            lambda eta, *args: empirical_detailed_distribution(eta, e1, *args),
+            lambda eta, *args: empirical_joint_distribution(eta, r1, e1, *args),
+            lambda eta, *args: empirical_game_payoff(r1, eta, game, e1, *args),
+        )
+        for call in calls:
+            for eta in (broken, r1):
+                with pytest.raises(ValueError, match="samples"):
+                    call(eta, 0, 1)
+                with pytest.raises(ValueError, match="seed"):
+                    call(eta, 10, -1)
+        assert checked == [] and translated == [] and e1._kept == {}
         with pytest.raises(ValidationError, match="SumNotOne"):
-            empirical_detailed_distribution(broken, e1, 0, seed=-1)
-        with pytest.raises(ValueError, match="samples"):
-            empirical_detailed_distribution(r1, e1, 0, seed=1)
+            empirical_detailed_distribution(broken, e1, 10, seed=1)

@@ -14,6 +14,7 @@ from stopwright import (
     pure,
     randomized_to_mixed,
     stopping_game,
+    stopping_measure,
 )
 from stopwright.games import BOTH, ONLY_1, ONLY_2
 from stopwright.space import ReadOnly
@@ -160,6 +161,15 @@ class TestMeasureDocs:
         for doc in ({"mass": []}, {"mass": {"w1": []}}):
             with pytest.raises(FormatError):
                 measure_from_doc(doc, e1)
+
+    @pytest.mark.parametrize("time", ["7", "0"])
+    def test_mass_at_an_unknown_time_is_refused(self, e1, time):
+        doc = measure_to_doc(detailed_distribution(make_r1(), e1))
+        doc["mass"]["w3"][time] = "1/2"
+        with pytest.raises(ValidationError, match=f"unknown time {time} at 'w3'"):
+            measure_from_doc(doc, e1)
+        with pytest.raises(ValidationError, match=f"unknown time {time} "):
+            stopping_measure({"w1": {1: F(1, 4), int(time): F(0)}}, e1)
 
 
 class TestGameDocs:
