@@ -23,7 +23,7 @@ from .stopping import (
     StoppingMeasure,
     densities,
     density_table,
-    is_stopping_measure,
+    measure_rule,
 )
 
 ZERO = Fraction(0)
@@ -32,23 +32,11 @@ TARGET_TYPES = ("randomized", "behavior", "mixed")
 
 
 def measure_to_randomized(nu: StoppingMeasure, space: FilteredSpace) -> RandomizedStoppingTime:
-    """Read per-time densities off a stopping measure.
-
-    The time-``n`` density is constant on time-``n`` blocks (that is what
-    makes ``nu`` a stopping measure), so one member atom per block
-    determines it.
-    """
-    if not is_stopping_measure(nu, space):
+    """The randomized rule whose mass table is the stopping measure ``nu`` (see ``measure_rule``)."""
+    eta = measure_rule(nu, space)
+    if eta is None:
         raise NotAStoppingMeasure("mass table fails the stopping-measure conditions")
-    rho = {
-        n: {
-            block_id: nu.density(space, space.members(n, block_id)[0], n)
-            for block_id in space.blocks(n)
-        }
-        for n in range(1, space.horizon + 1)
-    }
-    rho_inf = {a: nu.density(space, a, INFINITY) for a in space.atoms}
-    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
+    return eta
 
 
 def randomized_to_behavior(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,15 +197,23 @@ class Kept:
 
 
 class FilteredSpace:
-    """A validated scenario tree: atoms, probabilities, and partitions.
+    """A scenario tree, checked and numbered once from its node list.
 
-    ``levels[n-1]`` maps each time-``n`` block id to its member atoms.
-    ``build_space`` names horizon blocks after their atoms; find them with ``block_of``.
-    ``prob`` and the ``levels`` rows are read-only, as the results kept from them assume.
+    Each node is a mapping with a string ``id`` and a ``parent`` (``None``
+    or absent for the root); leaves also carry ``prob``, a rational.  The
+    time-``n`` blocks are the depth-``n`` nodes, each the set of leaves
+    below it, and the horizon is the common leaf depth.  So block ids are
+    node ids and the horizon blocks are the atoms, and every level
+    partitions the atoms, refines the level before it and, at the horizon,
+    separates them: once the nodes are checked there is nothing left to
+    check.  ``levels[n-1]`` maps each time-``n`` block id to its member
+    atoms; ``prob``, in atom order, and the ``levels`` rows are read-only,
+    as the results kept from them assume.
 
-    The blocks are also numbered 0..B-1 once, level by level and in
-    partition order, so each block comes after its parent.  The exact
-    passes run over that flat numbering:
+    The blocks are numbered 0..B-1 in breadth-first order, children in
+    the order the list gives them, so each level is a run of numbers and
+    each block comes after its parent.  The exact passes run over that
+    flat numbering:
 
     * ``ids[i]`` and ``depth[i]`` are block ``i``'s id and time;
     * ``parent[i]`` is its parent's number, ``root`` (= B) at time 1, so a
@@ -216,37 +225,61 @@ class FilteredSpace:
       are the probabilities, with ``denominator`` the lcm of the atoms'.
     """
 
-    def __init__(
-        self,
-        horizon: int,
-        atoms: Iterable[str],
-        prob: Mapping[str, Fraction],
-        levels: Iterable[Mapping[str, tuple[str, ...]]],
-    ):
-        self.horizon = int(horizon)
-        self.atoms = tuple(atoms)
-        self.prob = ReadOnly({a: as_fraction(p) for a, p in prob.items()})
-        self.levels = tuple(ReadOnly(zip(level, map(tuple, level.values()))) for level in levels)
-        self._validate()
-        self._index()
-        #: ``recall``'s kept checks, by the type and id of their input
-        self._kept: dict = {}
+    def __init__(self, tree_description):
+        nodes, children, root = {}, {}, None
+        for node in tree_description:
+            if not isinstance(node, Mapping) or not isinstance(node.get("id"), str):
+                raise StructureError(f"every node must be a mapping with a string 'id', got {node!r}")
+            parent = node.get("parent")
+            if parent is not None and not isinstance(parent, str):
+                raise StructureError(f"node {node['id']!r} has a non-string parent {parent!r}")
+            if node["id"] in nodes:
+                raise StructureError(f"duplicate node id {node['id']!r}")
+            nodes[node["id"]], children[node["id"]] = node, []
+        for node_id, node in nodes.items():
+            parent = node.get("parent")
+            if parent is None:
+                if root is not None:
+                    raise StructureError("more than one root node")
+                root = node_id
+            elif parent not in nodes:
+                raise StructureError(f"node {node_id!r} has unknown parent {parent!r}")
+            else:
+                children[parent].append(node_id)
+        if root is None:
+            raise StructureError("no root node (one node must have parent null)")
 
-    # -- construction checks -------------------------------------------------
-
-    def _validate(self) -> None:
-        if self.horizon < 1:
-            raise StructureError("horizon must be at least 1")
-        if len(self.levels) != self.horizon:
+        B = self.root = len(nodes) - 1
+        order, depth, self.parent = [root], [0], []
+        for k, node_id in enumerate(order):  # breadth first: ``order`` grows as it is read
+            below = children[node_id]
+            order += below
+            depth += [depth[k] + 1] * len(below)
+            self.parent += [k - 1 if k else B] * len(below)
+        if len(order) != len(nodes):
+            raise StructureError("tree contains nodes unreachable from the root")
+        # depths never fall in breadth-first order, so the first leaf is the shallowest
+        T = self.horizon = next(d for d, i in zip(depth, order) if not children[i])
+        if depth[-1] != T:
+            d = next(d for d, i in zip(depth, order) if d != T and not children[i])
             raise StructureError(
-                f"expected {self.horizon} partition levels, got {len(self.levels)}"
+                f"leaves at unequal depths ({d} vs {T}); all must sit at the horizon"
             )
-        atom_set = set(self.atoms)
-        if len(atom_set) != len(self.atoms):
-            raise StructureError("duplicate atom ids")
-        if set(self.prob) != atom_set:
-            raise StructureError("probability table does not match the atom set")
-        self.atom_mass, self.denominator = integers([self.prob[a] for a in self.atoms])
+        if T < 1:
+            raise StructureError("the root cannot be a leaf; horizon must be at least 1")
+        for node_id in order:
+            has_prob = nodes[node_id].get("prob") is not None
+            if children[node_id] and has_prob:
+                raise StructureError(f"internal node {node_id!r} must not carry a probability")
+            if not children[node_id] and not has_prob:
+                raise StructureError(f"leaf {node_id!r} is missing its probability")
+
+        self.ids, self.depth = order[1:], depth[1:]
+        self.starts = [bisect_left(self.depth, n) for n in range(1, T + 2)]
+        self.leaf = list(range(self.starts[-2], B))
+        self.atoms = tuple(self.ids[self.starts[-2] :])
+        self.prob = ReadOnly({a: as_fraction(nodes[a]["prob"]) for a in self.atoms})
+        self.atom_mass, self.denominator = integers(list(self.prob.values()))
         for a, m in zip(self.atoms, self.atom_mass):
             if m <= 0:
                 raise ZeroProbabilityError(f"atom {a!r} has probability {self.prob[a]} <= 0")
@@ -254,69 +287,33 @@ class FilteredSpace:
             total = sum(self.prob.values())
             raise ProbabilitySumError(f"atom probabilities sum to {total}, expected 1")
 
-        previous: list[tuple[str, ...]] | None = None
-        for n, level in enumerate(self.levels, start=1):
-            seen: set[str] = set()
-            for block_id, members in level.items():
-                if not members:
-                    raise StructureError(f"block {block_id!r} at time {n} is empty")
-                for a in members:
-                    if a not in atom_set:
-                        raise StructureError(f"block {block_id!r} references unknown atom {a!r}")
-                    if a in seen:
-                        raise StructureError(f"atom {a!r} appears in two blocks at time {n}")
-                    seen.add(a)
-            if seen != atom_set:
-                raise StructureError(f"partition at time {n} does not cover all atoms")
-            if previous is not None:
-                coarse = {a: i for i, members in enumerate(previous) for a in members}
-                for block_id, members in level.items():
-                    parents = {coarse[a] for a in members}
-                    if len(parents) > 1:
-                        raise StructureError(
-                            f"block {block_id!r} at time {n} straddles two blocks at time {n - 1}"
-                        )
-            previous = list(level.values())
-        for block_id, members in self.levels[-1].items():
-            if len(members) != 1:
-                raise StructureError(
-                    f"horizon partition must separate atoms; block {block_id!r} has {len(members)}"
-                )
-
-    def _index(self) -> None:
-        self._block_of = [
-            {a: b for b, members in level.items() for a in members} for level in self.levels
-        ]
-        self.ids = [b for level in self.levels for b in level]
-        self.root = len(self.ids)
-        self.depth: list[int] = []
-        self.parent: list[int] = []
-        self.starts = [0]
-        self._number: list[dict[str, int]] = []
-        for n, level in enumerate(self.levels, start=1):
-            start = self.starts[-1]
-            self.starts.append(start + len(level))
-            self._number.append(dict(zip(level, range(start, self.starts[-1]))))
-            self.depth.extend([n] * len(level))
-            if n == 1:
-                self.parent.extend([self.root] * len(level))
-            else:
-                up_block, up_number = self._block_of[n - 2], self._number[n - 2]
-                self.parent.extend(up_number[up_block[members[0]]] for members in level.values())
-        columns = [
-            list(map(number.__getitem__, map(block_of.__getitem__, self.atoms)))
-            for number, block_of in zip(self._number, self._block_of)
-        ]
-        self.paths = list(zip(*columns))
-        self.leaf = columns[-1]
-        self._times = set(range(1, self.horizon + 1))
+        columns = [self.leaf]
+        for _ in range(T - 1):
+            columns.append(list(map(self.parent.__getitem__, columns[-1])))
+        self.paths = list(zip(*reversed(columns)))
+        # per block: its mass, its count of atoms and its first atom, which its first child,
+        # the last of its children met going back, hands it
+        mass, count, first = [0] * (B + 1), [0] * (B + 1), [0] * (B + 1)
+        for j, (i, m) in enumerate(zip(self.leaf, self.atom_mass)):
+            mass[i], count[i], first[i] = m, 1, j
+        for i in range(B - 1, -1, -1):
+            p = self.parent[i]
+            mass[p], count[p], first[p] = mass[p] + mass[i], count[p] + count[i], first[i]
+        self.block_mass = mass[:B]
+        self.levels = tuple(
+            ReadOnly((self.ids[i], self.atoms[first[i] : first[i] + count[i]]) for i in range(s, e))
+            for s, e in zip(self.starts, self.starts[1:])
+        )
+        self._number = dict(zip(self.ids, range(B)))
+        self._children = children
+        self._times = set(range(1, T + 1))
         self._widths = list(map(len, self.levels))
-        mass = [0] * (self.root + 1)
-        for i, m in zip(self.leaf, self.atom_mass):
-            mass[i] = m
-        for i in range(self.root - 1, -1, -1):
-            mass[self.parent[i]] += mass[i]
-        self.block_mass = mass[: self.root]
+        #: ``recall``'s kept checks, by the type and id of their input
+        self._kept: dict = {}
+
+    def __getstate__(self) -> dict:
+        """A copy or a pickle starts with no kept checks: each belongs to this space's inputs."""
+        return {**self.__dict__, "_kept": {}}
 
     # -- structural queries ---------------------------------------------------
 
@@ -334,25 +331,23 @@ class FilteredSpace:
 
     def block_of(self, n: int, atom: str) -> str:
         """The time-``n`` block containing ``atom``."""
-        return self._block_of[n - 1][atom]
+        j = self.number(self.horizon, atom) - self.starts[-2]
+        return self.ids[self.paths[j][n - 1]]
 
     def number(self, n: int, block_id: str) -> int:
         """The flat number of a time-``n`` block."""
-        return self._number[n - 1][block_id]
+        i = self._number[block_id]
+        if self.depth[i] != n:
+            raise KeyError(block_id)
+        return i
 
     def block_prob(self, n: int, block_id: str) -> Fraction:
         return Fraction(self.block_mass[self.number(n, block_id)], self.denominator)
 
     def children(self, n: int, block_id: str) -> tuple[str, ...]:
         """Blocks at time ``n+1`` refining the given time-``n`` block."""
-        return self._children[self.number(n, block_id)]
-
-    @cached_property
-    def _children(self) -> list[tuple[str, ...]]:
-        below: list[list[str]] = [[] for _ in range(self.root + 1)]
-        for i, p in enumerate(self.parent):
-            below[p].append(self.ids[i])
-        return [tuple(ids) for ids in below]
+        self.number(n, block_id)
+        return tuple(self._children[block_id])
 
     # -- the flat numbering and the public dicts ------------------------------
 
@@ -516,77 +511,8 @@ class FilteredSpace:
 
 
 def build_space(tree_description) -> FilteredSpace:
-    """Build a FilteredSpace from a node list with parent links.
-
-    Each node is a mapping with a string ``id`` and a ``parent`` (``None``
-    or absent for the root); leaves additionally carry ``prob`` as a
-    rational string.  The time-``n`` blocks are the leaf sets below each
-    depth-``n`` node, and the horizon is the common leaf depth.
-    """
-    nodes = {}
-    children: dict[str, list[str]] = {}
-    root = None
-    for node in tree_description:
-        if not isinstance(node, Mapping) or not isinstance(node.get("id"), str):
-            raise StructureError(f"every node must be a mapping with a string 'id', got {node!r}")
-        parent = node.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise StructureError(f"node {node['id']!r} has a non-string parent {parent!r}")
-        node_id = node["id"]
-        if node_id in nodes:
-            raise StructureError(f"duplicate node id {node_id!r}")
-        nodes[node_id] = node
-        children.setdefault(node_id, [])
-    for node in tree_description:
-        parent = node.get("parent")
-        if parent is None:
-            if root is not None:
-                raise StructureError("more than one root node")
-            root = node["id"]
-        else:
-            if parent not in nodes:
-                raise StructureError(f"node {node['id']!r} has unknown parent {parent!r}")
-            children[parent].append(node["id"])
-    if root is None:
-        raise StructureError("no root node (one node must have parent null)")
-
-    depth = {root: 0}
-    order = [root]
-    for node_id in order:
-        for child in children[node_id]:
-            depth[child] = depth[node_id] + 1
-            order.append(child)
-    if len(order) != len(nodes):
-        raise StructureError("tree contains nodes unreachable from the root")
-
-    leaves = [node_id for node_id in order if not children[node_id]]
-    horizon = depth[leaves[0]]
-    for leaf in leaves:
-        if depth[leaf] != horizon:
-            raise StructureError(
-                f"leaves at unequal depths ({depth[leaf]} vs {horizon}); all must sit at the horizon"
-            )
-    if horizon < 1:
-        raise StructureError("the root cannot be a leaf; horizon must be at least 1")
-    for node_id in order:
-        has_prob = "prob" in nodes[node_id] and nodes[node_id]["prob"] is not None
-        if children[node_id] and has_prob:
-            raise StructureError(f"internal node {node_id!r} must not carry a probability")
-        if not children[node_id] and not has_prob:
-            raise StructureError(f"leaf {node_id!r} is missing its probability")
-
-    prob = {leaf: as_fraction(nodes[leaf]["prob"]) for leaf in leaves}
-
-    below: dict[str, tuple[str, ...]] = {leaf: (leaf,) for leaf in leaves}
-    for node_id in reversed(order):
-        if children[node_id]:
-            below[node_id] = tuple(a for c in children[node_id] for a in below[c])
-    # ``order`` is breadth-first, so one pass keeps each level in tree order.
-    levels: list[dict[str, tuple[str, ...]]] = [{} for _ in range(horizon)]
-    for node_id in order[1:]:
-        levels[depth[node_id] - 1][node_id] = below[node_id]
-
-    return FilteredSpace(horizon, leaves, prob, levels)
+    """The FilteredSpace of a node list with parent links (see ``FilteredSpace``)."""
+    return FilteredSpace(tree_description)
 
 
 @dataclass(frozen=True)

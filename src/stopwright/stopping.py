@@ -445,28 +445,31 @@ def _measure(kept: Kept, space: FilteredSpace) -> StoppingMeasure:
 
 
 def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:
-    """Decide the stopping-measure conditions exactly.
+    """Decide the stopping-measure conditions exactly (see ``measure_rule``)."""
+    return measure_rule(nu, space) is not None
 
-    Nonnegative masses, atom marginals equal to the space's probabilities,
-    and each finite-time density constant on that time's blocks.
+
+def measure_rule(nu: StoppingMeasure, space: FilteredSpace) -> Optional[RandomizedStoppingTime]:
+    """The randomized rule whose mass table is ``nu``, or None if ``nu`` is not a stopping measure.
+
+    ``nu`` must hold an exact mass at every atom and time of the space.  The rule's densities
+    are read off one member atom per block, so the rule check decides that they are
+    nonnegative and sum to one, and its mass table gives back ``nu`` only if every time-``n``
+    density is constant on the time-``n`` blocks.
     """
-    if set(nu.mass) != set(space.atoms):
-        return False
-    for atom in space.atoms:
-        row = nu.mass[atom]
-        if set(row) != set(space.times):
-            return False
-        if any(m < 0 for m in row.values()):
-            return False
-        if sum(row.values()) != space.prob[atom]:
-            return False
-    for n in range(1, space.horizon + 1):
-        for block_id in space.blocks(n):
-            members = space.members(n, block_id)
-            first = nu.density(space, members[0], n)
-            if any(nu.density(space, a, n) != first for a in members[1:]):
-                return False
-    return True
+    times = set(space.times)
+    if set(nu.mass) != set(space.atoms) or not all(
+        set(row) == times and all(map(_exact, row.values())) for row in nu.mass.values()
+    ):
+        return None
+    rho = [nu.density(space, space.members(n, b)[0], n) for n, b in zip(space.depth, space.ids)]
+    eta = RandomizedStoppingTime(
+        rho=space.by_block(rho),
+        rho_inf={a: nu.density(space, a, INFINITY) for a in space.atoms},
+    )
+    if validate(eta, space) is None and detailed_distribution(eta, space).mass == nu.mass:
+        return eta
+    return None
 
 
 def equivalent(

@@ -8,6 +8,7 @@ from stopwright import (
     MixedStoppingTime,
     NotAStoppingMeasure,
     PureStoppingTime,
+    StoppingMeasure,
     behavior,
     behavior_to_randomized,
     convert,
@@ -70,6 +71,17 @@ class TestMeasureToRandomized:
         )
         with pytest.raises(NotAStoppingMeasure):
             measure_to_randomized(nu, e1)
+
+    def test_float_masses_are_refused(self, e1, r1):
+        """A float mass is refused as every other float input is, at a block's first member
+        atom, where the densities are read, and at any other."""
+        for atom in ("w1", "w2"):
+            mass = {a: dict(row) for a, row in detailed_distribution(r1, e1).mass.items()}
+            mass[atom][1] = float(mass[atom][1])
+            nu = StoppingMeasure(mass=mass)
+            assert not is_stopping_measure(nu, e1)
+            with pytest.raises(NotAStoppingMeasure):
+                measure_to_randomized(nu, e1)
 
 
 class TestHazardConversion:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,6 @@ from stopwright import (
     best_response_value,
     check_epsilon_equilibrium,
     AdaptedProcess,
-    FilteredSpace,
     constant_process,
     convert,
     detailed_distribution,
@@ -458,7 +458,7 @@ class TestGameMemo:
             }
             for name, call in calls.items():
                 # a copy of the tree starts with no translations
-                space = FilteredSpace(tree.horizon, tree.atoms, tree.prob, tree.levels)
+                space = copy.deepcopy(tree)
                 translated.clear()
                 first = call(space)
                 assert any(id(c) in cells for batch in translated for c in batch), name

@@ -1,8 +1,8 @@
 """Every integer kernel agrees exactly with its Fraction-dict oracle (``oracles.py``).
 
-The spaces are fuzzed; in every third one the blocks are renamed and each
-level's block order reversed, so horizon blocks are not named after atoms
-and the flat numbering does not follow the tree's breadth-first order.
+The spaces are fuzzed; every third one is rebuilt with fresh internal node
+ids and every node's children reversed, so each level's blocks and the
+atoms run in the reverse of the generator's order.
 The same comparisons run on a T=1,200 chain.
 """
 
@@ -41,12 +41,19 @@ SPACES = 42
 
 
 def renamed(space) -> FilteredSpace:
-    """The same tree with fresh block ids and each level's blocks in reverse order."""
-    levels = [
-        {f"t{n}:{k}": members for k, (_, members) in enumerate(reversed(level.items()))}
-        for n, level in enumerate(space.levels, start=1)
-    ]
-    return FilteredSpace(space.horizon, space.atoms, space.prob, levels)
+    """The same tree from a node list with fresh internal node ids and every node's children
+    in reverse order.  Horizon blocks are the atoms by construction, so they keep their ids."""
+    T = space.horizon
+
+    def name(i):
+        return "top" if i == space.root else space.ids[i] if space.depth[i] == T else f"t{i}"
+
+    nodes = [{"id": "top", "parent": None}]
+    for i in reversed(range(space.root)):
+        nodes.append({"id": name(i), "parent": name(space.parent[i])})
+        if space.depth[i] == T:
+            nodes[-1]["prob"] = space.prob[space.ids[i]]
+    return build_space(nodes)
 
 
 def fuzzed_spaces():

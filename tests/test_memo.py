@@ -37,6 +37,7 @@ from stopwright import (
 )
 from stopwright.convert import TARGET_TYPES
 from stopwright.games import StoppingGame, _auxiliary, game_tables
+from stopwright.montecarlo import detailed_counts_chunk
 from stopwright.space import AdaptedProcess, ReadOnly, Violation
 from stopwright.stopping import (
     BehaviorStoppingTime,
@@ -302,6 +303,19 @@ class TestLifetime:
         assert validate(subclassed, e1) is None
         assert validate(r1, e1) is None
         assert list(e1._kept) == [(type(subclassed), id(subclassed)), (type(r1), id(r1))]
+
+    def test_a_used_space_copies_and_pickles_with_no_kept_checks(self, e1, r1):
+        """A copy or a pickle of a space starts with an empty memo, so a space that has
+        checked rules can go to a process worker, and the copy counts as the original does."""
+        assert validate(r1, e1) is None
+        chunk = detailed_counts_chunk(r1, e1, 500, 7, 2)
+        kept = dict(e1._kept)
+        assert kept
+        for copied in (pickle.loads(pickle.dumps(e1)), copy.deepcopy(e1)):
+            assert copied._kept == {}
+            assert (copied.ids, copied.levels, copied.prob) == (e1.ids, e1.levels, e1.prob)
+            assert (detailed_counts_chunk(r1, copied, 500, 7, 2) == chunk).all()
+        assert e1._kept == kept
 
 
 class TestDerived:

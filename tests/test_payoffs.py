@@ -14,7 +14,6 @@ from stopwright import (
     RandomizedStoppingTime,
     BOTH,
     COALITIONS,
-    FilteredSpace,
     SpaceMismatch,
     ValidationError,
     Violation,
@@ -396,22 +395,24 @@ class TestStrictProcessRead:
             assert call(problem) == call(plain), name
 
     def test_subclasses_read_in_atom_order(self, e1, r1, b1):
-        """The INFINITY slot is read in atom order, whatever the order of ``prob``."""
+        """The INFINITY slot is read in atom order, whatever the order of its keys."""
 
         class Exact(F):
             pass
 
-        space = FilteredSpace(e1.horizon, e1.atoms, dict(reversed(e1.prob.items())), e1.levels)
-        assert list(space.prob) != list(space.atoms)
-        infinity = {a: F(k, 3) for k, a in enumerate(space.atoms)}
-        plain = faulty(space, lambda p: p.infinity.update(infinity))
+        infinity = {a: F(k, 3) for k, a in reversed([*enumerate(e1.atoms)])}
+        assert list(infinity) != list(e1.atoms)
+
+        def plain_fault(p):
+            p.infinity = infinity
 
         def subclassed(p):
-            p.infinity.update(infinity)
+            p.infinity = infinity
             p.values[1]["A"] = Exact(0)
 
-        problem = faulty(space, subclassed)
-        calls = self.calls(space, r1, b1)
+        plain, problem = faulty(e1, plain_fault), faulty(e1, subclassed)
+        assert list(problem.infinity) == list(plain.infinity) == list(infinity)
+        calls = self.calls(e1, r1, b1)
         for name in ("payoff", "snell_value", "game_payoff"):
             assert calls[name](problem) == calls[name](plain), name
 

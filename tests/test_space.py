@@ -21,7 +21,6 @@ from stopwright import (
     is_measurable,
     snell_value,
 )
-from stopwright.space import FilteredSpace
 from stopwright.stopping import density_table
 
 from fuzz import E1_NODES, random_process, random_randomized, random_space
@@ -121,51 +120,6 @@ class TestBuildSpace:
 
 
 class TestFilteredSpaceInvariants:
-    def test_partition_must_refine(self):
-        with pytest.raises(StructureError):
-            FilteredSpace(
-                horizon=2,
-                atoms=("x", "y"),
-                prob={"x": F(1, 2), "y": F(1, 2)},
-                levels=[{"a": ("x",), "b": ("y",)}, {"c": ("x", "y")}],
-            )
-
-    def test_horizon_partition_must_separate(self):
-        with pytest.raises(StructureError):
-            FilteredSpace(
-                horizon=1,
-                atoms=("x", "y"),
-                prob={"x": F(1, 2), "y": F(1, 2)},
-                levels=[{"a": ("x", "y")}],
-            )
-
-    def test_partition_must_cover(self):
-        with pytest.raises(StructureError):
-            FilteredSpace(
-                horizon=1,
-                atoms=("x", "y"),
-                prob={"x": F(1, 2), "y": F(1, 2)},
-                levels=[{"a": ("x",)}],
-            )
-
-    HALVES = {"x": F(1, 2), "y": F(1, 2)}
-
-    @pytest.mark.parametrize(
-        "horizon, atoms, prob, levels, message",
-        [
-            (0, ("x", "y"), HALVES, [], "horizon must be at least 1"),
-            (2, ("x", "y"), HALVES, [{"x": ("x",), "y": ("y",)}], "expected 2 partition levels, got 1"),
-            (1, ("x", "x"), HALVES, [{"x": ("x",)}], "duplicate atom ids"),
-            (1, ("x", "y"), {"x": 1}, [{"x": ("x",), "y": ("y",)}], "probability table does not match"),
-            (1, ("x", "y"), HALVES, [{"x": ("x",), "y": ("y",), "e": ()}], "block 'e' at time 1 is empty"),
-            (1, ("x", "y"), HALVES, [{"x": ("x", "z")}], "block 'x' references unknown atom 'z'"),
-            (1, ("x", "y"), HALVES, [{"a": ("x",), "b": ("x", "y")}], "atom 'x' appears in two blocks at time 1"),
-        ],
-    )
-    def test_direct_construction_faults(self, horizon, atoms, prob, levels, message):
-        with pytest.raises(StructureError, match=message):
-            FilteredSpace(horizon, atoms, prob, levels)
-
     @pytest.mark.parametrize(
         "nodes, message",
         [
