@@ -17,11 +17,13 @@ from .errors import FormatError, ValidationError
 from .games import BOTH, ONLY_1, ONLY_2, StoppingGame, is_zero_sum, stopping_game
 from .space import (
     INFINITY,
+    RATIONAL,
     AdaptedProcess,
     FilteredSpace,
     Time,
     adapted_process,
     build_space,
+    rational,
     time_label,
 )
 from .stopping import (
@@ -44,8 +46,6 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
-#: The wire form of a rational string: an integer, or an integer over a natural number.
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -58,15 +58,14 @@ def parse_rational(value) -> Fraction:
     """A JSON integer (not a bool) or a string "a/b" or "a"; nothing else is read."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        numerator, _, denominator = value.partition("/")
+    if isinstance(value, str):
         try:
-            numerator, denominator = int(numerator), int(denominator or 1)
-        except ValueError:  # past the interpreter's limit on the digits of an int string
-            raise FormatError(f"bad rational: {too_many_digits()}") from None
-        if denominator == 0:
-            raise FormatError(f"bad rational {value!r}: zero denominator")
-        return Fraction(numerator, denominator)
+            return rational(value)
+        except ZeroDivisionError:
+            raise FormatError(f"bad rational {value!r}: zero denominator") from None
+        except ValueError:  # off the grammar, or past the limit on the digits of an int string
+            if RATIONAL.fullmatch(value):
+                raise FormatError(f"bad rational: {too_many_digits()}") from None
     raise FormatError(f"bad rational {value!r}: expected a JSON integer or a string 'a/b'")
 
 

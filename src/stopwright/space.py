@@ -14,9 +14,11 @@ are rejected on input so every downstream comparison stays exact.
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,20 +45,35 @@ Time = Union[int, float]
 Event = frozenset
 
 
+#: A rational string: an integer, or an integer over a natural number, in ASCII digits.
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def rational(text: str) -> Fraction:
+    """``text`` read by ``RATIONAL``: ValueError if it is off the grammar or has more digits
+    than the interpreter turns into an int, ZeroDivisionError for a zero denominator."""
+    match = RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational 'a/b' or 'a' of ASCII digits: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or rational string ("a/b", "3") to Fraction.
 
     Floats are rejected: the whole exact layer depends on no rounding ever
     entering a probability or payoff.  A plain Fraction comes back as it is.
+    A string is read by ``rational``, in the grammar of the wire format, so any
+    other string raises ValueError ("1/0" raises ZeroDivisionError).
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return rational(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; pass a string or Fraction (got {value!r})")
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
@@ -130,6 +147,44 @@ class Violation:
 
 def _exact(value) -> bool:
     return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def ordered(keys) -> list:
+    """``keys`` sorted, or sorted by repr if they do not compare (such as 5 and "zz")."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=repr)
+
+
+def gather(rows: Sequence, groups: Sequence[Sequence]) -> Optional[list]:
+    """Each row's values at its group of keys, ``rows[k][key]`` for each ``key`` in
+    ``groups[k]``, in order; None unless every lookup succeeds and no row holds another key."""
+    with suppress(LookupError, TypeError, AttributeError):
+        cells = [row[key] for row, keys in zip(rows, groups) for key in keys]
+        if sum(map(len, rows)) == len(cells):
+            return cells
+    return None
+
+
+def row_fault(row, keys: Sequence, label: str, noun: str, time=None, exact=True):
+    """The first fault of a table that should map exactly ``keys`` to values, or None.
+
+    In order: ``row`` is not a mapping, it misses a key (the first in ``keys``), a value is
+    not an int or a Fraction (only if ``exact``), it has a key outside ``keys`` (the least).
+    """
+    if not isinstance(row, Mapping):
+        return Violation("Malformed", time, None, f"{label} is not a mapping")
+    missing = next((key for key in keys if key not in row), None)
+    if missing is not None:
+        return Violation("Malformed", time, missing, f"{label} missing {noun}")
+    loose = next((key for key in keys if not _exact(row[key])), None) if exact else None
+    if loose is not None:
+        return Violation("Malformed", time, loose, f"{label} holds a non-exact value")
+    unknown = ordered(set(row).difference(keys))
+    if unknown:
+        return Violation("Malformed", time, unknown[0], f"unknown {noun} in {label}")
+    return None
 
 
 class Table(NamedTuple):
@@ -221,6 +276,8 @@ class FilteredSpace:
     * ``starts[n-1]:starts[n]`` are the time-``n`` blocks;
     * ``paths[j]`` lists the blocks of atom ``j`` at times 1..T, and
       ``leaf[j]`` is the last of them;
+    * ``cell_ids`` are the ids of a Table's ``blocks + atoms``, and
+      ``block_size[i]`` is block ``i``'s count of atoms;
     * ``block_mass[i] / denominator`` and ``atom_mass[j] / denominator``
       are the probabilities, with ``denominator`` the lcm of the atoms'.
     """
@@ -304,10 +361,11 @@ class FilteredSpace:
             ReadOnly((self.ids[i], self.atoms[first[i] : first[i] + count[i]]) for i in range(s, e))
             for s, e in zip(self.starts, self.starts[1:])
         )
+        self.block_size = count[:B]
         self._number = dict(zip(self.ids, range(B)))
         self._children = children
-        self._times = set(range(1, T + 1))
-        self._widths = list(map(len, self.levels))
+        self.cell_ids = self.ids + [*self.atoms]
+        self._groups = (*self.levels, self.atoms)  # the keys of each row ``read`` gathers
         #: ``recall``'s kept checks, by the type and id of their input
         self._kept: dict = {}
 
@@ -364,55 +422,36 @@ class FilteredSpace:
             ReadOnly(zip(self.atoms, map(value, table.atoms))),
         )
 
-    def read(self, table, name: str, infinity=None, value_error=None) -> Union[list, Violation]:
+    def read(self, table, name: str, infinity=None, slot="infinity") -> Union[list, Violation]:
         """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
 
-        With ``infinity``, an ``{atom: value}`` slot at INFINITY is read after it.  Returns
-        the values in flat block order, then the atoms in atom order, or the first Violation
-        in that order: a time outside 1..T, then per time a missing time, key or non-exact
-        value, then an unknown key; with ``value_error``, a non-exact value raises it
-        instead.  Read-only rows of ints and Fractions that list the space's blocks in
-        partition order are gathered in one look; anything else is read cell by cell.
+        The ``{atom: value}`` table ``infinity`` is read after it as the INFINITY slot named
+        ``slot``; with ``slot`` None there is none.  Returns the values in flat block order,
+        then the atoms in atom order, or the first Violation in that order: a table that is
+        not a mapping, a time outside 1..T, then per time a missing time and the row's first
+        fault (``row_fault``).  A table that fits the space is gathered by key in one look,
+        whatever the order of its times and keys and whatever mappings hold them; only a
+        table that does not fit is walked, to name its fault.
         """
-        T = self.horizon
-        if type(table) is ReadOnly and {*map(type, table)} == {int} and table.keys() == self._times:
-            rows = list(map(table.__getitem__, range(1, T + 1)))
-            slot = infinity is None or (
-                type(infinity) is ReadOnly and infinity.keys() == self.prob.keys()
-            )
-            sized = {*map(type, rows)} == {ReadOnly} and [*map(len, rows)] == self._widths
-            if slot and sized and [*chain.from_iterable(rows)] == self.ids:
-                cells = [*chain.from_iterable(map(dict.values, rows))]
-                cells += () if infinity is None else map(infinity.__getitem__, self.atoms)
-                if {*map(type, cells)} <= {Fraction, int}:  # a bool is neither
-                    return cells
+        T, cells = self.horizon, None
+        with suppress(LookupError, TypeError, AttributeError):
+            rows = [*map(table.__getitem__, range(1, T + 1))] + ([] if slot is None else [infinity])
+            if len(table) == T and bool not in {*map(type, table)}:
+                cells = gather(rows, self._groups)
+        if cells and ({*map(type, cells)} <= {Fraction, int} or all(map(_exact, cells))):
+            return cells
+        if not isinstance(table, Mapping):
+            return Violation("Malformed", detail=f"{name} is not a mapping")
         for n in table:
             if isinstance(n, bool) or n not in range(1, T + 1):
                 return Violation("OutOfRange", detail=f"{name} has time {n!r} outside 1..{T}")
-        rows = [(n, table.get(n), level, name, "block") for n, level in enumerate(self.levels, 1)]
-        if infinity is not None:
-            rows.append((INFINITY, infinity, self.atoms, "infinity", "atom"))
-        cells = []
-        for n, row, keys, label, noun in rows:
-            if row is None:
-                return Violation("Malformed", time=n, detail=f"{label} missing time {n}")
-            for key in keys:
-                if key not in row:
-                    return Violation("Malformed", n, key, f"{label} missing {noun}")
-                if not _exact(row[key]):
-                    fault = Violation("Malformed", n, key, f"{label} holds a non-exact value")
-                    if value_error is None:
-                        return fault
-                    raise value_error(str(fault), violation=fault)
-                cells.append(row[key])
-            if len(row) != len(keys):
-                unknown = set(row) - set(keys)
-                try:
-                    first = min(unknown)
-                except TypeError:  # keys that do not compare, such as 5 and "zz"
-                    first = min(unknown, key=repr)
-                return Violation("Malformed", n, first, f"unknown {noun} in {label}")
-        return cells
+        for n, level in enumerate(self.levels, start=1):
+            if table.get(n) is None:
+                return Violation("Malformed", time=n, detail=f"{name} missing time {n}")
+            fault = row_fault(table[n], level, name, "block", n)
+            if fault is not None:
+                return fault
+        return None if slot is None else row_fault(infinity, self.atoms, slot, "atom", INFINITY)
 
     def recall(self, source, check: Callable) -> Union[Kept, Violation]:
         """``source``'s check, kept while ``source`` lives (a weakref callback drops it).
@@ -560,11 +599,13 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
     Raises SpaceMismatch unless ``process`` is keyed exactly by the space, and
     ValidationError unless every value is an int or a Fraction, with the first Violation.
     """
-    cells = space.read(process.values, "values", process.infinity, ValidationError)
+    cells = space.read(process.values, "values", process.infinity)
     if not isinstance(cells, Violation):
         return cells
-    if cells.time is None or process.values.keys() != space._times:
-        message = f"process defined at times {sorted(process.values)}, space has 1..{space.horizon}"
+    if cells.detail.endswith("non-exact value"):
+        raise ValidationError(str(cells), violation=cells)
+    if cells.time is None or process.values.keys() != set(range(1, space.horizon + 1)):
+        message = f"process defined at times {ordered(process.values)}, space has 1..{space.horizon}"
     elif cells.time == INFINITY:
         message = "process INFINITY slot does not match the atom set"
     else:

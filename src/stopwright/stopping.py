@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
@@ -42,10 +43,12 @@ from .space import (
     as_fraction,
     denominator_of,
     fraction_table,
+    gather,
     integers,
     numerator_of,
     read_only,
     read_only_rows,
+    row_fault,
     time_label,
 )
 
@@ -168,6 +171,9 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
     """Dense mass table from possibly sparse input; missing cells become 0.  Mass at an atom
     or a time outside the space is refused."""
     rows = [mass.get(atom, {}) for atom in space.atoms]
+    for atom, row in zip(space.atoms, rows):
+        if not isinstance(row, Mapping):
+            raise ValidationError(f"mass table row at {atom!r} is not a mapping")
     table = [ReadOnly({t: as_fraction(row.get(t, 0)) for t in space.times}) for row in rows]
     unknown = set(mass) - set(space.atoms)
     if unknown:
@@ -182,68 +188,56 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
 # -- validation ----------------------------------------------------------------
 
 
-def _unit_cells(table, space: FilteredSpace, name: str) -> Union[Violation, list]:
-    """The cells of a block table of values in [0, 1], in flat order, or the first Violation."""
-    cells = space.read(table, name)
+def _unit_fault(space: FilteredSpace, cells: list, nums, dens, name: str, slot=None):
+    """None if every value ``nums[k] / dens[k]`` of the read ``cells`` lies in [0, 1], else
+    the OutOfRange Violation of the first that does not: a block's, or one in the INFINITY
+    slot named ``slot``."""
+    if min(nums) >= 0 and all(map(le, nums, dens)):
+        return None
+    i = next(k for k, (p, q) in enumerate(zip(nums, dens)) if not 0 <= p <= q)
+    n, label = (space.depth[i], name) if i < space.root else (INFINITY, slot)
+    return Violation("OutOfRange", n, space.cell_ids[i], f"{label}={Fraction(cells[i])}")
+
+
+def _check_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
+    """The first Violation, or the hazards in flat order."""
+    cells = space.read(eta.beta, "beta", slot=None)
     if isinstance(cells, Violation):
         return cells
-    nums = list(map(numerator_of, cells))
-    if min(nums, default=0) >= 0 and all(map(le, nums, map(denominator_of, cells))):
-        return cells
-    i = next(i for i, v in enumerate(cells) if not 0 <= v <= 1)
-    return Violation(
-        "OutOfRange", time=space.depth[i], where=space.ids[i], detail=f"{name}={Fraction(cells[i])}"
-    )
-
-
-def _unknown_atom(table, space: FilteredSpace) -> Optional[str]:
-    """A key outside the space, in a table already known to hold every atom."""
-    if len(table) == len(space.atoms):
-        return None
-    return next(a for a in table if a not in space.prob)
+    nums, dens = list(map(numerator_of, cells)), list(map(denominator_of, cells))
+    return _unit_fault(space, cells, nums, dens, "beta") or cells
 
 
 def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
     """The first Violation, or per atom the number of its stop block (None if it never stops).
 
-    A read-only table of ints and floats that are times, one per atom, is gathered in one
-    look; to find a fault, atoms are checked one by one.  ``{stop = n}`` is checked only at
-    the atoms' stop blocks, where it can split a block.  Every split is found, and the first
-    in flat order (by time, then partition order) is reported.
+    The stop table is gathered by atom in one look (``gather``) and walked only to name a
+    fault: first a key fault (``row_fault``), then the first atom whose index is not a time.
+    ``{stop = n}`` splits a time-``n`` block exactly when fewer atoms stop in it than it
+    holds, since only its own atoms can; the first split block in flat order (by time, then
+    partition order) is reported.
     """
     times = range(1, space.horizon + 1)
 
     def is_time(t) -> bool:
         return not isinstance(t, bool) and (t == INFINITY or t in times)
 
-    stop = eta.stop
-    cells = [*map(stop.get, space.atoms)] if type(stop) is ReadOnly else [None]
-    whole = {*map(type, cells)} <= {int, float} and len(stop) == len(cells)
-    if not whole or not all(map(is_time, set(cells))):
-        for atom in space.atoms:
-            if atom not in stop:
-                return Violation("Malformed", where=atom, detail="no stop index for atom")
-            t = stop[atom]
-            if not is_time(t):
-                shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
-                return Violation(
-                    "OutOfRange",
-                    time=t if type(t) in (int, float) else None,
-                    where=atom,
-                    detail=f"stop index {shown} outside 1..{space.horizon}, inf",
-                )
-        unknown = _unknown_atom(stop, space)
-        if unknown is not None:
-            return Violation("Malformed", where=str(unknown), detail="stop index for unknown atom")
-        cells = map(stop.__getitem__, space.atoms)
+    cells = gather([eta.stop], [space.atoms])
+    if cells is None:
+        return row_fault(eta.stop, space.atoms, "stop", "atom", exact=False)
+    if not all(map(is_time, {*cells} if {*map(type, cells)} <= {int, float} else cells)):
+        atom, t = next((a, t) for a, t in zip(space.atoms, cells) if not is_time(t))
+        shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
+        return Violation(
+            "OutOfRange",
+            time=t if type(t) in (int, float) else None,
+            where=atom,
+            detail=f"stop index {shown} outside 1..{space.horizon}, inf",
+        )
     stops = space.stop_blocks(cells)
-    first_split = space.root
-    for i in set(stops) - {None}:
-        n = space.depth[i]
-        if i < first_split and {*map(stop.__getitem__, space.members(n, space.ids[i]))} != {n}:
-            first_split = i
-    if first_split < space.root:
-        n, block_id = space.depth[first_split], space.ids[first_split]
+    split = [i for i, k in Counter(stops).items() if i is not None and k != space.block_size[i]]
+    if split:
+        n, block_id = space.depth[min(split)], space.ids[min(split)]
         return Violation(
             "NotAdapted", time=n, where=block_id, detail=f"{{stop={n}}} splits block {block_id}"
         )
@@ -252,31 +246,23 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
 
 def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
     """The first Violation, or ``(rho, den, spent)``: the stop masses and their sums down
-    each path, in integers over one denominator, from the sum check's one spent pass."""
-    cells = _unit_cells(eta.rho, space, "rho")
+    each path, in integers over one denominator, from the sum check's one spent pass.
+
+    ``rho`` and ``rho_inf`` are read together and range-checked in integers over their one
+    denominator, which the sum check then compares with each path's spent and never-stop
+    masses."""
+    cells = space.read(eta.rho, "rho", eta.rho_inf, "rho_inf")
     if isinstance(cells, Violation):
         return cells
-    rho, den = integers(cells)
-    spent = space.spent(rho)
-    for atom, i in zip(space.atoms, space.leaf):
-        if atom not in eta.rho_inf:
-            return Violation("Malformed", time=INFINITY, where=atom, detail="rho_inf missing atom")
-        v = eta.rho_inf[atom]
-        if not _exact(v):
-            return Violation("Malformed", time=INFINITY, where=atom, detail="non-exact rho_inf")
-        p, q = v.numerator, v.denominator
-        if p < 0 or p > q:
-            return Violation(
-                "OutOfRange", time=INFINITY, where=atom, detail=f"rho_inf={Fraction(v)}"
-            )
-        if p * den != (den - spent[i]) * q:  # v + spent / den != 1
-            total = v + Fraction(spent[i], den)
+    nums, den = integers(cells)
+    fault = _unit_fault(space, cells, nums, itertools.repeat(den), "rho", "rho_inf")
+    if fault is not None:
+        return fault
+    rho, spent = nums[: space.root], space.spent(nums)
+    for atom, i, never in zip(space.atoms, space.leaf, nums[space.root :]):
+        if spent[i] + never != den:
+            total = Fraction(spent[i] + never, den)
             return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
-    unknown = _unknown_atom(eta.rho_inf, space)
-    if unknown is not None:
-        return Violation(
-            "Malformed", time=INFINITY, where=str(unknown), detail="rho_inf names unknown atom"
-        )
     return rho, den, spent
 
 
@@ -299,6 +285,9 @@ def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violatio
         return Violation("Malformed", detail="breakpoints must increase strictly")
     stops = []
     for k, section in enumerate(eta.sections):
+        if not isinstance(section, PureStoppingTime):
+            detail = f"a {type(section).__name__} is not a pure rule"
+            return Violation("SectionNotStoppingTime", where=f"sections[{k}]", detail=detail)
         inner = _check_pure(section, space)
         if isinstance(inner, Violation):
             return Violation(
@@ -401,7 +390,7 @@ def _spent_table(parts: tuple, space: FilteredSpace) -> Table:
 _KINDS = {
     PureStoppingTime: (_check_pure, lambda stops, space: _sections([stops], [1], 1, space)),
     RandomizedStoppingTime: (_check_randomized, _spent_table),
-    BehaviorStoppingTime: (lambda eta, space: _unit_cells(eta.beta, space, "beta"), _survival),
+    BehaviorStoppingTime: (_check_behavior, _survival),
     MixedStoppingTime: (_check_mixed, lambda parts, space: _sections(*parts, space)),
 }
 

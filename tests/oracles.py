@@ -155,3 +155,10 @@ def empirical_game_payoff(total, game, space, samples: int) -> tuple[float, floa
         for k, player in enumerate(PLAYERS):
             means[k] += count * float(game.process(player, c).value_at(space, min(t1, t2), atom))
     return means[0] / samples, means[1] / samples
+
+
+def gathered(space, table, infinity=None) -> list:
+    """A table's cells looked up key by key: ``table[n][block]`` for every time-``n`` block,
+    level by level in partition order, then ``infinity[atom]`` for every atom if given."""
+    cells = [table[n][b] for n, level in enumerate(space.levels, start=1) for b in level]
+    return cells if infinity is None else cells + [infinity[a] for a in space.atoms]

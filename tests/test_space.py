@@ -159,6 +159,16 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(True)
 
+    @pytest.mark.parametrize("text", ["0.5", " 3 ", "3 ", "1_000", "1e1000000", "+1", "1/-2", ""])
+    def test_reads_strings_by_the_wire_grammar_only(self, text):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+
+    def test_a_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            as_fraction("1/0")
+        assert as_fraction("-6/4") == F(-3, 2) and as_fraction("-0") == 0
+
 
 class TestExpectation:
     def test_constant(self, e1):

@@ -171,7 +171,7 @@ class TestValidate:
     def test_non_exact_rho_inf(self, e1, r1):
         bad = RandomizedStoppingTime(rho=r1.rho, rho_inf={**r1.rho_inf, "w2": 0.125})
         assert validate(bad, e1) == Violation(
-            "Malformed", INFINITY, "w2", "non-exact rho_inf"
+            "Malformed", INFINITY, "w2", "rho_inf holds a non-exact value"
         )
 
     @pytest.mark.parametrize("name", ["rho", "beta"])
@@ -204,6 +204,33 @@ class TestValidate:
         violation = validate(mixed([0, 1], [bad_section]), e1)
         assert violation.kind == "SectionNotStoppingTime"
         assert violation.where == "sections[0]"
+
+    def test_time_keys_are_read_by_value_but_a_bool_is_refused(self, e1, b1):
+        rows = {float(n): dict(row) for n, row in reversed(b1.beta.items())}
+        assert validate(BehaviorStoppingTime(rows), e1) is None
+        rows = {True: b1.beta[1], 2: b1.beta[2]}
+        assert validate(BehaviorStoppingTime(rows), e1) == Violation(
+            "OutOfRange", detail="beta has time True outside 1..2"
+        )
+
+    def test_mixed_section_that_is_not_a_pure_rule(self, e1):
+        violation = validate(MixedStoppingTime((0, 1), ({"w1": 1},)), e1)
+        assert violation.kind == "SectionNotStoppingTime"
+        assert violation.where == "sections[0]"
+
+    @pytest.mark.parametrize("shape", [[1, 2], "12", None])
+    def test_tables_of_other_shapes_are_violations(self, e1, r1, b1, shape):
+        """A row, rho_inf or stop table that is not a mapping is a Malformed Violation."""
+        rows = {n: dict(level) for n, level in b1.beta.items()}
+        rows[2] = shape
+        detail = "beta missing time 2" if shape is None else "beta is not a mapping"
+        assert validate(BehaviorStoppingTime(rows), e1) == Violation("Malformed", 2, None, detail)
+        assert validate(RandomizedStoppingTime(r1.rho, shape), e1) == Violation(
+            "Malformed", INFINITY, None, "rho_inf is not a mapping"
+        )
+        assert validate(PureStoppingTime(shape), e1) == Violation(
+            "Malformed", None, None, "stop is not a mapping"
+        )
 
 
 def binary_tree(depth: int):
@@ -295,7 +322,7 @@ class TestFirstViolation:
             "SectionNotStoppingTime",
             None,
             "sections[0]",
-            "Malformed at 010 (no stop index for atom)",
+            "Malformed at 010 (stop missing atom)",
         )
 
 
@@ -357,6 +384,10 @@ class TestIsStoppingMeasure:
     def test_unknown_atom(self, e1):
         with pytest.raises(ValidationError, match=r"unknown atoms \['zz'\]"):
             stopping_measure({"zz": {1: F(1, 4)}}, e1)
+
+    def test_a_row_that_is_not_a_mapping(self, e1):
+        with pytest.raises(ValidationError, match="'w1'"):
+            stopping_measure({"w1": [1, 2]}, e1)
 
     def test_key_sets_must_match_the_space(self, e1, r1):
         mass = detailed_distribution(r1, e1).mass
