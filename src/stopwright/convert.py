@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, ReadOnly, Table, Time, fraction_table, integers
+from .space import INFINITY, FilteredSpace, Kept, ReadOnly, Table, Time, fraction_table, integers
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -21,8 +21,9 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     StoppingMeasure,
+    check,
     densities,
-    density_table,
+    density_of,
     measure_rule,
 )
 
@@ -49,9 +50,14 @@ def randomized_to_behavior(
     detailed distribution and we pick 0, so a rule that has surely stopped
     never "stops again".  A rule of another type is read through its
     densities.  Masses share one denominator, so each hazard is a quotient
-    of two integers.
+    of two integers.  Derived once from ``eta``'s kept check: a repeat call
+    on the same live rule returns the same read-only rule.
     """
-    d = density_table(eta, space)
+    return check(eta, space).derive(_behavior, space)
+
+
+def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
+    d = kept.derive(density_of, space)
     unspent = [0] * space.root + [d.den]
     beta = []
     for i, p in enumerate(space.parent):
@@ -76,14 +82,19 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
     (plus 1) makes the selected rule constant on each piece, so finitely
     many pure sections carry the whole mixture.  Each section is adapted
     because cumulative masses are.  A rule of another type is read
-    through its densities.
+    through its densities.  Derived once from ``eta``'s kept check, as
+    ``randomized_to_behavior`` is.
 
     All sections come from one pass down the tree: a block with stop mass
     stops the sections whose cut lies in (spent at its parent, spent at
     the block].  Cumulative mass only grows along a path, so the stops on
     a path come in section order.
     """
-    d = density_table(eta, space)
+    return check(eta, space).derive(_mixed, space)
+
+
+def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
+    d = kept.derive(density_of, space)
     spent = space.spent(d.blocks)
     cuts = sorted({c for c in spent if c > 0} | {d.den})
     breakpoints = (ZERO,) + tuple(Fraction(c, d.den) for c in cuts)
@@ -112,7 +123,11 @@ def convert(eta: RandomStoppingTime, target_type: str, space: FilteredSpace) -> 
 
     Route: densities -> target construction.  The result always has the
     same detailed distribution; its syntactic form is canonical for the
-    target type, not necessarily minimal.
+    target type, not necessarily minimal.  Each conversion is derived once
+    from ``eta``'s kept check, so a repeat call on the same live rule
+    returns the same read-only rule, which lives as long as ``eta`` does.
+    That rule is checked on its own, the first time a call is handed it,
+    never taken as valid from ``eta``'s check.
     """
     if target_type not in TARGET_TYPES:
         raise ValueError(f"target_type must be one of {TARGET_TYPES}, got {target_type!r}")

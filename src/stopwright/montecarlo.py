@@ -19,11 +19,24 @@ depend only on ``seed``, ``i`` and its size, and totals are sums of
 per-chunk counts, so any split of whole chunks across workers reproduces
 the single-worker result bit for bit, and identical seeds always give
 identical output.
+
+Counting by realized cell
+-------------------------
+A chunk gives each sample's cell as one flat index into the grid by
+(atom, *stop columns), which has one cell per atom and per stop time of
+each rule, far more than a run of samples can reach.  A game payoff
+counts only the cells the samples realize: one ``numpy.unique`` over the
+run's indices gives them in C order with their counts, the very cells and
+counts the grid's nonzero entries would give, so its float sums come out
+the same to the bit.  Only the callers that return the grid build it:
+``detailed_counts_chunk`` and the count dicts of the empirical
+distributions, which keep their zero cells.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -158,15 +171,9 @@ _SAMPLERS = {
 }
 
 
-def _bincount(index: tuple, shape: tuple) -> np.ndarray:
-    """Counts of the index tuples, as an int64 array of ``shape``."""
-    flat = np.ravel_multi_index(index, shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    return counts.astype(np.int64, copy=False).reshape(shape)
-
-
 def _counter(rules: tuple, space: FilteredSpace):
-    """``count(size, seed, chunk_index)`` -> one chunk's counts by (atom, *stop columns).
+    """``(cells, shape)``: ``cells(size, seed, chunk_index)`` gives one chunk's samples as
+    flat indices, in C order, into an array of ``shape`` by (atom, *stop columns).
 
     One rule draws everything from the chunk's generator; two rules draw
     from the three generators it spawns (outcome, player 1, player 2).
@@ -176,7 +183,7 @@ def _counter(rules: tuple, space: FilteredSpace):
     samplers = [_stop_columns(eta, space) for eta in rules]
     shape = (len(space.atoms),) + (space.horizon + 1,) * len(rules)
 
-    def count(size: int, seed: int, chunk_index: int) -> np.ndarray:
+    def cells(size: int, seed: int, chunk_index: int) -> np.ndarray:
         root = np.random.SeedSequence((seed, chunk_index))
         if len(rules) == 1:
             rngs = [np.random.default_rng(root)] * 2
@@ -184,16 +191,23 @@ def _counter(rules: tuple, space: FilteredSpace):
             rngs = [np.random.default_rng(s) for s in root.spawn(3)]
         atom_idx = np.searchsorted(cumprobs, rngs[0].random(size), side="left")
         columns = [sampler(rng, atom_idx) for sampler, rng in zip(samplers, rngs[1:])]
-        return _bincount((atom_idx, *columns), shape)
+        return np.ravel_multi_index((atom_idx, *columns), shape)
 
-    return count
+    return cells, shape
+
+
+def _dense(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """Counts of the flat cell indices, as an int64 array of ``shape``."""
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    return counts.astype(np.int64, copy=False).reshape(shape)
 
 
 def detailed_counts_chunk(
     eta: RandomStoppingTime, space: FilteredSpace, size: int, seed: int, chunk_index: int
 ) -> np.ndarray:
     """Stop-time counts (atoms x times) for one chunk of the sample stream."""
-    return _counter((eta,), space)(size, seed, chunk_index)
+    cells, shape = _counter((eta,), space)
+    return _dense(cells(size, seed, chunk_index), shape)
 
 
 def chunk_plan(samples: int) -> list[tuple[int, int]]:
@@ -215,17 +229,19 @@ def _check_sampling_args(samples: int, seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
-def _total(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> np.ndarray:
-    """Counts by (atom, *stop columns) summed over the seeded chunks."""
-    count = _counter(rules, space)
-    return sum(count(size, seed, index) for index, size in chunk_plan(samples))
+def _chunks(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> tuple:
+    """``(chunks, shape)``: the flat cell index of every sample, one array per seeded chunk,
+    each drawn when the iterator reaches it."""
+    cells, shape = _counter(rules, space)
+    return (cells(size, seed, index) for index, size in chunk_plan(samples)), shape
 
 
 def _counts(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> dict:
     """Per atom, the counts of each cell: a time for one rule, ``(t1, t2)`` in C order for two.
     ``samples`` and ``seed`` are checked before any rule."""
     _check_sampling_args(samples, seed)
-    total = _total(rules, space, samples, seed)
+    chunks, shape = _chunks(rules, space, samples, seed)
+    total = sum(_dense(flat, shape) for flat in chunks)
     cells = space.times if len(rules) == 1 else list(itertools.product(space.times, repeat=2))
     return {atom: dict(zip(cells, row.ravel().tolist())) for atom, row in zip(space.atoms, total)}
 
@@ -287,10 +303,11 @@ def empirical_game_payoff(
     """
     _check_sampling_args(samples, seed)
     grids = kept_game(game, space).derive(_payoff_grids, space)
-    total = _total((eta1, eta2), space, samples, seed)
-    i, j1, j2 = np.nonzero(total)
+    chunks, shape = _chunks((eta1, eta2), space, samples, seed)
+    cells, counts = np.unique(np.concatenate([*chunks]), return_counts=True)
+    i, j1, j2 = np.unravel_index(cells, shape)
     coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
-    terms = total[i, j1, j2] * grids[:, coalition, i, np.minimum(j1, j2)]
+    terms = counts * grids[:, coalition, i, np.minimum(j1, j2)]
     sums = np.add.accumulate(terms, axis=1)[:, -1].tolist()
     # a sum started at 0.0 never ends at -0.0: adding 0.0 maps -0.0 to 0.0 and keeps the rest
     return tuple((s + 0.0) / samples for s in sums)

@@ -17,7 +17,7 @@ import math
 import re
 import weakref
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,11 +128,14 @@ class Violation:
 
     kind is one of NotAdapted, SumNotOne, OutOfRange,
     SectionNotStoppingTime, or Malformed (structurally incomplete table).
+    where names the block, atom or section at fault, as a string, or a key
+    the table should not hold as that key itself, which may be any hashable
+    (``5``, say).
     """
 
     kind: str
     time: Optional[Time] = None
-    where: Optional[str] = None
+    where: Optional[Hashable] = None
     detail: str = ""
 
     def __str__(self) -> str:
@@ -158,10 +161,14 @@ def ordered(keys) -> list:
 
 
 def gather(rows: Sequence, groups: Sequence[Sequence]) -> Optional[list]:
-    """Each row's values at its group of keys, ``rows[k][key]`` for each ``key`` in
-    ``groups[k]``, in order; None unless every lookup succeeds and no row holds another key."""
+    """Each row's values at its group of keys, ``rows[k].get(key)`` for each ``key`` in
+    ``groups[k]``, in order; None unless every row is a mapping holding as many keys as
+    its group.
+
+    ``get`` never calls a row's ``__missing__``, so no row is filled in.  A key that a row
+    lacks, while it holds another, reads as None: no value a caller accepts."""
     with suppress(LookupError, TypeError, AttributeError):
-        cells = [row[key] for row, keys in zip(rows, groups) for key in keys]
+        cells = [row.get(key) for row, keys in zip(rows, groups) for key in keys]
         if sum(map(len, rows)) == len(cells):
             return cells
     return None
@@ -435,7 +442,7 @@ class FilteredSpace:
         """
         T, cells = self.horizon, None
         with suppress(LookupError, TypeError, AttributeError):
-            rows = [*map(table.__getitem__, range(1, T + 1))] + ([] if slot is None else [infinity])
+            rows = [*map(table.get, range(1, T + 1))] + ([] if slot is None else [infinity])
             if len(table) == T and bool not in {*map(type, table)}:
                 cells = gather(rows, self._groups)
         if cells and ({*map(type, cells)} <= {Fraction, int} or all(map(_exact, cells))):

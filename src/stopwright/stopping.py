@@ -223,9 +223,14 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
         return not isinstance(t, bool) and (t == INFINITY or t in times)
 
     cells = gather([eta.stop], [space.atoms])
-    if cells is None:
-        return row_fault(eta.stop, space.atoms, "stop", "atom", exact=False)
-    if not all(map(is_time, {*cells} if {*map(type, cells)} <= {int, float} else cells)):
+    timed = cells is not None and all(
+        map(is_time, {*cells} if {*map(type, cells)} <= {int, float} else cells)
+    )
+    if not timed:
+        # an atom the table lacks reads as None, no time either: key faults come first
+        fault = row_fault(eta.stop, space.atoms, "stop", "atom", exact=False)
+        if fault is not None or cells is None:
+            return fault
         atom, t = next((a, t) for a, t in zip(space.atoms, cells) if not is_time(t))
         shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
         return Violation(

@@ -45,6 +45,7 @@ from stopwright.stopping import (
     PureStoppingTime,
     RandomizedStoppingTime,
     check,
+    density_of,
 )
 
 from fuzz import (
@@ -345,6 +346,36 @@ class TestDerived:
         gc.collect()
         assert key not in space._kept
         assert (type(twin), id(twin)) in space._kept
+
+    @pytest.mark.parametrize("target", TARGET_TYPES)
+    @pytest.mark.parametrize("kind", sorted(CHANGES))
+    def test_a_conversion_is_shared_but_checked_on_its_own(self, kind, target, checked):
+        rng = random.Random(f"convert {kind} {target}")
+        space = random_space(rng, max_depth=3)
+        eta, problem = CHANGES[kind][0](rng, space), random_process(rng, space)
+        converted = convert(eta, target, space)
+        assert convert(eta, target, space) is converted
+        assert checked == [eta]
+        assert equivalent(eta, converted, space)  # the first call handed it checks it
+        assert checked == [eta, converted]
+        assert (density_of,) in space._kept[type(converted), id(converted)].derived
+        assert payoff(converted, problem, space) == payoff(eta, problem, space)
+        assert distinguish(eta, converted, space) is None
+        assert checked == [eta, converted, problem]
+        ref = weakref.ref(converted)
+        checked.clear()
+        del eta, converted
+        gc.collect()
+        assert ref() is None
+        assert list(space._kept) == [(type(problem), id(problem))]
+
+    @pytest.mark.parametrize("target", TARGET_TYPES)
+    def test_an_invalid_rule_is_refused_on_every_conversion(self, e1, r1, target):
+        bad = RandomizedStoppingTime(rho=r1.rho, rho_inf={**r1.rho_inf, "w1": F(1, 2)})
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="SumNotOne"):
+                convert(bad, target, e1)
+        assert e1._kept == {}
 
     def test_folds_are_kept_with_the_opponent_not_the_game(self):
         rng = random.Random(1300)

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,14 +26,40 @@ from stopwright import (
     sample_stop_time,
     stopping_game,
 )
-from stopwright.montecarlo import _counter, _stop_columns, _total, chunk_plan, detailed_counts_chunk
+from stopwright.montecarlo import (
+    CHUNK_SIZE,
+    _counter,
+    _stop_columns,
+    chunk_plan,
+    detailed_counts_chunk,
+)
 from stopwright.space import FilteredSpace
 
 import oracles
-from fuzz import MAKERS, make_r1, negate_process, random_game, random_space, random_stopping_time
+from fuzz import (
+    MAKERS,
+    make_r1,
+    negate_process,
+    random_behavior,
+    random_game,
+    random_randomized,
+    random_space,
+    random_stopping_time,
+)
 
 SAMPLES = 100_000
 TOLERANCE = 0.02
+
+
+def dense_total(rules, space, samples, seed, plan=None):
+    """Counts by (atom, *stop columns): each chunk's flat cell indices counted into the whole
+    grid, and the grids of the chunks of ``plan`` (all of them by default) added up."""
+    cells, shape = _counter(rules, space)
+    grids = (
+        np.bincount(cells(size, seed, index), minlength=math.prod(shape)).reshape(shape)
+        for index, size in (chunk_plan(samples) if plan is None else plan)
+    )
+    return sum(grids)
 
 
 def max_abs_gap(space, empirical, exact):
@@ -132,12 +159,11 @@ class TestEmpiricalDistribution:
         for cut in (1, len(plan) - 1):
             partial = 0
             for worker in (plan[cut:], plan[:cut]):
-                count = _counter(rules, e1)
-                partial = partial + sum(count(size, seed, index) for index, size in worker)
+                partial = partial + dense_total(rules, e1, samples, seed, worker)
             assert np.array_equal(partial.reshape(len(e1.atoms), -1), expected)
         if players == 1:  # the public one-chunk call is the same counter
             chunk = detailed_counts_chunk(r1, e1, 100, seed, 3)
-            assert np.array_equal(chunk, _counter(rules, e1)(100, seed, 3))
+            assert np.array_equal(chunk, dense_total(rules, e1, 100, seed, [(3, 100)]))
 
 
 class TestEmpiricalJoint:
@@ -238,7 +264,7 @@ class TestGamePayoffMatchesPerCellLoop:
             for eta1 in rules:
                 for eta2 in rules:
                     samples, seed = rng.randint(1, 3000), rng.randrange(100)
-                    total = _total((eta1, eta2), space, samples, seed)
+                    total = dense_total((eta1, eta2), space, samples, seed)
                     expected = oracles.empirical_game_payoff(total, game, space, samples)
                     got = empirical_game_payoff(eta1, eta2, game, space, samples, seed)
                     assert repr(got) == repr(expected)
@@ -248,11 +274,31 @@ class TestGamePayoffMatchesPerCellLoop:
         # each player's lone-stop coalition, both stopping, and nobody ever stopping
         assert seen == {"1 first", "2 first", "tie", "never"}
 
+    @pytest.mark.parametrize("shape", ["fuzzed", "chain"])
+    @pytest.mark.parametrize("samples", [1, 3, CHUNK_SIZE + 1])
+    def test_means_equal_the_oracle_to_the_bit_on_seeds_0_to_7(self, samples, shape):
+        rng = random.Random(samples)
+        if shape == "chain":  # one block at each of times 1..39, then three atoms at time 40
+            nodes = [{"id": "c0", "parent": None}]
+            nodes += [{"id": f"c{n}", "parent": f"c{n - 1}"} for n in range(1, 40)]
+            probs = {"x": "1/2", "y": "1/3", "z": "1/6"}
+            nodes += [{"id": a, "parent": "c39", "prob": p} for a, p in probs.items()]
+            space = FilteredSpace(nodes)
+        else:
+            space = random_space(rng)
+        game = self.big_denominators(rng, space)
+        eta1, eta2 = random_behavior(rng, space), random_randomized(rng, space)
+        for seed in range(8):
+            total = dense_total((eta1, eta2), space, samples, seed)
+            expected = oracles.empirical_game_payoff(total, game, space, samples)
+            got = empirical_game_payoff(eta1, eta2, game, space, samples, seed)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
     def test_payoffs_that_round_to_minus_zero(self, e1, r1, b1):
         # every term is -0.0; a sum started at 0.0 stays 0.0
         tiny = constant_process(e1, F(-1, 10**400))
         game = stopping_game({(j, c): tiny for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)})
-        expected = oracles.empirical_game_payoff(_total((r1, b1), e1, 700, 2), game, e1, 700)
+        expected = oracles.empirical_game_payoff(dense_total((r1, b1), e1, 700, 2), game, e1, 700)
         got = empirical_game_payoff(r1, b1, game, e1, 700, seed=2)
         assert repr(got) == repr(expected) == "(0.0, 0.0)"
 

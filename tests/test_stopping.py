@@ -1,7 +1,9 @@
 import copy
 import random
 import sys
+from collections import Counter, defaultdict
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +41,13 @@ from stopwright import (
 )
 from stopwright.games import BOTH, COALITIONS
 from stopwright.space import FilteredSpace, Violation
-from stopwright.stopping import MixedStoppingTime, PureStoppingTime, StoppingMeasure, check
+from stopwright.stopping import (
+    MixedStoppingTime,
+    PureStoppingTime,
+    StoppingMeasure,
+    _check_pure,
+    check,
+)
 from stopwright.convert import TARGET_TYPES
 
 from fuzz import (
@@ -231,6 +239,36 @@ class TestValidate:
         assert validate(PureStoppingTime(shape), e1) == Violation(
             "Malformed", None, None, "stop is not a mapping"
         )
+
+    def test_an_unknown_key_is_reported_as_itself(self, e1, b1):
+        rows = {n: dict(level) for n, level in b1.beta.items()}
+        rows[2][5] = F(0)
+        violation = validate(BehaviorStoppingTime(rows), e1)
+        assert violation == Violation("Malformed", 2, 5, "unknown block in beta")
+        assert str(violation) == "Malformed n=2 at 5 (unknown block in beta)"
+
+    def test_a_row_that_fills_missing_keys_is_read_as_a_plain_dict(self, e1):
+        """No lookup calls a row's or a table's ``__missing__``: a key it lacks is reported
+        as a plain dict's is, and it is left as it was."""
+        level = {a: 0 for a in e1.atoms}
+        for row in (defaultdict(int, {"A": 1}), defaultdict(int, {"A": 1, "C": 0})):
+            held = dict(row)
+            assert e1.read({1: row, 2: level}, "beta", slot=None) == Violation(
+                "Malformed", 1, "B", "beta missing block"
+            )
+            assert row == held
+        table = defaultdict(dict, {1: {"A": 0, "B": 0}})
+        assert e1.read(table, "beta", slot=None) == Violation(
+            "Malformed", 2, None, "beta missing time 2"
+        )
+        assert dict(table) == {1: {"A": 0, "B": 0}}
+        never = Counter({"w1": 1, "w2": 1, "w3": 1, "zz": 1})
+        assert e1.read({1: {"A": 0, "B": 0}, 2: level}, "rho", never, "rho_inf") == Violation(
+            "Malformed", INFINITY, "w4", "rho_inf missing atom"
+        )
+        stops = SimpleNamespace(stop=Counter({"w1": 1, "w2": 1, "w3": 2, "zz": 2}))
+        assert _check_pure(stops, e1) == Violation("Malformed", None, "w4", "stop missing atom")
+        assert "w4" not in stops.stop
 
 
 def binary_tree(depth: int):
