@@ -54,6 +54,24 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _rule(doc, space):
+    return stopping_time_from_doc(doc)
+
+
+def _problem(doc, space):
+    return process_from_doc(doc)
+
+
+#: Each input file a command may name besides its --space, by flag, in the order a command
+#: reads them: the reader of its document, which is given the space too, and its help text.
+INPUTS = {
+    "st": (_rule, "stopping-rule JSON file"),
+    "st2": (_rule, "second stopping-rule JSON file"),
+    "problem": (_problem, "payoff-process JSON file"),
+    "game": (game_from_doc, "stopping-game JSON file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stopwright",
@@ -63,17 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, st=False, st2=False, problem=False, game=False):
+    def add(name, help_text, *inputs):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--space", required=True, help="scenario-tree JSON file")
-        if st:
-            p.add_argument("--st", required=True, help="stopping-rule JSON file")
-        if st2:
-            p.add_argument("--st2", required=True, help="second stopping-rule JSON file")
-        if problem:
-            p.add_argument("--problem", required=True, help="payoff-process JSON file")
-        if game:
-            p.add_argument("--game", required=True, help="stopping-game JSON file")
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True, help=INPUTS[flag][1])
         p.add_argument(
             "--format", choices=("json", "table"), default="json", help="output format"
         )
@@ -82,18 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", "Check a space (and optionally a stopping rule) against every invariant.")
     p.add_argument("--st", help="stopping-rule JSON file to validate on the space")
 
-    p = add("convert", "Rewrite a stopping rule as an equivalent rule of another type.", st=True)
+    p = add("convert", "Rewrite a stopping rule as an equivalent rule of another type.", "st")
     p.add_argument("--to", required=True, choices=TARGET_TYPES, help="target representation")
 
-    add("dist", "Print the exact joint law of (outcome, stop index) for a rule.", st=True)
-    add("equiv", "Decide whether two rules have identical detailed distributions.", st=True, st2=True)
+    add("dist", "Print the exact joint law of (outcome, stop index) for a rule.", "st")
+    add("equiv", "Decide whether two rules have identical detailed distributions.", "st", "st2")
 
-    p = add("payoff", "Expected payoff of a stopping problem under a rule.", st=True, problem=True)
+    p = add("payoff", "Expected payoff of a stopping problem under a rule.", "st", "problem")
     p.add_argument("--epsilon", help="also report whether the rule is epsilon-optimal")
 
-    add("snell", "Optimal stopping value and an optimal pure rule.", problem=True)
-    add("game-payoff", "Expected payoff pair of a two-player stopping game.", st=True, st2=True, game=True)
-    add("game-value", "Exact value and optimal behavior profile of a zero-sum game.", game=True)
+    add("snell", "Optimal stopping value and an optimal pure rule.", "problem")
+    add("game-payoff", "Expected payoff pair of a two-player stopping game.", "st", "st2", "game")
+    add("game-value", "Exact value and optimal behavior profile of a zero-sum game.", "game")
 
     p = add(
         "br",
@@ -102,15 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
         "responder banks their opponent-stops-alone payoff at n; stopping "
         "together pays the both-stop process, and if nobody ever stops the "
         "both-stop process's terminal slot applies.",
-        st=True,
-        game=True,
+        "st",
+        "game",
     )
     p.add_argument("--player", required=True, type=int, choices=(1, 2), help="responding player")
 
-    p = add("eq-check", "Check a profile for epsilon-equilibrium.", st=True, st2=True, game=True)
+    p = add("eq-check", "Check a profile for epsilon-equilibrium.", "st", "st2", "game")
     p.add_argument("--epsilon", default="0", help="slack as a rational string (default 0)")
 
-    p = add("sample", "Seeded Monte-Carlo frequencies of (outcome, stop index).", st=True)
+    p = add("sample", "Seeded Monte-Carlo frequencies of (outcome, stop index).", "st")
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument(
         "--seed",
@@ -178,37 +190,36 @@ def _resolve_seed(seed) -> int:
 
 def _dispatch(args) -> dict:
     space = space_from_doc(_load_json(args.space))
+    read = {}
+    for name, (reader, _) in INPUTS.items():
+        path = getattr(args, name, None)
+        if path is not None:
+            read[name] = reader(_load_json(path), space)
+    eta1, eta2, problem, game = map(read.get, INPUTS)
 
     if args.command == "validate":
-        if getattr(args, "st", None):
-            check(stopping_time_from_doc(_load_json(args.st)), space)
+        if eta1 is not None:
+            check(eta1, space)
         return {"valid": True}
 
     if args.command == "convert":
-        eta = stopping_time_from_doc(_load_json(args.st))
-        return stopping_time_to_doc(convert(eta, args.to, space))
+        return stopping_time_to_doc(convert(eta1, args.to, space))
 
     if args.command == "dist":
-        eta = stopping_time_from_doc(_load_json(args.st))
-        return measure_to_doc(detailed_distribution(eta, space))
+        return measure_to_doc(detailed_distribution(eta1, space))
 
     if args.command == "equiv":
-        eta1 = stopping_time_from_doc(_load_json(args.st))
-        eta2 = stopping_time_from_doc(_load_json(args.st2))
         return {"equivalent": equivalent(eta1, eta2, space)}
 
     if args.command == "payoff":
-        eta = stopping_time_from_doc(_load_json(args.st))
-        problem = process_from_doc(_load_json(args.problem))
-        doc = {"payoff": rational_str(payoff(eta, problem, space))}
+        doc = {"payoff": rational_str(payoff(eta1, problem, space))}
         if args.epsilon is not None:
             epsilon = parse_rational(args.epsilon)
             doc["epsilon"] = rational_str(epsilon)
-            doc["epsilon_optimal"] = check_epsilon_optimal(eta, problem, epsilon, space)
+            doc["epsilon_optimal"] = check_epsilon_optimal(eta1, problem, epsilon, space)
         return doc
 
     if args.command == "snell":
-        problem = process_from_doc(_load_json(args.problem))
         result = snell_value(problem, space)
         return {
             "value": rational_str(result.value),
@@ -216,14 +227,10 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "game-payoff":
-        eta1 = stopping_time_from_doc(_load_json(args.st))
-        eta2 = stopping_time_from_doc(_load_json(args.st2))
-        game = game_from_doc(_load_json(args.game), space)
         one, two = game_payoff(eta1, eta2, game, space)
         return {"player1": rational_str(one), "player2": rational_str(two)}
 
     if args.command == "game-value":
-        game = game_from_doc(_load_json(args.game), space)
         result = zero_sum_value(game, space)
         return {
             "value": rational_str(result.value),
@@ -234,9 +241,7 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "br":
-        opponent = stopping_time_from_doc(_load_json(args.st))
-        game = game_from_doc(_load_json(args.game), space)
-        result = best_response_value(opponent, game, args.player, space)
+        result = best_response_value(eta1, game, args.player, space)
         return {
             "player": args.player,
             "value": rational_str(result.value),
@@ -244,9 +249,6 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "eq-check":
-        eta1 = stopping_time_from_doc(_load_json(args.st))
-        eta2 = stopping_time_from_doc(_load_json(args.st2))
-        game = game_from_doc(_load_json(args.game), space)
         epsilon = parse_rational(args.epsilon)
         return {
             "epsilon": rational_str(epsilon),
@@ -257,9 +259,8 @@ def _dispatch(args) -> dict:
         # Only sampling needs numpy; importing it here keeps it out of every other command.
         from .montecarlo import empirical_detailed_distribution
 
-        eta = stopping_time_from_doc(_load_json(args.st))
         seed = _resolve_seed(args.seed)
-        result = empirical_detailed_distribution(eta, space, args.samples, seed)
+        result = empirical_detailed_distribution(eta1, space, args.samples, seed)
         return {
             "samples": args.samples,
             "seed": seed,

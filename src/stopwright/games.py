@@ -193,7 +193,7 @@ def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) 
 
 def _against(make, opponent, game: StoppingGame, space: FilteredSpace, player: int):
     """``make`` derived on the opponent's kept check for the kept game and ``player``."""
-    if player not in PLAYERS:
+    if not isinstance(player, int) or isinstance(player, bool) or player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     kept = kept_game(game, space)
     return check(opponent, space).derive(make, space, kept, player)

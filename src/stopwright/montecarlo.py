@@ -223,6 +223,9 @@ def chunk_plan(samples: int) -> list[tuple[int, int]]:
 
 
 def _check_sampling_args(samples: int, seed: int) -> None:
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:

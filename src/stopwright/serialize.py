@@ -21,7 +21,6 @@ from .space import (
     AdaptedProcess,
     FilteredSpace,
     Time,
-    adapted_process,
     build_space,
     rational,
     time_label,
@@ -33,10 +32,6 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     StoppingMeasure,
-    behavior,
-    mixed,
-    pure,
-    randomized,
     stopping_measure,
 )
 
@@ -109,107 +104,132 @@ def space_from_doc(doc) -> FilteredSpace:
     return build_space(parsed)
 
 
-# -- block tables -----------------------------------------------------------------
+# -- fields -----------------------------------------------------------------------
 
 
-def _block_table_from_doc(table, context) -> dict[int, dict[str, Fraction]]:
+def _blocks_from_doc(table, name: str) -> dict[int, dict[str, Fraction]]:
     if not isinstance(table, dict):
-        raise FormatError(f"{context} must map times to block tables")
+        raise FormatError(f"{name} must map times to block tables")
     out = {}
     for key, level in table.items():
         t = parse_time(key)
         if t == INFINITY or not isinstance(level, dict):
-            raise FormatError(f"{context} has a bad entry at time {key!r}")
+            raise FormatError(f"{name} has a bad entry at time {key!r}")
         out[t] = {block: parse_rational(v) for block, v in level.items()}
     return out
 
 
-def _block_table_to_doc(table) -> dict:
+def _blocks_to_doc(table) -> dict:
     return {
         str(n): {block: rational_str(v) for block, v in level.items()}
         for n, level in sorted(table.items())
     }
 
 
+def _atoms_from_doc(table, name: str) -> dict[str, Fraction]:
+    return {atom: parse_rational(v) for atom, v in table.items()}
+
+
+def _atoms_to_doc(table) -> dict:
+    return {atom: rational_str(v) for atom, v in table.items()}
+
+
+def _stops_from_doc(stop, name: str) -> dict[str, Time]:
+    return {atom: parse_time(t) for atom, t in stop.items()}
+
+
+def _stops_to_doc(stop) -> dict:
+    return {atom: "inf" if t == INFINITY else int(t) for atom, t in stop.items()}
+
+
+def _rationals_from_doc(values, name: str) -> list[Fraction]:
+    return [parse_rational(r) for r in values]
+
+
+def _rationals_to_doc(values) -> list:
+    return [rational_str(r) for r in values]
+
+
+def _sections_from_doc(sections, name: str) -> list[PureStoppingTime]:
+    """Each section, which ``_all_pure`` found to be a pure rule document, read."""
+    return [stopping_time_from_doc(s) for s in sections]
+
+
+def _sections_to_doc(sections) -> list:
+    return [stopping_time_to_doc(s) for s in sections]
+
+
+#: Each kind of field: the JSON kind its value must have (dict, list, or object for any, its
+#: reader then checking it), its reader, given the value and the field's name, and its writer.
+_BLOCKS = (object, _blocks_from_doc, _blocks_to_doc)
+_ATOMS = (dict, _atoms_from_doc, _atoms_to_doc)
+_STOPS = (dict, _stops_from_doc, _stops_to_doc)
+_RATIONALS = (list, _rationals_from_doc, _rationals_to_doc)
+_SECTIONS = (list, _sections_from_doc, _sections_to_doc)
+
+
+def _read_fields(doc, context: str, fields: dict) -> dict:
+    """Each of ``fields`` read from ``doc``, in order, by name."""
+    return {
+        name: read(_require(doc, name, context, kind), name)
+        for name, (kind, read, _) in fields.items()
+    }
+
+
+def _write_fields(obj, fields: dict) -> dict:
+    """Each of ``fields`` written from ``obj``'s attribute of that name, in order."""
+    return {name: write(getattr(obj, name)) for name, (_, _, write) in fields.items()}
+
+
 # -- stopping rules -----------------------------------------------------------------
 
 
-def _pure_from_doc(doc) -> PureStoppingTime:
-    stop = _require(doc, "stop", "pure rule", dict)
-    return pure({atom: parse_time(t) for atom, t in stop.items()})
+def _all_pure(doc) -> None:
+    """A mixed rule's sections must be an array of pure rule documents."""
+    sections = _require(doc, "sections", "mixed rule", list)
+    if any(_require(s, "type", "mixed section") != "pure" for s in sections):
+        raise FormatError("every section of a mixed rule must be a 'pure' rule document")
+
+
+#: Each rule type by its wire name, the document's "type": its class, which builds it from its
+#: fields, its fields in document order, and a check of the whole document made before any
+#: field is read, or None.
+_RULES = {
+    "pure": (PureStoppingTime, {"stop": _STOPS}, None),
+    "randomized": (RandomizedStoppingTime, {"rho": _BLOCKS, "rho_inf": _ATOMS}, None),
+    "behavior": (BehaviorStoppingTime, {"beta": _BLOCKS}, None),
+    "mixed": (MixedStoppingTime, {"breakpoints": _RATIONALS, "sections": _SECTIONS}, _all_pure),
+}
 
 
 def stopping_time_from_doc(doc) -> RandomStoppingTime:
     kind = _require(doc, "type", "stopping rule")
-    if kind == "pure":
-        return _pure_from_doc(doc)
-    if kind == "randomized":
-        return randomized(
-            rho=_block_table_from_doc(_require(doc, "rho", "randomized rule"), "rho"),
-            rho_inf={
-                atom: parse_rational(v)
-                for atom, v in _require(doc, "rho_inf", "randomized rule", dict).items()
-            },
-        )
-    if kind == "behavior":
-        return behavior(
-            beta=_block_table_from_doc(_require(doc, "beta", "behavior rule"), "beta")
-        )
-    if kind == "mixed":
-        sections = _require(doc, "sections", "mixed rule", list)
-        if any(_require(s, "type", "mixed section") != "pure" for s in sections):
-            raise FormatError("every section of a mixed rule must be a 'pure' rule document")
-        return mixed(
-            breakpoints=[
-                parse_rational(r) for r in _require(doc, "breakpoints", "mixed rule", list)
-            ],
-            sections=[_pure_from_doc(s) for s in sections],
-        )
-    raise FormatError(f"unknown stopping-rule type {kind!r}")
-
-
-def _time_doc_value(t: Time):
-    return "inf" if t == INFINITY else int(t)
+    if not isinstance(kind, str) or kind not in _RULES:
+        raise FormatError(f"unknown stopping-rule type {kind!r}")
+    cls, fields, first = _RULES[kind]
+    if first is not None:
+        first(doc)
+    return cls(**_read_fields(doc, f"{kind} rule", fields))
 
 
 def stopping_time_to_doc(eta: RandomStoppingTime) -> dict:
-    if isinstance(eta, PureStoppingTime):
-        return {"type": "pure", "stop": {a: _time_doc_value(t) for a, t in eta.stop.items()}}
-    if isinstance(eta, RandomizedStoppingTime):
-        return {
-            "type": "randomized",
-            "rho": _block_table_to_doc(eta.rho),
-            "rho_inf": {a: rational_str(v) for a, v in eta.rho_inf.items()},
-        }
-    if isinstance(eta, BehaviorStoppingTime):
-        return {"type": "behavior", "beta": _block_table_to_doc(eta.beta)}
-    if isinstance(eta, MixedStoppingTime):
-        return {
-            "type": "mixed",
-            "breakpoints": [rational_str(r) for r in eta.breakpoints],
-            "sections": [stopping_time_to_doc(s) for s in eta.sections],
-        }
+    for kind, (cls, fields, _) in _RULES.items():
+        if isinstance(eta, cls):
+            return {"type": kind, **_write_fields(eta, fields)}
     raise TypeError(f"not a stopping rule: {type(eta).__name__}")
 
 
 # -- processes and measures -----------------------------------------------------------
 
+_PROCESS = {"values": _BLOCKS, "infinity": _ATOMS}
+
 
 def process_from_doc(doc) -> AdaptedProcess:
-    return adapted_process(
-        values=_block_table_from_doc(_require(doc, "values", "process"), "values"),
-        infinity={
-            atom: parse_rational(v)
-            for atom, v in _require(doc, "infinity", "process", dict).items()
-        },
-    )
+    return AdaptedProcess(**_read_fields(doc, "process", _PROCESS))
 
 
 def process_to_doc(process: AdaptedProcess) -> dict:
-    return {
-        "values": _block_table_to_doc(process.values),
-        "infinity": {a: rational_str(v) for a, v in process.infinity.items()},
-    }
+    return _write_fields(process, _PROCESS)
 
 
 def measure_to_doc(nu: StoppingMeasure) -> dict:
@@ -233,9 +253,16 @@ def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:
 
 # -- games ----------------------------------------------------------------------------
 
-_PLAYER_KEYS = {"1": 1, "2": 2}
-_COALITION_KEYS = {"{1}": ONLY_1, "{2}": ONLY_2, "{12}": BOTH}
-_COALITION_LABELS = {ONLY_1: "{1}", ONLY_2: "{2}", BOTH: "{12}"}
+#: Each payoff key of a game document and the (player, coalition) it names, in the order
+#: a document lists them.
+_GAME_KEYS = {
+    "1|{12}": (1, BOTH),
+    "1|{1}": (1, ONLY_1),
+    "1|{2}": (1, ONLY_2),
+    "2|{12}": (2, BOTH),
+    "2|{1}": (2, ONLY_1),
+    "2|{2}": (2, ONLY_2),
+}
 
 
 def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
@@ -245,12 +272,9 @@ def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
     payoff_docs = _require(doc, "payoffs", "game", dict)
     table = {}
     for key, proc_doc in payoff_docs.items():
-        player_part, _, coalition_part = key.partition("|")
-        player = _PLAYER_KEYS.get(player_part)
-        coalition = _COALITION_KEYS.get(coalition_part)
-        if player is None or coalition is None:
+        if key not in _GAME_KEYS:
             raise FormatError(f"bad payoff key {key!r} (expected e.g. '1|{{12}}')")
-        table[(player, coalition)] = process_from_doc(proc_doc)
+        table[_GAME_KEYS[key]] = process_from_doc(proc_doc)
     declared = doc.get("zero_sum", False)
     if not isinstance(declared, bool):
         raise FormatError(f"game 'zero_sum' must be true or false, got {declared!r}")
@@ -264,10 +288,7 @@ def game_to_doc(game: StoppingGame, space: FilteredSpace) -> dict:
     return {
         "players": 2,
         "payoffs": {
-            f"{player}|{_COALITION_LABELS[coalition]}": process_to_doc(proc)
-            for (player, coalition), proc in sorted(
-                game.payoffs.items(), key=lambda kv: (kv[0][0], _COALITION_LABELS[kv[0][1]])
-            )
+            key: process_to_doc(game.payoffs[pair]) for key, pair in _GAME_KEYS.items()
         },
         "zero_sum": is_zero_sum(game, space),
     }

@@ -212,7 +212,9 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
     """The first Violation, or per atom the number of its stop block (None if it never stops).
 
     The stop table is gathered by atom in one look (``gather``) and walked only to name a
-    fault: first a key fault (``row_fault``), then the first atom whose index is not a time.
+    fault: first a key fault (``row_fault``), then the first atom whose index is not a time:
+    an int (not a bool) in 1..T, or INFINITY.  That index is the Violation's ``time`` only if
+    it is an int or a float off the integers (``2.5``, nan): ``1.0`` would read as time 1.
     ``{stop = n}`` splits a time-``n`` block exactly when fewer atoms stop in it than it
     holds, since only its own atoms can; the first split block in flat order (by time, then
     partition order) is reported.
@@ -220,7 +222,7 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
     times = range(1, space.horizon + 1)
 
     def is_time(t) -> bool:
-        return not isinstance(t, bool) and (t == INFINITY or t in times)
+        return t == INFINITY or isinstance(t, int) and not isinstance(t, bool) and t in times
 
     cells = gather([eta.stop], [space.atoms])
     timed = cells is not None and all(
@@ -235,7 +237,7 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
         shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
         return Violation(
             "OutOfRange",
-            time=t if type(t) in (int, float) else None,
+            time=t if type(t) is int or type(t) is float and not t.is_integer() else None,
             where=atom,
             detail=f"stop index {shown} outside 1..{space.horizon}, inf",
         )

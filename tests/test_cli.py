@@ -104,6 +104,28 @@ class TestValidate:
         assert out == ""
         assert json.loads(err)["error"] == "FileError"
 
+    def test_an_empty_rule_path_is_a_missing_file(self, files, capsys):
+        code, out, err = run_capture(capsys, ["validate", "--space", files["e1.json"], "--st", ""])
+        assert (code, out, json.loads(err)["error"]) == (1, "", "FileNotFound")
+
+    def test_inputs_are_read_in_flag_order(self, files, capsys, tmp_path):
+        """--space, --st, --st2, --problem, --game: of several faulty inputs, the first is named."""
+        (tmp_path / "bad.json").write_text('{"type": "quantum"}')
+        bad, missing = str(tmp_path / "bad.json"), str(tmp_path / "missing.json")
+        good = {"--st": files["r1.json"], "--st2": files["b1.json"], "--game": files["game.json"]}
+        flags = list(good)
+        for k, flag in enumerate(flags):
+            for first, later in ((bad, missing), (missing, bad)):
+                given = {**good, flag: first, **{f: later for f in flags[k + 1 :]}}
+                argv = ["eq-check", "--space", files["e1.json"]]
+                code, _, err = run_capture(capsys, argv + [a for f in flags for a in (f, given[f])])
+                assert code == 1
+                name = "FormatError" if first is bad else "FileNotFound"
+                assert json.loads(err)["error"] == name, (flag, first)
+        argv = ["payoff", "--space", files["e1.json"], "--st", missing, "--problem", bad]
+        code, _, err = run_capture(capsys, argv)
+        assert (code, json.loads(err)["error"]) == (1, "FileNotFound")
+
     def test_file_not_utf8(self, files, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"type": "pure", "stop": {"w\xe9": 1}}'.encode("latin-1"))
@@ -611,8 +633,9 @@ MUTATED_RUNS = {
 }
 
 
-def test_single_field_mutations_never_raise(files, tmp_path):
-    """Replacing or deleting one field of a valid document exits 0 or 1, never raises."""
+def test_field_mutations_never_raise(files, tmp_path):
+    """Replacing or deleting one to three fields of a valid document, one after another, exits 0
+    or 1, never raises."""
     mixed = stopping_time_to_doc(convert(make_r1(), "mixed", make_e1()))
     (tmp_path / "mixed.json").write_text(json.dumps(mixed))
     files = {**files, "mixed.json": str(tmp_path / "mixed.json")}
@@ -624,14 +647,18 @@ def test_single_field_mutations_never_raise(files, tmp_path):
         name = data.draw(st.sampled_from(sorted(MUTATED_RUNS)))
         with open(files[name], encoding="utf-8") as handle:
             doc = json.load(handle)
-        path, key = data.draw(st.sampled_from(list(_fields(doc))))
-        container = doc
-        for step in path:
-            container = container[step]
-        if isinstance(container, dict) and data.draw(st.booleans()):
-            del container[key]
-        else:
-            container[key] = data.draw(JSON_VALUES)
+        for _ in range(data.draw(st.integers(1, 3))):
+            fields = list(_fields(doc))
+            if not fields:  # every field deleted
+                break
+            path, key = data.draw(st.sampled_from(fields))
+            container = doc
+            for step in path:
+                container = container[step]
+            if isinstance(container, dict) and data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(JSON_VALUES)
         mutated.write_text(json.dumps(doc))
         argv = [str(mutated) if a == "DOC" else files.get(a, a) for a in MUTATED_RUNS[name]]
         assert run(argv) in (0, 1)

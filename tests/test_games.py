@@ -246,6 +246,20 @@ class TestBestResponse:
         with pytest.raises(ValidationError):
             best_response_value(r1, random_game(rng, e1), 3, e1)
 
+    @pytest.mark.parametrize("player", [1.0, F(1), 2.0, True, "1"])
+    def test_player_is_the_int_1_or_2_cold_and_warm(self, e1, r1, player):
+        """Before any rule is read, and whatever the memo holds for the equal int."""
+        game = random_game(random.Random(127), e1)
+        bad_rule = pure({a: 3 for a in e1.atoms})
+        for call in (best_response_value, auxiliary_problem):
+            with pytest.raises(ValidationError, match="player must be 1 or 2"):
+                call(bad_rule, game, player=player, space=e1)
+            with pytest.raises(ValidationError, match="player must be 1 or 2"):
+                call(r1, game, player=player, space=e1)
+            call(r1, game, player=int(player), space=e1)  # the int: derived and kept
+            with pytest.raises(ValidationError, match="player must be 1 or 2"):
+                call(r1, game, player=player, space=e1)
+
 
 class TestStageSolver:
     def test_saddle_point_cells(self):

@@ -137,6 +137,21 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             empirical_detailed_distribution(r1, e1, 10, seed=-1)
 
+    @pytest.mark.parametrize("samples, seed", [(True, 1), (2.5, 1), (10, True), (10, 1.0)])
+    def test_samples_and_seed_are_ints(self, e1, r1, samples, seed):
+        """Refused before any rule is read: True is no sample count and no seed 1."""
+        bad_rule = pure({a: 3 for a in e1.atoms})
+        game = random_game(random.Random(1), e1)
+        calls = (
+            lambda eta: empirical_detailed_distribution(eta, e1, samples, seed),
+            lambda eta: empirical_joint_distribution(eta, r1, e1, samples, seed),
+            lambda eta: empirical_game_payoff(eta, r1, game, e1, samples, seed),
+        )
+        for call in calls:
+            for eta in (bad_rule, r1):
+                with pytest.raises(TypeError, match="must be an int"):
+                    call(eta)
+
     def test_seed_determinism(self, e1, b1):
         first = empirical_detailed_distribution(b1, e1, 20_000, seed=9)
         second = empirical_detailed_distribution(b1, e1, 20_000, seed=9)

@@ -4,12 +4,14 @@ drawn trees.
 A space is checked once, from its nodes, and numbered in the same pass.
 The first two properties state what its levels and its flat numbering then
 satisfy with no second check; the third is the paper's equivalence of the
-mixed, behavior and randomized notions of a random stopping time.  The
-last two draw mutations of valid rule and process tables: every one is
+mixed, behavior and randomized notions of a random stopping time, and the
+fourth that rules of all four types, processes and games survive their
+wire documents.  The last two draw mutations of valid rule and process tables: every one is
 read to a Violation or a reader's error, never a crash, and every table
 accepted is read as a lookup key by key reads it.
 """
 
+import json
 import random
 from collections.abc import Mapping
 from fractions import Fraction as F
@@ -36,11 +38,19 @@ from stopwright import (
     validate,
 )
 from stopwright.convert import TARGET_TYPES
+from stopwright.serialize import (
+    game_from_doc,
+    game_to_doc,
+    process_from_doc,
+    process_to_doc,
+    stopping_time_from_doc,
+    stopping_time_to_doc,
+)
 from stopwright.space import Violation
 from stopwright.stopping import check
 
 import oracles
-from fuzz import MAKERS, random_process
+from fuzz import MAKERS, random_game, random_process
 
 #: the same examples on every run and no example database, as in the CLI fuzz
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -138,6 +148,25 @@ def test_every_conversion_is_equivalent_with_the_same_payoff(nodes, seed):
             converted = convert(eta, target, space)
             assert equivalent(eta, converted, space), (make.__name__, target)
             assert payoff(converted, problem, space) == payoff(eta, problem, space)
+
+
+def through_json(doc):
+    """``doc`` as a JSON text reads it back."""
+    return json.loads(json.dumps(doc))
+
+
+@PROPERTY
+@given(node_lists(max_depth=3, max_atoms=8), st.integers(0, 2**32 - 1))
+def test_rules_processes_and_games_survive_their_documents(nodes, seed):
+    space = build_space(nodes)
+    rng = random.Random(seed)
+    for make in MAKERS:
+        eta = make(rng, space)
+        assert stopping_time_from_doc(through_json(stopping_time_to_doc(eta))) == eta
+    process = random_process(rng, space)
+    assert process_from_doc(through_json(process_to_doc(process))) == process
+    game = random_game(rng, space)
+    assert game_from_doc(through_json(game_to_doc(game, space)), space) == game
 
 
 class Exact(F):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -120,9 +121,92 @@ class TestStoppingTimeDocs:
         with pytest.raises(FormatError):
             stopping_time_from_doc({"type": "quantum"})
 
+    @pytest.mark.parametrize("kind", [["pure"], {"pure": 1}, None, 1])
+    def test_a_type_of_any_json_kind_is_unknown(self, kind):
+        with pytest.raises(FormatError, match="unknown stopping-rule type"):
+            stopping_time_from_doc({"type": kind, "stop": {}})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"type": "mixed"}, "mixed rule document is missing 'sections'"),
+            ({"type": "mixed", "sections": {}}, "mixed rule 'sections' must be an array"),
+            ({"type": "mixed", "sections": [{}]}, "mixed section document is missing 'type'"),
+            ({"type": "mixed", "sections": [{"type": "behavior"}]}, "every section of a mixed"),
+            ({"type": "mixed", "sections": [{"type": "pure"}]}, "missing 'breakpoints'"),
+            (
+                {"type": "mixed", "breakpoints": ["x"], "sections": [{"type": "pure"}]},
+                "bad rational 'x'",
+            ),
+            (
+                {"type": "mixed", "breakpoints": ["0", "1"], "sections": [{"type": "pure"}]},
+                "pure rule document is missing 'stop'",
+            ),
+            ({"type": "randomized", "rho": {"x": {}}}, "bad time index 'x'"),
+            ({"type": "randomized", "rho": {"1": []}}, "rho has a bad entry at time '1'"),
+            ({"type": "randomized", "rho": {}}, "randomized rule document is missing 'rho_inf'"),
+            ({"type": "behavior", "beta": []}, "beta must map times to block tables"),
+        ],
+    )
+    def test_faults_are_found_in_document_order(self, doc, message):
+        """A mixed rule's sections are checked to be pure documents first, then its breakpoints
+        are read, then its sections; other fields are read in document order."""
+        with pytest.raises(FormatError, match=re.escape(message)):
+            stopping_time_from_doc(doc)
+
     def test_missing_field_rejected(self):
         with pytest.raises(FormatError):
             stopping_time_from_doc({"type": "randomized", "rho": {}})
+
+
+class TestKeyOrder:
+    """Every writer's documents, byte for byte as ``json.dumps`` writes them in dict order: the
+    order ``--format table`` prints and a written document keeps."""
+
+    PROCESS = (
+        '{"values": {"1": {"A": "-5/2", "B": "-1/4"}, '
+        '"2": {"w1": "8", "w2": "7", "w3": "1", "w4": "5/2"}}, '
+        '"infinity": {"w1": "-3/2", "w2": "5/4", "w3": "0", "w4": "-5/2"}}'
+    )
+
+    def test_rule_documents(self, e1):
+        sigma = pure({"w1": 1, "w2": 1, "w3": 2, "w4": INFINITY})
+        r1, b1 = make_r1(), make_b1()
+        written = [json.dumps(stopping_time_to_doc(eta)) for eta in (sigma, r1, b1)]
+        assert written == [
+            '{"type": "pure", "stop": {"w1": 1, "w2": 1, "w3": 2, "w4": "inf"}}',
+            '{"type": "randomized", "rho": {"1": {"A": "1/2", "B": "1/4"}, '
+            '"2": {"w1": "1/2", "w2": "0", "w3": "1/4", "w4": "3/4"}}, '
+            '"rho_inf": {"w1": "0", "w2": "1/2", "w3": "1/2", "w4": "0"}}',
+            '{"type": "behavior", "beta": {"1": {"A": "1/2", "B": "1/4"}, '
+            '"2": {"w1": "1", "w2": "0", "w3": "1/3", "w4": "1"}}}',
+        ]
+        assert json.dumps(stopping_time_to_doc(randomized_to_mixed(r1, e1))) == (
+            '{"type": "mixed", "breakpoints": ["0", "1/4", "1/2", "1"], "sections": ['
+            '{"type": "pure", "stop": {"w1": 1, "w2": 1, "w3": 1, "w4": 1}}, '
+            '{"type": "pure", "stop": {"w1": 1, "w2": 1, "w3": 2, "w4": 2}}, '
+            '{"type": "pure", "stop": {"w1": 2, "w2": "inf", "w3": "inf", "w4": 2}}]}'
+        )
+
+    def test_process_document(self, e1):
+        process = random_process(random.Random(3), e1)
+        assert json.dumps(process_to_doc(process)) == self.PROCESS
+
+    def test_game_document(self, e1):
+        one = random_process(random.Random(3), e1)
+        table = {}
+        for c in (ONLY_1, ONLY_2, BOTH):
+            table[(1, c)], table[(2, c)] = one, negate_process(one)
+        game = stopping_game(table)
+        negated = (
+            '{"values": {"1": {"A": "5/2", "B": "1/4"}, '
+            '"2": {"w1": "-8", "w2": "-7", "w3": "-1", "w4": "-5/2"}}, '
+            '"infinity": {"w1": "3/2", "w2": "-5/4", "w3": "0", "w4": "5/2"}}'
+        )
+        payoffs = [f'"1|{c}": {self.PROCESS}' for c in ("{12}", "{1}", "{2}")]
+        payoffs += [f'"2|{c}": {negated}' for c in ("{12}", "{1}", "{2}")]
+        expected = '{"players": 2, "payoffs": {' + ", ".join(payoffs) + '}, "zero_sum": true}'
+        assert json.dumps(game_to_doc(game, e1)) == expected
 
 
 class TestProcessDocs:

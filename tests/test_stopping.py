@@ -107,6 +107,20 @@ class TestValidate:
                 call(bad, e1)
             assert str(raised.value) == expected
 
+    @pytest.mark.parametrize("index", [1.0, 2.0, F(1)])
+    def test_pure_stop_index_is_an_int(self, e1, index):
+        """An index equal to a time but not an int is refused, with no time: 1.0 is no n=1."""
+        stop = {"w1": index, "w2": index, "w3": 2, "w4": INFINITY}
+        assert validate(pure({**stop, "w1": int(index), "w2": int(index)}), e1) is None
+        detail = f"stop index {index!r} outside 1..2, inf"
+        violation = validate(pure(stop), e1)
+        assert violation == Violation("OutOfRange", None, "w1", detail)
+        assert str(violation) == f"OutOfRange at w1 ({detail})"
+        section = validate(mixed([0, 1], [pure(stop)]), e1)
+        assert section == Violation("SectionNotStoppingTime", None, "sections[0]", str(violation))
+        with pytest.raises(ValidationError, match="OutOfRange at w1"):
+            detailed_distribution(pure(stop), e1)
+
     @needs_digit_limit
     @pytest.mark.parametrize("kind", [int, type("Index", (int,), {})])
     def test_pure_stop_index_past_the_int_digit_limit(self, e1, kind):
