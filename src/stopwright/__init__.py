@@ -32,11 +32,7 @@ from .space import (
     as_fraction,
     build_space,
     check_process,
-    conditional_expectation,
     constant_process,
-    event_is_measurable,
-    expectation,
-    is_measurable,
 )
 from .stopping import (
     BehaviorStoppingTime,

@@ -83,6 +83,12 @@ def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
     return space.recall(game, lambda: space.tables(*map(game.payoffs.__getitem__, KEYS)))
 
 
+def _check_player(player) -> None:
+    """Raise ValidationError unless ``player`` is the int 1 or 2 (not a bool)."""
+    if not isinstance(player, int) or isinstance(player, bool) or player not in PLAYERS:
+        raise ValidationError(f"player must be 1 or 2, got {player!r}")
+
+
 def _own(tables: Sequence[Table], player: int) -> tuple[Table, Table, Table]:
     """A player's tables for stopping alone, the opponent stopping alone and both stopping."""
     one, two, both = tables[3 * player - 3 : 3 * player]
@@ -110,6 +116,7 @@ class JointStoppingMeasure:
 
     def marginal(self, space: FilteredSpace, player: int) -> StoppingMeasure:
         """Integrate out the other player's stop index."""
+        _check_player(player)
         rows = []
         for atom in space.atoms:
             row = dict.fromkeys(space.times, ZERO)
@@ -193,8 +200,7 @@ def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) 
 
 def _against(make, opponent, game: StoppingGame, space: FilteredSpace, player: int):
     """``make`` derived on the opponent's kept check for the kept game and ``player``."""
-    if not isinstance(player, int) or isinstance(player, bool) or player not in PLAYERS:
-        raise ValidationError(f"player must be 1 or 2, got {player!r}")
+    _check_player(player)
     kept = kept_game(game, space)
     return check(opponent, space).derive(make, space, kept, player)
 

@@ -205,7 +205,11 @@ def _dense(flat: np.ndarray, shape: tuple) -> np.ndarray:
 def detailed_counts_chunk(
     eta: RandomStoppingTime, space: FilteredSpace, size: int, seed: int, chunk_index: int
 ) -> np.ndarray:
-    """Stop-time counts (atoms x times) for one chunk of the sample stream."""
+    """Stop-time counts (atoms x times) for one chunk of the sample stream.
+
+    ``size``, ``seed`` and ``chunk_index`` are checked as ``_check_sampling_args`` checks
+    them, before the rule is read."""
+    _check_sampling_args(size, seed, chunk_index)
     cells, shape = _counter((eta,), space)
     return _dense(cells(size, seed, chunk_index), shape)
 
@@ -222,14 +226,15 @@ def chunk_plan(samples: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _check_sampling_args(samples: int, seed: int) -> None:
-    for name, value in (("samples", samples), ("seed", seed)):
+def _check_sampling_args(samples: int, seed: int, chunk_index: int = 0) -> None:
+    """Each argument an int (not a bool), else TypeError, at least its least value: 1 for
+    ``samples``, 0 for ``seed`` and ``chunk_index``, else ValueError."""
+    named = (("samples", samples, 1), ("seed", seed, 0), ("chunk_index", chunk_index, 0))
+    for name, value, least in named:
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _chunks(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> tuple:

@@ -24,7 +24,7 @@ from .space import (
     Table,
     Time,
     as_fraction,
-    conditional_expectation,
+    ordered,
 )
 from .stopping import PureStoppingTime, RandomStoppingTime, density_table
 
@@ -101,19 +101,23 @@ def witness_problem(event, t: Time, space: FilteredSpace) -> AdaptedProcess:
 
     For every rule, its expected payoff here equals the rule's stop mass on
     ``event x {t}``, which is what makes these problems separate
-    non-equivalent rules.
+    non-equivalent rules.  Block ``i``'s time-``t`` value is the event's
+    mass in ``i`` over ``i``'s mass; at INFINITY it is the event's
+    indicator.  Raises ValidationError unless ``t`` is an int in 1..T or
+    INFINITY and every atom of ``event`` is an atom of the space.
     """
+    if not space.is_time(t):
+        raise ValidationError(f"time must be an int in 1..{space.horizon} or INFINITY, got {t!r}")
     event = frozenset(event)
-    indicator = {a: Fraction(1 if a in event else 0) for a in space.atoms}
-    values = {
-        n: {b: Fraction(0) for b in space.blocks(n)} for n in range(1, space.horizon + 1)
-    }
-    infinity = {a: Fraction(0) for a in space.atoms}
-    if t == INFINITY:
-        infinity = indicator
-    else:
-        values[t] = conditional_expectation(space, indicator, t)
-    return AdaptedProcess(values=values, infinity=infinity)
+    unknown = ordered(event.difference(space.prob))
+    if unknown:
+        raise ValidationError(f"event atom {unknown[0]!r} is not an atom of the space")
+    mass = [0] * len(space.cell_ids)
+    for a, i, m in zip(space.atoms, space.slots[space.times.index(t)], space.atom_mass):
+        if a in event:
+            mass[i] += m
+    values = list(map(Fraction, mass, space.block_mass + space.atom_mass))
+    return AdaptedProcess(space.by_block(values), dict(zip(space.atoms, values[space.root :])))
 
 
 def distinguish(

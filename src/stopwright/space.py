@@ -270,7 +270,9 @@ class FilteredSpace:
     separates them: once the nodes are checked there is nothing left to
     check.  ``levels[n-1]`` maps each time-``n`` block id to its member
     atoms; ``prob``, in atom order, and the ``levels`` rows are read-only,
-    as the results kept from them assume.
+    as the results kept from them assume.  The queries by time (``level``,
+    ``blocks``, ``members``, ``block_of``) refuse a time outside 1..T, or
+    one that is not an int, with KeyError.
 
     The blocks are numbered 0..B-1 in breadth-first order, children in
     the order the list gives them, so each level is a run of numbers and
@@ -387,15 +389,28 @@ class FilteredSpace:
         """All stop indices: 1..T followed by INFINITY."""
         return tuple(range(1, self.horizon + 1)) + (INFINITY,)
 
+    def is_time(self, t) -> bool:
+        """True iff ``t`` is a stop index: an int (not a bool) in 1..T, or INFINITY."""
+        finite = isinstance(t, int) and not isinstance(t, bool) and 1 <= t <= self.horizon
+        return finite or t == INFINITY
+
+    def level(self, n: int) -> ReadOnly:
+        """The partition at time ``n``, ``levels[n-1]``: KeyError unless ``n`` is a finite
+        ``is_time``, as ``number`` raises for a block of another time."""
+        if n == INFINITY or not self.is_time(n):
+            raise KeyError(n)
+        return self.levels[n - 1]
+
     def blocks(self, n: int) -> tuple[str, ...]:
         """Block ids of the partition at time ``n``."""
-        return tuple(self.levels[n - 1])
+        return tuple(self.level(n))
 
     def members(self, n: int, block_id: str) -> tuple[str, ...]:
-        return self.levels[n - 1][block_id]
+        return self.level(n)[block_id]
 
     def block_of(self, n: int, atom: str) -> str:
         """The time-``n`` block containing ``atom``."""
+        self.level(n)
         j = self.number(self.horizon, atom) - self.starts[-2]
         return self.ids[self.paths[j][n - 1]]
 
@@ -619,40 +634,3 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
         message = f"process blocks at time {cells.time} do not match the space"
     raise SpaceMismatch(message, violation=cells)
 
-
-def expectation(space: FilteredSpace, f: Mapping[str, Fraction]) -> Fraction:
-    """Exact expected value of an atom-indexed function."""
-    return sum((space.prob[a] * f[a] for a in space.atoms), start=Fraction(0))
-
-
-def conditional_expectation(
-    space: FilteredSpace, f: Mapping[str, Fraction], n: int
-) -> dict[str, Fraction]:
-    """Average ``f`` over each time-``n`` block: block id -> E[f | block].
-
-    ``f`` is indexed by atom; block probabilities are positive by
-    construction so no division can fail.
-    """
-    out = {}
-    for block_id in space.blocks(n):
-        members = space.members(n, block_id)
-        total = sum((space.prob[a] * f[a] for a in members), start=Fraction(0))
-        out[block_id] = total / space.block_prob(n, block_id)
-    return out
-
-
-def is_measurable(space: FilteredSpace, f: Mapping[str, Fraction], n: int) -> bool:
-    """True iff the atom-indexed ``f`` is constant on every time-``n`` block."""
-    for block_id in space.blocks(n):
-        members = space.members(n, block_id)
-        first = f[members[0]]
-        if any(f[a] != first for a in members[1:]):
-            return False
-    return True
-
-
-def event_is_measurable(space: FilteredSpace, event: Iterable[str], n: int) -> bool:
-    """True iff the event (a set of atoms) is a union of time-``n`` blocks."""
-    event = frozenset(event)
-    indicator = {a: Fraction(1 if a in event else 0) for a in space.atoms}
-    return is_measurable(space, indicator, n)

@@ -219,21 +219,16 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
     holds, since only its own atoms can; the first split block in flat order (by time, then
     partition order) is reported.
     """
-    times = range(1, space.horizon + 1)
-
-    def is_time(t) -> bool:
-        return t == INFINITY or isinstance(t, int) and not isinstance(t, bool) and t in times
-
     cells = gather([eta.stop], [space.atoms])
     timed = cells is not None and all(
-        map(is_time, {*cells} if {*map(type, cells)} <= {int, float} else cells)
+        map(space.is_time, {*cells} if {*map(type, cells)} <= {int, float} else cells)
     )
     if not timed:
         # an atom the table lacks reads as None, no time either: key faults come first
         fault = row_fault(eta.stop, space.atoms, "stop", "atom", exact=False)
         if fault is not None or cells is None:
             return fault
-        atom, t = next((a, t) for a, t in zip(space.atoms, cells) if not is_time(t))
+        atom, t = next((a, t) for a, t in zip(space.atoms, cells) if not space.is_time(t))
         shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
         return Violation(
             "OutOfRange",

@@ -5,7 +5,8 @@ over one denominator per table.  The versions here walk the tree block by
 block in Fractions, the way the definitions read, and the tests assert
 that every kernel agrees with its oracle exactly.  The per-cell loop of
 ``empirical_game_payoff`` is kept here too, as the reference for the
-numpy sum's float means.
+numpy sum's float means, and the separating problem as it was built from
+the conditional expectation of an event's indicator.
 """
 
 from __future__ import annotations
@@ -162,3 +163,38 @@ def gathered(space, table, infinity=None) -> list:
     level by level in partition order, then ``infinity[atom]`` for every atom if given."""
     cells = [table[n][b] for n, level in enumerate(space.levels, start=1) for b in level]
     return cells if infinity is None else cells + [infinity[a] for a in space.atoms]
+
+
+def expectation(space, f) -> Fraction:
+    """Exact expected value of an atom-indexed function."""
+    return sum((space.prob[a] * f[a] for a in space.atoms), start=Fraction(0))
+
+
+def conditional_expectation(space, f, n: int) -> dict:
+    """Average the atom-indexed ``f`` over each time-``n`` block: block id -> E[f | block]."""
+    out = {}
+    for block_id in space.blocks(n):
+        total = sum((space.prob[a] * f[a] for a in space.members(n, block_id)), start=Fraction(0))
+        out[block_id] = total / space.block_prob(n, block_id)
+    return out
+
+
+def is_measurable(space, f, n: int) -> bool:
+    """True iff the atom-indexed ``f`` is constant on every time-``n`` block."""
+    return all(len({f[a] for a in members}) == 1 for members in space.level(n).values())
+
+
+def witness_problem(event, t, space) -> AdaptedProcess:
+    """The problem that pays, at ``t`` only, the conditional expectation of the event's
+    indicator given the time-``t`` block, or at INFINITY the indicator itself."""
+    event = frozenset(event)
+    indicator = {a: Fraction(1 if a in event else 0) for a in space.atoms}
+    values = {
+        n: {b: Fraction(0) for b in space.blocks(n)} for n in range(1, space.horizon + 1)
+    }
+    infinity = {a: Fraction(0) for a in space.atoms}
+    if t == INFINITY:
+        infinity = indicator
+    else:
+        values[t] = conditional_expectation(space, indicator, t)
+    return AdaptedProcess(values=values, infinity=infinity)

@@ -98,6 +98,13 @@ class TestJointDistribution:
             assert joint.marginal(space, 1) == detailed_distribution(eta1, space)
             assert joint.marginal(space, 2) == detailed_distribution(eta2, space)
 
+    @pytest.mark.parametrize("player", [3, 0, True, 1.0, "1", None])
+    def test_marginal_player_is_the_int_1_or_2(self, e1, r1, b1, player):
+        """As ``best_response_value`` refuses it: 3 is no player 2, and True no player 1."""
+        joint = joint_detailed_distribution(r1, b1, e1)
+        with pytest.raises(ValidationError, match="player must be 1 or 2"):
+            joint.marginal(e1, player)
+
 
 def joint_table_payoff(eta1, eta2, game, space):
     """Pair the joint mass table with the coalition payoffs, cell by cell."""

@@ -152,6 +152,25 @@ class TestEmpiricalDistribution:
                 with pytest.raises(TypeError, match="must be an int"):
                     call(eta)
 
+    @pytest.mark.parametrize(
+        "size, seed, chunk_index, error",
+        [
+            (100, True, 0, TypeError),
+            (2.5, 1, 0, TypeError),
+            (100, 1, True, TypeError),
+            (100, 1, 1.0, TypeError),
+            (0, 1, 0, ValueError),
+            (100, -1, 0, ValueError),
+            (100, 1, -1, ValueError),
+        ],
+    )
+    def test_chunk_ints_are_checked_first(self, e1, r1, size, seed, chunk_index, error):
+        """``detailed_counts_chunk`` checks its ints as the ``empirical_*`` calls do, before
+        any rule is read: True is no seed 1, and an empty chunk is no chunk."""
+        for eta in (pure({a: 3 for a in e1.atoms}), r1):
+            with pytest.raises(error, match="samples|seed|chunk_index"):
+                detailed_counts_chunk(eta, e1, size, seed, chunk_index)
+
     def test_seed_determinism(self, e1, b1):
         first = empirical_detailed_distribution(b1, e1, 20_000, seed=9)
         second = empirical_detailed_distribution(b1, e1, 20_000, seed=9)

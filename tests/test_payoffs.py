@@ -25,7 +25,6 @@ from stopwright import (
     distinguish,
     enumerate_pure_stopping_times,
     equivalent,
-    expectation,
     game_payoff,
     is_zero_sum,
     payoff,
@@ -36,8 +35,10 @@ from stopwright import (
     zero_sum_value,
 )
 
+import oracles
 from fuzz import (
     MAKERS,
+    fixture_spaces,
     random_event,
     random_process,
     random_space,
@@ -46,7 +47,8 @@ from fuzz import (
 
 
 def pure_payoff(eta, problem, space):
-    return expectation(space, {a: problem.value_at(space, eta.stop[a], a) for a in space.atoms})
+    values = (space.prob[a] * problem.value_at(space, eta.stop[a], a) for a in space.atoms)
+    return sum(values, start=F(0))
 
 
 def randomized_payoff(eta, problem, space):
@@ -230,6 +232,35 @@ class TestWitnessProblem:
             assert payoff(eta, witness_problem(event, t, space), space) == nu.event_mass(
                 event, t
             )
+
+
+    def test_equals_the_conditional_expectation_oracle(self):
+        """Values, INFINITY slot and key order, by repr: every event and time of the fixture
+        spaces, and drawn events at every time of fuzzed spaces."""
+        rng = random.Random(53)
+        cases = []
+        for space in fixture_spaces():
+            masks = range(1 << len(space.atoms))
+            events = [[a for k, a in enumerate(space.atoms) if mask >> k & 1] for mask in masks]
+            cases.append((space, events))
+        for _ in range(24):
+            space = random_space(rng)
+            cases.append((space, [(), space.atoms, *(random_event(rng, space) for _ in range(6))]))
+        for space, events in cases:
+            for event in events:
+                for t in space.times:
+                    got = witness_problem(event, t, space)
+                    assert repr(got) == repr(oracles.witness_problem(event, t, space))
+
+    @pytest.mark.parametrize("t", [0, -1, 3, True, 2.0, "1", None])
+    def test_refuses_a_time_outside_1_to_T(self, e1, t):
+        with pytest.raises(ValidationError, match="time must be an int in 1..2 or INFINITY"):
+            witness_problem({"w1"}, t, e1)
+
+    @pytest.mark.parametrize("event", [{"zz"}, {"w1", "A"}, {"w1", 5}])
+    def test_refuses_an_atom_outside_the_space(self, e1, event):
+        with pytest.raises(ValidationError, match="is not an atom of the space"):
+            witness_problem(event, 1, e1)
 
 
 def mass_table_witness(eta1, eta2, space):

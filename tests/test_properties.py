@@ -6,7 +6,10 @@ The first two properties state what its levels and its flat numbering then
 satisfy with no second check; the third is the paper's equivalence of the
 mixed, behavior and randomized notions of a random stopping time, and the
 fourth that rules of all four types, processes and games survive their
-wire documents.  The last two draw mutations of valid rule and process tables: every one is
+wire documents.  The fifth and sixth are the paper's first equivalence in
+its constructive half: a witness problem pays a rule's stop mass on its
+event and time, so ``distinguish``'s witness separates two rules that are
+not equivalent by exactly its gap.  The last two draw mutations of valid rule and process tables: every one is
 read to a Violation or a reader's error, never a crash, and every table
 accepted is read as a lookup key by key reads it.
 """
@@ -32,10 +35,13 @@ from stopwright import (
     build_space,
     check_process,
     convert,
+    detailed_distribution,
+    distinguish,
     equivalent,
     payoff,
     snell_value,
     validate,
+    witness_problem,
 )
 from stopwright.convert import TARGET_TYPES
 from stopwright.serialize import (
@@ -148,6 +154,32 @@ def test_every_conversion_is_equivalent_with_the_same_payoff(nodes, seed):
             converted = convert(eta, target, space)
             assert equivalent(eta, converted, space), (make.__name__, target)
             assert payoff(converted, problem, space) == payoff(eta, problem, space)
+
+
+@PROPERTY
+@given(node_lists(max_depth=3, max_atoms=8), st.integers(0, 2**32 - 1), st.data())
+def test_a_witness_problem_pays_the_stop_mass_on_its_cell(nodes, seed, data):
+    space, rng = build_space(nodes), random.Random(seed)
+    event = data.draw(st.sets(st.sampled_from(space.atoms)))
+    t = data.draw(st.sampled_from(space.times))
+    problem = witness_problem(event, t, space)
+    for make in MAKERS:
+        eta = make(rng, space)
+        assert payoff(eta, problem, space) == detailed_distribution(eta, space).event_mass(event, t)
+
+
+@PROPERTY
+@given(node_lists(max_depth=3, max_atoms=8), st.integers(0, 2**32 - 1), st.data())
+def test_the_witness_of_two_rules_separates_them_by_its_gap(nodes, seed, data):
+    space, rng = build_space(nodes), random.Random(seed)
+    eta1 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    eta2 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    witness = distinguish(eta1, eta2, space)
+    assert (witness is None) == equivalent(eta1, eta2, space)
+    if witness is not None:
+        problem = witness_problem(witness.event, witness.time, space)
+        gap = payoff(eta1, problem, space) - payoff(eta2, problem, space)
+        assert abs(gap) == witness.payoff_gap > 0
 
 
 def through_json(doc):

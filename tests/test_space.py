@@ -13,17 +13,16 @@ from stopwright import (
     as_fraction,
     build_space,
     check_process,
-    conditional_expectation,
     constant_process,
     densities,
-    event_is_measurable,
-    expectation,
-    is_measurable,
+    pure,
     snell_value,
+    validate,
 )
 from stopwright.stopping import density_table
 
 from fuzz import E1_NODES, random_process, random_randomized, random_space
+from oracles import conditional_expectation, expectation, is_measurable
 
 
 class TestBuildSpace:
@@ -41,9 +40,19 @@ class TestBuildSpace:
         for level in e1.levels:
             with pytest.raises(TypeError, match="read-only"):
                 level[next(iter(level))] = ("w1",)
-        one = {a: F(1) for a in e1.atoms}
-        assert expectation(e1, one) == 1
+        assert sum(e1.prob.values()) == 1
         assert snell_value(constant_process(e1, 1), e1).value == 1
+
+    @pytest.mark.parametrize("n", [0, -1, 3, True, 1.0])
+    def test_queries_refuse_a_time_outside_1_to_T(self, e1, n):
+        """A time outside 1..T, or not an int, is no time of the space: KeyError, as for a
+        block of another time."""
+        queries = (e1.level, e1.blocks, lambda n: e1.members(n, "A"), lambda n: e1.block_of(n, "w1"))
+        for query in queries:
+            with pytest.raises(KeyError):
+                query(n)
+        with pytest.raises(KeyError):
+            e1.number(2, "A")
 
     def test_e1_structure(self, e1):
         assert e1.horizon == 2
@@ -170,6 +179,10 @@ class TestAsFraction:
         assert as_fraction("-6/4") == F(-3, 2) and as_fraction("-0") == 0
 
 
+# The Fraction-dict helpers below live in ``tests/oracles.py``, where the witness problem's
+# oracle is built on them; these tests check the oracle.
+
+
 class TestExpectation:
     def test_constant(self, e1):
         assert expectation(e1, {a: F(7, 3) for a in e1.atoms}) == F(7, 3)
@@ -232,9 +245,17 @@ class TestMeasurability:
         assert not is_measurable(e1, f, 1)
 
     def test_event_measurability(self, e1):
-        assert event_is_measurable(e1, {"w1", "w2"}, 1)
-        assert not event_is_measurable(e1, {"w1"}, 1)
-        assert event_is_measurable(e1, {"w1"}, 2)
+        """An event is a union of time-``n`` blocks iff the pure rule stopping at ``n`` on it,
+        and never off it, is a stopping time; an atom outside the space is refused."""
+
+        def measurable(event, n):
+            stop = {**dict.fromkeys(e1.atoms, INFINITY), **dict.fromkeys(event, n)}
+            return validate(pure(stop), e1) is None
+
+        assert measurable({"w1", "w2"}, 1)
+        assert not measurable({"w1"}, 1)
+        assert measurable({"w1"}, 2)
+        assert not measurable({"zz"}, 1) and not measurable({"w1", "w2"}, 0)
 
 
 class TestTreePasses:
