@@ -61,7 +61,7 @@ def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
     unspent = [0] * space.root + [d.den]
     beta = []
     for i, p in enumerate(space.parent):
-        left, mass = unspent[p], d.blocks[i]
+        left, mass = unspent[p], d.cells[i]
         beta.append(Fraction(mass, left) if left else ZERO)
         unspent[i] = left - mass
     return BehaviorStoppingTime(beta=space.by_block(beta))
@@ -95,7 +95,7 @@ def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedS
 
 def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
     d = kept.derive(density_of, space)
-    spent = space.spent(d.blocks)
+    spent = space.spent(d.cells)
     cuts = sorted({c for c in spent if c > 0} | {d.den})
     breakpoints = (ZERO,) + tuple(Fraction(c, d.den) for c in cuts)
     # once the cumulative mass is c, every section whose cut is at most c has stopped
@@ -104,7 +104,7 @@ def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
     stops: list[Optional[tuple]] = [None] * (space.root + 1)
     for i, p in enumerate(space.parent):
         earlier = stops[p]
-        stops[i] = (space.depth[i], reached[spent[i]], earlier) if d.blocks[i] else earlier
+        stops[i] = (space.depth[i], reached[spent[i]], earlier) if d.cells[i] else earlier
     rows = []
     for i in space.leaf:
         row: list[Time] = [INFINITY] * len(cuts)
@@ -154,5 +154,5 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
         left = unspent[p]
         rho.append(max(0, min(raw[i], left)))
         unspent[i] = left - rho[i]
-    values, rho_inf = space.fractions(Table(rho, [unspent[i] for i in space.leaf], den))
+    values, rho_inf = space.fractions(Table(rho + [unspent[i] for i in space.leaf], den))
     return RandomizedStoppingTime(rho=values, rho_inf=rho_inf)

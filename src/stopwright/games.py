@@ -48,7 +48,7 @@ ONLY_2 = frozenset({2})
 BOTH = frozenset({1, 2})
 COALITIONS = (ONLY_1, ONLY_2, BOTH)
 ONE, ZERO = Fraction(1), Fraction(0)
-#: A game's six processes in the order of ``game_tables``: player 1's, then player 2's.
+#: A game's six processes in the order of its kept Tables (``kept_game``): player 1's, then 2's.
 KEYS = tuple((j, c) for j in PLAYERS for c in COALITIONS)
 
 
@@ -73,13 +73,9 @@ def stopping_game(payoffs) -> StoppingGame:
     return StoppingGame(payoffs={(int(j), frozenset(c)): p for (j, c), p in payoffs.items()})
 
 
-def game_tables(game: StoppingGame, space: FilteredSpace) -> list[Table]:
-    """The game's six processes as Tables over one shared denominator, in ``KEYS`` order."""
-    return kept_game(game, space).parts
-
-
 def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
-    """The game's translation, kept by the space while the game lives (``FilteredSpace.recall``)."""
+    """The game's translation, kept by the space while the game lives (``FilteredSpace.recall``):
+    its ``parts`` are the six processes as Tables over one shared denominator, in ``KEYS`` order."""
     return space.recall(game, lambda: space.tables(*map(game.payoffs.__getitem__, KEYS)))
 
 
@@ -97,15 +93,12 @@ def _own(tables: Sequence[Table], player: int) -> tuple[Table, Table, Table]:
 
 def is_zero_sum(game: StoppingGame, space: FilteredSpace) -> bool:
     """True iff the players' payoffs cancel for every coalition, time, and atom."""
-    return _cancels(game_tables(game, space))
+    return _cancels(kept_game(game, space).parts)
 
 
 def _cancels(tables: Sequence[Table]) -> bool:
     """Over one shared denominator, payoffs cancel exactly when the numerators are opposite."""
-    return all(
-        two.blocks == list(map(neg, one.blocks)) and two.atoms == list(map(neg, one.atoms))
-        for one, two in zip(tables[:3], tables[3:])
-    )
+    return all(two.cells == list(map(neg, one.cells)) for one, two in zip(tables[:3], tables[3:]))
 
 
 @dataclass(frozen=True)
@@ -190,12 +183,8 @@ def auxiliary_problem(
     the payoff in this problem equals the game payoff, so optimizing it is
     exactly best-responding.
     """
-    values, infinity = space.fractions(_auxiliary(opponent, game, space, player))
+    values, infinity = space.fractions(_against(_folded, opponent, game, space, player))
     return AdaptedProcess(values=values, infinity=infinity)
-
-
-def _auxiliary(opponent, game: StoppingGame, space: FilteredSpace, player: int) -> Table:
-    return _against(_folded, opponent, game, space, player)
 
 
 def _against(make, opponent, game: StoppingGame, space: FilteredSpace, player: int):
@@ -223,7 +212,7 @@ def _fold(opponent: Table, own: Sequence[Table], space: FilteredSpace) -> Table:
     game's: ``collected`` and ``unspent`` are carried per block in flat order.
     """
     solo, opp_stops, both = own
-    rho = opponent.blocks
+    rho = opponent.cells
     collected = [0] * (space.root + 1)
     unspent = [0] * space.root + [opponent.den]
     values = [0] * space.root
@@ -232,13 +221,13 @@ def _fold(opponent: Table, own: Sequence[Table], space: FilteredSpace) -> Table:
         stops = rho[i]
         if stops:
             left -= stops
-            values[i] = banked + stops * both.blocks[i] + left * solo.blocks[i]
-            banked += stops * opp_stops.blocks[i]
+            values[i] = banked + stops * both.cells[i] + left * solo.cells[i]
+            banked += stops * opp_stops.cells[i]
         else:
-            values[i] = banked + left * solo.blocks[i]
+            values[i] = banked + left * solo.cells[i]
         collected[i], unspent[i] = banked, left
-    infinity = [collected[i] + unspent[i] * v for i, v in zip(space.leaf, both.atoms)]
-    return Table(values, infinity, opponent.den * both.den)
+    values += [collected[i] + unspent[i] * v for i, v in zip(space.leaf, both.cells[space.root :])]
+    return Table(values, opponent.den * both.den)
 
 
 def best_response_value(
@@ -323,8 +312,8 @@ def _zero_sum(game: Kept, space: FilteredSpace) -> ZeroSumResult:
     if not _cancels(tables):
         raise NotZeroSum("player payoffs do not cancel; zero-sum value undefined")
     solo1, solo2, both = tables[:3]
-    mass = space.block_mass
-    both_stop, row_stop, col_stop = (list(map(mul, mass, t.blocks)) for t in (both, solo1, solo2))
+    mass = space.cell_mass
+    both_stop, row_stop, col_stop = (list(map(mul, mass, t.cells)) for t in (both, solo1, solo2))
     beta1: list = [None] * space.root
     beta2: list = [None] * space.root
 
@@ -334,7 +323,7 @@ def _zero_sum(game: Kept, space: FilteredSpace) -> ZeroSumResult:
         )
         return value
 
-    total, _ = space.backward_induction(list(map(mul, space.atom_mass, both.atoms)), stage)
+    total, _ = space.backward_induction(both_stop[space.root :], stage)
     return ZeroSumResult(
         value=Fraction(total) / (space.denominator * both.den),
         strategies=(

@@ -128,9 +128,10 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
     return check(eta, space).derive(_SAMPLERS[type(eta)], space)
 
 
-def _columns(stops, space: FilteredSpace) -> list:
-    """Per atom, the column of its stop block, T if it has none."""
-    return [space.horizon if i is None else space.depth[i] - 1 for i in stops]
+def _columns(stops, space: FilteredSpace) -> np.ndarray:
+    """Per atom, the column of its stop cell: n - 1 for a time-n block, T for its own cell;
+    per section and atom for a list of sections' stops."""
+    return np.array([*space.depth, *[space.horizon + 1] * len(space.atoms)])[stops] - 1
 
 
 def _pick(table, rng, atom_idx):
@@ -156,9 +157,10 @@ def _sections(cuts, section_cols, rng, atom_idx):
 
 #: Per rule type, its sampler from its kept check's parts.
 _SAMPLERS = {
-    PureStoppingTime: lambda kept, space: partial(_pick, np.array(_columns(kept.parts, space))),
+    PureStoppingTime: lambda kept, space: partial(_pick, _columns(kept.parts, space)),
     RandomizedStoppingTime: lambda kept, space: partial(
-        _threshold, np.array([c / kept.parts[1] for c in kept.parts[2]])[_space_arrays(space)[1]]
+        _threshold,
+        np.array([c / kept.parts[0].den for c in kept.parts[1]])[_space_arrays(space)[1]],
     ),
     BehaviorStoppingTime: lambda kept, space: partial(
         _hazards, np.array([float(h) for h in kept.parts])[_space_arrays(space)[1]]
@@ -166,7 +168,7 @@ _SAMPLERS = {
     MixedStoppingTime: lambda kept, space: partial(
         _sections,
         np.array([c / kept.parts[2] for c in itertools.accumulate(kept.parts[1])]),
-        np.array([_columns(stops, space) for stops in kept.parts[0]]),
+        _columns(kept.parts[0], space),
     ),
 }
 
@@ -331,6 +333,6 @@ def _payoff_grids(game: Kept, space: FilteredSpace) -> np.ndarray:
     paths = _space_arrays(space)[1]
     grids = []
     for t in game.parts:
-        blocks = np.array([n / den for n in t.blocks], float)
-        grids.append(np.column_stack((blocks[paths], [n / den for n in t.atoms])))
+        cells = np.array([n / den for n in t.cells], float)
+        grids.append(np.column_stack((cells[paths], cells[space.root :])))
     return np.stack(grids).reshape(2, 3, len(space.atoms), space.horizon + 1)

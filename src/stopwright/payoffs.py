@@ -61,8 +61,7 @@ def _kept(problem: AdaptedProcess, space: FilteredSpace) -> Kept:
 
 def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
     """``payoff`` on a density table and a process table, in one integer sum."""
-    total = sum(map(mul, map(mul, space.block_mass, d.blocks), problem.blocks))
-    total += sum(map(mul, map(mul, space.atom_mass, d.atoms), problem.atoms))
+    total = sum(map(mul, map(mul, space.cell_mass, d.cells), problem.cells))
     return Fraction(total, space.denominator * d.den * problem.den)
 
 
@@ -86,9 +85,8 @@ def _optimum(problem: Kept, space: FilteredSpace) -> SnellResult:
 
 def _snell(problem: Table, space: FilteredSpace) -> SnellResult:
     """``snell_value`` on a process table, by probability-weighted induction."""
-    stop = list(map(mul, space.block_mass, problem.blocks))
-    terminal = list(map(mul, space.atom_mass, problem.atoms))
-    total, values = space.backward_induction(terminal, lambda i, below: max(stop[i], below))
+    stop = list(map(mul, space.cell_mass, problem.cells))
+    total, values = space.backward_induction(stop[space.root :], lambda i, v: max(stop[i], v))
     strategy = space.first_stop(lambda i: stop[i] == values[i])
     return SnellResult(
         value=Fraction(total, space.denominator * problem.den),
@@ -116,7 +114,7 @@ def witness_problem(event, t: Time, space: FilteredSpace) -> AdaptedProcess:
     for a, i, m in zip(space.atoms, space.slots[space.times.index(t)], space.atom_mass):
         if a in event:
             mass[i] += m
-    values = list(map(Fraction, mass, space.block_mass + space.atom_mass))
+    values = list(map(Fraction, mass, space.cell_mass))
     return AdaptedProcess(space.by_block(values), dict(zip(space.atoms, values[space.root :])))
 
 
@@ -133,7 +131,7 @@ def distinguish(
     d1, d2 = density_table(eta1, space), density_table(eta2, space)
 
     def gap(i: int) -> int:
-        return d1.blocks[i] * d2.den - d2.blocks[i] * d1.den
+        return d1.cells[i] * d2.den - d2.cells[i] * d1.den
 
     first = space.first_stop(gap)
     # the never-stop mass is what the finite times leave, so it can only

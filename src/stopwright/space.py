@@ -148,8 +148,13 @@ class Violation:
         return f"{self.kind} {' '.join(parts)}{suffix}".strip()
 
 
+def is_int(value) -> bool:
+    """True iff ``value`` is an int and not a bool, as a time or a time key must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _exact(value) -> bool:
-    return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, Fraction) or is_int(value)
 
 
 def ordered(keys) -> list:
@@ -195,17 +200,16 @@ def row_fault(row, keys: Sequence, label: str, noun: str, time=None, exact=True)
 
 
 class Table(NamedTuple):
-    """An adapted table over the flat block numbering, in integers over one denominator.
+    """An adapted table over the flat cell numbering, in integers over one denominator.
 
-    ``blocks[i] / den`` is the value on block ``i`` and ``atoms[j] / den``
-    the value of atom ``j`` at INFINITY.  Densities (stop mass per block,
-    never-stop mass per atom) and payoff processes both take this form
-    inside the exact passes; ``FilteredSpace.fractions`` turns one back
-    into the public Fraction dicts.
+    ``cells[k] / den`` is the value on cell ``k`` of ``FilteredSpace.cell_ids``:
+    block ``i`` at its time for ``k = i < B``, and atom ``j`` at INFINITY for
+    ``k = B + j``.  Densities (stop mass per block, never-stop mass per atom)
+    and payoff processes both take this form inside the exact passes;
+    ``FilteredSpace.fractions`` turns one back into the public Fraction dicts.
     """
 
-    blocks: list
-    atoms: list
+    cells: list
     den: int
 
 
@@ -285,10 +289,14 @@ class FilteredSpace:
     * ``starts[n-1]:starts[n]`` are the time-``n`` blocks;
     * ``paths[j]`` lists the blocks of atom ``j`` at times 1..T, and
       ``leaf[j]`` is the last of them;
-    * ``cell_ids`` are the ids of a Table's ``blocks + atoms``, and
-      ``block_size[i]`` is block ``i``'s count of atoms;
+    * ``cell_ids`` are the ids of the cells every exact pass numbers: the
+      B blocks, each at its own time, then atom ``j`` at INFINITY as cell
+      B + j.  A Table, the cells ``read`` returns and a pure rule's stops
+      (``stop_cells``) all use this numbering, and ``cell_size[k]`` is cell
+      ``k``'s count of atoms;
     * ``block_mass[i] / denominator`` and ``atom_mass[j] / denominator``
-      are the probabilities, with ``denominator`` the lcm of the atoms'.
+      are the probabilities, with ``denominator`` the lcm of the atoms',
+      and ``cell_mass`` is ``block_mass + atom_mass``, per cell.
     """
 
     def __init__(self, tree_description):
@@ -370,10 +378,11 @@ class FilteredSpace:
             ReadOnly((self.ids[i], self.atoms[first[i] : first[i] + count[i]]) for i in range(s, e))
             for s, e in zip(self.starts, self.starts[1:])
         )
-        self.block_size = count[:B]
+        self.cell_size = count[:B] + [1] * len(self.atoms)
         self._number = dict(zip(self.ids, range(B)))
         self._children = children
         self.cell_ids = self.ids + [*self.atoms]
+        self.cell_mass = self.block_mass + self.atom_mass
         self._groups = (*self.levels, self.atoms)  # the keys of each row ``read`` gathers
         #: ``recall``'s kept checks, by the type and id of their input
         self._kept: dict = {}
@@ -391,7 +400,7 @@ class FilteredSpace:
 
     def is_time(self, t) -> bool:
         """True iff ``t`` is a stop index: an int (not a bool) in 1..T, or INFINITY."""
-        finite = isinstance(t, int) and not isinstance(t, bool) and 1 <= t <= self.horizon
+        finite = is_int(t) and 1 <= t <= self.horizon
         return finite or t == INFINITY
 
     def level(self, n: int) -> ReadOnly:
@@ -438,34 +447,33 @@ class FilteredSpace:
 
     def fractions(self, table: Table) -> tuple[ReadOnly, ReadOnly]:
         """``table`` as the public dicts: ``({n: {block_id: Fraction}}, {atom: Fraction})``."""
-        value = FractionsOver(table.den).__getitem__
-        return (
-            self.by_block(list(map(value, table.blocks))),
-            ReadOnly(zip(self.atoms, map(value, table.atoms))),
-        )
+        values = list(map(FractionsOver(table.den).__getitem__, table.cells))
+        return self.by_block(values), ReadOnly(zip(self.atoms, values[self.root :]))
 
     def read(self, table, name: str, infinity=None, slot="infinity") -> Union[list, Violation]:
         """Check a ``{n: {block_id: value}}`` table against the space and gather its cells.
 
         The ``{atom: value}`` table ``infinity`` is read after it as the INFINITY slot named
         ``slot``; with ``slot`` None there is none.  Returns the values in flat block order,
-        then the atoms in atom order, or the first Violation in that order: a table that is
-        not a mapping, a time outside 1..T, then per time a missing time and the row's first
-        fault (``row_fault``).  A table that fits the space is gathered by key in one look,
-        whatever the order of its times and keys and whatever mappings hold them; only a
-        table that does not fit is walked, to name its fault.
+        then the atoms in atom order (the flat cell numbering), or the first Violation in that
+        order: a table that is not a mapping, a time that is not an int (``is_int``) in 1..T,
+        such as ``1.0`` or ``True``, then per time a missing time and the row's first fault
+        (``row_fault``).  A table that fits the space is gathered by key in one look, whatever
+        the order of its times and keys and whatever mappings hold them; only a table that
+        does not fit is walked, to name its fault.  Both refuse the same time keys.
         """
         T, cells = self.horizon, None
         with suppress(LookupError, TypeError, AttributeError):
             rows = [*map(table.get, range(1, T + 1))] + ([] if slot is None else [infinity])
-            if len(table) == T and bool not in {*map(type, table)}:
+            # the set of key types settles plain int keys at C speed; a subclass takes ``is_int``
+            if len(table) == T and ({*map(type, table)} == {int} or all(map(is_int, table))):
                 cells = gather(rows, self._groups)
         if cells and ({*map(type, cells)} <= {Fraction, int} or all(map(_exact, cells))):
             return cells
         if not isinstance(table, Mapping):
             return Violation("Malformed", detail=f"{name} is not a mapping")
         for n in table:
-            if isinstance(n, bool) or n not in range(1, T + 1):
+            if not is_int(n) or n not in range(1, T + 1):
                 return Violation("OutOfRange", detail=f"{name} has time {n!r} outside 1..{T}")
         for n, level in enumerate(self.levels, start=1):
             if table.get(n) is None:
@@ -499,16 +507,12 @@ class FilteredSpace:
     def tables(self, *processes: "AdaptedProcess") -> list[Table]:
         """Processes read by ``check_process``, as Tables over one shared denominator."""
         nums, den = integers([*chain.from_iterable(check_process(self, p) for p in processes)])
-        B, width = self.root, self.root + len(self.atoms)
-        return [
-            Table(nums[k : k + B], nums[k + B : k + width], den)
-            for k in range(0, len(nums), width)
-        ]
+        width = len(self.cell_ids)
+        return [Table(nums[k : k + width], den) for k in range(0, len(nums), width)]
 
-    def stop_blocks(self, stops: Iterable[Time]) -> list[Optional[int]]:
-        """Per atom, the block its stop index ``stops[j]`` falls in; None for INFINITY.
-
-        Every index must be one of ``times``.
+    def stop_cells(self, stops: Iterable[Time]) -> list[int]:
+        """Per atom, the cell its stop index ``stops[j]`` falls in: its time's block, or its
+        own cell B + j for INFINITY.  Every index must be one of ``times``.
         """
         return list(map(getitem, self._stop_paths, map(self._position.__getitem__, stops)))
 
@@ -519,12 +523,12 @@ class FilteredSpace:
 
     @cached_property
     def _stop_paths(self) -> list[tuple]:
-        return [path + (None,) for path in self.paths]
+        return [path + (self.root + j,) for j, path in enumerate(self.paths)]
 
     @cached_property
     def slots(self) -> list[list[int]]:
-        """Per stop index in ``times``, each atom's cell in a Table's ``blocks + atoms``."""
-        return [*map(list, zip(*self.paths)), list(range(self.root, self.root + len(self.atoms)))]
+        """Per stop index in ``times``, each atom's cell in a Table's ``cells``."""
+        return [*map(list, zip(*self._stop_paths))]
 
     # -- passes over the flat numbering ---------------------------------------
 

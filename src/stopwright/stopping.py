@@ -46,6 +46,7 @@ from .space import (
     gather,
     integers,
     numerator_of,
+    ordered,
     read_only,
     read_only_rows,
     row_fault,
@@ -138,7 +139,12 @@ class StoppingMeasure:
         return self.mass[atom][t] / space.prob[atom]
 
     def event_mass(self, event, t: Time) -> Fraction:
-        """Mass of ``event x {t}``."""
+        """Mass of ``event x {t}``.  Raises ValidationError, naming the least, unless every
+        atom of ``event`` is an atom of the table."""
+        event = [*event]
+        unknown = ordered(set(event).difference(self.mass))
+        if unknown:
+            raise ValidationError(f"event atom {unknown[0]!r} is not an atom of the space")
         return sum((self.mass[a][t] for a in event), start=Fraction(0))
 
 
@@ -209,15 +215,16 @@ def _check_behavior(eta: BehaviorStoppingTime, space: FilteredSpace) -> Union[Vi
 
 
 def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation, list]:
-    """The first Violation, or per atom the number of its stop block (None if it never stops).
+    """The first Violation, or per atom its stop cell (``FilteredSpace.stop_cells``): the
+    number of its stop block, or its own cell if it never stops.
 
     The stop table is gathered by atom in one look (``gather``) and walked only to name a
     fault: first a key fault (``row_fault``), then the first atom whose index is not a time:
     an int (not a bool) in 1..T, or INFINITY.  That index is the Violation's ``time`` only if
     it is an int or a float off the integers (``2.5``, nan): ``1.0`` would read as time 1.
     ``{stop = n}`` splits a time-``n`` block exactly when fewer atoms stop in it than it
-    holds, since only its own atoms can; the first split block in flat order (by time, then
-    partition order) is reported.
+    holds, since only its own atoms can (an atom's own cell holds it alone, so never splits);
+    the first split block in flat order (by time, then partition order) is reported.
     """
     cells = gather([eta.stop], [space.atoms])
     timed = cells is not None and all(
@@ -236,8 +243,8 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
             where=atom,
             detail=f"stop index {shown} outside 1..{space.horizon}, inf",
         )
-    stops = space.stop_blocks(cells)
-    split = [i for i, k in Counter(stops).items() if i is not None and k != space.block_size[i]]
+    stops = space.stop_cells(cells)
+    split = [i for i, k in Counter(stops).items() if k != space.cell_size[i]]
     if split:
         n, block_id = space.depth[min(split)], space.ids[min(split)]
         return Violation(
@@ -247,12 +254,13 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
 
 
 def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
-    """The first Violation, or ``(rho, den, spent)``: the stop masses and their sums down
-    each path, in integers over one denominator, from the sum check's one spent pass.
+    """The first Violation, or ``(table, spent)``: the rule's density Table and the stop
+    masses summed down each path, in integers over its denominator, from the sum check's
+    one spent pass.
 
-    ``rho`` and ``rho_inf`` are read together and range-checked in integers over their one
-    denominator, which the sum check then compares with each path's spent and never-stop
-    masses."""
+    ``rho`` and ``rho_inf`` are read together into the flat cell numbering and range-checked
+    in integers over their one denominator, which the sum check then compares with each
+    path's spent and never-stop masses.  Once it passes, those cells are the density Table."""
     cells = space.read(eta.rho, "rho", eta.rho_inf, "rho_inf")
     if isinstance(cells, Violation):
         return cells
@@ -260,16 +268,16 @@ def _check_randomized(eta: RandomizedStoppingTime, space: FilteredSpace) -> Unio
     fault = _unit_fault(space, cells, nums, itertools.repeat(den), "rho", "rho_inf")
     if fault is not None:
         return fault
-    rho, spent = nums[: space.root], space.spent(nums)
+    spent = space.spent(nums)
     for atom, i, never in zip(space.atoms, space.leaf, nums[space.root :]):
         if spent[i] + never != den:
             total = Fraction(spent[i] + never, den)
             return Violation("SumNotOne", where=atom, detail=f"stop masses sum to {total}")
-    return rho, den, spent
+    return Table(nums, den), spent
 
 
 def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violation, tuple]:
-    """The first Violation, or ``(stops, weights, den)``: each section's stop blocks and
+    """The first Violation, or ``(stops, weights, den)``: each section's stop cells and
     its weight over ``den``.  Each section costs O(atoms); the first bad one is reported."""
     bps = eta.breakpoints
     if len(bps) < 2 or len(eta.sections) != len(bps) - 1:
@@ -313,9 +321,11 @@ def validate(eta: RandomStoppingTime, space: FilteredSpace) -> Optional[Violatio
 
 
 def check(eta: RandomStoppingTime, space: FilteredSpace) -> Kept:
-    """A valid rule's kept check.  Its ``parts`` are per atom its stop block (pure), ``(rho,
-    den, spent)`` (randomized), the hazards in flat order (behavior) or ``(stops, weights,
-    den)`` (mixed).  Raises ValidationError with the first Violation for an invalid rule.
+    """A valid rule's kept check.  Its ``parts`` are in the flat cell numbering: per atom its
+    stop cell (pure), ``(table, spent)``, its density Table and its stop masses summed down
+    each path (randomized), the hazards in flat block order (behavior) or ``(stops, weights,
+    den)``, per section its stop cells (mixed).  Raises ValidationError with the first
+    Violation for an invalid rule.
     """
     kept = _checked(eta, space)
     if isinstance(kept, Violation):
@@ -366,32 +376,22 @@ def _survival(hazards: list, space: FilteredSpace) -> Table:
             rho[i] = stop = left * h.numerator // h.denominator
             left -= stop
         alive[i] = left
-    return Table(rho, [alive[i] for i in space.leaf], den)
+    return Table(rho + [alive[i] for i in space.leaf], den)
 
 
 def _sections(sections, weights, den: int, space: FilteredSpace) -> Table:
-    """Weighted pure rules summed per stop block and per never-stopping atom."""
-    rho = [0] * space.root
-    rho_inf = [0] * len(space.atoms)
+    """Weighted pure rules summed per stop cell: a block or a never-stopping atom."""
+    cells = [0] * len(space.cell_ids)
     for stops, w in zip(sections, weights):
-        for i in set(stops) - {None}:
-            rho[i] += w
-        for j, i in enumerate(stops):
-            if i is None:
-                rho_inf[j] += w
-    return Table(rho, rho_inf, den)
-
-
-def _spent_table(parts: tuple, space: FilteredSpace) -> Table:
-    """A randomized rule's densities: what each path leaves unspent is its never-stop mass."""
-    rho, den, spent = parts
-    return Table(rho, [den - spent[i] for i in space.leaf], den)
+        for i in set(stops):
+            cells[i] += w
+    return Table(cells, den)
 
 
 #: Per rule type: its check (the first Violation, or the parts it built) and their reduction.
 _KINDS = {
     PureStoppingTime: (_check_pure, lambda stops, space: _sections([stops], [1], 1, space)),
-    RandomizedStoppingTime: (_check_randomized, _spent_table),
+    RandomizedStoppingTime: (_check_randomized, lambda parts, space: parts[0]),
     BehaviorStoppingTime: (_check_behavior, _survival),
     MixedStoppingTime: (_check_mixed, lambda parts, space: _sections(*parts, space)),
 }
@@ -429,7 +429,7 @@ def detailed_distribution(eta: RandomStoppingTime, space: FilteredSpace) -> Stop
 def _measure(kept: Kept, space: FilteredSpace) -> StoppingMeasure:
     d = kept.derive(density_of, space)
     value = FractionsOver(space.denominator * d.den).__getitem__
-    cell = (d.blocks + d.atoms).__getitem__
+    cell = d.cells.__getitem__
     columns = [map(value, map(mul, space.atom_mass, map(cell, slots))) for slots in space.slots]
     rows = map(ReadOnly, map(zip, itertools.repeat(space.times), zip(*columns)))
     return StoppingMeasure(mass=ReadOnly(zip(space.atoms, rows)))
@@ -472,7 +472,7 @@ def equivalent(
     densities.
     """
     d1, d2 = density_table(eta1, space), density_table(eta2, space)
-    return [x * d2.den for x in d1.blocks + d1.atoms] == [y * d1.den for y in d2.blocks + d2.atoms]
+    return [x * d2.den for x in d1.cells] == [y * d1.den for y in d2.cells]
 
 
 # -- enumeration -----------------------------------------------------------------

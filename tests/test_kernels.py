@@ -23,7 +23,7 @@ from stopwright import (
     payoff,
     snell_value,
 )
-from stopwright.games import _fold, _own, game_tables, is_zero_sum
+from stopwright.games import _fold, _own, is_zero_sum, kept_game
 from stopwright.payoffs import _pair
 from stopwright.space import FilteredSpace
 from stopwright.stopping import BehaviorStoppingTime, density_table
@@ -89,7 +89,7 @@ def assert_passes_agree(rng, space, rules, problem, game):
         public = densities(eta, space)
         # spent
         expected = oracles.spent(space, public.rho)
-        assert [F(c, d.den) for c in space.spent(d.blocks)] == as_flat(space, expected)
+        assert [F(c, d.den) for c in space.spent(d.cells)] == as_flat(space, expected)
         # first_stop, and which blocks it asks
         marked = {(n, b) for n, b in zip(space.depth, space.ids) if rng.random() < 0.3}
         asked_flat, asked_dict = [], []
@@ -113,7 +113,7 @@ def assert_passes_agree(rng, space, rules, problem, game):
             assert auxiliary_problem(eta, game, space, player) == oracles.fold(
                 public.rho, game, space, player
             )
-            own = _own(game_tables(game, space), player)
+            own = _own(kept_game(game, space).parts, player)
             values, infinity = space.fractions(_fold(d, own, space))
             expected = oracles.fold(public.rho, game, space, player)
             assert (values, infinity) == (expected.values, expected.infinity)
@@ -128,9 +128,9 @@ def assert_passes_agree(rng, space, rules, problem, game):
     result = snell_value(problem, space)
     assert (result.value, dict(result.strategy.stop)) == (value, stop)
     (table,) = space.tables(problem)
-    weighted = [m * v for m, v in zip(space.block_mass, table.blocks)]
+    weighted = [m * v for m, v in zip(space.block_mass, table.cells)]
     total, kernel_values = space.backward_induction(
-        [m * v for m, v in zip(space.atom_mass, table.atoms)],
+        [m * v for m, v in zip(space.atom_mass, table.cells[space.root :])],
         lambda i, continuation: max(weighted[i], continuation),
     )
     assert F(total, space.denominator * table.den) == value

@@ -36,7 +36,7 @@ from stopwright import (
     zero_sum_value,
 )
 from stopwright.convert import TARGET_TYPES
-from stopwright.games import StoppingGame, _auxiliary, game_tables
+from stopwright.games import StoppingGame, _against, _folded, kept_game
 from stopwright.montecarlo import detailed_counts_chunk
 from stopwright.space import AdaptedProcess, ReadOnly, Violation
 from stopwright.stopping import (
@@ -171,7 +171,7 @@ def results_of(source, space) -> list:
     if isinstance(source, AdaptedProcess):
         return [snell_value(source, space)]
     if isinstance(source, StoppingGame):
-        return [game_tables(source, space)]
+        return [kept_game(source, space).parts]
     return [detailed_distribution(source, space), densities(source, space)]
 
 
@@ -287,7 +287,7 @@ class TestLifetime:
         space = random_space(rng, max_depth=3)
         eta, game = random_stopping_time(rng, space), random_game(rng, space)
         detailed_distribution(eta, space)
-        game_tables(game, space)
+        kept_game(game, space).parts
         keys = [(type(eta), id(eta)), (type(game), id(game))]
         assert all(key in space._kept for key in keys)
         del eta, game
@@ -384,8 +384,8 @@ class TestDerived:
         empirical_game_payoff(rule, rule, game, space, 50, 1)
         kept = space._kept[type(game), id(game)]
         size = len(kept.derived)
-        fold = _auxiliary(rule, game, space, 1)
-        assert _auxiliary(rule, game, space, 1) is fold
+        fold = _against(_folded, rule, game, space, 1)
+        assert _against(_folded, rule, game, space, 1) is fold
         for _ in range(200):
             opponent = random_stopping_time(rng, space)
             game_payoff(rule, opponent, game, space)

@@ -497,3 +497,16 @@ class TestStrictProcessRead:
                 call(problem)
             assert str(raised.value) == message, name
             assert isinstance(raised.value.violation, Violation), name
+
+    @pytest.mark.parametrize("key", [1.0, F(1), True])
+    def test_a_time_key_equal_to_an_int_is_a_space_mismatch(self, e1, r1, b1, key):
+        """A process keyed ``{1.0: ..., 2: ...}`` is no process of 1..2, as a rule is none."""
+        problem = faulty(e1, lambda p: p.values.update({key: p.values.pop(1)}))
+        message = f"process defined at times {sorted([key, 2])}, space has 1..2"
+        for name, call in self.calls(e1, r1, b1).items():
+            with pytest.raises(SpaceMismatch) as raised:
+                call(problem)
+            assert str(raised.value) == message, name
+            assert raised.value.violation == Violation(
+                "OutOfRange", detail=f"values has time {key!r} outside 1..2"
+            ), name

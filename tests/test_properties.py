@@ -9,9 +9,13 @@ fourth that rules of all four types, processes and games survive their
 wire documents.  The fifth and sixth are the paper's first equivalence in
 its constructive half: a witness problem pays a rule's stop mass on its
 event and time, so ``distinguish``'s witness separates two rules that are
-not equivalent by exactly its gap.  The last two draw mutations of valid rule and process tables: every one is
-read to a Violation or a reader's error, never a crash, and every table
-accepted is read as a lookup key by key reads it.
+not equivalent by exactly its gap.  The seventh is that equivalence's game
+half: the witness, paid to player 1 stopping alone against an opponent who
+never stops, separates the two rules' game payoffs by the same gap, while a
+rule and its conversions pay alike against every opponent drawn.  The last
+two draw mutations of valid rule and process tables: every one is read to a
+Violation or a reader's error, never a crash, and every table accepted is
+read as a lookup key by key reads it.
 """
 
 import json
@@ -24,7 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopwright import (
+    COALITIONS,
     INFINITY,
+    ONLY_1,
     AdaptedProcess,
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -34,12 +40,15 @@ from stopwright import (
     ValidationError,
     build_space,
     check_process,
+    constant_process,
     convert,
     detailed_distribution,
     distinguish,
     equivalent,
+    game_payoff,
     payoff,
     snell_value,
+    stopping_game,
     validate,
     witness_problem,
 )
@@ -182,6 +191,37 @@ def test_the_witness_of_two_rules_separates_them_by_its_gap(nodes, seed, data):
         assert abs(gap) == witness.payoff_gap > 0
 
 
+@PROPERTY
+@given(node_lists(max_depth=3, max_atoms=8), st.integers(0, 2**32 - 1), st.data())
+def test_a_witness_game_separates_two_rules_and_no_rule_from_its_conversions(nodes, seed, data):
+    """The game half of the first equivalence: player 1 stopping alone is paid the witness
+    problem of two rules that ``distinguish`` separates, every other payoff is zero, and the
+    opponent never stops, so the rules' game payoffs differ by exactly the witness's gap;
+    a rule and each of its conversions pay the same, there and in a drawn game against a
+    drawn opponent."""
+    space, rng = build_space(nodes), random.Random(seed)
+    eta1 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    eta2 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    witness = distinguish(eta1, eta2, space)
+    if witness is None:
+        return
+    zero = constant_process(space, 0)
+    payoffs = {(j, c): zero for j in (1, 2) for c in COALITIONS}
+    payoffs[1, ONLY_1] = witness_problem(witness.event, witness.time, space)
+    witness_game = stopping_game(payoffs)
+    never = PureStoppingTime(dict.fromkeys(space.atoms, INFINITY))
+    first, second = (game_payoff(eta, never, witness_game, space) for eta in (eta1, eta2))
+    assert first[1] == second[1] == 0
+    assert abs(first[0] - second[0]) == witness.payoff_gap > 0
+    drawn, opponent = random_game(rng, space), data.draw(st.sampled_from(MAKERS))(rng, space)
+    for eta, paid in ((eta1, first), (eta2, second)):
+        against = game_payoff(eta, opponent, drawn, space)
+        for target in TARGET_TYPES:
+            converted = convert(eta, target, space)
+            assert game_payoff(converted, never, witness_game, space) == paid, target
+            assert game_payoff(converted, opponent, drawn, space) == against, target
+
+
 def through_json(doc):
     """``doc`` as a JSON text reads it back."""
     return json.loads(json.dumps(doc))
@@ -290,14 +330,18 @@ def mutated_process(choose, process, space):
 
 def read_by_key(eta, space):
     """A valid rule's kept parts as its tables give them looked up key by key: the hazards,
-    the stop masses then never-stop masses, per atom its stop block, or per section that."""
+    the stop masses then never-stop masses, per atom its stop cell (its own past the blocks
+    if it never stops), or per section that."""
     if isinstance(eta, BehaviorStoppingTime):
         return oracles.gathered(space, eta.beta)
     if isinstance(eta, RandomizedStoppingTime):
         return oracles.gathered(space, eta.rho, eta.rho_inf)
     if isinstance(eta, PureStoppingTime):
-        stops = [(a, eta.stop[a]) for a in space.atoms]
-        return [None if t == INFINITY else space.number(t, space.block_of(t, a)) for a, t in stops]
+        stops = [(j, a, eta.stop[a]) for j, a in enumerate(space.atoms)]
+        return [
+            space.root + j if t == INFINITY else space.number(t, space.block_of(t, a))
+            for j, a, t in stops
+        ]
     return [read_by_key(section, space) for section in eta.sections]
 
 
@@ -305,8 +349,9 @@ def kept_cells(eta, space):
     """``read_by_key``'s form of a valid rule's kept parts."""
     parts = check(eta, space).parts
     if isinstance(eta, RandomizedStoppingTime):
-        rho, den, spent = parts
-        return [F(x, den) for x in rho] + [F(den - spent[i], den) for i in space.leaf]
+        table, spent = parts
+        assert [table.den - spent[i] for i in space.leaf] == table.cells[space.root :]
+        return [F(x, table.den) for x in table.cells]
     return parts[0] if isinstance(eta, MixedStoppingTime) else parts
 
 

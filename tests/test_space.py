@@ -273,16 +273,16 @@ class TestTreePasses:
         rules = [r1, densities(b1, e1)] + [random_randomized(rng, e1) for _ in range(20)]
         for eta in rules:
             d = density_table(eta, e1)
-            spent = e1.spent(d.blocks)
+            spent = e1.spent(d.cells)
             for atom in e1.atoms:
                 assert F(spent[e1.number(2, e1.block_of(2, atom))], d.den) + eta.rho_inf[atom] == 1
 
         for _ in range(10):
             problem = random_process(rng, e1)
             (table,) = e1.tables(problem)
-            stop = [m * v for m, v in zip(e1.block_mass, table.blocks)]
+            stop = [m * v for m, v in zip(e1.block_mass, table.cells)]
             value, values = e1.backward_induction(
-                [m * v for m, v in zip(e1.atom_mass, table.atoms)],
+                [m * v for m, v in zip(e1.atom_mass, table.cells[e1.root :])],
                 lambda i, continuation: max(stop[i], continuation),
             )
             assert F(value, e1.denominator * table.den) == snell_value(problem, e1).value

@@ -227,13 +227,36 @@ class TestValidate:
         assert violation.kind == "SectionNotStoppingTime"
         assert violation.where == "sections[0]"
 
-    def test_time_keys_are_read_by_value_but_a_bool_is_refused(self, e1, b1):
+    def test_time_keys_are_ints_not_floats_or_bools(self, e1, b1):
         rows = {float(n): dict(row) for n, row in reversed(b1.beta.items())}
-        assert validate(BehaviorStoppingTime(rows), e1) is None
+        assert validate(BehaviorStoppingTime(rows), e1) == Violation(
+            "OutOfRange", detail="beta has time 2.0 outside 1..2"
+        )
         rows = {True: b1.beta[1], 2: b1.beta[2]}
         assert validate(BehaviorStoppingTime(rows), e1) == Violation(
             "OutOfRange", detail="beta has time True outside 1..2"
         )
+
+    @pytest.mark.parametrize("key", [1.0, F(1), True])
+    def test_a_time_key_equal_to_an_int_is_refused_in_every_rule_table(self, e1, r1, b1, key):
+        """A key equal to time 1 that is not an int is no time 1: the table is not gathered by
+        key, and the walk that names its fault refuses the same key."""
+        rho = RandomizedStoppingTime({key: r1.rho[1], 2: r1.rho[2]}, r1.rho_inf)
+        beta = BehaviorStoppingTime({key: b1.beta[1], 2: b1.beta[2]})
+        for eta, name in ((rho, "rho"), (beta, "beta")):
+            expected = Violation("OutOfRange", detail=f"{name} has time {key!r} outside 1..2")
+            assert validate(eta, e1) == expected
+            with pytest.raises(ValidationError) as raised:
+                detailed_distribution(eta, e1)
+            assert raised.value.violation == expected
+
+    def test_int_subclass_time_keys_are_read_as_their_times(self, e1, r1, b1):
+        Time = type("Time", (int,), {})
+        rho = RandomizedStoppingTime({Time(n): row for n, row in r1.rho.items()}, r1.rho_inf)
+        beta = BehaviorStoppingTime({Time(n): row for n, row in reversed(b1.beta.items())})
+        assert validate(rho, e1) is None and validate(beta, e1) is None
+        assert detailed_distribution(rho, e1).mass == R1_TABLE
+        assert detailed_distribution(beta, e1).mass == R1_TABLE
 
     def test_mixed_section_that_is_not_a_pure_rule(self, e1):
         violation = validate(MixedStoppingTime((0, 1), ({"w1": 1},)), e1)
@@ -395,6 +418,16 @@ class TestDetailedDistribution:
     def test_invalid_input_raises(self, e1):
         with pytest.raises(ValidationError):
             detailed_distribution(pure({"w1": 1, "w2": 2, "w3": 1, "w4": 1}), e1)
+
+    @pytest.mark.parametrize(
+        "event, first", [({"zz"}, "zz"), (("w1", "B", "A"), "A"), (["w2", 5], 5)]
+    )
+    def test_event_mass_refuses_an_atom_outside_the_table(self, e1, r1, event, first):
+        nu = detailed_distribution(r1, e1)
+        message = f"event atom {first!r} is not an atom of the space"
+        with pytest.raises(ValidationError, match=message):
+            nu.event_mass(event, 1)
+        assert nu.event_mass(iter(("w1", "w2")), 1) == F(1, 4)
 
     def test_total_mass_is_one_on_fuzz(self):
         rng = random.Random(5)
