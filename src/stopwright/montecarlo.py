@@ -31,6 +31,17 @@ counts the grid's nonzero entries would give, so its float sums come out
 the same to the bit.  Only the callers that return the grid build it:
 ``detailed_counts_chunk`` and the count dicts of the empirical
 distributions, which keep their zero cells.
+
+Chunk kernels
+-------------
+A draw's outcome atom is read off the space's bucket table (``_buckets``):
+a bucket of the unit interval that holds no cumulative probability decides
+it, and only the draws in the other buckets are searched, so every draw
+gets the atom a sorted search of every draw gives.  A randomized rule's
+stop (``_threshold``) is a count of the times before it, summed down a
+(T, atoms) array, and a behavior rule's (``_hazards``) the ``argmax`` of a
+mask whose last column, "never", is True.  Each makes the same draws and
+the same float comparisons as a per-row search for the first stop would.
 """
 
 from __future__ import annotations
@@ -99,22 +110,42 @@ def sample_stop_time(
 # -- vectorized chunk sampling -------------------------------------------------
 
 
-def _space_arrays(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms' cumulative probabilities and (atoms, T) block paths, kept by the space as a
-    check is, with itself as the input.  ``mass / denominator`` of Python integers rounds
-    as ``float`` of the Fraction does."""
+def _space_arrays(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms' cumulative probabilities, their bucket table (``_buckets``) and the (atoms, T)
+    block paths, kept by the space as a check is, with itself as the input.  ``mass /
+    denominator`` of Python integers rounds as ``float`` of the Fraction does."""
 
     def build():
         c = np.cumsum([m / space.denominator for m in space.atom_mass])
         c[-1] = 1.0
-        return c, np.array(space.paths).reshape(len(space.atoms), space.horizon)
+        paths = np.array(space.paths).reshape(len(space.atoms), space.horizon)
+        return c, _buckets(c), paths
 
     return space.recall(space, build).parts
 
 
-def _first_true(mask: np.ndarray, never: int) -> np.ndarray:
-    """Per row, the column of the first True, else ``never``."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), never)
+def _buckets(cum: np.ndarray) -> np.ndarray:
+    """Per bucket ``[k/K, (k+1)/K)`` of the unit interval, the atom every draw in it selects,
+    or -1 if the bucket holds a cumulative probability and so more than one atom can be drawn.
+
+    K is the least power of two at least 16 per atom, so ``u * K`` is exact and most buckets
+    hold no cumulative probability.  A draw in ``[k/K, (k+1)/K)`` selects an atom from
+    ``searchsorted(cum, k/K)`` to ``searchsorted(cum, (k+1)/K)``, since the lookup is monotone
+    in the draw; where those agree, the bucket decides it.
+    """
+    K = 1 << (16 * len(cum) - 1).bit_length()
+    edges = np.searchsorted(cum, np.arange(K + 1) / K, side="left")
+    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+
+def _outcomes(cum: np.ndarray, buckets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw ``u``, the first atom whose cumulative probability reaches it,
+    ``searchsorted(cum, u, side="left")``: read off its bucket, or searched for in an
+    ambiguous one."""
+    atom = buckets[(u * len(buckets)).astype(np.intp)]
+    ambiguous = np.flatnonzero(atom < 0)
+    atom[ambiguous] = np.searchsorted(cum, u[ambiguous], side="left")
+    return atom
 
 
 def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
@@ -139,14 +170,23 @@ def _pick(table, rng, atom_idx):
 
 
 def _threshold(cum, rng, atom_idx):
-    r = rng.random(len(atom_idx))
-    rows = cum[atom_idx]
-    return _first_true((rows > 0) & (rows >= r[:, None]), cum.shape[1])
+    """The first time whose positive cumulative mass reaches the draw, else column T.
+
+    ``cum`` is (T, atoms), nondecreasing down each column, so that time is the count of
+    the times before it: those whose mass is below the draw, or zero for a draw of 0.0,
+    which the floor of the draw at the least positive float counts."""
+    r = np.maximum(rng.random(len(atom_idx)), 5e-324)
+    return np.add.reduce(cum[:, atom_idx] < r, axis=0, dtype=np.intp)
 
 
 def _hazards(hazard, rng, atom_idx):
-    draws = rng.random((len(atom_idx), hazard.shape[1]))
-    return _first_true(draws < hazard[atom_idx], hazard.shape[1])
+    """The first time whose draw falls below its hazard, else column T: ``argmax`` finds the
+    first True of each row, and a last column of True ends every row."""
+    n, T = len(atom_idx), hazard.shape[1]
+    stops = np.empty((n, T + 1), bool)
+    np.less(rng.random((n, T)), hazard[atom_idx], out=stops[:, :T])
+    stops[:, T] = True
+    return stops.argmax(axis=1)
 
 
 def _sections(cuts, section_cols, rng, atom_idx):
@@ -160,10 +200,12 @@ _SAMPLERS = {
     PureStoppingTime: lambda kept, space: partial(_pick, _columns(kept.parts, space)),
     RandomizedStoppingTime: lambda kept, space: partial(
         _threshold,
-        np.array([c / kept.parts[0].den for c in kept.parts[1]])[_space_arrays(space)[1]],
+        np.ascontiguousarray(  # (T, atoms)
+            np.array([c / kept.parts[0].den for c in kept.parts[1]])[_space_arrays(space)[2].T]
+        ),
     ),
     BehaviorStoppingTime: lambda kept, space: partial(
-        _hazards, np.array([float(h) for h in kept.parts])[_space_arrays(space)[1]]
+        _hazards, np.array([float(h) for h in kept.parts])[_space_arrays(space)[2]]
     ),
     MixedStoppingTime: lambda kept, space: partial(
         _sections,
@@ -181,7 +223,7 @@ def _counter(rules: tuple, space: FilteredSpace):
     from the three generators it spawns (outcome, player 1, player 2).
     Each rule's sampler is built once.
     """
-    cumprobs = _space_arrays(space)[0]
+    cumprobs, buckets, _ = _space_arrays(space)
     samplers = [_stop_columns(eta, space) for eta in rules]
     shape = (len(space.atoms),) + (space.horizon + 1,) * len(rules)
 
@@ -191,7 +233,7 @@ def _counter(rules: tuple, space: FilteredSpace):
             rngs = [np.random.default_rng(root)] * 2
         else:
             rngs = [np.random.default_rng(s) for s in root.spawn(3)]
-        atom_idx = np.searchsorted(cumprobs, rngs[0].random(size), side="left")
+        atom_idx = _outcomes(cumprobs, buckets, rngs[0].random(size))
         columns = [sampler(rng, atom_idx) for sampler, rng in zip(samplers, rngs[1:])]
         return np.ravel_multi_index((atom_idx, *columns), shape)
 
@@ -330,7 +372,7 @@ def _payoff_grids(game: Kept, space: FilteredSpace) -> np.ndarray:
     integers rounds exactly as ``float`` of the Fraction does.
     """
     den = game.parts[0].den
-    paths = _space_arrays(space)[1]
+    paths = _space_arrays(space)[2]
     grids = []
     for t in game.parts:
         cells = np.array([n / den for n in t.cells], float)

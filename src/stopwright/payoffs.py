@@ -129,6 +129,8 @@ def distinguish(
     ``witness_problem(event, time)``.
     """
     d1, d2 = density_table(eta1, space), density_table(eta2, space)
+    if d1 == d2:  # both in lowest terms, so equal exactly when the densities are
+        return None
 
     def gap(i: int) -> int:
         return d1.cells[i] * d2.den - d2.cells[i] * d1.den

@@ -207,6 +207,10 @@ class Table(NamedTuple):
     ``k = B + j``.  Densities (stop mass per block, never-stop mass per atom)
     and payoff processes both take this form inside the exact passes;
     ``FilteredSpace.fractions`` turns one back into the public Fraction dicts.
+    A rule's density Table (``stopping.density_of``) is in lowest terms,
+    ``gcd(den, *cells) == 1``, so two rules have equal densities exactly
+    when their Tables are equal; a process Table's denominator is the lcm
+    of its values' and is shared with the processes read beside it.
     """
 
     cells: list

@@ -45,6 +45,7 @@ from .space import (
     fraction_table,
     gather,
     integers,
+    is_int,
     numerator_of,
     ordered,
     read_only,
@@ -135,17 +136,30 @@ class StoppingMeasure:
         )
 
     def density(self, space: FilteredSpace, atom: str, t: Time) -> Fraction:
-        """Stop mass at (atom, t) relative to the atom's probability."""
+        """Stop mass at (atom, t) relative to the atom's probability.  Raises ValidationError
+        unless ``atom`` is an atom of the table and of ``space``, and ``t`` a time of its row
+        (``_check_time``)."""
+        if atom not in self.mass or atom not in space.prob:
+            raise ValidationError(f"atom {atom!r} is not an atom of the space")
+        self._check_time(t, [atom])
         return self.mass[atom][t] / space.prob[atom]
 
     def event_mass(self, event, t: Time) -> Fraction:
         """Mass of ``event x {t}``.  Raises ValidationError, naming the least, unless every
-        atom of ``event`` is an atom of the table."""
+        atom of ``event`` is an atom of the table, and then unless ``t`` is a time of their
+        rows, or of every row for an empty event (``_check_time``)."""
         event = [*event]
         unknown = ordered(set(event).difference(self.mass))
         if unknown:
             raise ValidationError(f"event atom {unknown[0]!r} is not an atom of the space")
+        self._check_time(t, event or self.mass)
         return sum((self.mass[a][t] for a in event), start=Fraction(0))
+
+    def _check_time(self, t, atoms) -> None:
+        """Raise ValidationError unless ``t`` is an int (not a bool) or INFINITY that keys the
+        row of each of ``atoms``: ``1.0`` and ``True`` would find time 1's mass."""
+        if not (is_int(t) or t == INFINITY) or not all(t in self.mass[a] for a in atoms):
+            raise ValidationError(f"time must be an int time of the table or INFINITY, got {t!r}")
 
 
 # -- builders (coerce ints/strings to Fraction, fill dense tables) ------------
@@ -348,7 +362,10 @@ def density_table(eta: RandomStoppingTime, space: FilteredSpace) -> Table:
 
 
 def density_of(kept: Kept, space: FilteredSpace) -> Table:
-    """A valid rule's density Table, reduced from its kept check's parts."""
+    """A valid rule's density Table, reduced from its kept check's parts, in lowest terms:
+    ``gcd(den, *cells) == 1``, so equal densities are equal Tables.  A randomized or pure
+    rule's table already is (``integers`` takes the lcm of reduced denominators); the
+    behavior and mixed builders end with one gcd pass (``_lowest``)."""
     return _kind(kept.ref())[1](kept.parts, space)
 
 
@@ -358,7 +375,8 @@ def _survival(hazards: list, space: FilteredSpace) -> Table:
     The denominator is the product over times of the lcm of the
     denominators of that time's hazards that can act, so every product
     divides exactly.  A hazard below a sure stop (a hazard of 1 on the
-    path) meets no survival and is left out of the lcm.
+    path) meets no survival and is left out of the lcm.  The carry is not
+    reduced on the way down; the finished table is, once.
     """
     reached = [True] * (space.root + 1)
     for i, p in enumerate(space.parent):
@@ -376,7 +394,7 @@ def _survival(hazards: list, space: FilteredSpace) -> Table:
             rho[i] = stop = left * h.numerator // h.denominator
             left -= stop
         alive[i] = left
-    return Table(rho + [alive[i] for i in space.leaf], den)
+    return _lowest(rho + [alive[i] for i in space.leaf], den)
 
 
 def _sections(sections, weights, den: int, space: FilteredSpace) -> Table:
@@ -385,7 +403,13 @@ def _sections(sections, weights, den: int, space: FilteredSpace) -> Table:
     for stops, w in zip(sections, weights):
         for i in set(stops):
             cells[i] += w
-    return Table(cells, den)
+    return _lowest(cells, den)
+
+
+def _lowest(cells: list, den: int) -> Table:
+    """``cells`` over ``den`` as a Table in lowest terms, by one gcd pass over the whole table."""
+    g = math.gcd(den, *cells)
+    return Table(cells, den) if g == 1 else Table([c // g for c in cells], den // g)
 
 
 #: Per rule type: its check (the first Violation, or the parts it built) and their reduction.
@@ -469,10 +493,10 @@ def equivalent(
     """True iff the two rules induce identical mass tables (exact equality).
 
     Every atom has positive probability, so equal mass tables are equal
-    densities.
+    densities, and density Tables in lowest terms are equal exactly when
+    the densities are: the test is one comparison of two integer lists.
     """
-    d1, d2 = density_table(eta1, space), density_table(eta2, space)
-    return [x * d2.den for x in d1.cells] == [y * d1.den for y in d2.cells]
+    return density_table(eta1, space) == density_table(eta2, space)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -6,7 +6,10 @@ block in Fractions, the way the definitions read, and the tests assert
 that every kernel agrees with its oracle exactly.  The per-cell loop of
 ``empirical_game_payoff`` is kept here too, as the reference for the
 numpy sum's float means, and the separating problem as it was built from
-the conditional expectation of an event's indicator.
+the conditional expectation of an event's indicator.  So are the equality
+of two density Tables by cross-multiplication, and the Monte-Carlo chunk
+kernels as first written: one sorted search per outcome draw, and a
+per-row first True for a stop.
 """
 
 from __future__ import annotations
@@ -198,3 +201,35 @@ def witness_problem(event, t, space) -> AdaptedProcess:
     else:
         values[t] = conditional_expectation(space, indicator, t)
     return AdaptedProcess(values=values, infinity=infinity)
+
+
+def cross_equivalent(d1, d2) -> bool:
+    """Equal densities, from two density Tables in any terms: each one's cells over the
+    other's denominator, compared cell by cell."""
+    return [x * d2.den for x in d1.cells] == [y * d1.den for y in d2.cells]
+
+
+def first_true(mask, never: int):
+    """Per row, the column of the first True, else ``never``."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), never)
+
+
+def outcomes(cum, buckets, u):
+    """Per draw, the first atom whose cumulative probability reaches it, by a sorted search
+    of every draw; ``buckets`` is not read."""
+    return np.searchsorted(cum, u, side="left")
+
+
+def threshold(cum, rng, atom_idx):
+    """A randomized rule's stop column: per sample, the first time whose positive cumulative
+    mass reaches its draw, else T.  ``cum`` is (T, atoms), as the sampler keeps it."""
+    r = rng.random(len(atom_idx))
+    rows = cum.T[atom_idx]
+    return first_true((rows > 0) & (rows >= r[:, None]), cum.shape[0])
+
+
+def hazards(hazard, rng, atom_idx):
+    """A behavior rule's stop column: per sample, the first time whose draw falls below its
+    hazard, else T.  ``hazard`` is (atoms, T)."""
+    draws = rng.random((len(atom_idx), hazard.shape[1]))
+    return first_true(draws < hazard[atom_idx], hazard.shape[1])

@@ -28,8 +28,13 @@ from stopwright import (
 )
 from stopwright.montecarlo import (
     CHUNK_SIZE,
+    _buckets,
     _counter,
+    _hazards,
+    _outcomes,
+    _space_arrays,
     _stop_columns,
+    _threshold,
     chunk_plan,
     detailed_counts_chunk,
 )
@@ -402,3 +407,100 @@ class TestOneSpentPass:
         assert checked == [] and translated == [] and e1._kept == {}
         with pytest.raises(ValidationError, match="SumNotOne"):
             empirical_detailed_distribution(broken, e1, 10, seed=1)
+
+
+class FixedDraws:
+    """A generator stand-in: each ``random(size)`` hands out the next preset draws in that shape."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def random(self, size):
+        return np.asarray(next(self.draws), float).reshape(size)
+
+
+def around(values) -> np.ndarray:
+    """Each value in [0, 1), with its float neighbours inside [0, 1)."""
+    values = np.asarray(values, float)
+    near = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, 1)])
+    return np.unique(near[(near >= 0) & (near < 1)])
+
+
+class TestSamplingKernelsMatchTheirOracles:
+    """Each chunk kernel returns exactly what its first form in ``oracles`` returns on the same
+    draws: the bucket lookup of the outcome atom, and the stop column of a randomized and of a
+    behavior rule."""
+
+    @staticmethod
+    def tiny_atoms():
+        """Two atoms below the least float among four, so two cumulative probabilities round
+        alike, and an ambiguous bucket holds more than one of them."""
+        tiny = F(1, 2**1100)
+        probs = [tiny, tiny, F(1, 3), F(2, 3) - 2 * tiny]
+        nodes = [{"id": "r", "parent": None}]
+        nodes += [{"id": f"a{j}", "parent": "r", "prob": p} for j, p in enumerate(probs)]
+        return FilteredSpace(nodes)
+
+    @pytest.mark.parametrize("shape", ["e1", "uneven", "tiny atoms", "fuzzed"])
+    def test_outcome_atom_is_the_sorted_search(self, shape, e1, uneven):
+        space = {"e1": e1, "uneven": uneven, "tiny atoms": self.tiny_atoms()}.get(shape)
+        space = space or random_space(random.Random(41), max_depth=3, max_branch=3)
+        cum, buckets, _ = _space_arrays(space)
+        K = len(buckets)
+        assert K == 1 << (16 * len(space.atoms) - 1).bit_length() and K >= 16 * len(space.atoms)
+        assert (buckets < 0).any() and (buckets >= 0).any()
+        draws = np.concatenate(
+            [[0.0], around(np.arange(K) / K), around(cum), np.random.default_rng(3).random(5000)]
+        )
+        got = _outcomes(cum, buckets, draws)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, oracles.outcomes(cum, buckets, draws))
+
+    def test_buckets_of_cumulative_probabilities_that_repeat(self):
+        cum = np.array([0.0, 0.0, 0.25, 0.25, 0.5 + 2**-40, 1.0, 1.0])
+        buckets = _buckets(cum)
+        assert len(buckets) == 128 and buckets[0] == -1 and buckets[-1] == 5
+        draws = np.concatenate([[0.0], around(np.arange(128) / 128), around(cum)])
+        assert np.array_equal(_outcomes(cum, buckets, draws), oracles.outcomes(cum, buckets, draws))
+
+    def test_randomized_stop_is_the_first_positive_mass_that_reaches_the_draw(self):
+        # (T, atoms): each column nondecreasing, some all zero, some starting at the least float
+        cum = np.array(
+            [
+                [0.0, 0.0, 5e-324, 0.5, 1e-320, 0.0],
+                [0.0, 0.25, 0.5, 0.5, 1e-310, 1.0],
+                [0.0, 0.25, 0.5, 0.75, 0.3, 1.0],
+                [0.0, 1.0, 0.5, 1.0, 0.3, 1.0],
+            ]
+        )
+        draws = np.concatenate([[0.0, 5e-324, 1e-320, 1e-310], around(cum.ravel())])
+        atom_idx = np.repeat(np.arange(cum.shape[1]), len(draws))
+        r = np.tile(draws, cum.shape[1])
+        got = _threshold(cum, FixedDraws(r), atom_idx)
+        expected = oracles.threshold(cum, FixedDraws(r), atom_idx)
+        assert np.array_equal(got, expected)
+        assert {0, 1, 2, 3, 4} <= set(got.tolist())  # every time, and never
+
+    def test_behavior_stop_is_the_first_draw_below_its_hazard(self):
+        hazard = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.25, 0.25, 0.75]])
+        values = np.concatenate([[0.0], around(hazard.ravel()), [1 - 2**-53]])
+        rows = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+        atom_idx = np.repeat(np.arange(len(hazard)), len(rows))
+        draws = np.tile(rows, (len(hazard), 1))
+        got = _hazards(hazard, FixedDraws(draws), atom_idx)
+        expected = oracles.hazards(hazard, FixedDraws(draws), atom_idx)
+        assert np.array_equal(got, expected)
+        assert set(got.tolist()) == {0, 1, 2, 3}
+
+    def test_every_rule_sampler_matches_its_oracle_on_fixed_draws(self, uneven):
+        rng, kernels = random.Random(43), {_threshold: oracles.threshold, _hazards: oracles.hazards}
+        draws = np.random.default_rng(4)
+        atom_idx = np.tile(np.arange(len(uneven.atoms)), 300)
+        for make in (random_randomized, random_behavior):
+            sampler = _stop_columns(make(rng, uneven), uneven)
+            per_sample = 1 if sampler.func is _threshold else uneven.horizon
+            u = draws.random(len(atom_idx) * per_sample)
+            u[::7] = 0.0
+            got = sampler(FixedDraws(u), atom_idx)
+            expected = kernels[sampler.func](*sampler.args, FixedDraws(u), atom_idx)
+            assert np.array_equal(got, expected)

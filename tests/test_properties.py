@@ -12,19 +12,25 @@ event and time, so ``distinguish``'s witness separates two rules that are
 not equivalent by exactly its gap.  The seventh is that equivalence's game
 half: the witness, paid to player 1 stopping alone against an opponent who
 never stops, separates the two rules' game payoffs by the same gap, while a
-rule and its conversions pay alike against every opponent drawn.  The last
+rule and its conversions pay alike against every opponent drawn.  Three
+more state that density Tables are in lowest terms, so that their equality
+decides equivalence as cross-multiplied densities do; that ``snell_value``
+and ``best_response_value`` reach the best pure rule; and that sampling
+gives, to the bit, what the first form of its chunk kernels gave.  The last
 two draw mutations of valid rule and process tables: every one is read to a
 Violation or a reader's error, never a crash, and every table accepted is
 read as a lookup key by key reads it.
 """
 
 import json
+import math
 import random
 from collections.abc import Mapping
 from fractions import Fraction as F
 from itertools import accumulate
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stopwright import (
@@ -38,12 +44,16 @@ from stopwright import (
     RandomizedStoppingTime,
     SpaceMismatch,
     ValidationError,
+    best_response_value,
     build_space,
     check_process,
     constant_process,
     convert,
     detailed_distribution,
     distinguish,
+    empirical_detailed_distribution,
+    empirical_game_payoff,
+    enumerate_pure_stopping_times,
     equivalent,
     game_payoff,
     payoff,
@@ -52,6 +62,7 @@ from stopwright import (
     validate,
     witness_problem,
 )
+from stopwright import montecarlo
 from stopwright.convert import TARGET_TYPES
 from stopwright.serialize import (
     game_from_doc,
@@ -62,7 +73,7 @@ from stopwright.serialize import (
     stopping_time_to_doc,
 )
 from stopwright.space import Violation
-from stopwright.stopping import check
+from stopwright.stopping import check, density_table
 
 import oracles
 from fuzz import MAKERS, random_game, random_process
@@ -220,6 +231,89 @@ def test_a_witness_game_separates_two_rules_and_no_rule_from_its_conversions(nod
             converted = convert(eta, target, space)
             assert game_payoff(converted, never, witness_game, space) == paid, target
             assert game_payoff(converted, opponent, drawn, space) == against, target
+
+
+@PROPERTY
+@given(node_lists(), st.integers(0, 2**32 - 1), st.data())
+def test_density_tables_are_in_lowest_terms_so_equal_exactly_when_equivalent(nodes, seed, data):
+    """Every rule type's density Table, and its conversions', has ``gcd(den, *cells) == 1``;
+    ``equivalent`` agrees with cross-multiplied densities, on a rule against its conversions
+    and against a rule drawn apart, and ``distinguish`` finds no witness exactly then."""
+    space, rng = build_space(nodes), random.Random(seed)
+    for make in MAKERS:
+        eta = make(rng, space)
+        other = data.draw(st.sampled_from(MAKERS))(rng, space)
+        for twin in (other, *(convert(eta, target, space) for target in TARGET_TYPES)):
+            for rule in (eta, twin):
+                table = density_table(rule, space)
+                assert math.gcd(table.den, *table.cells) == 1
+            same = oracles.cross_equivalent(density_table(eta, space), density_table(twin, space))
+            assert equivalent(eta, twin, space) == same
+            assert (distinguish(eta, twin, space) is None) == same
+        assert all(equivalent(eta, convert(eta, target, space), space) for target in TARGET_TYPES)
+
+
+def pure_rule_count(space) -> int:
+    """How many rules ``enumerate_pure_stopping_times`` lists, counted without listing them."""
+    below = {}
+    for n in range(space.horizon, 0, -1):
+        below = {
+            b: 2 if n == space.horizon else 1 + math.prod(below[c] for c in space.children(n, b))
+            for b in space.blocks(n)
+        }
+    return math.prod(below.values())
+
+
+@settings(PROPERTY, max_examples=40)
+@given(node_lists(max_depth=4, max_atoms=16), st.integers(0, 2**32 - 1), st.sampled_from((1, 2)))
+def test_optimal_values_reach_the_best_pure_rule(nodes, seed, player):
+    """``snell_value`` and ``best_response_value`` are the maxima over every pure rule."""
+    space, rng = build_space(nodes), random.Random(seed)
+    assume(pure_rule_count(space) <= 500)
+    problem, game = random_process(rng, space), random_game(rng, space)
+    opponent = MAKERS[seed % 4](rng, space)
+    rules = enumerate_pure_stopping_times(space)
+    assert len(rules) == pure_rule_count(space)
+    snell = snell_value(problem, space)
+    assert snell.value == max(payoff(eta, problem, space) for eta in rules)
+    assert payoff(snell.strategy, problem, space) == snell.value
+
+    def paid(eta):
+        profile = (eta, opponent) if player == 1 else (opponent, eta)
+        return game_payoff(*profile, game, space)[player - 1]
+
+    best = best_response_value(opponent, game, player, space)
+    assert best.value == max(map(paid, rules)) == paid(best.strategy)
+
+
+#: the chunk kernels as first written, in place of the module's own
+ORACLE_KERNELS = {
+    "_outcomes": oracles.outcomes,
+    "_threshold": oracles.threshold,
+    "_hazards": oracles.hazards,
+}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(node_lists(), st.integers(0, 2**32 - 1), st.integers(1, 9000))
+def test_sampling_equals_the_oracle_kernels_to_the_bit(nodes, seed, samples):
+    """``empirical_detailed_distribution`` and ``empirical_game_payoff`` of every rule type give
+    what they gave on the first form of the chunk kernels (``oracles``).  Each side builds its
+    space and rules anew, so each builds its own samplers."""
+
+    def run():
+        space, rng = build_space(nodes), random.Random(seed)
+        rules, game = [make(rng, space) for make in MAKERS], random_game(rng, space)
+        counts = [empirical_detailed_distribution(eta, space, samples, seed) for eta in rules]
+        means = [
+            [x.hex() for x in empirical_game_payoff(eta, other, game, space, samples, seed)]
+            for eta, other in zip(rules, rules[1:] + rules[:1])
+        ]
+        return counts, means
+
+    new = run()
+    with mock.patch.multiple(montecarlo, **ORACLE_KERNELS):
+        assert run() == new
 
 
 def through_json(doc):

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction as F
@@ -428,6 +429,23 @@ class TestDetailedDistribution:
         with pytest.raises(ValidationError, match=message):
             nu.event_mass(event, 1)
         assert nu.event_mass(iter(("w1", "w2")), 1) == F(1, 4)
+
+    @pytest.mark.parametrize("t", [3, 0, 1.0, True, F(1), "1", None])
+    def test_event_mass_and_density_refuse_a_time_off_the_table(self, e1, r1, t):
+        nu = detailed_distribution(r1, e1)
+        message = f"time must be an int time of the table or INFINITY, got {t!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            nu.event_mass({"w1"}, t)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            nu.event_mass((), t)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            nu.density(e1, "w1", t)
+        assert nu.event_mass({"w1"}, 1) == F(1, 8) and nu.event_mass((), INFINITY) == 0
+        assert nu.density(e1, "w1", 1) == F(1, 2) and nu.density(e1, "w1", INFINITY) == 0
+
+    def test_density_refuses_an_atom_outside_the_table(self, e1, r1):
+        with pytest.raises(ValidationError, match="atom 'zz' is not an atom of the space"):
+            detailed_distribution(r1, e1).density(e1, "zz", 1)
 
     def test_total_mass_is_one_on_fuzz(self):
         rng = random.Random(5)
