@@ -8,7 +8,6 @@ from stopwright import (
     detailed_distribution,
     empirical_detailed_distribution,
     randomized,
-    sample_stop_time,
 )
 from stopwright.montecarlo import chunk_plan, detailed_counts_chunk
 
@@ -32,20 +31,14 @@ rho = randomized(
     rho_inf={"w1": "0", "w2": "1/2", "w3": "1/2", "w4": "0"},
 )
 
-# One realization at a time: the rule consumes explicit uniform draws.
-# At outcome w1 the cumulative stop masses are 1/2 then 1, so a draw of
-# 0.3 stops at time 1 and a draw of 0.7 at time 2.
-print("draw 0.3 at w1 ->", sample_stop_time(rho, space, "w1", iter([0.3])))
-print("draw 0.7 at w1 ->", sample_stop_time(rho, space, "w1", iter([0.7])))
-
-# Bulk sampling is chunked and seeded: chunk i draws from a generator
+# Sampling is chunked and seeded: chunk i draws from a generator
 # seeded with (seed, i), so identical seeds reproduce identical counts and
 # any split of whole chunks across workers sums to the same totals.
 samples, seed = 100_000, 42
 empirical = empirical_detailed_distribution(rho, space, samples, seed)
 exact = detailed_distribution(rho, space)
 
-print(f"\n{samples} samples with seed {seed}:")
+print(f"{samples} samples with seed {seed}:")
 worst = 0.0
 for atom in space.atoms:
     for t in space.times:

@@ -103,7 +103,6 @@ _MONTECARLO_NAMES = frozenset(
         "empirical_detailed_distribution",
         "empirical_game_payoff",
         "empirical_joint_distribution",
-        "sample_stop_time",
     )
 )
 

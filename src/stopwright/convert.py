@@ -29,8 +29,6 @@ from .stopping import (
 
 ZERO = Fraction(0)
 
-TARGET_TYPES = ("randomized", "behavior", "mixed")
-
 
 def measure_to_randomized(nu: StoppingMeasure, space: FilteredSpace) -> RandomizedStoppingTime:
     """The randomized rule whose mass table is the stopping measure ``nu`` (see ``measure_rule``)."""
@@ -45,25 +43,23 @@ def randomized_to_behavior(
 ) -> BehaviorStoppingTime:
     """Stop masses to hazards: divide by the mass not yet spent.
 
-    The unspent mass is carried down the tree, one subtraction per block.
-    Once it hits zero the quotient is 0/0; any convention gives the same
-    detailed distribution and we pick 0, so a rule that has surely stopped
-    never "stops again".  A rule of another type is read through its
-    densities.  Masses share one denominator, so each hazard is a quotient
-    of two integers.  Derived once from ``eta``'s kept check: a repeat call
-    on the same live rule returns the same read-only rule.
+    A block's hazard is its stop mass over the mass left unspent at its
+    parent, read off ``FilteredSpace.spent``.  Once that hits zero the
+    quotient is 0/0; any convention gives the same detailed distribution
+    and we pick 0, so a rule that has surely stopped never "stops again".
+    A rule of another type is read through its densities.  Masses share
+    one denominator, so each hazard is a quotient of two integers.
+    Derived once from ``eta``'s kept check: a repeat call on the same live
+    rule returns the same read-only rule.
     """
     return check(eta, space).derive(_behavior, space)
 
 
 def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
     d = kept.derive(density_of, space)
-    unspent = [0] * space.root + [d.den]
-    beta = []
-    for i, p in enumerate(space.parent):
-        left, mass = unspent[p], d.cells[i]
-        beta.append(Fraction(mass, left) if left else ZERO)
-        unspent[i] = left - mass
+    den = d.den
+    unspent = [den - c for c in space.spent(d.cells)] + [den]  # the root has spent nothing
+    beta = [Fraction(m, u) if (u := unspent[p]) else ZERO for m, p in zip(d.cells, space.parent)]
     return BehaviorStoppingTime(beta=space.by_block(beta))
 
 
@@ -129,13 +125,19 @@ def convert(eta: RandomStoppingTime, target_type: str, space: FilteredSpace) -> 
     That rule is checked on its own, the first time a call is handed it,
     never taken as valid from ``eta``'s check.
     """
-    if target_type not in TARGET_TYPES:
+    if target_type not in TARGET_TYPES:  # a tuple: an unhashable target is refused alike
         raise ValueError(f"target_type must be one of {TARGET_TYPES}, got {target_type!r}")
-    if target_type == "randomized":
-        return densities(eta, space)
-    if target_type == "behavior":
-        return randomized_to_behavior(eta, space)
-    return randomized_to_mixed(eta, space)
+    return _MAKERS[target_type](eta, space)
+
+
+#: Per target type, the conversion that makes it.
+_MAKERS = {
+    "randomized": densities,
+    "behavior": randomized_to_behavior,
+    "mixed": randomized_to_mixed,
+}
+
+TARGET_TYPES = tuple(_MAKERS)
 
 
 def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
@@ -145,14 +147,14 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     unspent] and the never-stop slot absorbs the remainder.  On densities
     coming from an actual stopping measure this is a no-op; it only changes
     tables that were inconsistent to begin with.
+
+    A value clipped at the unspent mass spends exactly that mass, so by
+    induction down each path the mass spent at a block after clipping is
+    ``min(den, spent)`` of the values clipped at 0 alone: one spent pass.
     """
     table = fraction_table(candidate)
     raw, den = integers([table.get(n, {}).get(b, ZERO) for n, b in zip(space.depth, space.ids)])
-    unspent = [0] * space.root + [den]
-    rho = []
-    for i, p in enumerate(space.parent):
-        left = unspent[p]
-        rho.append(max(0, min(raw[i], left)))
-        unspent[i] = left - rho[i]
-    values, rho_inf = space.fractions(Table(rho + [unspent[i] for i in space.leaf], den))
+    spent = [c if c < den else den for c in space.spent([r if r > 0 else 0 for r in raw])] + [0]
+    rho = [spent[i] - spent[p] for i, p in enumerate(space.parent)]
+    values, rho_inf = space.fractions(Table(rho + [den - spent[i] for i in space.leaf], den))
     return RandomizedStoppingTime(rho=values, rho_inf=rho_inf)

@@ -30,6 +30,7 @@ from .space import (
     ReadOnly,
     Table,
     Time,
+    is_int,
     read_only,
 )
 from .stopping import (
@@ -81,7 +82,7 @@ def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
 
 def _check_player(player) -> None:
     """Raise ValidationError unless ``player`` is the int 1 or 2 (not a bool)."""
-    if not isinstance(player, int) or isinstance(player, bool) or player not in PLAYERS:
+    if not is_int(player) or player not in PLAYERS:
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
 
 

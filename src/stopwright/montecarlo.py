@@ -1,11 +1,12 @@
 """Monte-Carlo execution of stopping rules from explicit external randomness.
 
-This is the package's independent cross-check: rules are *run*, sample by
-sample, from uniform draws, and the resulting frequencies are compared
-against the exact tables computed elsewhere.  Nothing here reuses the
-exact layer's arithmetic beyond reading the rule's parameters and the parts
-its check builds (for a randomized rule, the cumulative stop masses its sum
-check adds up), and for a game the integer tables its exact calls share.
+This is the package's independent cross-check: rules are *run* from
+uniform draws, many samples at a time, and the resulting frequencies are
+compared against the exact tables computed elsewhere.  Nothing here
+reuses the exact layer's arithmetic beyond reading the rule's parameters
+and the parts its check builds (for a randomized rule, the cumulative
+stop masses its sum check adds up), and for a game the integer tables
+its exact calls share.
 
 Reproducibility contract
 ------------------------
@@ -49,13 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .space import INFINITY, FilteredSpace, Kept, Time
+from .space import FilteredSpace, Kept, Time, is_int
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -67,44 +67,6 @@ from .stopping import (
 from .games import StoppingGame, kept_game
 
 CHUNK_SIZE = 4096
-
-
-def sample_stop_time(
-    eta: RandomStoppingTime, space: FilteredSpace, atom: str, uniforms: Iterable[float]
-) -> Time:
-    """Run one realization of the rule at ``atom`` from explicit uniform draws.
-
-    Pure rules consume no draws; randomized and mixed rules consume one;
-    behavior rules consume one per period until they stop (at most T).
-    Draws are compared against exact rationals, so thresholds are hit
-    exactly.  Draws lie in [0, 1): a hazard stops only on a draw strictly
-    below it, and a cumulative threshold selects the first time whose
-    positive cumulative mass reaches the draw, so a draw of 0 never
-    realizes a stop with zero mass.
-    """
-    check(eta, space)
-    draws = iter(uniforms)
-    if isinstance(eta, PureStoppingTime):
-        return eta.stop[atom]
-    if isinstance(eta, RandomizedStoppingTime):
-        r = next(draws)
-        cumulative = Fraction(0)
-        for n in range(1, space.horizon + 1):
-            cumulative += eta.rho[n][space.block_of(n, atom)]
-            if cumulative > 0 and cumulative >= r:
-                return n
-        return INFINITY
-    if isinstance(eta, BehaviorStoppingTime):
-        for n in range(1, space.horizon + 1):
-            r = next(draws)
-            if r < eta.beta[n][space.block_of(n, atom)]:
-                return n
-        return INFINITY
-    r = next(draws)
-    for k in range(1, len(eta.breakpoints)):
-        if eta.breakpoints[k] >= r:
-            return eta.sections[k - 1].stop[atom]
-    return eta.sections[-1].stop[atom]
 
 
 # -- vectorized chunk sampling -------------------------------------------------
@@ -275,7 +237,7 @@ def _check_sampling_args(samples: int, seed: int, chunk_index: int = 0) -> None:
     ``samples``, 0 for ``seed`` and ``chunk_index``, else ValueError."""
     named = (("samples", samples, 1), ("seed", seed, 0), ("chunk_index", chunk_index, 0))
     for name, value, least in named:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise TypeError(f"{name} must be an int, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -22,6 +22,7 @@ from .space import (
     FilteredSpace,
     Time,
     build_space,
+    is_int,
     rational,
     time_label,
 )
@@ -50,9 +51,8 @@ def too_many_digits() -> str:
 
 
 def parse_rational(value) -> Fraction:
-    """A JSON integer (not a bool) or a string "a/b" or "a"; nothing else is read."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    """A JSON integer (not a bool) or a string "a/b" or "a"; nothing else is read.  Strings
+    are tried first: a document writes its numbers as strings."""
     if isinstance(value, str):
         try:
             return rational(value)
@@ -61,6 +61,8 @@ def parse_rational(value) -> Fraction:
         except ValueError:  # off the grammar, or past the limit on the digits of an int string
             if RATIONAL.fullmatch(value):
                 raise FormatError(f"bad rational: {too_many_digits()}") from None
+    elif is_int(value):
+        return Fraction(value)
     raise FormatError(f"bad rational {value!r}: expected a JSON integer or a string 'a/b'")
 
 
@@ -68,13 +70,13 @@ def parse_time(key) -> Time:
     """A JSON integer (not a bool), a string of ASCII digits with an optional "-", or "inf"."""
     if key == "inf":
         return INFINITY
-    if isinstance(key, int) and not isinstance(key, bool):
-        return key
     if isinstance(key, str) and _INTEGER.fullmatch(key):
         try:
             return int(key)
         except ValueError:  # past the interpreter's limit on the digits of an int string
             raise FormatError(f"bad time index: {too_many_digits()}") from None
+    if is_int(key):
+        return key
     raise FormatError(f"bad time index {key!r} (expected an integer or 'inf')")
 
 

@@ -250,7 +250,7 @@ def _check_pure(eta: PureStoppingTime, space: FilteredSpace) -> Union[Violation,
         if fault is not None or cells is None:
             return fault
         atom, t = next((a, t) for a, t in zip(space.atoms, cells) if not space.is_time(t))
-        shown = time_label(t) if isinstance(t, int) and type(t) is not bool else repr(t)
+        shown = time_label(t) if is_int(t) else repr(t)
         return Violation(
             "OutOfRange",
             time=t if type(t) is int or type(t) is float and not t.is_integer() else None,
@@ -477,11 +477,11 @@ def measure_rule(nu: StoppingMeasure, space: FilteredSpace) -> Optional[Randomiz
         set(row) == times and all(map(_exact, row.values())) for row in nu.mass.values()
     ):
         return None
-    rho = [nu.density(space, space.members(n, b)[0], n) for n, b in zip(space.depth, space.ids)]
-    eta = RandomizedStoppingTime(
-        rho=space.by_block(rho),
-        rho_inf={a: nu.density(space, a, INFINITY) for a in space.atoms},
-    )
+    # per cell, its density at one member atom: a block's first atom, or the atom itself
+    cells = [(space.members(n, b)[0], n) for n, b in zip(space.depth, space.ids)]
+    rho = [nu.mass[a][t] / space.prob[a] for a, t in cells + [(a, INFINITY) for a in space.atoms]]
+    rho_inf = ReadOnly(zip(space.atoms, rho[space.root :]))
+    eta = RandomizedStoppingTime(rho=space.by_block(rho), rho_inf=rho_inf)
     if validate(eta, space) is None and detailed_distribution(eta, space).mass == nu.mass:
         return eta
     return None

@@ -1,9 +1,30 @@
+import sys
+
 import pytest
 
 import stopwright.space
 from stopwright.space import FilteredSpace
 
 from fuzz import make_b1, make_e1, make_r1, make_singleton, make_uneven
+
+
+@pytest.fixture(autouse=True)
+def unraisable():
+    """Fail every test during which Python reports an exception it cannot raise, such as one
+    in the weakref callback that drops a kept check: such an exception goes to
+    ``sys.unraisablehook``, and the code that triggered it carries on."""
+    seen = []
+
+    def hook(u):  # formatted at once: keeping ``u.object`` could resurrect it
+        seen.append(f"{u.err_msg or 'Exception ignored in'}: {u.object!r}: {u.exc_value!r}")
+
+    previous, sys.unraisablehook = sys.unraisablehook, hook
+    try:
+        yield
+    finally:
+        sys.unraisablehook = previous
+    if seen:
+        pytest.fail("unraisable exception during the test:\n" + "\n".join(seen))
 
 
 @pytest.fixture

@@ -7,20 +7,32 @@ that every kernel agrees with its oracle exactly.  The per-cell loop of
 ``empirical_game_payoff`` is kept here too, as the reference for the
 numpy sum's float means, and the separating problem as it was built from
 the conditional expectation of an event's indicator.  So are the equality
-of two density Tables by cross-multiplication, and the Monte-Carlo chunk
-kernels as first written: one sorted search per outcome draw, and a
-per-row first True for a stop.
+of two density Tables by cross-multiplication, the total variation distance
+of two detailed distributions, and the Monte-Carlo samplers twice: as one
+exact run of a rule per sample from explicit uniform draws
+(``sample_stop_time``), and as the chunk kernels as first written, one
+sorted search per outcome draw and a per-row first True for a stop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from stopwright import INFINITY, AdaptedProcess, RandomizedStoppingTime
+from stopwright import (
+    INFINITY,
+    AdaptedProcess,
+    BehaviorStoppingTime,
+    FilteredSpace,
+    PureStoppingTime,
+    RandomizedStoppingTime,
+    RandomStoppingTime,
+    Time,
+)
 from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS
+from stopwright.stopping import check
 
 
 def top_down(space):
@@ -90,6 +102,33 @@ def behavior_densities(beta, space) -> RandomizedStoppingTime:
         rho[n][block_id] = alive * hazard
         survival[n, block_id] = alive * (1 - hazard)
     rho_inf = {a: survival[T, space.block_of(T, a)] for a in space.atoms}
+    return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
+
+
+def hazards(rho, space) -> dict:
+    """Stop masses to hazards: each block's mass over the mass its parent left unspent, carried
+    down the tree; 0 once nothing is left."""
+    beta: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, space.horizon + 1)}
+    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+    for n, block_id, parent_id in top_down(space):
+        left, mass = unspent[n - 1, parent_id], rho[n][block_id]
+        beta[n][block_id] = mass / left if left else Fraction(0)
+        unspent[n, block_id] = left - mass
+    return beta
+
+
+def repair(candidate, space) -> RandomizedStoppingTime:
+    """Each block's candidate mass, 0 where it has none, clipped into [0, the mass its parent
+    left unspent], carried down the tree; the never-stop slot takes what the horizon leaves."""
+    T = space.horizon
+    rho: dict[int, dict[str, Fraction]] = {n: {} for n in range(1, T + 1)}
+    unspent: dict[tuple[int, Optional[str]], Fraction] = {(0, None): Fraction(1)}
+    for n, block_id, parent_id in top_down(space):
+        left = unspent[n - 1, parent_id]
+        mass = max(Fraction(0), min(Fraction(candidate.get(n, {}).get(block_id, 0)), left))
+        rho[n][block_id] = mass
+        unspent[n, block_id] = left - mass
+    rho_inf = {a: unspent[T, space.block_of(T, a)] for a in space.atoms}
     return RandomizedStoppingTime(rho=rho, rho_inf=rho_inf)
 
 
@@ -209,6 +248,51 @@ def cross_equivalent(d1, d2) -> bool:
     return [x * d2.den for x in d1.cells] == [y * d1.den for y in d2.cells]
 
 
+def total_variation(d1, d2) -> Fraction:
+    """The distance of two detailed distributions: the sum over (atom, stop index) cells of the
+    positive parts of ``d1``'s mass less ``d2``'s, the most mass one event can gain."""
+    gains = (m - d2.mass[a][t] for a, row in d1.mass.items() for t, m in row.items())
+    return sum((g for g in gains if g > 0), start=Fraction(0))
+
+
+def sample_stop_time(
+    eta: RandomStoppingTime, space: FilteredSpace, atom: str, uniforms: Iterable[float]
+) -> Time:
+    """Run one realization of the rule at ``atom`` from explicit uniform draws.
+
+    Pure rules consume no draws; randomized and mixed rules consume one;
+    behavior rules consume one per period until they stop (at most T).
+    Draws are compared against exact rationals, so thresholds are hit
+    exactly.  Draws lie in [0, 1): a hazard stops only on a draw strictly
+    below it, and a cumulative threshold selects the first time whose
+    positive cumulative mass reaches the draw, so a draw of 0 never
+    realizes a stop with zero mass.
+    """
+    check(eta, space)
+    draws = iter(uniforms)
+    if isinstance(eta, PureStoppingTime):
+        return eta.stop[atom]
+    if isinstance(eta, RandomizedStoppingTime):
+        r = next(draws)
+        cumulative = Fraction(0)
+        for n in range(1, space.horizon + 1):
+            cumulative += eta.rho[n][space.block_of(n, atom)]
+            if cumulative > 0 and cumulative >= r:
+                return n
+        return INFINITY
+    if isinstance(eta, BehaviorStoppingTime):
+        for n in range(1, space.horizon + 1):
+            r = next(draws)
+            if r < eta.beta[n][space.block_of(n, atom)]:
+                return n
+        return INFINITY
+    r = next(draws)
+    for k in range(1, len(eta.breakpoints)):
+        if eta.breakpoints[k] >= r:
+            return eta.sections[k - 1].stop[atom]
+    return eta.sections[-1].stop[atom]
+
+
 def first_true(mask, never: int):
     """Per row, the column of the first True, else ``never``."""
     return np.where(mask.any(axis=1), mask.argmax(axis=1), never)
@@ -228,7 +312,7 @@ def threshold(cum, rng, atom_idx):
     return first_true((rows > 0) & (rows >= r[:, None]), cum.shape[0])
 
 
-def hazards(hazard, rng, atom_idx):
+def hazard_stops(hazard, rng, atom_idx):
     """A behavior rule's stop column: per sample, the first time whose draw falls below its
     hazard, else T.  ``hazard`` is (atoms, T)."""
     draws = rng.random((len(atom_idx), hazard.shape[1]))

@@ -381,7 +381,6 @@ MONTECARLO_NAMES = (
     "empirical_detailed_distribution",
     "empirical_game_payoff",
     "empirical_joint_distribution",
-    "sample_stop_time",
 )
 
 
@@ -598,69 +597,123 @@ class TestStructuredErrors:
         assert "violation" not in json.loads(err)
 
 
+#: Each command's run on the fixture documents; every ``.json`` argument is a document to mutate.
+COMMAND_RUNS = {
+    "validate": ["validate", "--space", "e1.json", "--st", "r1.json"],
+    "convert": ["convert", "--space", "e1.json", "--st", "b1.json", "--to", "mixed"],
+    "dist": ["dist", "--space", "e1.json", "--st", "mixed.json"],
+    "equiv": ["equiv", "--space", "e1.json", "--st", "r1.json", "--st2", "b1.json"],
+    "payoff": [
+        "payoff", "--space", "e1.json", "--st", "stopnow.json", "--problem", "problem.json",
+        "--epsilon", "1/2",
+    ],
+    "snell": ["snell", "--space", "e1.json", "--problem", "problem.json"],
+    "game-payoff": [
+        "game-payoff", "--space", "e1.json", "--st", "r1.json", "--st2", "b1.json",
+        "--game", "game.json",
+    ],
+    "game-value": ["game-value", "--space", "e1.json", "--game", "game.json"],
+    "br": ["br", "--space", "e1.json", "--st", "b1.json", "--game", "game.json", "--player", "2"],
+    "eq-check": [
+        "eq-check", "--space", "e1.json", "--st", "b1.json", "--st2", "r1.json",
+        "--game", "game.json",
+    ],
+    "sample": ["sample", "--space", "e1.json", "--st", "r1.json", "--samples", "64", "--seed", "1"],
+}
 
-def _fields(doc, prefix=()):
-    """Every field of a JSON document as (path of its container, key)."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    for key, value in items:
-        yield prefix, key
-        if isinstance(value, (dict, list)):
-            yield from _fields(value, prefix + (key,))
+#: Stands for a JSON integer literal past the interpreter's limit on the digits of an int string.
+LONG_LITERAL = "<long literal>"
 
-
-JSON_VALUES = st.one_of(
+BAD_VALUES = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-2, 4),
-    st.sampled_from([1.9, 0.5, "inf", "1/2", "1/0", "-1", "x", "zz"]),
-    st.lists(st.sampled_from(["0", 1, None]), max_size=2),
+    st.sampled_from([0.5, 1.0, -2.5, 1e300, -3, 0, 2, "inf", "1/2", "-1", "x"]),
+    st.sampled_from(["1/0", "-1/0", TOO_LONG, f"1/{TOO_LONG}", LONG_LITERAL]),
+    st.lists(st.sampled_from(["0", 1, None, 0.5, "1/2"]), max_size=3),
     st.dictionaries(
-        st.sampled_from(["1", "w1", "A", "zz"]), st.sampled_from(["0", []]), max_size=2
+        st.sampled_from(["1", "2", "inf", "w1", "A", "type"]),
+        st.one_of(st.sampled_from(["0", "1/2", 1, None]), st.builds(list), st.builds(dict)),
+        max_size=3,
     ),
 )
 
-#: The command each fixture document is fed to; DOC stands for the mutated copy.
-MUTATED_RUNS = {
-    "e1.json": ["validate", "--space", "DOC"],
-    "r1.json": ["equiv", "--space", "e1.json", "--st", "DOC", "--st2", "b1.json"],
-    "b1.json": ["convert", "--space", "e1.json", "--st", "DOC", "--to", "mixed"],
-    "stopnow.json": ["dist", "--space", "e1.json", "--st", "DOC"],
-    "mixed.json": ["dist", "--space", "e1.json", "--st", "DOC"],
-    "problem.json": ["payoff", "--space", "e1.json", "--st", "b1.json", "--problem", "DOC"],
-    "game.json": [
-        "eq-check", "--space", "e1.json", "--game", "DOC", "--st", "b1.json", "--st2", "r1.json",
-    ],
-}
+#: Keys a mutation may add: document fields, time keys, block and atom ids, and strangers.
+ADDED_KEYS = st.sampled_from(
+    ["type", "rho", "rho_inf", "beta", "stop", "breakpoints", "sections", "values", "infinity",
+     "payoffs", "players", "nodes", "prob", "id", "parent", "1", "2", "3", "inf", "0", "-1",
+     "w1", "A", "zz"]
+)
 
 
-def test_field_mutations_never_raise(files, tmp_path):
-    """Replacing or deleting one to three fields of a valid document, one after another, exits 0
-    or 1, never raises."""
+def _containers(doc) -> list:
+    """Every object and array of a JSON document, the document itself first."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            found.append(node)
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return found
+
+
+def _mutated(data, doc):
+    """``doc`` after one to four edits, each dropping a key or an item, adding one, or putting
+    a bad value in place of one; once in ten the whole document is a bad value."""
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(BAD_VALUES)
+    for _ in range(data.draw(st.integers(1, 4))):
+        containers = _containers(doc)
+        if not containers:
+            break
+        node = data.draw(st.sampled_from(containers))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = data.draw(st.sampled_from(["drop", "add", "replace"]))
+        if action == "add" or not keys:
+            if isinstance(node, dict):
+                node[data.draw(ADDED_KEYS)] = data.draw(BAD_VALUES)
+            else:
+                node.append(data.draw(BAD_VALUES))
+        elif action == "drop":
+            del node[data.draw(st.sampled_from(keys))]
+        else:
+            node[data.draw(st.sampled_from(keys))] = data.draw(BAD_VALUES)
+    return doc
+
+
+def test_whole_document_mutations_exit_cleanly(files, tmp_path, capsys):
+    """Every command, one or more of its documents mutated anywhere, exits 0 with nothing on
+    stderr, or 1 with one line on stderr, a JSON error; it never raises, so it never prints a
+    traceback."""
     mixed = stopping_time_to_doc(convert(make_r1(), "mixed", make_e1()))
     (tmp_path / "mixed.json").write_text(json.dumps(mixed))
     files = {**files, "mixed.json": str(tmp_path / "mixed.json")}
-    mutated = tmp_path / "mutated.json"
+    originals = {}
+    for name, path in files.items():
+        with open(path, encoding="utf-8") as handle:
+            originals[name] = handle.read()
 
-    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.data())
     def check(data):
-        name = data.draw(st.sampled_from(sorted(MUTATED_RUNS)))
-        with open(files[name], encoding="utf-8") as handle:
-            doc = json.load(handle)
-        for _ in range(data.draw(st.integers(1, 3))):
-            fields = list(_fields(doc))
-            if not fields:  # every field deleted
-                break
-            path, key = data.draw(st.sampled_from(fields))
-            container = doc
-            for step in path:
-                container = container[step]
-            if isinstance(container, dict) and data.draw(st.booleans()):
-                del container[key]
-            else:
-                container[key] = data.draw(JSON_VALUES)
-        mutated.write_text(json.dumps(doc))
-        argv = [str(mutated) if a == "DOC" else files.get(a, a) for a in MUTATED_RUNS[name]]
-        assert run(argv) in (0, 1)
+        command = data.draw(st.sampled_from(sorted(COMMAND_RUNS)))
+        argv = list(COMMAND_RUNS[command])
+        documents = [k for k, a in enumerate(argv) if a.endswith(".json")]
+        chosen = data.draw(st.sets(st.sampled_from(documents), min_size=1))
+        for k in documents:
+            name, argv[k] = argv[k], files[argv[k]]
+            if k in chosen:
+                doc = _mutated(data, json.loads(originals[name]))
+                text = json.dumps(doc).replace(json.dumps(LONG_LITERAL), TOO_LONG)
+                argv[k] = str(tmp_path / f"mutated-{k}.json")
+                (tmp_path / f"mutated-{k}.json").write_text(text)
+        code = run(argv)
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert code == 1, (command, captured.err)
+            (line,) = captured.err.splitlines()
+            fields = set(json.loads(line))
+            assert {"error", "message"} <= fields <= {"error", "message", "violation"}
 
     check()

@@ -1,4 +1,5 @@
-"""Every integer kernel agrees exactly with its Fraction-dict oracle (``oracles.py``).
+"""Every integer kernel agrees exactly with its Fraction-dict oracle (``oracles.py``), and so do
+the conversion to hazards and the repair of density tables.
 
 The spaces are fuzzed; every third one is rebuilt with fresh internal node
 ids and every node's children reversed, so each level's blocks and the
@@ -21,6 +22,8 @@ from stopwright import (
     densities,
     game_payoff,
     payoff,
+    randomized_to_behavior,
+    repair_densities,
     snell_value,
 )
 from stopwright.games import _fold, _own, is_zero_sum, kept_game
@@ -140,11 +143,41 @@ def assert_passes_agree(rng, space, rules, problem, game):
     )
 
 
+def spoiled(rng, rho) -> dict:
+    """A copy of the block-keyed ``rho`` with some cells negative, some raised so that their
+    paths hold more than all the mass, some cells missing, and at times a whole time missing."""
+    table = {n: dict(level) for n, level in rho.items()}
+    for level in table.values():
+        for b in list(level):
+            roll = rng.random()
+            if roll < 0.2:
+                level[b] = -level[b] - F(1, rng.randint(1, 5))
+            elif roll < 0.4:
+                level[b] = 3 * level[b] + F(1, rng.randint(1, 5))
+            elif roll < 0.55:
+                del level[b]
+    if rng.random() < 0.3:
+        del table[rng.choice(list(table))]
+    return table
+
+
+def assert_conversions_agree(rng, space, rules):
+    """Hazards and density repair agree with their oracles; repair keeps a valid table."""
+    for eta in rules:
+        public = densities(eta, space)
+        assert randomized_to_behavior(eta, space).beta == oracles.hazards(public.rho, space)
+        assert repair_densities(public.rho, space) == oracles.repair(public.rho, space) == public
+        for _ in range(3):
+            candidate = spoiled(rng, public.rho)
+            assert repair_densities(candidate, space) == oracles.repair(candidate, space)
+
+
 def test_kernels_match_oracles_on_fuzzed_spaces():
     count = 0
     for rng, space in fuzzed_spaces():
         rules = [maker(rng, space) for maker in MAKERS]
         assert_passes_agree(rng, space, rules, random_process(rng, space), random_game(rng, space))
+        assert_conversions_agree(rng, space, rules)
         count += 1
     assert count == SPACES
 
@@ -198,3 +231,4 @@ def test_kernels_match_oracles_on_a_long_chain(long_chain):
     game = random_zero_sum_game(rng, space)
     assert is_zero_sum(game, space) is oracles.is_zero_sum(game, space) is True
     assert_passes_agree(rng, space, [hazards, randomized], problem, game)
+    assert_conversions_agree(rng, space, [hazards, randomized])

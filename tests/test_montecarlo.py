@@ -2,12 +2,17 @@ import copy
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from stopwright import (
     BOTH,
+    BehaviorStoppingTime,
+    MixedStoppingTime,
+    PureStoppingTime,
+    RandomizedStoppingTime,
     ValidationError,
     INFINITY,
     ONLY_1,
@@ -23,7 +28,6 @@ from stopwright import (
     pure,
     randomized,
     randomized_to_mixed,
-    sample_stop_time,
     stopping_game,
 )
 from stopwright.montecarlo import (
@@ -41,6 +45,7 @@ from stopwright.montecarlo import (
 from stopwright.space import FilteredSpace
 
 import oracles
+from oracles import sample_stop_time
 from fuzz import (
     MAKERS,
     make_r1,
@@ -426,6 +431,22 @@ def around(values) -> np.ndarray:
     return np.unique(near[(near >= 0) & (near < 1)])
 
 
+#: Per rule type, the exact values a sample's draws are compared with, from the rule and the
+#: path of the sample's atom: the path's cumulative stop masses, its hazards, or the breakpoints.
+THRESHOLDS = {
+    PureStoppingTime: lambda eta, path: [],
+    RandomizedStoppingTime: lambda eta, path: [*accumulate(eta.rho[n][b] for n, b in path)],
+    BehaviorStoppingTime: lambda eta, path: [eta.beta[n][b] for n, b in path],
+    MixedStoppingTime: lambda eta, path: [*eta.breakpoints],
+}
+
+
+def near_miss(row, thresholds) -> bool:
+    """True iff a draw lies within 1e-12 of a threshold but not on it, where a float comparison
+    may decide otherwise than an exact one."""
+    return any(abs(r - float(c)) <= 1e-12 and F(r) != c for r in row for c in thresholds)
+
+
 class TestSamplingKernelsMatchTheirOracles:
     """Each chunk kernel returns exactly what its first form in ``oracles`` returns on the same
     draws: the bucket lookup of the outcome atom, and the stop column of a randomized and of a
@@ -488,12 +509,13 @@ class TestSamplingKernelsMatchTheirOracles:
         atom_idx = np.repeat(np.arange(len(hazard)), len(rows))
         draws = np.tile(rows, (len(hazard), 1))
         got = _hazards(hazard, FixedDraws(draws), atom_idx)
-        expected = oracles.hazards(hazard, FixedDraws(draws), atom_idx)
+        expected = oracles.hazard_stops(hazard, FixedDraws(draws), atom_idx)
         assert np.array_equal(got, expected)
         assert set(got.tolist()) == {0, 1, 2, 3}
 
     def test_every_rule_sampler_matches_its_oracle_on_fixed_draws(self, uneven):
-        rng, kernels = random.Random(43), {_threshold: oracles.threshold, _hazards: oracles.hazards}
+        rng = random.Random(43)
+        kernels = {_threshold: oracles.threshold, _hazards: oracles.hazard_stops}
         draws = np.random.default_rng(4)
         atom_idx = np.tile(np.arange(len(uneven.atoms)), 300)
         for make in (random_randomized, random_behavior):
@@ -504,3 +526,37 @@ class TestSamplingKernelsMatchTheirOracles:
             got = sampler(FixedDraws(u), atom_idx)
             expected = kernels[sampler.func](*sampler.args, FixedDraws(u), atom_idx)
             assert np.array_equal(got, expected)
+
+
+    def test_every_sampler_stops_where_the_exact_run_stops(self):
+        """Each rule type's sampler stops every sample where ``oracles.sample_stop_time``, the
+        exact run of the rule from explicit uniform draws, stops on the same draws.  A behavior
+        row holds T draws, of which the exact run reads a prefix.  Some draws are 0.0, and some
+        tie with a threshold of their atom below 1 that a float holds exactly.  A sample with a
+        near miss (``near_miss``) is skipped."""
+        rng, uniform = random.Random(45), np.random.default_rng(45)
+        compared, skipped = dict.fromkeys(THRESHOLDS, 0), 0
+        for _ in range(16):
+            space = random_space(rng)
+            T, atom_idx = space.horizon, np.tile(np.arange(len(space.atoms)), 30)
+            paths = [[(n, space.block_of(n, a)) for n in range(1, T + 1)] for a in space.atoms]
+            for make in MAKERS:
+                eta = make(rng, space)
+                thresholds = [THRESHOLDS[type(eta)](eta, path) for path in paths]
+                width = {PureStoppingTime: 0, BehaviorStoppingTime: T}.get(type(eta), 1)
+                draws = uniform.random((len(atom_idx), width))
+                ties = [[float(c) for c in cs if c < 1 and F(float(c)) == c] for cs in thresholds]
+                for row, j in zip(draws, atom_idx.tolist()):
+                    if width and ties[j] and rng.random() < 0.5:
+                        row[rng.randrange(width)] = rng.choice(ties[j])
+                    if width and rng.random() < 0.2:
+                        row[rng.randrange(width)] = 0.0
+                columns = _stop_columns(eta, space)(FixedDraws(draws), atom_idx).tolist()
+                for row, j, column in zip(draws.tolist(), atom_idx.tolist(), columns):
+                    if near_miss(row, thresholds[j]):
+                        skipped += 1
+                        continue
+                    stop = sample_stop_time(eta, space, space.atoms[j], iter(row))
+                    assert space.times[column] == stop, (type(eta).__name__, row, thresholds[j])
+                    compared[type(eta)] += 1
+        assert min(compared.values()) > 1000 and skipped < sum(compared.values()) / 10

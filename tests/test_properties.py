@@ -12,12 +12,16 @@ event and time, so ``distinguish``'s witness separates two rules that are
 not equivalent by exactly its gap.  The seventh is that equivalence's game
 half: the witness, paid to player 1 stopping alone against an opponent who
 never stops, separates the two rules' game payoffs by the same gap, while a
-rule and its conversions pay alike against every opponent drawn.  Three
-more state that density Tables are in lowest terms, so that their equality
-decides equivalence as cross-multiplied densities do; that ``snell_value``
-and ``best_response_value`` reach the best pure rule; and that sampling
-gives, to the bit, what the first form of its chunk kernels gave.  The last
-two draw mutations of valid rule and process tables: every one is read to a
+rule and its conversions pay alike against every opponent drawn.  The
+paper's theorem comes as a number next: the total variation distance D of
+two rules' detailed distributions bounds every payoff gap of a problem or
+a game with payoffs in [0, 1], and the indicator of the cells where the
+first rule has more mass attains it.  Three more state that density
+Tables are in lowest terms, so that their equality decides equivalence as
+cross-multiplied densities do; that ``snell_value`` and
+``best_response_value`` reach the best pure rule; and that sampling gives,
+to the bit, what the first form of its chunk kernels gave.  The last two
+draw mutations of valid rule and process tables: every one is read to a
 Violation or a reader's error, never a crash, and every table accepted is
 read as a lookup key by key reads it.
 """
@@ -34,16 +38,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stopwright import (
+    BOTH,
     COALITIONS,
     INFINITY,
     ONLY_1,
+    ONLY_2,
     AdaptedProcess,
     BehaviorStoppingTime,
     MixedStoppingTime,
     PureStoppingTime,
     RandomizedStoppingTime,
     SpaceMismatch,
+    StoppingGame,
     ValidationError,
+    adapted_process,
     best_response_value,
     build_space,
     check_process,
@@ -253,6 +261,105 @@ def test_density_tables_are_in_lowest_terms_so_equal_exactly_when_equivalent(nod
         assert all(equivalent(eta, convert(eta, target, space), space) for target in TARGET_TYPES)
 
 
+def unit_process(rng, space) -> AdaptedProcess:
+    """A process with values in [0, 1], each a multiple of 1/6."""
+    return adapted_process(
+        values={n: {b: F(rng.randint(0, 6), 6) for b in space.blocks(n)} for n in space.times[:-1]},
+        infinity={a: F(rng.randint(0, 6), 6) for a in space.atoms},
+    )
+
+
+def more_mass(d1, d2, space) -> AdaptedProcess:
+    """1 on the cells where ``d1`` has more mass than ``d2``, else 0.  A time-n cell is a block,
+    read at one of its atoms: densities are constant on blocks and atoms have mass."""
+
+    def more(atom, t):
+        return F(int(d1.mass[atom][t] > d2.mass[atom][t]))
+
+    times = space.times[:-1]
+    values = {n: {b: more(space.members(n, b)[0], n) for b in space.blocks(n)} for n in times}
+    return AdaptedProcess(values=values, infinity={a: more(a, INFINITY) for a in space.atoms})
+
+
+def onto_unit_interval(game) -> StoppingGame:
+    """``game`` with every payoff mapped affinely onto [0, 1]: its least to 0, its greatest to 1."""
+    processes = game.payoffs.values()
+    cells = [v for p in processes for row in (*p.values.values(), p.infinity) for v in row.values()]
+    lo, width = min(cells), (max(cells) - min(cells)) or 1
+
+    def scaled(rows):
+        return {key: (v - lo) / width for key, v in rows.items()}
+
+    return stopping_game(
+        {
+            key: AdaptedProcess({n: scaled(row) for n, row in p.values.items()}, scaled(p.infinity))
+            for key, p in game.payoffs.items()
+        }
+    )
+
+
+def distance(data, rng, space):
+    """Two drawn rules, their detailed distributions, and their distance D."""
+    eta1 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    eta2 = data.draw(st.sampled_from(MAKERS))(rng, space)
+    d1, d2 = detailed_distribution(eta1, space), detailed_distribution(eta2, space)
+    D = oracles.total_variation(d1, d2)
+    assert D == oracles.total_variation(d2, d1) and (D == 0) == equivalent(eta1, eta2, space)
+    return eta1, eta2, d1, d2, D
+
+
+@PROPERTY
+@given(node_lists(max_depth=3), st.integers(0, 2**32 - 1), st.data())
+def test_the_distance_bounds_every_unit_problem_and_the_indicator_attains_it(nodes, seed, data):
+    """No problem with values in [0, 1] pays two rules more than D apart, and the indicator of
+    the cells where the first rule has more mass pays them exactly D apart."""
+    space, rng = build_space(nodes), random.Random(seed)
+    eta1, eta2, d1, d2, D = distance(data, rng, space)
+    for problem in [unit_process(rng, space) for _ in range(3)]:
+        assert abs(payoff(eta1, problem, space) - payoff(eta2, problem, space)) <= D
+    indicator = more_mass(d1, d2, space)
+    assert payoff(eta1, indicator, space) - payoff(eta2, indicator, space) == D
+
+
+@PROPERTY
+@given(node_lists(max_depth=3), st.integers(0, 2**32 - 1), st.data())
+def test_the_distance_bounds_every_unit_game_against_drawn_opponents(nodes, seed, data):
+    """In a drawn game rescaled into [0, 1], neither player's payoff moves by more than D when
+    either seat's rule changes from one rule to the other, whatever rule the other seat plays."""
+    space, rng = build_space(nodes), random.Random(seed)
+    eta1, eta2, _, _, D = distance(data, rng, space)
+    game = onto_unit_interval(random_game(rng, space))
+    for _ in range(2):
+        opponent = data.draw(st.sampled_from(MAKERS))(rng, space)
+        seats = (((eta1, opponent), (eta2, opponent)), ((opponent, eta1), (opponent, eta2)))
+        for one, two in seats:
+            first, second = game_payoff(*one, game, space), game_payoff(*two, game, space)
+            assert all(abs(x - y) <= D for x, y in zip(first, second))
+
+
+@PROPERTY
+@given(node_lists(max_depth=3), st.integers(0, 2**32 - 1), st.data())
+def test_a_never_stopping_opponent_attains_the_distance(nodes, seed, data):
+    """Against an opponent who never stops, the player in either seat is paid the indicator of
+    the cells where the first rule has more mass, by stopping alone at a time or, if nobody
+    stops, by the both-stop process's INFINITY slot; the two rules' payoffs differ by D."""
+    space, rng = build_space(nodes), random.Random(seed)
+    eta1, eta2, d1, d2, D = distance(data, rng, space)
+    indicator, zero = more_mass(d1, d2, space), constant_process(space, 0)
+    never = PureStoppingTime(dict.fromkeys(space.atoms, INFINITY))
+    for player, alone in ((1, ONLY_1), (2, ONLY_2)):
+        payoffs = {(j, c): zero for j in (1, 2) for c in COALITIONS}
+        payoffs[player, alone] = payoffs[player, BOTH] = indicator
+        game = stopping_game(payoffs)
+
+        def paid(eta):
+            profile = (eta, never) if player == 1 else (never, eta)
+            return game_payoff(*profile, game, space)
+
+        first, second, k = paid(eta1), paid(eta2), player - 1
+        assert first[k] - second[k] == D and first[1 - k] == second[1 - k] == 0
+
+
 def pure_rule_count(space) -> int:
     """How many rules ``enumerate_pure_stopping_times`` lists, counted without listing them."""
     below = {}
@@ -290,7 +397,7 @@ def test_optimal_values_reach_the_best_pure_rule(nodes, seed, player):
 ORACLE_KERNELS = {
     "_outcomes": oracles.outcomes,
     "_threshold": oracles.threshold,
-    "_hazards": oracles.hazards,
+    "_hazards": oracles.hazard_stops,
 }
 
 
