@@ -12,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotAStoppingMeasure
-from .space import INFINITY, FilteredSpace, Kept, ReadOnly, Table, Time, fraction_table, integers
+from .errors import NotAStoppingMeasure, ValidationError
+from .space import (
+    INFINITY, FilteredSpace, Kept, ReadOnly, Table, Time, fraction_table, integers, ordered
+)
 from .stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -148,11 +150,22 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     coming from an actual stopping measure this is a no-op; it only changes
     tables that were inconsistent to begin with.
 
+    The candidate is ``{n: {block_id: value}}`` and may leave cells out, which read as 0.
+    Raises ValidationError for a time the space does not have (``FilteredSpace.level``
+    judges it: ``1.0`` or ``True`` is no time 1), or a block not of its time.
+
     A value clipped at the unspent mass spends exactly that mass, so by
     induction down each path the mass spent at a block after clipping is
     ``min(den, spent)`` of the values clipped at 0 alone: one spent pass.
     """
     table = fraction_table(candidate)
+    for n, row in table.items():
+        try:
+            unknown = ordered(set(row).difference(space.level(n)))
+        except KeyError:
+            raise ValidationError(f"candidate has time {n!r} outside 1..{space.horizon}") from None
+        if unknown:
+            raise ValidationError(f"candidate has unknown block {unknown[0]!r} at time {n}")
     raw, den = integers([table.get(n, {}).get(b, ZERO) for n, b in zip(space.depth, space.ids)])
     spent = [c if c < den else den for c in space.spent([r if r > 0 else 0 for r in raw])] + [0]
     rho = [spent[i] - spent[p] for i, p in enumerate(space.parent)]

@@ -108,8 +108,9 @@ def read_only_rows(table):
 
 
 def fraction_table(table) -> ReadOnly:
-    """A per-time block table as read-only ``{int(n): {b: as_fraction(v)}}``, in its own order."""
-    rows = {int(n): ReadOnly({b: as_fraction(v) for b, v in r.items()}) for n, r in table.items()}
+    """A per-time block table as read-only ``{n: {b: as_fraction(v)}}``, in its own order.
+    Its time keys are kept as given, for the rule check or ``check_process`` to judge."""
+    rows = {n: ReadOnly({b: as_fraction(v) for b, v in r.items()}) for n, r in table.items()}
     return ReadOnly(rows)
 
 
@@ -279,8 +280,9 @@ class FilteredSpace:
     check.  ``levels[n-1]`` maps each time-``n`` block id to its member
     atoms; ``prob``, in atom order, and the ``levels`` rows are read-only,
     as the results kept from them assume.  The queries by time (``level``,
-    ``blocks``, ``members``, ``block_of``) refuse a time outside 1..T, or
-    one that is not an int, with KeyError.
+    ``blocks``, ``members``, ``block_of``, ``number``, ``block_prob``,
+    ``children``) refuse a time outside 1..T, or one that is not an int,
+    with KeyError: each goes through ``level``, which judges it by ``is_time``.
 
     The blocks are numbered 0..B-1 in breadth-first order, children in
     the order the list gives them, so each level is a run of numbers and
@@ -409,7 +411,7 @@ class FilteredSpace:
 
     def level(self, n: int) -> ReadOnly:
         """The partition at time ``n``, ``levels[n-1]``: KeyError unless ``n`` is a finite
-        ``is_time``, as ``number`` raises for a block of another time."""
+        ``is_time``."""
         if n == INFINITY or not self.is_time(n):
             raise KeyError(n)
         return self.levels[n - 1]
@@ -429,10 +431,9 @@ class FilteredSpace:
 
     def number(self, n: int, block_id: str) -> int:
         """The flat number of a time-``n`` block."""
-        i = self._number[block_id]
-        if self.depth[i] != n:
+        if block_id not in self.level(n):
             raise KeyError(block_id)
-        return i
+        return self._number[block_id]
 
     def block_prob(self, n: int, block_id: str) -> Fraction:
         return Fraction(self.block_mass[self.number(n, block_id)], self.denominator)
@@ -634,7 +635,9 @@ def check_process(space: FilteredSpace, process: AdaptedProcess) -> list:
         return cells
     if cells.detail.endswith("non-exact value"):
         raise ValidationError(str(cells), violation=cells)
-    if cells.time is None or process.values.keys() != set(range(1, space.horizon + 1)):
+    if not isinstance(process.values, Mapping):
+        message = f"process {cells.detail}"
+    elif cells.time is None or process.values.keys() != set(range(1, space.horizon + 1)):
         message = f"process defined at times {ordered(process.values)}, space has 1..{space.horizon}"
     elif cells.time == INFINITY:
         message = "process INFINITY slot does not match the atom set"

@@ -189,7 +189,7 @@ def mixed(breakpoints, sections) -> MixedStoppingTime:
 
 def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
     """Dense mass table from possibly sparse input; missing cells become 0.  Mass at an atom
-    or a time outside the space is refused."""
+    outside the space, or at a key that is not one of its times (``is_time``), is refused."""
     rows = [mass.get(atom, {}) for atom in space.atoms]
     for atom, row in zip(space.atoms, rows):
         if not isinstance(row, Mapping):
@@ -198,8 +198,8 @@ def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
     unknown = set(mass) - set(space.atoms)
     if unknown:
         raise ValidationError(f"mass table references unknown atoms {sorted(unknown)}")
-    for atom, row, cells in zip(space.atoms, rows, table):
-        stray = [t for t in row if t not in cells]
+    for atom, row in zip(space.atoms, rows):
+        stray = [t for t in row if not space.is_time(t)]
         if stray:
             raise ValidationError(f"mass table references unknown time {stray[0]!r} at {atom!r}")
     return StoppingMeasure(mass=ReadOnly(zip(space.atoms, table)))
@@ -467,14 +467,16 @@ def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:
 def measure_rule(nu: StoppingMeasure, space: FilteredSpace) -> Optional[RandomizedStoppingTime]:
     """The randomized rule whose mass table is ``nu``, or None if ``nu`` is not a stopping measure.
 
-    ``nu`` must hold an exact mass at every atom and time of the space.  The rule's densities
+    ``nu`` must hold an exact mass at every atom and time of the space, and at no other key
+    (``is_time``: a row keyed ``True`` or ``1.0`` holds no time 1).  The rule's densities
     are read off one member atom per block, so the rule check decides that they are
     nonnegative and sum to one, and its mass table gives back ``nu`` only if every time-``n``
     density is constant on the time-``n`` blocks.
     """
-    times = set(space.times)
+    width = len(space.times)
     if set(nu.mass) != set(space.atoms) or not all(
-        set(row) == times and all(map(_exact, row.values())) for row in nu.mass.values()
+        len(row) == width and all(map(space.is_time, row)) and all(map(_exact, row.values()))
+        for row in nu.mass.values()
     ):
         return None
     # per cell, its density at one member atom: a block's first atom, or the atom itself
@@ -502,38 +504,24 @@ def equivalent(
 # -- enumeration -----------------------------------------------------------------
 
 
-def _union(parts: tuple[dict[str, Time], ...]) -> dict[str, Time]:
-    """One stop table from the tables of disjoint blocks."""
-    merged: dict[str, Time] = {}
-    for part in parts:
-        merged.update(part)
-    return merged
-
-
 def enumerate_pure_stopping_times(space: FilteredSpace) -> list[PureStoppingTime]:
     """All pure stopping rules of the space, built level by level from the horizon.
 
     At each block the rule either stops everyone now or defers to an
     independent choice per child block; at the horizon the options are
-    "stop at T" and "never".  Intended for small spaces; the count grows
-    exponentially with the tree.
+    "stop at T" and "never".  A block's option is the tuple of its atoms'
+    stop indices, and a block's atoms are its children's atoms in order,
+    so an option below a block is its children's options joined.  The
+    root is the block above time 1, with no option to stop.  Intended for
+    small spaces; the count grows exponentially with the tree.
     """
-    below: dict[str, list[dict[str, Time]]] = {}
-    for n in range(space.horizon, 0, -1):
-        options: dict[str, list[dict[str, Time]]] = {}
-        for block_id in space.blocks(n):
-            members = space.members(n, block_id)
-            here: list[dict[str, Time]] = [{a: n for a in members}]
-            if n == space.horizon:
-                here.append({a: INFINITY for a in members})
-            else:
-                children = space.children(n, block_id)
-                if len(children) == 1:
-                    # an only child covers the same atoms: its tables serve as they are
-                    here.extend(below[children[0]])
-                else:
-                    combos = itertools.product(*(below[c] for c in children))
-                    here.extend(_union(combo) for combo in combos)
-            options[block_id] = here
-        below = options
-    return [PureStoppingTime(stop=_union(combo)) for combo in itertools.product(*below.values())]
+    options = {i: [(space.horizon,), (INFINITY,)] for i in space.leaf}
+    for n in range(space.horizon - 1, -1, -1):
+        below: dict[int, list] = {}  # per time-n block, its children's options, in order
+        for i in range(space.starts[n], space.starts[n + 1]):
+            below.setdefault(space.parent[i], []).append(options[i])
+        options = {}
+        for p, children in below.items():
+            joined = [sum(combo, ()) for combo in itertools.product(*children)]
+            options[p] = [(n,) * space.cell_size[p], *joined] if n else joined
+    return [PureStoppingTime(ReadOnly(zip(space.atoms, stops))) for stops in options[space.root]]

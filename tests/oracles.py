@@ -8,7 +8,9 @@ that every kernel agrees with its oracle exactly.  The per-cell loop of
 numpy sum's float means, and the separating problem as it was built from
 the conditional expectation of an event's indicator.  So are the equality
 of two density Tables by cross-multiplication, the total variation distance
-of two detailed distributions, and the Monte-Carlo samplers twice: as one
+of two detailed distributions, the enumeration of pure rules as it merged
+block-keyed stop tables, the second equivalence decided by its definition
+(``game_equivalent``), and the Monte-Carlo samplers twice: as one
 exact run of a rule per sample from explicit uniform draws
 (``sample_stop_time``), and as the chunk kernels as first written, one
 sorted search per outcome draw and a per-row first True for a stop.
@@ -16,6 +18,7 @@ sorted search per outcome draw and a per-row first True for a stop.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -30,6 +33,8 @@ from stopwright import (
     RandomizedStoppingTime,
     RandomStoppingTime,
     Time,
+    game_payoff,
+    stopping_game,
 )
 from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS
 from stopwright.stopping import check
@@ -240,6 +245,61 @@ def witness_problem(event, t, space) -> AdaptedProcess:
     else:
         values[t] = conditional_expectation(space, indicator, t)
     return AdaptedProcess(values=values, infinity=infinity)
+
+
+def enumerate_pure_stopping_times(space) -> list[PureStoppingTime]:
+    """Every pure rule, level by level from the horizon on the block ids: a block stops all
+    its members now or defers to an independent choice per child, its children's stop
+    tables merged; a horizon block stops at T or never."""
+    below: dict[str, list[dict]] = {}
+    for n in range(space.horizon, 0, -1):
+        options: dict[str, list[dict]] = {}
+        for block_id in space.blocks(n):
+            here = [{a: n for a in space.members(n, block_id)}]
+            if n == space.horizon:
+                here.append({a: INFINITY for a in space.members(n, block_id)})
+            else:
+                combos = itertools.product(*(below[c] for c in space.children(n, block_id)))
+                here.extend(merged(combo) for combo in combos)
+            options[block_id] = here
+        below = options
+    return [PureStoppingTime(stop=merged(combo)) for combo in itertools.product(*below.values())]
+
+
+def merged(tables) -> dict:
+    """One stop table from the tables of disjoint blocks, in their order."""
+    out: dict = {}
+    for table in tables:
+        out.update(table)
+    return out
+
+
+def one_cell_game(space, t, where):
+    """The game that pays 1 on one cell and 0 elsewhere: to player 1 stopping alone at time
+    ``t`` in block ``where``, or, for ``t`` INFINITY, in atom ``where``'s both-stop slot."""
+
+    def process(paid: bool) -> AdaptedProcess:
+        def one(n, key):
+            return Fraction(int(paid and (n, key) == (t, where)))
+
+        values = {n: {b: one(n, b) for b in level} for n, level in enumerate(space.levels, 1)}
+        return AdaptedProcess(values, {a: one(INFINITY, a) for a in space.atoms})
+
+    key = (1, BOTH if t == INFINITY else ONLY_1)
+    return stopping_game({(j, c): process((j, c) == key) for j in PLAYERS for c in COALITIONS})
+
+
+def game_equivalent(eta1, eta2, space) -> bool:
+    """The paper's second equivalence by its definition: player 1's two rules pay alike in
+    every game against an opponent.  Against a never-stopping one it suffices to ask the
+    B + atoms games ``one_cell_game``, one per cell of (outcome, stop index)."""
+    never = PureStoppingTime(dict.fromkeys(space.atoms, INFINITY))
+    blocks = [(n, b) for n, level in enumerate(space.levels, start=1) for b in level]
+    for t, where in blocks + [(INFINITY, a) for a in space.atoms]:
+        game = one_cell_game(space, t, where)
+        if game_payoff(eta1, never, game, space)[0] != game_payoff(eta2, never, game, space)[0]:
+            return False
+    return True
 
 
 def cross_equivalent(d1, d2) -> bool:

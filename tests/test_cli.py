@@ -329,6 +329,22 @@ class TestSample:
         assert code == 0
         assert json.loads(out)["seed"] == 3
 
+    def test_env_seed_empty_reads_as_zero(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("STOPWRIGHT_SEED", "")
+        argv = ["sample", "--space", files["e1.json"], "--st", files["r1.json"], "--samples", "10"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err, json.loads(out)["seed"]) == (0, "", 0)
+
+    @pytest.mark.parametrize("env", ["x", "-1", "1.5"])
+    def test_env_seed_not_a_nonnegative_int_is_one_json_error(self, files, capsys, monkeypatch, env):
+        monkeypatch.setenv("STOPWRIGHT_SEED", env)
+        argv = ["sample", "--space", files["e1.json"], "--st", files["r1.json"], "--samples", "10"]
+        code, out, err = run_capture(capsys, argv)
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert (code, out, error["error"]) == (1, "", "FormatError")
+        assert error["message"].startswith("STOPWRIGHT_SEED must be")
+
     def test_zero_samples_is_usage_error(self, files, capsys):
         code, _, _ = run_capture(
             capsys,
@@ -356,6 +372,24 @@ class TestOutputFormats:
         for atom, row in doc["mass"].items():
             for t, value in row.items():
                 assert rows[f"mass.{atom}.{t}"] == value
+
+    def test_a_mixed_rule_as_a_table_numbers_its_array_items(self, files, capsys):
+        """Arrays flatten by index: a mixed rule's breakpoints and each section's stops."""
+        argv = ["convert", "--space", files["e1.json"], "--st", files["r1.json"], "--to", "mixed"]
+        code, json_out, _ = run_capture(capsys, argv)
+        assert code == 0
+        code, table_out, _ = run_capture(capsys, argv + ["--format", "table"])
+        assert code == 0
+        rows = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in table_out.splitlines())
+        doc = json.loads(json_out)
+        expected = {f"breakpoints.{k}": r for k, r in enumerate(doc["breakpoints"])}
+        for k, section in enumerate(doc["sections"]):
+            expected[f"sections.{k}.type"] = "pure"
+            expected.update(
+                (f"sections.{k}.stop.{a}", str(t)) for a, t in section["stop"].items()
+            )
+        assert rows == {"type": "mixed", **expected}
+        assert rows["breakpoints.0"] == "0" and rows["sections.0.stop.w1"] == "1"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_capture(capsys, ["transmogrify"])

@@ -13,7 +13,9 @@ not equivalent by exactly its gap.  The seventh is that equivalence's game
 half: the witness, paid to player 1 stopping alone against an opponent who
 never stops, separates the two rules' game payoffs by the same gap, while a
 rule and its conversions pay alike against every opponent drawn.  The
-paper's theorem comes as a number next: the total variation distance D of
+eighth decides the paper's second equivalence as it is defined, by player
+1's payoffs in the one-cell games against that same opponent, and finds
+``game_equivalent``'s answer.  The paper's theorem comes as a number next: the total variation distance D of
 two rules' detailed distributions bounds every payoff gap of a problem or
 a game with payoffs in [0, 1], and the indicator of the cells where the
 first rule has more mass attains it.  Three more state that density
@@ -63,6 +65,7 @@ from stopwright import (
     empirical_game_payoff,
     enumerate_pure_stopping_times,
     equivalent,
+    game_equivalent,
     game_payoff,
     payoff,
     snell_value,
@@ -239,6 +242,20 @@ def test_a_witness_game_separates_two_rules_and_no_rule_from_its_conversions(nod
             converted = convert(eta, target, space)
             assert game_payoff(converted, never, witness_game, space) == paid, target
             assert game_payoff(converted, opponent, drawn, space) == against, target
+
+
+@PROPERTY
+@given(node_lists(max_depth=3, max_atoms=8), st.integers(0, 2**32 - 1), st.data())
+def test_game_equivalence_by_its_definition_agrees_with_the_package(nodes, seed, data):
+    """The paper's second equivalence, decided as it is defined, by the payoffs of the
+    one-cell games against a never-stopping opponent, is ``game_equivalent``'s answer: for a
+    rule against each of its conversions and against a rule drawn apart."""
+    space, rng = build_space(nodes), random.Random(seed)
+    for make in MAKERS:
+        eta = make(rng, space)
+        other = data.draw(st.sampled_from(MAKERS))(rng, space)
+        for twin in (other, *(convert(eta, target, space) for target in TARGET_TYPES)):
+            assert game_equivalent(eta, twin, space) == oracles.game_equivalent(eta, twin, space)
 
 
 @PROPERTY

@@ -5,6 +5,8 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    AdaptedProcess,
+    BehaviorStoppingTime,
     ProbabilitySumError,
     SpaceMismatch,
     StructureError,
@@ -19,6 +21,7 @@ from stopwright import (
     snell_value,
     validate,
 )
+from stopwright.space import Violation
 from stopwright.stopping import density_table
 
 from fuzz import E1_NODES, random_process, random_randomized, random_space
@@ -320,3 +323,14 @@ class TestProcesses:
         proc = constant_process(singleton, 1)
         with pytest.raises(SpaceMismatch):
             check_process(e1, proc)
+
+    @pytest.mark.parametrize("table", [[1, 2], None, 5])
+    def test_a_top_level_table_that_is_not_a_mapping(self, e1, table):
+        """A rule's table that is no mapping is a Malformed Violation, and a process's values
+        a SpaceMismatch, never a TypeError."""
+        fault = validate(BehaviorStoppingTime(beta=table), e1)
+        assert (fault.kind, fault.detail) == ("Malformed", "beta is not a mapping")
+        assert e1.read(table, "rho", {}) == Violation("Malformed", detail="rho is not a mapping")
+        process = AdaptedProcess(values=table, infinity=dict.fromkeys(e1.atoms, 0))
+        with pytest.raises(SpaceMismatch, match="process values is not a mapping"):
+            snell_value(process, e1)

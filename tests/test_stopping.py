@@ -48,11 +48,15 @@ from stopwright.stopping import (
     StoppingMeasure,
     _check_pure,
     check,
+    density_table,
 )
+from stopwright.serialize import stopping_time_to_doc
 from stopwright.convert import TARGET_TYPES
 
+import oracles
 from fuzz import (
     MAKERS,
+    fixture_spaces,
     make_r1,
     negate_process,
     random_game,
@@ -532,6 +536,16 @@ class TestEquivalent:
         del rng
 
 
+@pytest.mark.parametrize("thing", [None, {"w1": 1}, StoppingMeasure({})])
+def test_a_non_rule_is_refused_by_its_type(e1, thing):
+    """``density_table`` and the rule writer raise TypeError naming what they were handed."""
+    name = type(thing).__name__
+    with pytest.raises(TypeError, match=f"not a stopping rule: {name}$"):
+        density_table(thing, e1)
+    with pytest.raises(TypeError, match=f"not a stopping rule: {name}$"):
+        stopping_time_to_doc(thing)
+
+
 class TestEnumeration:
     def test_e1_has_25_pure_rules(self, e1):
         rules = enumerate_pure_stopping_times(e1)
@@ -552,6 +566,21 @@ class TestEnumeration:
             assert len({tuple(sorted(r.stop.items(), key=str)) for r in rules}) == len(rules)
             for r in rules:
                 assert validate(r, space) is None
+
+    def test_agrees_with_the_construction_on_block_ids(self):
+        """The same rules in the same order, each stop table keyed in the same order, as the
+        oracle's merge of block-keyed tables: on the fixture spaces, on drawn spaces of depth
+        up to 3, and on a chain of 40 periods."""
+        rng = random.Random(27)
+        drawn = [random_space(rng, max_depth=3, max_branch=2) for _ in range(20)]
+        nodes = [{"id": f"c{n}", "parent": f"c{n - 1}" if n else None} for n in range(41)]
+        chain = build_space(nodes[:-1] + [{**nodes[-1], "prob": 1}])
+        for space in fixture_spaces() + drawn + [chain]:
+            rules = enumerate_pure_stopping_times(space)
+            expected = oracles.enumerate_pure_stopping_times(space)
+            assert [list(r.stop.items()) for r in rules] == [list(r.stop.items()) for r in expected]
+            assert rules == expected
+        assert len(rules) == 41
 
     def test_r1_reachable_as_mixture_support(self, e1):
         table = detailed_distribution(make_r1(), e1)
