@@ -212,12 +212,16 @@ def _dispatch(args) -> dict:
         return {"equivalent": equivalent(eta1, eta2, space)}
 
     if args.command == "payoff":
-        doc = {"payoff": rational_str(payoff(eta1, problem, space))}
-        if args.epsilon is not None:
-            epsilon = parse_rational(args.epsilon)
-            doc["epsilon"] = rational_str(epsilon)
-            doc["epsilon_optimal"] = check_epsilon_optimal(eta1, problem, epsilon, space)
-        return doc
+        if args.epsilon is None:
+            return {"payoff": rational_str(payoff(eta1, problem, space))}
+        # as in eq-check, the epsilon is parsed and judged before any pairing
+        epsilon = parse_rational(args.epsilon)
+        optimal = check_epsilon_optimal(eta1, problem, epsilon, space)
+        return {
+            "payoff": rational_str(payoff(eta1, problem, space)),
+            "epsilon": rational_str(epsilon),
+            "epsilon_optimal": optimal,
+        }
 
     if args.command == "snell":
         result = snell_value(problem, space)

@@ -9,6 +9,7 @@ here are the entire computational content of that equivalence.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional
 
@@ -151,19 +152,25 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     tables that were inconsistent to begin with.
 
     The candidate is ``{n: {block_id: value}}`` and may leave cells out, which read as 0.
-    Raises ValidationError for a time the space does not have (``FilteredSpace.level``
-    judges it: ``1.0`` or ``True`` is no time 1), or a block not of its time.
+    Raises ValidationError for a candidate or a row that is not a mapping, a time the space
+    does not have (``FilteredSpace.level`` judges it: ``1.0`` or ``True`` is no time 1), or a
+    block not of its time.
 
     A value clipped at the unspent mass spends exactly that mass, so by
     induction down each path the mass spent at a block after clipping is
     ``min(den, spent)`` of the values clipped at 0 alone: one spent pass.
     """
     table = fraction_table(candidate)
+    if not isinstance(table, Mapping):
+        raise ValidationError("candidate is not a mapping")
     for n, row in table.items():
         try:
-            unknown = ordered(set(row).difference(space.level(n)))
+            level = space.level(n)
         except KeyError:
             raise ValidationError(f"candidate has time {n!r} outside 1..{space.horizon}") from None
+        if not isinstance(row, Mapping):
+            raise ValidationError(f"candidate row at time {n} is not a mapping")
+        unknown = ordered(set(row).difference(level))
         if unknown:
             raise ValidationError(f"candidate has unknown block {unknown[0]!r} at time {n}")
     raw, den = integers([table.get(n, {}).get(b, ZERO) for n, b in zip(space.depth, space.ids)])

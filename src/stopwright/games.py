@@ -41,6 +41,7 @@ from .stopping import (
     density_of,
     detailed_distribution,
     equivalent,
+    mass_of,
 )
 
 PLAYERS = (1, 2)
@@ -140,19 +141,20 @@ def game_payoff(
 ) -> tuple[Fraction, Fraction]:
     """Expected payoff pair: each player's payoff in the auxiliary problem the other sets."""
     return tuple(
-        _pair(d, opponent.derive(_folded, space, *key), space)
-        for d, opponent, key in _faced(eta1, eta2, game, space)
+        _pair(mass, opponent.derive(_folded, space, *key))
+        for mass, opponent, key in _faced(eta1, eta2, game, space)
     )
 
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
-    """Per player: their density table, the opponent's kept check, and the key of the problem
-    the opponent sets, ``(the game's Kept, player)``; validates each input once."""
+    """Per player: their kept stop-mass Table (``mass_of``), the opponent's kept check, and the
+    key of the problem the opponent sets, ``(the game's Kept, player)``; validates each input
+    once."""
     kept = kept_game(game, space)
     two, one = check(eta2, space), check(eta1, space)
     return (
-        (one.derive(density_of, space), two, (kept, 1)),
-        (two.derive(density_of, space), one, (kept, 2)),
+        (one.derive(mass_of, space), two, (kept, 1)),
+        (two.derive(mass_of, space), one, (kept, 2)),
     )
 
 
@@ -349,7 +351,7 @@ def check_epsilon_equilibrium(
     """
     slack = _epsilon(epsilon)
     return all(
-        _pair(d, opponent.derive(_folded, space, *key), space)
+        _pair(mass, opponent.derive(_folded, space, *key))
         >= opponent.derive(_best, space, *key).value - slack
-        for d, opponent, key in _faced(eta1, eta2, game, space)
+        for mass, opponent, key in _faced(eta1, eta2, game, space)
     )

@@ -26,7 +26,7 @@ from .space import (
     as_fraction,
     ordered,
 )
-from .stopping import PureStoppingTime, RandomStoppingTime, density_table
+from .stopping import PureStoppingTime, RandomStoppingTime, check, density_table, mass_of
 
 
 class SnellResult(NamedTuple):
@@ -46,11 +46,11 @@ class DistinguishResult:
 def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
     """Expected payoff of ``problem`` under the stopping rule ``eta``.
 
-    The pairing of the rule's densities with the payoff table, block by
-    block: stop mass times block probability times value, plus the
-    never-stop mass times each atom's INFINITY value.
+    The pairing of the rule's kept stop-mass Table with the payoff table, cell
+    by cell: stop mass on a block times its value, plus the never-stop mass
+    times each atom's INFINITY value.
     """
-    return _pair(density_table(eta, space), _kept(problem, space).parts, space)
+    return _pair(check(eta, space).derive(mass_of, space), _kept(problem, space).parts)
 
 
 def _kept(problem: AdaptedProcess, space: FilteredSpace) -> Kept:
@@ -59,10 +59,10 @@ def _kept(problem: AdaptedProcess, space: FilteredSpace) -> Kept:
     return space.recall(problem, lambda: space.tables(problem)[0])
 
 
-def _pair(d: Table, problem: Table, space: FilteredSpace) -> Fraction:
-    """``payoff`` on a density table and a process table, in one integer sum."""
-    total = sum(map(mul, map(mul, space.cell_mass, d.cells), problem.cells))
-    return Fraction(total, space.denominator * d.den * problem.den)
+def _pair(mass: Table, problem: Table) -> Fraction:
+    """``payoff`` on a rule's stop-mass Table (``stopping.mass_of``) and a process or fold
+    Table, in one two-way integer sum."""
+    return Fraction(sum(map(mul, mass.cells, problem.cells)), mass.den * problem.den)
 
 
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:

@@ -107,11 +107,21 @@ def read_only_rows(table):
     return ReadOnly({n: ReadOnly(r) if type(r) is dict else read_only(r) for n, r in table.items()})
 
 
-def fraction_table(table) -> ReadOnly:
-    """A per-time block table as read-only ``{n: {b: as_fraction(v)}}``, in its own order.
-    Its time keys are kept as given, for the rule check or ``check_process`` to judge."""
-    rows = {n: ReadOnly({b: as_fraction(v) for b, v in r.items()}) for n, r in table.items()}
-    return ReadOnly(rows)
+def fraction_row(row):
+    """A ``{key: value}`` row as a read-only ``{key: as_fraction(value)}``; a row that is not a
+    mapping as it is, for the rule check or ``check_process`` to report as ``Malformed``."""
+    if not isinstance(row, Mapping):
+        return row
+    return ReadOnly({k: as_fraction(v) for k, v in row.items()})
+
+
+def fraction_table(table):
+    """A per-time block table as read-only ``{n: fraction_row(row)}``, in its own order.
+    Its time keys, and a table or a row that is not a mapping, are kept as given, for the
+    rule check or ``check_process`` to judge."""
+    if not isinstance(table, Mapping):
+        return table
+    return ReadOnly({n: fraction_row(r) for n, r in table.items()})
 
 
 def time_label(t: Time) -> str:
@@ -611,7 +621,7 @@ def adapted_process(values, infinity) -> AdaptedProcess:
     """Build an AdaptedProcess, coercing ints/strings to exact Fractions."""
     return AdaptedProcess(
         values=fraction_table(values),
-        infinity={a: as_fraction(v) for a, v in infinity.items()},
+        infinity=fraction_row(infinity),
     )
 
 

@@ -42,6 +42,7 @@ from .space import (
     _exact,
     as_fraction,
     denominator_of,
+    fraction_row,
     fraction_table,
     gather,
     integers,
@@ -172,7 +173,7 @@ def pure(stop: Mapping[str, Time]) -> PureStoppingTime:
 def randomized(rho, rho_inf) -> RandomizedStoppingTime:
     return RandomizedStoppingTime(
         rho=fraction_table(rho),
-        rho_inf={a: as_fraction(v) for a, v in rho_inf.items()},
+        rho_inf=fraction_row(rho_inf),
     )
 
 
@@ -188,8 +189,11 @@ def mixed(breakpoints, sections) -> MixedStoppingTime:
 
 
 def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:
-    """Dense mass table from possibly sparse input; missing cells become 0.  Mass at an atom
-    outside the space, or at a key that is not one of its times (``is_time``), is refused."""
+    """Dense mass table from possibly sparse input; missing cells become 0.  A table or a row
+    that is not a mapping, or mass at an atom outside the space or at a key that is not one of
+    its times (``is_time``), is refused with ValidationError."""
+    if not isinstance(mass, Mapping):
+        raise ValidationError("mass table is not a mapping")
     rows = [mass.get(atom, {}) for atom in space.atoms]
     for atom, row in zip(space.atoms, rows):
         if not isinstance(row, Mapping):
@@ -427,6 +431,14 @@ def _kind(eta) -> tuple:
     if kind is None:
         raise TypeError(f"not a stopping rule: {type(eta).__name__}")
     return kind
+
+
+def mass_of(kept: Kept, space: FilteredSpace) -> Table:
+    """A valid rule's stop-mass Table, derived once beside its density Table: per cell, the
+    cell's mass (``FilteredSpace.cell_mass``) times the rule's density there.  A payoff is
+    linear in it, so each pairing with a process or fold Table is one two-way integer sum."""
+    d = kept.derive(density_of, space)
+    return Table(list(map(mul, space.cell_mass, d.cells)), space.denominator * d.den)
 
 
 def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppingTime:

@@ -235,6 +235,22 @@ class TestEvaluation:
             checked.clear()
             read.clear()
 
+    @pytest.mark.parametrize("epsilon, error", [("x", "FormatError"), ("-1", "ValidationError")])
+    def test_payoff_judges_its_epsilon_before_it_pairs(self, files, capsys, monkeypatch, epsilon, error):
+        """A bad or negative ``--epsilon`` is reported before the payoff is computed, as
+        eq-check does."""
+
+        def refuse(*args):
+            raise AssertionError("payoff computed before --epsilon was judged")
+
+        monkeypatch.setattr(stopwright.cli, "payoff", refuse)
+        args = [
+            "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
+            "--problem", files["problem.json"], "--epsilon", epsilon,
+        ]
+        code, out, err = run_capture(capsys, args)
+        assert (code, out, json.loads(err)["error"]) == (1, "", error)
+
     def test_snell(self, files, capsys):
         code, out, _ = run_capture(
             capsys, ["snell", "--space", files["e1.json"], "--problem", files["problem.json"]]

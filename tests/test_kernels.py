@@ -29,7 +29,7 @@ from stopwright import (
 from stopwright.games import _fold, _own, is_zero_sum, kept_game
 from stopwright.payoffs import _pair
 from stopwright.space import FilteredSpace
-from stopwright.stopping import BehaviorStoppingTime, density_table
+from stopwright.stopping import BehaviorStoppingTime, check, density_table, mass_of
 
 from fuzz import (
     MAKERS,
@@ -110,7 +110,9 @@ def assert_passes_agree(rng, space, rules, problem, game):
         # pairing
         assert payoff(eta, problem, space) == oracles.pair(public, problem, space)
         (table,) = space.tables(problem)
-        assert _pair(d, table, space) == oracles.pair(public, problem, space)
+        assert _pair(check(eta, space).derive(mass_of, space), table) == oracles.pair(
+            public, problem, space
+        )
         # fold
         for player in (1, 2):
             assert auxiliary_problem(eta, game, space, player) == oracles.fold(

@@ -476,6 +476,10 @@ class TestDerived:
         rule = random_stopping_time(rng, space)
         kept = check(rule, space)
         detailed_distribution(rule, space)
+        # one game, dead at once, so the rule's own entries, its stop-mass Table among them, exist
+        first = random_zero_sum_game(random.Random(0), space)
+        check_epsilon_equilibrium(rule, rule, first, 1, space)
+        del first
         size = len(kept.derived)
         for _ in range(300):
             game = random_zero_sum_game(rng, space)

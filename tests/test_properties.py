@@ -18,9 +18,10 @@ eighth decides the paper's second equivalence as it is defined, by player
 ``game_equivalent``'s answer.  The paper's theorem comes as a number next: the total variation distance D of
 two rules' detailed distributions bounds every payoff gap of a problem or
 a game with payoffs in [0, 1], and the indicator of the cells where the
-first rule has more mass attains it.  Three more state that density
+first rule has more mass attains it.  Four more state that density
 Tables are in lowest terms, so that their equality decides equivalence as
-cross-multiplied densities do; that ``snell_value`` and
+cross-multiplied densities do; that a rule's stop-mass Table, which every
+payoff pairs, is its detailed distribution summed per cell; that ``snell_value`` and
 ``best_response_value`` reach the best pure rule; and that sampling gives,
 to the bit, what the first form of its chunk kernels gave.  The last two
 draw mutations of valid rule and process tables: every one is read to a
@@ -84,7 +85,7 @@ from stopwright.serialize import (
     stopping_time_to_doc,
 )
 from stopwright.space import Violation
-from stopwright.stopping import check, density_table
+from stopwright.stopping import check, density_table, mass_of
 
 import oracles
 from fuzz import MAKERS, random_game, random_process
@@ -276,6 +277,22 @@ def test_density_tables_are_in_lowest_terms_so_equal_exactly_when_equivalent(nod
             assert equivalent(eta, twin, space) == same
             assert (distinguish(eta, twin, space) is None) == same
         assert all(equivalent(eta, convert(eta, target, space), space) for target in TARGET_TYPES)
+
+
+@PROPERTY
+@given(node_lists(max_depth=3), st.integers(0, 2**32 - 1))
+def test_a_stop_mass_table_is_the_detailed_distribution_summed_per_cell(nodes, seed):
+    """For every rule type, ``mass_of``'s cell over its ``den`` is the rule's stop mass on that
+    cell: its detailed distribution summed over a block's atoms at the block's time, or an
+    atom's own at INFINITY."""
+    space, rng = build_space(nodes), random.Random(seed)
+    for make in MAKERS:
+        eta = make(rng, space)
+        mass = check(eta, space).derive(mass_of, space)
+        nu = detailed_distribution(eta, space).mass
+        cells = [sum(nu[a][n] for a in space.members(n, b)) for n, b in zip(space.depth, space.ids)]
+        cells += [nu[a][INFINITY] for a in space.atoms]
+        assert [F(c, mass.den) for c in mass.cells] == cells
 
 
 def unit_process(rng, space) -> AdaptedProcess:

@@ -12,7 +12,9 @@ from stopwright import (
     INFINITY,
     BehaviorStoppingTime,
     RandomizedStoppingTime,
+    SpaceMismatch,
     ValidationError,
+    adapted_process,
     behavior,
     build_space,
     constant_process,
@@ -23,6 +25,7 @@ from stopwright import (
     mixed,
     pure,
     randomized,
+    repair_densities,
     stopping_measure,
     validate,
 )
@@ -281,6 +284,50 @@ class TestValidate:
         assert validate(PureStoppingTime(shape), e1) == Violation(
             "Malformed", None, None, "stop is not a mapping"
         )
+
+    @pytest.mark.parametrize("shape", [5, [1], None])
+    def test_behavior_keeps_a_row_that_is_not_a_mapping_for_the_check(self, e1, shape):
+        """The builder keeps such a row as it is, so the rule check reports it as it does for
+        a rule built directly, never by a bare AttributeError."""
+        detail = "beta missing time 1" if shape is None else "beta is not a mapping"
+        assert validate(behavior({1: shape, 2: {}}), e1) == Violation("Malformed", 1, None, detail)
+        assert validate(behavior(shape), e1) == validate(BehaviorStoppingTime(shape), e1)
+
+    @pytest.mark.parametrize("shape", [5, [1], None])
+    def test_randomized_keeps_a_row_that_is_not_a_mapping_for_the_check(self, e1, r1, shape):
+        """As ``behavior`` does, for a row of ``rho`` and for ``rho_inf``."""
+        detail = "rho missing time 1" if shape is None else "rho is not a mapping"
+        rows = {1: shape, 2: r1.rho[2]}
+        assert validate(randomized(rows, r1.rho_inf), e1) == Violation(
+            "Malformed", 1, None, detail
+        )
+        assert validate(randomized(r1.rho, shape), e1) == Violation(
+            "Malformed", INFINITY, None, "rho_inf is not a mapping"
+        )
+
+    @pytest.mark.parametrize("shape", [5, [1], "ab"])
+    def test_a_built_process_with_a_row_that_is_not_a_mapping_is_a_mismatch(self, e1, r1, shape):
+        """``adapted_process`` keeps a row, or an INFINITY slot, that is not a mapping as it
+        is, for ``check_process`` to refuse."""
+        bad_row = adapted_process({1: shape, 2: r1.rho[2]}, r1.rho_inf)
+        with pytest.raises(SpaceMismatch, match="process blocks at time 1 do not match"):
+            payoff(r1, bad_row, e1)
+        with pytest.raises(SpaceMismatch, match="INFINITY slot does not match"):
+            payoff(r1, adapted_process(r1.rho, shape), e1)
+
+    @pytest.mark.parametrize("shape", [5, [1], None])
+    def test_repair_densities_refuses_a_row_that_is_not_a_mapping(self, e1, r1, shape):
+        with pytest.raises(ValidationError, match="candidate row at time 1 is not a mapping"):
+            repair_densities({1: shape, 2: r1.rho[2]}, e1)
+        with pytest.raises(ValidationError, match="candidate is not a mapping"):
+            repair_densities([1], e1)
+
+    @pytest.mark.parametrize("shape", [[], 5, None])
+    def test_stopping_measure_refuses_a_table_that_is_not_a_mapping(self, e1, shape):
+        with pytest.raises(ValidationError, match="mass table is not a mapping"):
+            stopping_measure(shape, e1)
+        with pytest.raises(ValidationError, match="mass table row at 'w1' is not a mapping"):
+            stopping_measure({"w1": shape}, e1)
 
     def test_an_unknown_key_is_reported_as_itself(self, e1, b1):
         rows = {n: dict(level) for n, level in b1.beta.items()}
