@@ -21,7 +21,7 @@ from .games import (
     game_payoff,
     zero_sum_value,
 )
-from .payoffs import check_epsilon_optimal, payoff, snell_value
+from .payoffs import _optimality, payoff, snell_value
 from .serialize import (
     game_from_doc,
     measure_to_doc,
@@ -214,11 +214,11 @@ def _dispatch(args) -> dict:
     if args.command == "payoff":
         if args.epsilon is None:
             return {"payoff": rational_str(payoff(eta1, problem, space))}
-        # as in eq-check, the epsilon is parsed and judged before any pairing
+        # as in eq-check, the epsilon is parsed and judged before the one pairing
         epsilon = parse_rational(args.epsilon)
-        optimal = check_epsilon_optimal(eta1, problem, epsilon, space)
+        value, optimal = _optimality(eta1, problem, epsilon, space)
         return {
-            "payoff": rational_str(payoff(eta1, problem, space)),
+            "payoff": rational_str(value),
             "epsilon": rational_str(epsilon),
             "epsilon_optimal": optimal,
         }

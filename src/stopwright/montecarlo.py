@@ -29,7 +29,11 @@ each rule, far more than a run of samples can reach.  A game payoff
 counts only the cells the samples realize: one ``numpy.unique`` over the
 run's indices gives them in C order with their counts, the very cells and
 counts the grid's nonzero entries would give, so its float sums come out
-the same to the bit.  Only the callers that return the grid build it:
+the same to the bit.  Each cell's payoffs are one ``take`` from the game's
+flat grids: ``divmod`` by (T + 1)^2 splits its index into the atom and the
+pair of stop columns, and a (T + 1)^2 lookup, kept with the grids, maps
+the pair to the offset of the coalition that stops first at the earlier
+column.  Only the callers that return the grid build it:
 ``detailed_counts_chunk`` and the count dicts of the empirical
 distributions, which keep their zero cells.
 
@@ -39,10 +43,17 @@ A draw's outcome atom is read off the space's bucket table (``_buckets``):
 a bucket of the unit interval that holds no cumulative probability decides
 it, and only the draws in the other buckets are searched, so every draw
 gets the atom a sorted search of every draw gives.  A randomized rule's
-stop (``_threshold``) is a count of the times before it, summed down a
-(T, atoms) array, and a behavior rule's (``_hazards``) the ``argmax`` of a
-mask whose last column, "never", is True.  Each makes the same draws and
-the same float comparisons as a per-row search for the first stop would.
+stop (``_threshold``) is read the same way off a per-atom table of K
+buckets, K at least 16 per time (``_stop_table``, kept with the sampler on
+the rule's check): a bucket that holds none of the atom's positive
+cumulative masses gives the count of the times before the stop, and only
+a draw in another bucket (about 1% on a binary tree of depth 10) is compared with
+its atom's masses.  A behavior rule's stop (``_hazards``) is the
+``argmax`` of a contiguous mask of draws below the hazards, gathered with
+``take`` and filled a block of draws at a time, so its float temporaries
+stay small; a row whose ``argmax`` cell is False has no stop.  Each
+kernel makes the same draws, in the same order, and the same float
+comparisons as a per-row search for the first stop would.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ def _outcomes(cum: np.ndarray, buckets: np.ndarray, u: np.ndarray) -> np.ndarray
     """Per draw ``u``, the first atom whose cumulative probability reaches it,
     ``searchsorted(cum, u, side="left")``: read off its bucket, or searched for in an
     ambiguous one."""
-    atom = buckets[(u * len(buckets)).astype(np.intp)]
+    atom = buckets.take((u * len(buckets)).astype(np.intp))
     ambiguous = np.flatnonzero(atom < 0)
     atom[ambiguous] = np.searchsorted(cum, u[ambiguous], side="left")
     return atom
@@ -115,8 +126,9 @@ def _stop_columns(eta: RandomStoppingTime, space: FilteredSpace):
 
     Columns 0..T-1 are times 1..T and column T is "never".  The rule is checked here, and
     the sampler is built once per kept check from the check's parts: a randomized rule's
-    cumulative masses from its spent pass, a mixed rule's cuts from its integer weights
-    (``int / int`` rounds as ``float`` of the Fraction does).  It only draws and looks up.
+    cumulative masses from its spent pass, with their stop table (``_stop_table``), a mixed
+    rule's cuts from its integer weights (``int / int`` rounds as ``float`` of the Fraction
+    does).  It only draws and looks up.
     """
     return check(eta, space).derive(_SAMPLERS[type(eta)], space)
 
@@ -128,27 +140,65 @@ def _columns(stops, space: FilteredSpace) -> np.ndarray:
 
 
 def _pick(table, rng, atom_idx):
-    return table[atom_idx]
+    return table.take(atom_idx)
 
 
-def _threshold(cum, rng, atom_idx):
+def _stop_table(cum: np.ndarray) -> np.ndarray:
+    """Per atom and bucket ``[k/K, (k+1)/K)``, the stop column of every draw in it, or -1 if
+    one of the atom's positive cumulative masses lies in the bucket.
+
+    ``cum`` is (T, atoms).  K is the least power of two at least 16 per time, so ``r * K`` is
+    exact and ``floor(cum * K)`` is a mass's bucket.  A draw's column is the count of the
+    masses below it, zero masses always counted: with each positive mass keyed one past its
+    bucket and a zero mass 0, the count at bucket k is that of the keys up to k, the same for
+    every draw of a bucket that no key k + 1 marks.  Each atom's row is its columns repeated
+    over the runs between its sorted keys, in the least signed dtype holding T + 1.
+    """
+    T, atoms = cum.shape
+    K = 1 << (16 * T - 1).bit_length()
+    keys = (cum.T * K).astype(np.intp) + (cum.T > 0)  # (atoms, T), nondecreasing per atom
+    runs = np.diff(np.minimum(keys, K), axis=1, prepend=0, append=K)
+    column = np.arange(T + 1, dtype=np.min_scalar_type(-(T + 1)))
+    table = np.repeat(np.tile(column, atoms), runs.ravel()).reshape(atoms, K)
+    marked = (keys > 0) & (keys <= K)
+    table.ravel()[(keys + np.arange(0, atoms * K, K)[:, None] - 1)[marked]] = -1
+    return table
+
+
+def _threshold(parts, rng, atom_idx):
     """The first time whose positive cumulative mass reaches the draw, else column T.
 
-    ``cum`` is (T, atoms), nondecreasing down each column, so that time is the count of
-    the times before it: those whose mass is below the draw, or zero for a draw of 0.0,
-    which the floor of the draw at the least positive float counts."""
-    r = np.maximum(rng.random(len(atom_idx)), 5e-324)
-    return np.add.reduce(cum[:, atom_idx] < r, axis=0, dtype=np.intp)
+    ``parts`` is the (T, atoms) cumulative masses ``cum``, nondecreasing down each column, and
+    their ``_stop_table``.  That time is the count of the times before it: those whose mass is
+    below the draw, or zero for a draw of 0.0, which the floor of the draw at the least
+    positive float counts.  The table gives it for a draw in an unmarked bucket; a draw in a
+    marked one is compared with its atom's masses."""
+    cum, table = parts
+    K = table.shape[1]
+    r = rng.random(len(atom_idx))
+    stops = table.take(atom_idx * K + (r * K).astype(np.intp)).astype(np.intp)
+    exact = np.flatnonzero(stops < 0)
+    least = np.maximum(r[exact], 5e-324)
+    stops[exact] = np.add.reduce(cum[:, atom_idx[exact]] < least, axis=0, dtype=np.intp)
+    return stops
 
 
 def _hazards(hazard, rng, atom_idx):
     """The first time whose draw falls below its hazard, else column T: ``argmax`` finds the
-    first True of each row, and a last column of True ends every row."""
+    first True of each row, and a row whose first cell by it is False has none.
+
+    The rows are drawn and compared a block of about 8,192 draws at a time, one stream in
+    order, so the float temporaries stay small enough to be reused instead of mapped afresh.
+    """
     n, T = len(atom_idx), hazard.shape[1]
-    stops = np.empty((n, T + 1), bool)
-    np.less(rng.random((n, T)), hazard[atom_idx], out=stops[:, :T])
-    stops[:, T] = True
-    return stops.argmax(axis=1)
+    stops = np.empty((n, T), bool)
+    rows = max(1, 8192 // T)
+    for lo in range(0, n, rows):
+        block = atom_idx[lo : lo + rows]
+        np.less(rng.random((len(block), T)), hazard.take(block, axis=0), out=stops[lo : lo + rows])
+    first = stops.argmax(axis=1)
+    first[~stops.ravel().take(first + np.arange(0, n * T, T))] = T
+    return first
 
 
 def _sections(cuts, section_cols, rng, atom_idx):
@@ -157,15 +207,15 @@ def _sections(cuts, section_cols, rng, atom_idx):
     return section_cols[k, atom_idx]
 
 
+def _randomized(kept: Kept, space: FilteredSpace):
+    cum = np.array([c / kept.parts[0].den for c in kept.parts[1]])[_space_arrays(space)[2].T]
+    return partial(_threshold, (cum, _stop_table(cum)))
+
+
 #: Per rule type, its sampler from its kept check's parts.
 _SAMPLERS = {
     PureStoppingTime: lambda kept, space: partial(_pick, _columns(kept.parts, space)),
-    RandomizedStoppingTime: lambda kept, space: partial(
-        _threshold,
-        np.ascontiguousarray(  # (T, atoms)
-            np.array([c / kept.parts[0].den for c in kept.parts[1]])[_space_arrays(space)[2].T]
-        ),
-    ),
+    RandomizedStoppingTime: _randomized,
     BehaviorStoppingTime: lambda kept, space: partial(
         _hazards, np.array([float(h) for h in kept.parts])[_space_arrays(space)[2]]
     ),
@@ -316,19 +366,21 @@ def empirical_game_payoff(
     ``samples`` and ``seed`` are checked before any rule or the game.
     """
     _check_sampling_args(samples, seed)
-    grids = kept_game(game, space).derive(_payoff_grids, space)
+    grids, lookup = kept_game(game, space).derive(_payoff_grids, space)
     chunks, shape = _chunks((eta1, eta2), space, samples, seed)
     cells, counts = np.unique(np.concatenate([*chunks]), return_counts=True)
-    i, j1, j2 = np.unravel_index(cells, shape)
-    coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
-    terms = counts * grids[:, coalition, i, np.minimum(j1, j2)]
+    atom, stops = np.divmod(cells, len(lookup))
+    terms = counts * grids.take(lookup.take(stops) + atom * shape[1], axis=1)
     sums = np.add.accumulate(terms, axis=1)[:, -1].tolist()
     # a sum started at 0.0 never ends at -0.0: adding 0.0 maps -0.0 to 0.0 and keeps the rest
     return tuple((s + 0.0) / samples for s in sums)
 
 
-def _payoff_grids(game: Kept, space: FilteredSpace) -> np.ndarray:
-    """Float payoffs by (player, coalition, atom, stop column), column T meaning INFINITY.
+def _payoff_grids(game: Kept, space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Float payoffs by player and flat (coalition, atom, stop column), column T meaning
+    INFINITY, and per pair of stop columns ``(j1, j2)``, flat ``j1 * (T + 1) + j2``, the
+    offset of its coalition's grid at column ``min(j1, j2)``: an atom's cell is then that
+    offset plus ``atom * (T + 1)``.
 
     The game's tables share one denominator; ``num / den`` of Python
     integers rounds exactly as ``float`` of the Fraction does.
@@ -339,4 +391,8 @@ def _payoff_grids(game: Kept, space: FilteredSpace) -> np.ndarray:
     for t in game.parts:
         cells = np.array([n / den for n in t.cells], float)
         grids.append(np.column_stack((cells[paths], cells[space.root :])))
-    return np.stack(grids).reshape(2, 3, len(space.atoms), space.horizon + 1)
+    j = np.arange(space.horizon + 1)
+    j1, j2 = j[:, None], j[None, :]
+    coalition = np.where(j1 < j2, 0, np.where(j2 < j1, 1, 2))  # COALITIONS' order
+    lookup = coalition * (len(space.atoms) * len(j)) + np.minimum(j1, j2)
+    return np.stack(grids).reshape(2, -1), lookup.ravel()

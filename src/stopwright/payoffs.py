@@ -155,8 +155,17 @@ def check_epsilon_optimal(
     randomization can exceed: the expected payoff is linear in the mass
     table and every mass table is a mixture of pure rules.
     """
+    return _optimality(eta, problem, epsilon, space)[1]
+
+
+def _optimality(
+    eta: RandomStoppingTime, problem: AdaptedProcess, epsilon, space: FilteredSpace
+) -> tuple[Fraction, bool]:
+    """The rule's payoff, from one pairing, and whether it is within ``epsilon`` of the optimum;
+    the epsilon is judged before the pairing."""
     slack = _epsilon(epsilon)
-    return payoff(eta, problem, space) + slack >= snell_value(problem, space).value
+    value = payoff(eta, problem, space)
+    return value, value + slack >= snell_value(problem, space).value
 
 
 def _epsilon(epsilon) -> Fraction:

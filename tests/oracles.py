@@ -364,9 +364,11 @@ def outcomes(cum, buckets, u):
     return np.searchsorted(cum, u, side="left")
 
 
-def threshold(cum, rng, atom_idx):
+def threshold(parts, rng, atom_idx):
     """A randomized rule's stop column: per sample, the first time whose positive cumulative
-    mass reaches its draw, else T.  ``cum`` is (T, atoms), as the sampler keeps it."""
+    mass reaches its draw, else T.  ``parts`` is the sampler's: the cumulative masses ``cum``,
+    (T, atoms), and their stop table, which is not read."""
+    cum, _ = parts
     r = rng.random(len(atom_idx))
     rows = cum.T[atom_idx]
     return first_true((rows > 0) & (rows >= r[:, None]), cum.shape[0])

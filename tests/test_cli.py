@@ -235,6 +235,25 @@ class TestEvaluation:
             checked.clear()
             read.clear()
 
+    @pytest.mark.parametrize("epsilon", [None, "0", "5/8"])
+    def test_payoff_pairs_once_per_run(self, files, capsys, monkeypatch, epsilon):
+        """With or without ``--epsilon``, a run pairs the rule with the problem once, and reports
+        the payoff that pairing gives."""
+        pairs, real = [], stopwright.payoffs._pair
+
+        def spy(*args):
+            pairs.append(real(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(stopwright.payoffs, "_pair", spy)
+        args = [
+            "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
+            "--problem", files["problem.json"],
+        ]
+        code, out, _ = run_capture(capsys, args + ([] if epsilon is None else ["--epsilon", epsilon]))
+        assert code == 0 and len(pairs) == 1
+        assert json.loads(out)["payoff"] == str(pairs[0]) == "3/8"
+
     @pytest.mark.parametrize("epsilon, error", [("x", "FormatError"), ("-1", "ValidationError")])
     def test_payoff_judges_its_epsilon_before_it_pairs(self, files, capsys, monkeypatch, epsilon, error):
         """A bad or negative ``--epsilon`` is reported before the payoff is computed, as
@@ -244,6 +263,7 @@ class TestEvaluation:
             raise AssertionError("payoff computed before --epsilon was judged")
 
         monkeypatch.setattr(stopwright.cli, "payoff", refuse)
+        monkeypatch.setattr(stopwright.payoffs, "_pair", refuse)
         args = [
             "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
             "--problem", files["problem.json"], "--epsilon", epsilon,

@@ -7,6 +7,7 @@ import gc
 import operator
 import pickle
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from types import MappingProxyType
@@ -37,8 +38,8 @@ from stopwright import (
 )
 from stopwright.convert import TARGET_TYPES
 from stopwright.games import StoppingGame, _against, _folded, kept_game
-from stopwright.montecarlo import detailed_counts_chunk
-from stopwright.space import AdaptedProcess, ReadOnly, Violation
+from stopwright.montecarlo import _stop_columns, detailed_counts_chunk
+from stopwright.space import AdaptedProcess, FilteredSpace, ReadOnly, Violation
 from stopwright.stopping import (
     BehaviorStoppingTime,
     MixedStoppingTime,
@@ -490,6 +491,42 @@ class TestDerived:
             assert len(kept.crossed) == 0 and len(kept.derived) == size
         gc.collect()
         assert list(space._kept) == [(type(rule), id(rule))]
+
+    def test_a_randomized_rule_takes_its_stop_table_along(self):
+        """A randomized rule's sampler and its stop table are derived on the rule's check, so rule
+        after rule built, sampled and dropped leaves neither kept entries nor memory behind."""
+        rng = random.Random(1307)
+        nodes, frontier = [{"id": "r", "parent": None}], ["r"]
+        for _ in range(6):  # 64 atoms, T = 6: a table of 64 x 128 buckets
+            frontier = [f"{parent}.{i}" for parent in frontier for i in range(2)]
+            nodes += [{"id": node, "parent": node.rsplit(".", 1)[0]} for node in frontier]
+        for node in nodes[-len(frontier) :]:
+            node["prob"] = F(1, len(frontier))
+        space = FilteredSpace(nodes)
+        other, game = random_behavior(rng, space), random_game(rng, space)
+
+        def run() -> int:
+            rule = random_randomized(rng, space)
+            empirical_detailed_distribution(rule, space, 500, 1)
+            empirical_game_payoff(rule, other, game, space, 500, 1)
+            return _stop_columns(rule, space).args[0][1].nbytes
+
+        table = run()  # the space's arrays, and the opponent's and the game's, are kept from here
+        entries = set(space._kept)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                run()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(60):
+                run()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table == 64 * 128 and set(space._kept) == entries
+        assert grown < table
 
     def test_a_game_takes_everything_derived_from_it_along_by_refcount_alone(self):
         rng = random.Random(1306)

@@ -2,7 +2,7 @@ import copy
 import math
 import random
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, cycle, product
 
 import numpy as np
 import pytest
@@ -30,14 +30,17 @@ from stopwright import (
     randomized_to_mixed,
     stopping_game,
 )
+from stopwright.games import kept_game
 from stopwright.montecarlo import (
     CHUNK_SIZE,
     _buckets,
     _counter,
     _hazards,
     _outcomes,
+    _payoff_grids,
     _space_arrays,
     _stop_columns,
+    _stop_table,
     _threshold,
     chunk_plan,
     detailed_counts_chunk,
@@ -338,6 +341,46 @@ class TestGamePayoffMatchesPerCellLoop:
             got = empirical_game_payoff(eta1, eta2, game, space, samples, seed)
             assert [x.hex() for x in got] == [x.hex() for x in expected]
 
+    @staticmethod
+    def flat_lookup_space():
+        """Four periods, one to three children per node and atoms of unequal probability."""
+        nodes, frontier, widths = [{"id": "r", "parent": None}], ["r"], cycle([2, 1, 3])
+        for _ in range(4):
+            children = [(f"{parent}.{i}", parent) for parent in frontier for i in range(next(widths))]
+            nodes += [{"id": child, "parent": parent} for child, parent in children]
+            frontier = [child for child, _ in children]
+        weights = [k % 5 + 1 for k in range(len(frontier))]
+        for node, w in zip(nodes[-len(frontier) :], weights):
+            node["prob"] = F(w, sum(weights))
+        return FilteredSpace(nodes)
+
+    def test_flat_lookup_reads_each_cell_of_the_game(self):
+        """On a space of T = 4 with uneven atoms, ``_payoff_grids``' flat lookup gives, for every
+        atom and pair of stop columns, each player's payoff of the coalition that stops first,
+        at the earlier time; and every pair of rule types' means equal the per-cell loop."""
+        rng = random.Random(53)
+        space = self.flat_lookup_space()
+        T, atoms = space.horizon, len(space.atoms)
+        assert T >= 3 and len(set(space.atom_mass)) > 1
+        game = random_game(rng, space)
+        grids, lookup = kept_game(game, space).derive(_payoff_grids, space)
+        assert grids.shape == (2, 3 * atoms * (T + 1)) and lookup.shape == ((T + 1) ** 2,)
+        times = space.times
+        for i, atom in enumerate(space.atoms):
+            for j1, j2 in product(range(T + 1), repeat=2):
+                t1, t2 = times[j1], times[j2]
+                c = ONLY_1 if t1 < t2 else ONLY_2 if t2 < t1 else BOTH
+                cell = lookup[j1 * (T + 1) + j2] + i * (T + 1)
+                for k, player in enumerate((1, 2)):
+                    value = game.process(player, c).value_at(space, min(t1, t2), atom)
+                    assert grids[k, cell] == float(value)
+        rules = [make(rng, space) for make in MAKERS]
+        for eta1, eta2 in product(rules, repeat=2):
+            total = dense_total((eta1, eta2), space, 5000, 3)
+            expected = oracles.empirical_game_payoff(total, game, space, 5000)
+            got = empirical_game_payoff(eta1, eta2, game, space, 5000, 3)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
     def test_payoffs_that_round_to_minus_zero(self, e1, r1, b1):
         # every term is -0.0; a sum started at 0.0 stays 0.0
         tiny = constant_process(e1, F(-1, 10**400))
@@ -415,13 +458,16 @@ class TestOneSpentPass:
 
 
 class FixedDraws:
-    """A generator stand-in: each ``random(size)`` hands out the next preset draws in that shape."""
+    """A generator stand-in: each ``random(size)`` hands out the next preset draws of one stream,
+    in order, in that shape, as a generator hands out its own."""
 
-    def __init__(self, *draws):
-        self.draws = iter(draws)
+    def __init__(self, draws):
+        self.draws, self.used = np.asarray(draws, float).ravel(), 0
 
     def random(self, size):
-        return np.asarray(next(self.draws), float).reshape(size)
+        start, self.used = self.used, self.used + math.prod(np.atleast_1d(size).tolist())
+        assert self.used <= len(self.draws), "more draws asked for than preset"
+        return self.draws[start : self.used].reshape(size)
 
 
 def around(values) -> np.ndarray:
@@ -484,23 +530,55 @@ class TestSamplingKernelsMatchTheirOracles:
         draws = np.concatenate([[0.0], around(np.arange(128) / 128), around(cum)])
         assert np.array_equal(_outcomes(cum, buckets, draws), oracles.outcomes(cum, buckets, draws))
 
+    def assert_threshold_is_the_oracle_at_every_edge(self, parts):
+        """Per atom, draws at every bucket edge k/K and at every cumulative mass, each with its
+        float neighbours, and 0.0 and the least floats: the kernel's stop columns are the
+        oracle's."""
+        cum, table = parts
+        K, atoms = table.shape[1], cum.shape[1]
+        edges = np.concatenate([np.arange(K) / K, [5e-324, 1e-320, 1e-310], cum.ravel()])
+        r = np.concatenate([[0.0], around(edges)])
+        atom_idx, draws = np.repeat(np.arange(atoms), len(r)), np.tile(r, atoms)
+        got = _threshold(parts, FixedDraws(draws), atom_idx)
+        expected = oracles.threshold(parts, FixedDraws(draws), atom_idx)
+        assert got.dtype == np.intp and np.array_equal(got, expected)
+        return got
+
     def test_randomized_stop_is_the_first_positive_mass_that_reaches_the_draw(self):
-        # (T, atoms): each column nondecreasing, some all zero, some starting at the least float
+        # (T, atoms): each column nondecreasing, some all zero, some starting at the least float,
+        # one with masses sharing a bucket, one whose masses all lie on bucket edges, and one
+        # whose zero mass the least float follows
         cum = np.array(
             [
-                [0.0, 0.0, 5e-324, 0.5, 1e-320, 0.0],
-                [0.0, 0.25, 0.5, 0.5, 1e-310, 1.0],
-                [0.0, 0.25, 0.5, 0.75, 0.3, 1.0],
-                [0.0, 1.0, 0.5, 1.0, 0.3, 1.0],
+                [0.0, 0.0, 5e-324, 0.5, 1e-320, 0.0, 0.25, 1 / 64, 0.0],
+                [0.0, 0.25, 0.5, 0.5, 1e-310, 1.0, 0.25 + 2**-40, 0.5, 5e-324],
+                [0.0, 0.25, 0.5, 0.75, 0.3, 1.0, 0.25 + 2**-20, 0.5, 0.5],
+                [0.0, 1.0, 0.5, 1.0, 0.3, 1.0, 0.26, 1.0, 0.5],
             ]
         )
-        draws = np.concatenate([[0.0, 5e-324, 1e-320, 1e-310], around(cum.ravel())])
-        atom_idx = np.repeat(np.arange(cum.shape[1]), len(draws))
-        r = np.tile(draws, cum.shape[1])
-        got = _threshold(cum, FixedDraws(r), atom_idx)
-        expected = oracles.threshold(cum, FixedDraws(r), atom_idx)
-        assert np.array_equal(got, expected)
+        table = _stop_table(cum)
+        parts = (cum, table)
+        K = 1 << (16 * 4 - 1).bit_length()
+        assert table.shape == (9, K) and K >= 16 * 4 and table.dtype == np.int8
+        assert (table < 0).any() and (table >= 0).any()
+        assert (table[0] == 4).all()  # zero mass: never stops
+        assert table[1, 0] == 1 and table[6, 16] == -1  # four masses in one bucket
+        got = self.assert_threshold_is_the_oracle_at_every_edge(parts)
         assert {0, 1, 2, 3, 4} <= set(got.tolist())  # every time, and never
+
+    def test_randomized_stop_on_fuzzed_rules_at_every_edge(self):
+        """The samplers' own parts, for randomized rules on fuzzed spaces, some 12 deep."""
+        rng = random.Random(47)
+        marked = 0
+        for k in range(12):
+            space = random_space(rng, max_depth=12 if k % 3 == 0 else 4)
+            parts = _stop_columns(random_randomized(rng, space), space).args[0]
+            T = space.horizon
+            assert parts[1].shape == (len(space.atoms), 1 << (16 * T - 1).bit_length())
+            assert parts[1].dtype == np.min_scalar_type(-(T + 1))
+            marked += int((parts[1] < 0).sum())
+            self.assert_threshold_is_the_oracle_at_every_edge(parts)
+        assert marked
 
     def test_behavior_stop_is_the_first_draw_below_its_hazard(self):
         hazard = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.25, 0.25, 0.75]])
