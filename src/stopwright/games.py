@@ -77,7 +77,11 @@ def stopping_game(payoffs) -> StoppingGame:
 
 def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
     """The game's translation, kept by the space while the game lives (``FilteredSpace.recall``):
-    its ``parts`` are the six processes as Tables over one shared denominator, in ``KEYS`` order."""
+    its ``parts`` are the six processes as Tables over one shared denominator, in ``KEYS`` order.
+    Raises TypeError, before the memo is asked, unless ``game`` is a StoppingGame: the memo
+    keys other objects too."""
+    if not isinstance(game, StoppingGame):
+        raise TypeError(f"not a stopping game: {type(game).__name__}")
     return space.recall(game, lambda: space.tables(*map(game.payoffs.__getitem__, KEYS)))
 
 
@@ -147,7 +151,7 @@ def game_payoff(
 
 
 def _faced(eta1, eta2, game: StoppingGame, space: FilteredSpace):
-    """Per player: their kept stop-mass Table (``mass_of``), the opponent's kept check, and the
+    """Per player: their kept stop mass (``mass_of``), the opponent's kept check, and the
     key of the problem the opponent sets, ``(the game's Kept, player)``; validates each input
     once."""
     kept = kept_game(game, space)

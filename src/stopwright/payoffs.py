@@ -26,7 +26,7 @@ from .space import (
     as_fraction,
     ordered,
 )
-from .stopping import PureStoppingTime, RandomStoppingTime, check, density_table, mass_of
+from .stopping import PureStoppingTime, RandomStoppingTime, StopMass, check, density_table, mass_of
 
 
 class SnellResult(NamedTuple):
@@ -46,23 +46,29 @@ class DistinguishResult:
 def payoff(eta: RandomStoppingTime, problem: AdaptedProcess, space: FilteredSpace) -> Fraction:
     """Expected payoff of ``problem`` under the stopping rule ``eta``.
 
-    The pairing of the rule's kept stop-mass Table with the payoff table, cell
-    by cell: stop mass on a block times its value, plus the never-stop mass
-    times each atom's INFINITY value.
+    The pairing of the rule's kept stop mass with the payoff table over the cells the
+    rule can stop in (its support, ``stopping.mass_of``): stop mass on a block times its
+    value, plus the never-stop mass times each atom's INFINITY value.  Raises TypeError
+    unless ``problem`` is an AdaptedProcess.
     """
     return _pair(check(eta, space).derive(mass_of, space), _kept(problem, space).parts)
 
 
 def _kept(problem: AdaptedProcess, space: FilteredSpace) -> Kept:
     """The problem's check, whose parts are its Table, read by ``check_process`` once while it
-    lives."""
+    lives.  Raises TypeError, before the memo is asked, unless ``problem`` is an
+    AdaptedProcess: the memo keys other objects too."""
+    if not isinstance(problem, AdaptedProcess):
+        raise TypeError(f"not a stopping problem: {type(problem).__name__}")
     return space.recall(problem, lambda: space.tables(problem)[0])
 
 
-def _pair(mass: Table, problem: Table) -> Fraction:
-    """``payoff`` on a rule's stop-mass Table (``stopping.mass_of``) and a process or fold
-    Table, in one two-way integer sum."""
-    return Fraction(sum(map(mul, mass.cells, problem.cells)), mass.den * problem.den)
+def _pair(mass: StopMass, problem: Table) -> Fraction:
+    """``payoff`` on a rule's stop mass (``stopping.mass_of``) and a process or fold Table, in
+    one two-way integer sum over the mass's support: the Table's cells gathered at its cell
+    numbers, or the Table's list as it is when the support is every cell."""
+    values = problem.cells if mass.gather is None else mass.gather(problem.cells)
+    return Fraction(sum(map(mul, mass.cells, values)), mass.den * problem.den)
 
 
 def snell_value(problem: AdaptedProcess, space: FilteredSpace) -> SnellResult:

@@ -26,8 +26,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul
-from typing import Mapping, Optional, Union
+from operator import itemgetter, le, mul
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ValidationError
 from .space import (
@@ -433,12 +433,37 @@ def _kind(eta) -> tuple:
     return kind
 
 
-def mass_of(kept: Kept, space: FilteredSpace) -> Table:
-    """A valid rule's stop-mass Table, derived once beside its density Table: per cell, the
-    cell's mass (``FilteredSpace.cell_mass``) times the rule's density there.  A payoff is
-    linear in it, so each pairing with a process or fold Table is one two-way integer sum."""
+class StopMass(NamedTuple):
+    """A rule's stop mass kept as its support: ``cells[k] / den`` is the mass on cell
+    ``numbers[k]``, for exactly the cells with nonzero mass, in increasing cell order.
+
+    ``gather(table.cells)`` reads a process or fold Table at ``numbers``, in that order;
+    it is ``None`` when the support is every cell, and the Table's own list is read as it
+    is.
+    """
+
+    cells: list
+    numbers: list
+    gather: Optional[Callable]
+    den: int
+
+
+def mass_of(kept: Kept, space: FilteredSpace) -> StopMass:
+    """A valid rule's stop mass as its support (``StopMass``), derived once beside its density
+    Table: per cell, the cell's mass (``FilteredSpace.cell_mass``) times the rule's density
+    there, kept on the cells where that is nonzero.  A payoff is linear in it, so each pairing
+    with a process or fold Table is one two-way integer sum over the support."""
     d = kept.derive(density_of, space)
-    return Table(list(map(mul, space.cell_mass, d.cells)), space.denominator * d.den)
+    mass = list(map(mul, space.cell_mass, d.cells))
+    numbers = list(itertools.compress(range(len(mass)), mass))
+    if len(numbers) == len(mass):
+        gather = None
+    elif len(numbers) == 1:  # an itemgetter of one index returns the item, not a sequence
+        gather = itemgetter(slice(numbers[0], numbers[0] + 1))
+    else:
+        gather = itemgetter(*numbers)
+    cells = list(itertools.compress(mass, mass))
+    return StopMass(cells, numbers, gather, space.denominator * d.den)
 
 
 def densities(eta: RandomStoppingTime, space: FilteredSpace) -> RandomizedStoppingTime:

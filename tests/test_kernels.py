@@ -17,11 +17,14 @@ from stopwright import (
     ONLY_1,
     AdaptedProcess,
     StoppingGame,
+    INFINITY,
     auxiliary_problem,
     build_space,
+    check_epsilon_equilibrium,
     densities,
     game_payoff,
     payoff,
+    pure,
     randomized_to_behavior,
     repair_densities,
     snell_value,
@@ -33,10 +36,13 @@ from stopwright.stopping import BehaviorStoppingTime, check, density_table, mass
 
 from fuzz import (
     MAKERS,
+    make_e1,
+    make_singleton,
     random_behavior,
     random_game,
     random_process,
     random_space,
+    random_stopping_time,
     random_zero_sum_game,
 )
 
@@ -234,3 +240,65 @@ def test_kernels_match_oracles_on_a_long_chain(long_chain):
     assert is_zero_sum(game, space) is oracles.is_zero_sum(game, space) is True
     assert_passes_agree(rng, space, [hazards, randomized], problem, game)
     assert_conversions_agree(rng, space, [hazards, randomized])
+
+
+def oracle_gains(eta1, eta2, game, space) -> list:
+    """Per player, the most a lone deviation gains: the optimum of the problem the opponent
+    sets, less the player's payoff in it, both from the oracles."""
+    d1, d2 = densities(eta1, space), densities(eta2, space)
+    gains = []
+    for player, own, other in ((1, d1, d2), (2, d2, d1)):
+        problem = oracles.fold(other.rho, game, space, player)
+        gains.append(oracles.snell(problem, space)[0] - oracles.pair(own, problem, space))
+    return gains
+
+
+def one_cell(rng):
+    space = make_singleton()
+    return space, pure({"w": 1})
+
+
+def every_cell(rng):
+    space = chain(6)
+    return space, chain_hazards(rng, space)
+
+
+def never(rng):
+    space = make_e1()
+    return space, pure({a: INFINITY for a in space.atoms})
+
+
+@pytest.mark.parametrize(
+    "edge, support",
+    [
+        (one_cell, lambda space: [0]),
+        (every_cell, lambda space: list(range(len(space.cell_ids)))),
+        (never, lambda space: list(range(space.root, len(space.cell_ids)))),
+    ],
+)
+def test_pairings_match_oracles_at_the_edges_of_the_support(edge, support):
+    """A support of one cell, of every cell (a chain whose hazards all lie strictly inside
+    (0, 1)) and of the atoms' INFINITY cells alone (a rule that never stops): ``payoff``,
+    ``game_payoff`` and ``check_epsilon_equilibrium`` equal the oracles' pairing, against
+    rules of every type and in both seats."""
+    rng = random.Random(edge.__name__)
+    space, eta = edge(rng)
+    mass = check(eta, space).derive(mass_of, space)
+    assert mass.numbers == support(space)
+    public = densities(eta, space)
+    for _ in range(4):
+        problem = random_process(rng, space)
+        assert payoff(eta, problem, space) == oracles.pair(public, problem, space)
+        for game in (random_game(rng, space), random_zero_sum_game(rng, space)):
+            for eta1, eta2 in ((eta, eta), (eta, random_stopping_time(rng, space))):
+                for one, two in ((eta1, eta2), (eta2, eta1)):
+                    d1, d2 = densities(one, space), densities(two, space)
+                    assert game_payoff(one, two, game, space) == (
+                        oracles.pair(d1, oracles.fold(d2.rho, game, space, 1), space),
+                        oracles.pair(d2, oracles.fold(d1.rho, game, space, 2), space),
+                    )
+                    gain = max(oracle_gains(one, two, game, space))
+                    for epsilon in {F(0), gain / 2, gain}:
+                        assert check_epsilon_equilibrium(one, two, game, epsilon, space) is (
+                            gain <= epsilon
+                        )

@@ -176,6 +176,59 @@ def results_of(source, space) -> list:
     return [detailed_distribution(source, space), densities(source, space)]
 
 
+#: Every library entry point that takes a problem, as ``call(problem, rule, space)``.
+PROBLEM_CALLS = {
+    "payoff": lambda x, eta, space: payoff(eta, x, space),
+    "snell_value": lambda x, eta, space: snell_value(x, space),
+    "check_epsilon_optimal": lambda x, eta, space: check_epsilon_optimal(eta, x, 0, space),
+}
+
+#: Every library entry point that takes a game, as ``call(game, rule, space)``.
+GAME_CALLS = {
+    "is_zero_sum": lambda x, eta, space: is_zero_sum(x, space),
+    "zero_sum_value": lambda x, eta, space: zero_sum_value(x, space),
+    "game_payoff": lambda x, eta, space: game_payoff(eta, eta, x, space),
+    "auxiliary_problem": lambda x, eta, space: auxiliary_problem(eta, x, space, 1),
+    "best_response_value": lambda x, eta, space: best_response_value(eta, x, 2, space),
+    "check_epsilon_equilibrium": lambda x, eta, space: check_epsilon_equilibrium(
+        eta, eta, x, 0, space
+    ),
+    "empirical_game_payoff": lambda x, eta, space: empirical_game_payoff(
+        eta, eta, x, space, 10, 0
+    ),
+}
+
+
+class TestWrongTypedInputs:
+    """A problem or a game of the wrong type is refused by its type, with a TypeError that names
+    it, whether or not the space has kept a check of that object under another role."""
+
+    @pytest.mark.parametrize(
+        "name, noun, wrong_kind",
+        [(name, "stopping problem", "game") for name in PROBLEM_CALLS]
+        + [(name, "stopping game", "process") for name in GAME_CALLS],
+    )
+    @pytest.mark.parametrize("wrong", ["None", "rule", "other kind"])
+    def test_is_refused_before_and_after_it_is_kept(self, name, noun, wrong_kind, wrong):
+        rng = random.Random(f"wrong {name} {wrong}")
+        space = random_space(rng, max_depth=3)
+        eta = random_behavior(rng, space)
+        call = {**PROBLEM_CALLS, **GAME_CALLS}[name]
+        thing = {
+            "None": None,
+            "rule": random_randomized(rng, space),
+            "other kind": SOURCES[wrong_kind](rng, space),
+        }[wrong]
+        message = f"not a {noun}: {type(thing).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            call(thing, eta, space)
+        if thing is not None:
+            results_of(thing, space)  # now the space keeps a check of it
+            assert space._kept[type(thing), id(thing)].ref() is thing
+            with pytest.raises(TypeError, match=message):
+                call(thing, eta, space)
+
+
 class TestReadOnly:
     @pytest.mark.parametrize("kind", sorted(SOURCES))
     def test_every_table_refuses_change_in_place(self, kind):

@@ -46,6 +46,7 @@ from stopwright.montecarlo import (
     detailed_counts_chunk,
 )
 from stopwright.space import FilteredSpace
+from stopwright.stopping import check, mass_of
 
 import oracles
 from oracles import sample_stop_time
@@ -211,6 +212,41 @@ class TestEmpiricalDistribution:
         if players == 1:  # the public one-chunk call is the same counter
             chunk = detailed_counts_chunk(r1, e1, 100, seed, 3)
             assert np.array_equal(chunk, dense_total(rules, e1, 100, seed, [(3, 100)]))
+
+
+class TestSamplerStaysOnTheSupport:
+    """The sampler never realizes a stop to which the exact stop mass gives none: every cell a
+    run realizes lies in the rule's kept support (``mass_of``)."""
+
+    @staticmethod
+    def realized(space, counts, column=None) -> set:
+        """The cells of the counted stops with a positive count: of one rule's counts, or of
+        the ``column`` of a pair of stop indices."""
+        cells = set()
+        for j, atom in enumerate(space.atoms):
+            for t, count in counts[atom].items():
+                t = t if column is None else t[column]
+                if count:
+                    cells.add(space.root + j if t == INFINITY else space.paths[j][t - 1])
+        return cells
+
+    def test_every_realized_cell_has_exact_mass_on_fuzzed_spaces(self):
+        rng = random.Random(48)
+        partial = 0
+        for seed in range(12):
+            space = random_space(rng)
+            rules = [make(rng, space) for make in MAKERS]
+            supports = [set(check(eta, space).derive(mass_of, space).numbers) for eta in rules]
+            partial += sum(len(s) < len(space.cell_ids) for s in supports)
+            for eta, support in zip(rules, supports):
+                counts = empirical_detailed_distribution(eta, space, 2000, seed).counts
+                assert self.realized(space, counts) <= support
+            for k in range(len(rules)):
+                for m in range(len(rules)):
+                    joint = empirical_joint_distribution(rules[k], rules[m], space, 2000, seed)
+                    assert self.realized(space, joint.counts, 0) <= supports[k]
+                    assert self.realized(space, joint.counts, 1) <= supports[m]
+        assert partial > 24  # most rules leave some cells without mass
 
 
 class TestEmpiricalJoint:

@@ -282,9 +282,10 @@ def test_density_tables_are_in_lowest_terms_so_equal_exactly_when_equivalent(nod
 @PROPERTY
 @given(node_lists(max_depth=3), st.integers(0, 2**32 - 1))
 def test_a_stop_mass_table_is_the_detailed_distribution_summed_per_cell(nodes, seed):
-    """For every rule type, ``mass_of``'s cell over its ``den`` is the rule's stop mass on that
-    cell: its detailed distribution summed over a block's atoms at the block's time, or an
-    atom's own at INFINITY."""
+    """For every rule type, ``mass_of``'s support, scattered back onto every cell, gives each
+    cell's mass over its ``den`` as the rule's stop mass on that cell, zero cells included: its
+    detailed distribution summed over a block's atoms at the block's time, or an atom's own at
+    INFINITY.  The support lists exactly the nonzero cells, in increasing order."""
     space, rng = build_space(nodes), random.Random(seed)
     for make in MAKERS:
         eta = make(rng, space)
@@ -292,7 +293,12 @@ def test_a_stop_mass_table_is_the_detailed_distribution_summed_per_cell(nodes, s
         nu = detailed_distribution(eta, space).mass
         cells = [sum(nu[a][n] for a in space.members(n, b)) for n, b in zip(space.depth, space.ids)]
         cells += [nu[a][INFINITY] for a in space.atoms]
-        assert [F(c, mass.den) for c in mass.cells] == cells
+        scattered = [F(0)] * len(space.cell_ids)
+        for k, c in zip(mass.numbers, mass.cells, strict=True):
+            scattered[k] = F(c, mass.den)
+        assert scattered == cells
+        assert mass.numbers == [k for k, c in enumerate(cells) if c]
+        assert all(mass.cells)
 
 
 def unit_process(rng, space) -> AdaptedProcess:
