@@ -47,7 +47,6 @@ from .stopping import (
     detailed_distribution,
     enumerate_pure_stopping_times,
     equivalent,
-    is_stopping_measure,
     mixed,
     pure,
     randomized,
@@ -57,6 +56,7 @@ from .stopping import (
 from .convert import (
     behavior_to_randomized,
     convert,
+    is_stopping_measure,
     measure_to_randomized,
     randomized_to_behavior,
     randomized_to_mixed,

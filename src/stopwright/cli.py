@@ -23,6 +23,7 @@ from .games import (
 )
 from .payoffs import _optimality, payoff, snell_value
 from .serialize import (
+    _per_atom_doc,
     game_from_doc,
     measure_to_doc,
     parse_rational,
@@ -40,18 +41,21 @@ DEFAULT_SAMPLES = 100_000
 SEED_ENV_VAR = "STOPWRIGHT_SEED"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_from(least: int):
+    """The argparse type of an int option whose least value is ``least``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
+        return value
+
+    return integer
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return value
+def _optimum(result) -> dict:
+    """An optimum's document: its value and its pure rule (``snell`` and ``br``)."""
+    return {"value": rational_str(result.value), "strategy": stopping_time_to_doc(result.strategy)}
 
 
 def _rule(doc, space):
@@ -123,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0", help="slack as a rational string (default 0)")
 
     p = add("sample", "Seeded Monte-Carlo frequencies of (outcome, stop index).", "st")
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_int_from(1), default=DEFAULT_SAMPLES)
     p.add_argument(
         "--seed",
-        type=_nonnegative_int,
+        type=_int_from(0),
         default=None,
         help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else 0)",
     )
@@ -224,11 +228,7 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "snell":
-        result = snell_value(problem, space)
-        return {
-            "value": rational_str(result.value),
-            "strategy": stopping_time_to_doc(result.strategy),
-        }
+        return _optimum(snell_value(problem, space))
 
     if args.command == "game-payoff":
         one, two = game_payoff(eta1, eta2, game, space)
@@ -246,11 +246,7 @@ def _dispatch(args) -> dict:
 
     if args.command == "br":
         result = best_response_value(eta1, game, args.player, space)
-        return {
-            "player": args.player,
-            "value": rational_str(result.value),
-            "strategy": stopping_time_to_doc(result.strategy),
-        }
+        return {"player": args.player, **_optimum(result)}
 
     if args.command == "eq-check":
         epsilon = parse_rational(args.epsilon)
@@ -268,14 +264,8 @@ def _dispatch(args) -> dict:
         return {
             "samples": args.samples,
             "seed": seed,
-            "counts": {
-                atom: {time_label(t): c for t, c in row.items()}
-                for atom, row in result.counts.items()
-            },
-            "frequencies": {
-                atom: {time_label(t): f for t, f in row.items()}
-                for atom, row in result.frequencies.items()
-            },
+            "counts": _per_atom_doc(result.counts, int),
+            "frequencies": _per_atom_doc(result.frequencies, float),
         }
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import NotAStoppingMeasure, ValidationError
 from .space import (
-    INFINITY, FilteredSpace, Kept, ReadOnly, Table, Time, fraction_table, integers, ordered
+    INFINITY, FilteredSpace, Kept, ReadOnly, Table, Time, _exact, fraction_table, integers, ordered
 )
 from .stopping import (
     BehaviorStoppingTime,
@@ -27,7 +27,7 @@ from .stopping import (
     check,
     densities,
     density_of,
-    measure_rule,
+    detailed_distribution,
 )
 
 ZERO = Fraction(0)
@@ -178,3 +178,29 @@ def repair_densities(candidate, space: FilteredSpace) -> RandomizedStoppingTime:
     rho = [spent[i] - spent[p] for i, p in enumerate(space.parent)]
     values, rho_inf = space.fractions(Table(rho + [den - spent[i] for i in space.leaf], den))
     return RandomizedStoppingTime(rho=values, rho_inf=rho_inf)
+
+
+def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:
+    """Decide the stopping-measure conditions exactly (see ``measure_rule``)."""
+    return measure_rule(nu, space) is not None
+
+
+def measure_rule(nu: StoppingMeasure, space: FilteredSpace) -> Optional[RandomizedStoppingTime]:
+    """The randomized rule whose mass table is ``nu``, or None if ``nu`` is not a stopping measure.
+
+    ``nu`` must map the space's atoms, and no other key, to rows that hold an exact mass at
+    every time of the space and at no other key (``is_time``: a row keyed ``True`` or ``1.0``
+    holds no time 1).  Then ``nu`` is a stopping measure exactly when it is the detailed
+    distribution of a randomized rule, and the rule is built as the paper builds it: each
+    block's density is read at its first atom and ``repair_densities`` makes those a rule.  A
+    stopping measure repairs to its own rule, whose mass table is ``nu``; any other table
+    repairs to a rule whose mass table is not.
+    """
+    if not isinstance(nu.mass, Mapping) or set(nu.mass) != set(space.atoms) or not all(
+        isinstance(row, Mapping) and len(row) == space.horizon + 1 and all(map(space.is_time, row))
+        and all(map(_exact, row.values())) for row in nu.mass.values()
+    ):
+        return None
+    cells = [(a[0], n) for n, level in enumerate(space.levels, start=1) for a in level.values()]
+    eta = repair_densities(space.by_block([nu.mass[a][n] / space.prob[a] for a, n in cells]), space)
+    return eta if detailed_distribution(eta, space).mass == nu.mass else None

@@ -56,7 +56,9 @@ KEYS = tuple((j, c) for j in PLAYERS for c in COALITIONS)
 
 @dataclass(frozen=True)
 class StoppingGame:
-    """Six adapted payoff processes: one per (player, stopping coalition)."""
+    """Six adapted payoff processes: one per (player, stopping coalition).  A game without one
+    of them, or with a value that is not an AdaptedProcess, is refused with ValidationError
+    naming its (player, coalition) keys."""
 
     payoffs: Mapping[tuple[int, frozenset], AdaptedProcess]
 
@@ -65,6 +67,9 @@ class StoppingGame:
         missing = [(j, set(c)) for j, c in KEYS if (j, c) not in self.payoffs]
         if missing:
             raise ValidationError(f"game is missing payoff processes for {missing}")
+        wrong = [(j, set(c)) for j, c in KEYS if not isinstance(self.payoffs[j, c], AdaptedProcess)]
+        if wrong:
+            raise ValidationError(f"game payoffs for {wrong} are not AdaptedProcesses")
 
     def process(self, player: int, coalition) -> AdaptedProcess:
         return self.payoffs[(player, frozenset(coalition))]

@@ -272,14 +272,8 @@ def detailed_counts_chunk(
 
 def chunk_plan(samples: int) -> list[tuple[int, int]]:
     """(chunk_index, chunk_size) pairs covering ``samples`` draws."""
-    plan = []
-    index, remaining = 0, samples
-    while remaining > 0:
-        size = min(CHUNK_SIZE, remaining)
-        plan.append((index, size))
-        index += 1
-        remaining -= size
-    return plan
+    starts = range(0, samples, CHUNK_SIZE)
+    return [(index, min(CHUNK_SIZE, samples - start)) for index, start in enumerate(starts)]
 
 
 def _check_sampling_args(samples: int, seed: int, chunk_index: int = 0) -> None:

@@ -234,13 +234,15 @@ def process_to_doc(process: AdaptedProcess) -> dict:
     return _write_fields(process, _PROCESS)
 
 
+def _per_atom_doc(table, write) -> dict:
+    """A ``{atom: {time: value}}`` table as a document: each time by its label, each value as
+    ``write`` writes it.  It writes a measure's masses and the CLI's sampled counts and
+    frequencies."""
+    return {atom: {time_label(t): write(v) for t, v in row.items()} for atom, row in table.items()}
+
+
 def measure_to_doc(nu: StoppingMeasure) -> dict:
-    return {
-        "mass": {
-            atom: {time_label(t): rational_str(m) for t, m in row.items()}
-            for atom, row in nu.mass.items()
-        }
-    }
+    return {"mass": _per_atom_doc(nu.mass, rational_str)}
 
 
 def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:

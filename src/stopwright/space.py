@@ -316,6 +316,8 @@ class FilteredSpace:
     """
 
     def __init__(self, tree_description):
+        if not isinstance(tree_description, Iterable):
+            raise StructureError(f"the tree is not a node list: {type(tree_description).__name__}")
         nodes, children, root = {}, {}, None
         for node in tree_description:
             if not isinstance(node, Mapping) or not isinstance(node.get("id"), str):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, le, mul
@@ -100,8 +101,9 @@ class MixedStoppingTime:
     sections: tuple[PureStoppingTime, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        object.__setattr__(self, "sections", tuple(self.sections))
+        for name in ("breakpoints", "sections"):  # a field that is no sequence is kept as it is
+            with suppress(TypeError):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def weights(self) -> tuple[Fraction, ...]:
         """Interval lengths, one per section."""
@@ -298,6 +300,8 @@ def _check_mixed(eta: MixedStoppingTime, space: FilteredSpace) -> Union[Violatio
     """The first Violation, or ``(stops, weights, den)``: each section's stop cells and
     its weight over ``den``.  Each section costs O(atoms); the first bad one is reported."""
     bps = eta.breakpoints
+    if type(bps) is not tuple or type(eta.sections) is not tuple:
+        return Violation("Malformed", detail="breakpoints and sections must be sequences")
     if len(bps) < 2 or len(eta.sections) != len(bps) - 1:
         return Violation(
             "Malformed",
@@ -494,36 +498,6 @@ def _measure(kept: Kept, space: FilteredSpace) -> StoppingMeasure:
     columns = [map(value, map(mul, space.atom_mass, map(cell, slots))) for slots in space.slots]
     rows = map(ReadOnly, map(zip, itertools.repeat(space.times), zip(*columns)))
     return StoppingMeasure(mass=ReadOnly(zip(space.atoms, rows)))
-
-
-def is_stopping_measure(nu: StoppingMeasure, space: FilteredSpace) -> bool:
-    """Decide the stopping-measure conditions exactly (see ``measure_rule``)."""
-    return measure_rule(nu, space) is not None
-
-
-def measure_rule(nu: StoppingMeasure, space: FilteredSpace) -> Optional[RandomizedStoppingTime]:
-    """The randomized rule whose mass table is ``nu``, or None if ``nu`` is not a stopping measure.
-
-    ``nu`` must hold an exact mass at every atom and time of the space, and at no other key
-    (``is_time``: a row keyed ``True`` or ``1.0`` holds no time 1).  The rule's densities
-    are read off one member atom per block, so the rule check decides that they are
-    nonnegative and sum to one, and its mass table gives back ``nu`` only if every time-``n``
-    density is constant on the time-``n`` blocks.
-    """
-    width = len(space.times)
-    if set(nu.mass) != set(space.atoms) or not all(
-        len(row) == width and all(map(space.is_time, row)) and all(map(_exact, row.values()))
-        for row in nu.mass.values()
-    ):
-        return None
-    # per cell, its density at one member atom: a block's first atom, or the atom itself
-    cells = [(space.members(n, b)[0], n) for n, b in zip(space.depth, space.ids)]
-    rho = [nu.mass[a][t] / space.prob[a] for a, t in cells + [(a, INFINITY) for a in space.atoms]]
-    rho_inf = ReadOnly(zip(space.atoms, rho[space.root :]))
-    eta = RandomizedStoppingTime(rho=space.by_block(rho), rho_inf=rho_inf)
-    if validate(eta, space) is None and detailed_distribution(eta, space).mass == nu.mass:
-        return eta
-    return None
 
 
 def equivalent(

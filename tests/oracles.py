@@ -13,7 +13,10 @@ block-keyed stop tables, the second equivalence decided by its definition
 (``game_equivalent``), and the Monte-Carlo samplers twice: as one
 exact run of a rule per sample from explicit uniform draws
 (``sample_stop_time``), and as the chunk kernels as first written, one
-sorted search per outcome draw and a per-row first True for a stop.
+sorted search per outcome draw and a per-row first True for a stop, with
+the chunk plan as the loop it was.  The stopping-measure decision is kept
+as it was first built: a candidate rule read off one member atom per block,
+validated, and its detailed distribution compared with the measure.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from stopwright import (
     stopping_game,
 )
 from stopwright.games import BOTH, COALITIONS, ONLY_1, ONLY_2, PLAYERS
-from stopwright.stopping import check
+from stopwright.montecarlo import CHUNK_SIZE
+from stopwright.space import ReadOnly, _exact
+from stopwright.stopping import check, detailed_distribution, validate
 
 
 def top_down(space):
@@ -313,6 +318,37 @@ def total_variation(d1, d2) -> Fraction:
     positive parts of ``d1``'s mass less ``d2``'s, the most mass one event can gain."""
     gains = (m - d2.mass[a][t] for a, row in d1.mass.items() for t, m in row.items())
     return sum((g for g in gains if g > 0), start=Fraction(0))
+
+
+def measure_rule(nu, space) -> Optional[RandomizedStoppingTime]:
+    """The randomized rule whose mass table is ``nu``, or None: its densities read off one
+    member atom per block, kept only if the rule is valid and its mass table is ``nu``.
+    ``nu`` must hold an exact mass at every atom and time of the space and no other key."""
+    width = len(space.times)
+    if set(nu.mass) != set(space.atoms) or not all(
+        len(row) == width and all(map(space.is_time, row)) and all(map(_exact, row.values()))
+        for row in nu.mass.values()
+    ):
+        return None
+    cells = [(space.members(n, b)[0], n) for n, b in zip(space.depth, space.ids)]
+    rho = [nu.mass[a][t] / space.prob[a] for a, t in cells + [(a, INFINITY) for a in space.atoms]]
+    rho_inf = ReadOnly(zip(space.atoms, rho[space.root :]))
+    eta = RandomizedStoppingTime(rho=space.by_block(rho), rho_inf=rho_inf)
+    if validate(eta, space) is None and detailed_distribution(eta, space).mass == nu.mass:
+        return eta
+    return None
+
+
+def chunk_plan(samples: int) -> list[tuple[int, int]]:
+    """(chunk_index, chunk_size) pairs covering ``samples`` draws, one chunk at a time."""
+    plan = []
+    index, remaining = 0, samples
+    while remaining > 0:
+        size = min(CHUNK_SIZE, remaining)
+        plan.append((index, size))
+        index += 1
+        remaining -= size
+    return plan
 
 
 def sample_stop_time(

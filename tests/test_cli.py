@@ -388,6 +388,16 @@ class TestSample:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option, value, least", [("--samples", "0", 1), ("--seed", "-1", 0)])
+    def test_an_int_option_below_its_least_value_is_a_usage_error(
+        self, files, capsys, option, value, least
+    ):
+        code, out, err = run_capture(
+            capsys, ["sample", "--space", files["e1.json"], "--st", files["r1.json"], option, value]
+        )
+        assert (code, out) == (2, "")
+        assert f"{option}: must be an integer >= {least}, got {value}" in err
+
 
 class TestOutputFormats:
     def test_table_and_json_carry_identical_numbers(self, files, capsys):

@@ -25,6 +25,7 @@ from stopwright import (
     stopping_measure,
     validate,
 )
+from stopwright.convert import measure_rule
 
 import oracles
 from fuzz import MAKERS, random_randomized, random_space, random_stopping_time
@@ -82,6 +83,92 @@ class TestMeasureToRandomized:
             assert not is_stopping_measure(nu, e1)
             with pytest.raises(NotAStoppingMeasure):
                 measure_to_randomized(nu, e1)
+
+
+def perturbations(rng, nu, space) -> dict:
+    """``nu``'s mass rows, then changed copies of them by name: one cell raised, mass moved
+    between two times of one atom, a negative cell, a wrong INFINITY cell, a row keyed ``True``
+    or ``1.0`` in place of time 1, a float mass and, when some block holds two atoms, a density
+    that is not constant inside that block."""
+    rows = {a: dict(row) for a, row in nu.mass.items()}
+    wide = [(n, m) for n, level in enumerate(space.levels, 1) for m in level.values() if len(m) > 1]
+
+    def raised(row, t):
+        row[t] += F(1, 9)
+
+    def moved(row, t):
+        shift = row[t] / 2 or F(1, 5)
+        row[t] -= shift
+        row[rng.choice([u for u in space.times if u != t])] += shift
+
+    def negative(row, t):
+        row[t] = -F(1, 11)
+
+    def wrong_infinity(row, t):
+        row[INFINITY] += F(1, 13)
+
+    def keyed(key):
+        def rekey(row, t):
+            row[key] = row.pop(1)  # ``key == 1``: dict equality alone takes it for time 1
+        return rekey
+
+    def floated(row, t):
+        row[t] = float(row[t])
+
+    def changed(change):
+        copy = {a: dict(row) for a, row in rows.items()}
+        change(copy[rng.choice(space.atoms)], rng.randint(1, space.horizon))
+        return copy
+
+    cases = {
+        "measure": rows,
+        "raised cell": changed(raised),
+        "mass moved between times": changed(moved),
+        "negative cell": changed(negative),
+        "wrong INFINITY cell": changed(wrong_infinity),
+        "row keyed True": changed(keyed(True)),
+        "row keyed 1.0": changed(keyed(1.0)),
+        "float mass": changed(floated),
+    }
+    if wide:
+        n, members = rng.choice(wide)
+        split = {a: dict(row) for a, row in rows.items()}
+        split[members[-1]][n] += F(1, 7)  # one member's density at n moves off the block's
+        split[members[-1]][INFINITY] -= F(1, 7)
+        cases["density split inside a block"] = split
+    return cases
+
+
+class TestMeasureDecision:
+    """``measure_rule`` repairs the densities read at each block's first atom and keeps the
+    rule only if its mass table is the measure: the same answer, ``repr`` included, as the
+    candidate rule built, validated and compared in ``oracles.measure_rule``."""
+
+    def test_matches_the_oracle_on_fuzzed_and_perturbed_measures(self):
+        rng = random.Random(31)
+        answers = {}
+        for _ in range(40):
+            space = random_space(rng, max_depth=3)
+            for make in MAKERS:
+                nu = detailed_distribution(make(rng, space), space)
+                for name, mass in perturbations(rng, nu, space).items():
+                    candidate = StoppingMeasure(mass=mass)
+                    got = measure_rule(candidate, space)
+                    assert repr(got) == repr(oracles.measure_rule(candidate, space)), name
+                    assert is_stopping_measure(candidate, space) is (got is not None)
+                    answers.setdefault(name, set()).add(got is not None)
+        assert answers.pop("measure") == {True}
+        assert answers.pop("mass moved between times") == {True, False}
+        assert len(answers) == 7 and all(seen == {False} for seen in answers.values()), answers
+
+    def test_a_stopping_measure_repairs_to_its_own_rule(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            space = random_space(rng, max_depth=3)
+            eta = random_stopping_time(rng, space)
+            nu = detailed_distribution(eta, space)
+            rule = measure_to_randomized(nu, space)
+            assert rule == densities(eta, space) == repair_densities(rule.rho, space)
 
 
 class TestHazardConversion:

@@ -7,6 +7,7 @@ import gc
 import operator
 import pickle
 import random
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction as F
@@ -16,10 +17,14 @@ import pytest
 
 from stopwright import (
     INFINITY,
+    NotAStoppingMeasure,
     NotZeroSum,
+    StoppingMeasure,
+    StructureError,
     ValidationError,
     auxiliary_problem,
     best_response_value,
+    build_space,
     check_epsilon_equilibrium,
     check_epsilon_optimal,
     convert,
@@ -30,14 +35,17 @@ from stopwright import (
     empirical_game_payoff,
     equivalent,
     game_payoff,
+    is_stopping_measure,
     is_zero_sum,
+    measure_to_randomized,
     payoff,
     snell_value,
+    stopping_game,
     validate,
     zero_sum_value,
 )
 from stopwright.convert import TARGET_TYPES
-from stopwright.games import StoppingGame, _against, _folded, kept_game
+from stopwright.games import KEYS, StoppingGame, _against, _folded, kept_game
 from stopwright.montecarlo import _stop_columns, detailed_counts_chunk
 from stopwright.space import AdaptedProcess, FilteredSpace, ReadOnly, Violation
 from stopwright.stopping import (
@@ -201,7 +209,10 @@ GAME_CALLS = {
 
 class TestWrongTypedInputs:
     """A problem or a game of the wrong type is refused by its type, with a TypeError that names
-    it, whether or not the space has kept a check of that object under another role."""
+    it, whether or not the space has kept a check of that object under another role.  A value
+    whose fields have the wrong type is refused by the package's own errors: a game's payoff
+    slot by ``StoppingGame``, a measure by the stopping-measure decision, a mixed rule by its
+    check and a tree by ``build_space``; none raises a bare TypeError or AttributeError."""
 
     @pytest.mark.parametrize(
         "name, noun, wrong_kind",
@@ -227,6 +238,49 @@ class TestWrongTypedInputs:
             assert space._kept[type(thing), id(thing)].ref() is thing
             with pytest.raises(TypeError, match=message):
                 call(thing, eta, space)
+
+    @pytest.mark.parametrize("build", [StoppingGame, stopping_game], ids=["class", "builder"])
+    @pytest.mark.parametrize("wrong", ["None", "5", "[]", "rule", "game"])
+    @pytest.mark.parametrize("slot", KEYS, ids=[f"{j}|{sorted(c)}" for j, c in KEYS])
+    def test_a_game_slot_that_is_no_process_is_refused_by_its_key(self, build, wrong, slot):
+        rng = random.Random(f"slot {slot} {wrong}")
+        space = random_space(rng, max_depth=3)
+        game = random_game(rng, space)
+        thing = {
+            "None": None,
+            "5": 5,
+            "[]": [],
+            "rule": random_randomized(rng, space),
+            "game": game,
+        }[wrong]
+        payoffs = {**game.payoffs, slot: thing}
+        key = re.escape(str([(slot[0], set(slot[1]))]))
+        with pytest.raises(ValidationError, match=f"game payoffs for {key} are not"):
+            build(payoffs)
+
+    @pytest.mark.parametrize("mass", ["None", "5", "None row"])
+    def test_a_mass_table_of_the_wrong_type_is_no_stopping_measure(self, mass):
+        space = random_space(random.Random(f"mass {mass}"), max_depth=3)
+        nu = StoppingMeasure(mass={"None": None, "5": 5, "None row": {space.atoms[0]: None}}[mass])
+        assert not is_stopping_measure(nu, space)
+        with pytest.raises(NotAStoppingMeasure):
+            measure_to_randomized(nu, space)
+
+    @pytest.mark.parametrize("field", ["breakpoints", "sections"])
+    @pytest.mark.parametrize("wrong", [None, 5])
+    def test_a_mixed_rule_with_a_field_of_the_wrong_type_is_malformed(self, e1, field, wrong):
+        fields = {"breakpoints": (F(0), F(1)), "sections": (PureStoppingTime({}),), field: wrong}
+        eta = MixedStoppingTime(**fields)
+        assert getattr(eta, field) is wrong
+        violation = validate(eta, e1)
+        assert violation.kind == "Malformed" and "must be sequences" in violation.detail
+        with pytest.raises(ValidationError, match="Malformed"):
+            densities(eta, e1)
+
+    @pytest.mark.parametrize("tree", [None, 5, 1.5])
+    def test_a_tree_that_is_no_node_list_is_a_structure_error(self, tree):
+        with pytest.raises(StructureError, match="the tree is not a node list"):
+            build_space(tree)
 
 
 class TestReadOnly:

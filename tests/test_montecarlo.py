@@ -214,6 +214,15 @@ class TestEmpiricalDistribution:
             assert np.array_equal(chunk, dense_total(rules, e1, 100, seed, [(3, 100)]))
 
 
+@pytest.mark.parametrize(
+    "samples", [-1, 0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE]
+)
+def test_chunk_plan_matches_the_loop(samples):
+    plan = chunk_plan(samples)
+    assert plan == oracles.chunk_plan(samples)
+    assert sum(size for _, size in plan) == max(samples, 0)
+
+
 class TestSamplerStaysOnTheSupport:
     """The sampler never realizes a stop to which the exact stop mass gives none: every cell a
     run realizes lies in the rule's kept support (``mass_of``)."""
