@@ -3,6 +3,8 @@
 Run with:  python demos/02_conversions.py
 """
 
+from itertools import accumulate
+
 from stopwright import (
     build_space,
     convert,
@@ -10,8 +12,6 @@ from stopwright import (
     equivalent,
     measure_to_randomized,
     randomized,
-    randomized_to_behavior,
-    randomized_to_mixed,
     repair_densities,
     validate,
 )
@@ -39,15 +39,26 @@ rho = randomized(
 # Stop masses -> hazards: divide by the mass not yet spent.  Where the rule
 # has surely stopped already the hazard is set to 0 (any value would do:
 # it multiplies a zero survival probability).
-haz = randomized_to_behavior(rho, space)
+haz = convert(rho, "behavior", space)
 print("hazards:")
 for n, level in haz.beta.items():
     print(f"  time {n}:", {b: str(v) for b, v in level.items()})
 
+# The space keeps one stop-cell table: space.slots[k][j] is atom j's cell at
+# the stop index space.times[k], its block at each time 1..T and then its own
+# cell at INFINITY.  Summing the stop masses along those cells gives each
+# atom's cumulative stop mass, whose values are the mixture's cuts below.
+print("\nstop cells per atom (space.slots) and cumulative stop mass:")
+for j, atom in enumerate(space.atoms):
+    cells = [row[j] for row in space.slots]  # the last is the atom's own cell at INFINITY
+    blocks = [space.cell_ids[k] for k in cells[:-1]]
+    cumulative = accumulate(rho.rho[n][b] for n, b in enumerate(blocks, start=1))
+    print(f"  {atom}: cells {cells}, blocks {blocks}, cumulative {[str(c) for c in cumulative]}")
+
 # Stop masses -> a mixture of pure rules: one uniform draw r picks the
 # first time whose cumulative stop mass reaches r.  Cutting [0,1] at every
 # cumulative sum makes the chosen rule piecewise constant in r.
-mix = randomized_to_mixed(rho, space)
+mix = convert(rho, "mixed", space)
 print("\nmixture breakpoints:", [str(r) for r in mix.breakpoints])
 for k, section in enumerate(mix.sections):
     print(f"  section {k}:", {a: str(t) for a, t in section.stop.items()})

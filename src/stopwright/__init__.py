@@ -54,12 +54,9 @@ from .stopping import (
     validate,
 )
 from .convert import (
-    behavior_to_randomized,
     convert,
     is_stopping_measure,
     measure_to_randomized,
-    randomized_to_behavior,
-    randomized_to_mixed,
     repair_densities,
 )
 from .payoffs import (
@@ -99,7 +96,6 @@ __version__ = "0.1.0"
 _MONTECARLO_NAMES = frozenset(
     (
         "EmpiricalDistribution",
-        "EmpiricalJointDistribution",
         "empirical_detailed_distribution",
         "empirical_game_payoff",
         "empirical_joint_distribution",

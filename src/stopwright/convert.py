@@ -24,8 +24,8 @@ from .stopping import (
     RandomStoppingTime,
     RandomizedStoppingTime,
     StoppingMeasure,
+    _randomized,
     check,
-    densities,
     density_of,
     detailed_distribution,
 )
@@ -41,24 +41,16 @@ def measure_to_randomized(nu: StoppingMeasure, space: FilteredSpace) -> Randomiz
     return eta
 
 
-def randomized_to_behavior(
-    eta: RandomStoppingTime, space: FilteredSpace
-) -> BehaviorStoppingTime:
+def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
     """Stop masses to hazards: divide by the mass not yet spent.
 
     A block's hazard is its stop mass over the mass left unspent at its
     parent, read off ``FilteredSpace.spent``.  Once that hits zero the
     quotient is 0/0; any convention gives the same detailed distribution
     and we pick 0, so a rule that has surely stopped never "stops again".
-    A rule of another type is read through its densities.  Masses share
-    one denominator, so each hazard is a quotient of two integers.
-    Derived once from ``eta``'s kept check: a repeat call on the same live
-    rule returns the same read-only rule.
+    Masses share one denominator, so each hazard is a quotient of two
+    integers.
     """
-    return check(eta, space).derive(_behavior, space)
-
-
-def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
     d = kept.derive(density_of, space)
     den = d.den
     unspent = [den - c for c in space.spent(d.cells)] + [den]  # the root has spent nothing
@@ -66,33 +58,20 @@ def _behavior(kept: Kept, space: FilteredSpace) -> BehaviorStoppingTime:
     return BehaviorStoppingTime(beta=space.by_block(beta))
 
 
-def behavior_to_randomized(
-    eta: BehaviorStoppingTime, space: FilteredSpace
-) -> RandomizedStoppingTime:
-    """Hazards to stop masses: survive past 1..n-1, then stop at n (see ``densities``)."""
-    return densities(eta, space)
-
-
-def randomized_to_mixed(eta: RandomStoppingTime, space: FilteredSpace) -> MixedStoppingTime:
+def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
     """Threshold the cumulative stop masses with one shared external draw.
 
     The draw r selects the first time whose cumulative mass reaches r.
     Cutting the unit interval at every cumulative sum seen on any path
     (plus 1) makes the selected rule constant on each piece, so finitely
     many pure sections carry the whole mixture.  Each section is adapted
-    because cumulative masses are.  A rule of another type is read
-    through its densities.  Derived once from ``eta``'s kept check, as
-    ``randomized_to_behavior`` is.
+    because cumulative masses are.
 
     All sections come from one pass down the tree: a block with stop mass
     stops the sections whose cut lies in (spent at its parent, spent at
     the block].  Cumulative mass only grows along a path, so the stops on
     a path come in section order.
     """
-    return check(eta, space).derive(_mixed, space)
-
-
-def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
     d = kept.derive(density_of, space)
     spent = space.spent(d.cells)
     cuts = sorted({c for c in spent if c > 0} | {d.den})
@@ -120,24 +99,29 @@ def _mixed(kept: Kept, space: FilteredSpace) -> MixedStoppingTime:
 def convert(eta: RandomStoppingTime, target_type: str, space: FilteredSpace) -> RandomStoppingTime:
     """Rewrite ``eta`` as an equivalent rule of ``target_type``.
 
-    Route: densities -> target construction.  The result always has the
-    same detailed distribution; its syntactic form is canonical for the
-    target type, not necessarily minimal.  Each conversion is derived once
-    from ``eta``'s kept check, so a repeat call on the same live rule
+    This is the one conversion entry.  Route: densities -> target
+    construction, the makers in ``_MAKERS``: a rule of any type is read
+    through its density Table, so ``"randomized"`` gives ``densities``
+    itself (``_randomized``), ``"behavior"`` divides each stop mass by the
+    mass not yet spent (``_behavior``) and ``"mixed"`` thresholds the
+    cumulative masses with one shared draw (``_mixed``).  The result always
+    has the same detailed distribution; its syntactic form is canonical for
+    the target type, not necessarily minimal.  Each conversion is derived
+    once from ``eta``'s kept check, so a repeat call on the same live rule
     returns the same read-only rule, which lives as long as ``eta`` does.
     That rule is checked on its own, the first time a call is handed it,
     never taken as valid from ``eta``'s check.
     """
     if target_type not in TARGET_TYPES:  # a tuple: an unhashable target is refused alike
         raise ValueError(f"target_type must be one of {TARGET_TYPES}, got {target_type!r}")
-    return _MAKERS[target_type](eta, space)
+    return check(eta, space).derive(_MAKERS[target_type], space)
 
 
-#: Per target type, the conversion that makes it.
+#: Per target type, the maker that builds it from a kept check.
 _MAKERS = {
-    "randomized": densities,
-    "behavior": randomized_to_behavior,
-    "mixed": randomized_to_mixed,
+    "randomized": _randomized,
+    "behavior": _behavior,
+    "mixed": _mixed,
 }
 
 TARGET_TYPES = tuple(_MAKERS)

@@ -27,11 +27,11 @@ from .space import (
     AdaptedProcess,
     FilteredSpace,
     Kept,
-    ReadOnly,
     Table,
     Time,
     is_int,
     read_only,
+    read_only_rows,
 )
 from .stopping import (
     BehaviorStoppingTime,
@@ -42,6 +42,7 @@ from .stopping import (
     detailed_distribution,
     equivalent,
     mass_of,
+    rows_of,
 )
 
 PLAYERS = (1, 2)
@@ -56,13 +57,15 @@ KEYS = tuple((j, c) for j in PLAYERS for c in COALITIONS)
 
 @dataclass(frozen=True)
 class StoppingGame:
-    """Six adapted payoff processes: one per (player, stopping coalition).  A game without one
-    of them, or with a value that is not an AdaptedProcess, is refused with ValidationError
-    naming its (player, coalition) keys."""
+    """Six adapted payoff processes: one per (player, stopping coalition).  A ``payoffs`` that
+    is not a mapping is refused with ValidationError naming it, and a game without one of the
+    six, or with a value that is not an AdaptedProcess, naming its (player, coalition) keys."""
 
     payoffs: Mapping[tuple[int, frozenset], AdaptedProcess]
 
     def __post_init__(self):
+        if not isinstance(self.payoffs, Mapping):
+            raise ValidationError(f"game payoffs is not a mapping: {type(self.payoffs).__name__}")
         object.__setattr__(self, "payoffs", read_only(self.payoffs))
         missing = [(j, set(c)) for j, c in KEYS if (j, c) not in self.payoffs]
         if missing:
@@ -76,8 +79,11 @@ class StoppingGame:
 
 
 def stopping_game(payoffs) -> StoppingGame:
-    """Build a StoppingGame from {(player, coalition): AdaptedProcess}."""
-    return StoppingGame(payoffs={(int(j), frozenset(c)): p for (j, c), p in payoffs.items()})
+    """Build a StoppingGame from {(player, coalition): AdaptedProcess}; a ``payoffs`` that is
+    not a mapping goes to the class as it is, which refuses it."""
+    if isinstance(payoffs, Mapping):
+        payoffs = {(int(j), frozenset(c)): p for (j, c), p in payoffs.items()}
+    return StoppingGame(payoffs=payoffs)
 
 
 def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
@@ -114,20 +120,24 @@ def _cancels(tables: Sequence[Table]) -> bool:
 
 @dataclass(frozen=True)
 class JointStoppingMeasure:
-    """Mass table over (atom, stop index of player 1, stop index of player 2)."""
+    """Mass table over (atom, stop index of player 1, stop index of player 2), read-only as a
+    ``StoppingMeasure``'s is."""
 
     mass: Mapping[str, Mapping[tuple[Time, Time], Fraction]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "mass", read_only_rows(self.mass))
+
     def marginal(self, space: FilteredSpace, player: int) -> StoppingMeasure:
-        """Integrate out the other player's stop index."""
+        """Integrate out the other player's stop index.  Raises ValidationError unless ``player``
+        is 1 or 2 and the table is a mapping of mappings (``rows_of``)."""
         _check_player(player)
-        rows = []
+        table, rows = rows_of(self.mass), {}
         for atom in space.atoms:
-            row = dict.fromkeys(space.times, ZERO)
-            for (t1, t2), m in self.mass[atom].items():
+            row = rows[atom] = dict.fromkeys(space.times, ZERO)
+            for (t1, t2), m in table[atom].items():
                 row[t1 if player == 1 else t2] += m
-            rows.append(ReadOnly(row))
-        return StoppingMeasure(mass=ReadOnly(zip(space.atoms, rows)))
+        return StoppingMeasure(mass=rows)
 
 
 def joint_detailed_distribution(

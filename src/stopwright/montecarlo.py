@@ -62,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -85,14 +85,14 @@ CHUNK_SIZE = 4096
 
 def _space_arrays(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The atoms' cumulative probabilities, their bucket table (``_buckets``) and the (atoms, T)
-    block paths, kept by the space as a check is, with itself as the input.  ``mass /
-    denominator`` of Python integers rounds as ``float`` of the Fraction does."""
+    block paths, ``space.slots`` at 1..T transposed into C order, kept by the space as a check
+    is, with itself as the input.  ``mass / denominator`` of Python integers rounds as
+    ``float`` of the Fraction does."""
 
     def build():
         c = np.cumsum([m / space.denominator for m in space.atom_mass])
         c[-1] = 1.0
-        paths = np.array(space.paths).reshape(len(space.atoms), space.horizon)
-        return c, _buckets(c), paths
+        return c, _buckets(c), np.array(space.slots[:-1]).T.copy()
 
     return space.recall(space, build).parts
 
@@ -306,10 +306,11 @@ def _counts(rules: tuple, space: FilteredSpace, samples: int, seed: int) -> dict
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Counts of realized (outcome, stop index) pairs from seeded sampling."""
+    """Counts of realized cells from seeded sampling, per outcome: by stop index for one rule,
+    by the pair of stop indices ``(t1, t2)`` for two."""
 
     samples: int
-    counts: Mapping[str, Mapping[Time, int]]
+    counts: Mapping[str, Mapping[Union[Time, tuple[Time, Time]], int]]
 
     @property
     def frequencies(self) -> dict[str, dict]:
@@ -317,13 +318,6 @@ class EmpiricalDistribution:
             atom: {cell: c / self.samples for cell, c in row.items()}
             for atom, row in self.counts.items()
         }
-
-
-@dataclass(frozen=True)
-class EmpiricalJointDistribution(EmpiricalDistribution):
-    """Counts of realized (outcome, stop index 1, stop index 2) triples."""
-
-    counts: Mapping[str, Mapping[tuple[Time, Time], int]]
 
 
 def empirical_detailed_distribution(
@@ -339,9 +333,9 @@ def empirical_joint_distribution(
     space: FilteredSpace,
     samples: int,
     seed: int,
-) -> EmpiricalJointDistribution:
+) -> EmpiricalDistribution:
     """Joint frequencies for two rules run on independent draw streams."""
-    return EmpiricalJointDistribution(samples, _counts((eta1, eta2), space, samples, seed))
+    return EmpiricalDistribution(samples, _counts((eta1, eta2), space, samples, seed))
 
 
 def empirical_game_payoff(

@@ -144,10 +144,10 @@ def distinguish(
     first = space.first_stop(gap)
     # the never-stop mass is what the finite times leave, so it can only
     # differ on a path whose finite densities already do
-    for atom, path, p in zip(space.atoms, space.paths, space.atom_mass):
+    for j, (atom, p) in enumerate(zip(space.atoms, space.atom_mass)):
         t = first[atom]
         if t != INFINITY:
-            mass = Fraction(p * abs(gap(path[t - 1])), space.denominator * d1.den * d2.den)
+            mass = Fraction(p * abs(gap(space.slots[t - 1][j])), space.denominator * d1.den * d2.den)
             return DistinguishResult(event=frozenset({atom}), time=t, payoff_gap=mass)
     return None
 

@@ -303,8 +303,10 @@ class FilteredSpace:
     * ``parent[i]`` is its parent's number, ``root`` (= B) at time 1, so a
       pass keeps the root's state in the last slot of a list of B + 1;
     * ``starts[n-1]:starts[n]`` are the time-``n`` blocks;
-    * ``paths[j]`` lists the blocks of atom ``j`` at times 1..T, and
-      ``leaf[j]`` is the last of them;
+    * ``slots[k][j]`` is atom ``j``'s cell at the stop index ``times[k]``:
+      its time-``n`` block at ``k = n - 1`` and its own cell B + j at
+      INFINITY, so ``slots[:-1]`` are the atoms' paths, time by time, and
+      ``leaf`` is ``slots[T - 1]``;
     * ``cell_ids`` are the ids of the cells every exact pass numbers: the
       B blocks, each at its own time, then atom ``j`` at INFINITY as cell
       B + j.  A Table, the cells ``read`` returns and a pure rule's stops
@@ -379,10 +381,10 @@ class FilteredSpace:
             total = sum(self.prob.values())
             raise ProbabilitySumError(f"atom probabilities sum to {total}, expected 1")
 
-        columns = [self.leaf]
+        slots = [[*range(B, B + len(self.atoms))], self.leaf]  # INFINITY's, then time T's
         for _ in range(T - 1):
-            columns.append(list(map(self.parent.__getitem__, columns[-1])))
-        self.paths = list(zip(*reversed(columns)))
+            slots.append(list(map(self.parent.__getitem__, slots[-1])))
+        self.slots = slots[::-1]
         # per block: its mass, its count of atoms and its first atom, which its first child,
         # the last of its children met going back, hands it
         mass, count, first = [0] * (B + 1), [0] * (B + 1), [0] * (B + 1)
@@ -439,7 +441,7 @@ class FilteredSpace:
         """The time-``n`` block containing ``atom``."""
         self.level(n)
         j = self.number(self.horizon, atom) - self.starts[-2]
-        return self.ids[self.paths[j][n - 1]]
+        return self.ids[self.slots[n - 1][j]]
 
     def number(self, n: int, block_id: str) -> int:
         """The flat number of a time-``n`` block."""
@@ -531,21 +533,12 @@ class FilteredSpace:
         """Per atom, the cell its stop index ``stops[j]`` falls in: its time's block, or its
         own cell B + j for INFINITY.  Every index must be one of ``times``.
         """
-        return list(map(getitem, self._stop_paths, map(self._position.__getitem__, stops)))
+        return list(map(getitem, map(self._slot.__getitem__, stops), range(len(self.atoms))))
 
     @cached_property
-    def _position(self) -> dict[Time, int]:
-        """Stop index -> its place on a path: time n at n - 1, INFINITY past the end."""
-        return {t: k for k, t in enumerate(self.times)}
-
-    @cached_property
-    def _stop_paths(self) -> list[tuple]:
-        return [path + (self.root + j,) for j, path in enumerate(self.paths)]
-
-    @cached_property
-    def slots(self) -> list[list[int]]:
-        """Per stop index in ``times``, each atom's cell in a Table's ``cells``."""
-        return [*map(list, zip(*self._stop_paths))]
+    def _slot(self) -> dict[Time, list[int]]:
+        """Stop index -> its row of ``slots``."""
+        return dict(zip(self.times, self.slots))
 
     # -- passes over the flat numbering ---------------------------------------
 

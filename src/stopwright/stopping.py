@@ -28,7 +28,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, le, mul
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ValidationError
 from .space import (
@@ -117,6 +117,14 @@ RandomStoppingTime = Union[
 ]
 
 
+def rows_of(mass) -> Mapping:
+    """``mass`` if it is a mapping of mappings, else ValidationError: the one test a measure's
+    queries make of its table before they read it."""
+    if not isinstance(mass, Mapping) or not all(isinstance(r, Mapping) for r in mass.values()):
+        raise ValidationError("mass table is not a mapping of mappings")
+    return mass
+
+
 @dataclass(frozen=True)
 class StoppingMeasure:
     """Mass table over (atom, stop index), read-only as a rule's tables are.
@@ -134,15 +142,17 @@ class StoppingMeasure:
         object.__setattr__(self, "mass", read_only_rows(self.mass))
 
     def total_mass(self) -> Fraction:
+        """The sum of every mass.  Raises ValidationError unless the table is a mapping of
+        mappings (``rows_of``), as each query here does."""
         return sum(
-            (m for row in self.mass.values() for m in row.values()), start=Fraction(0)
+            (m for row in rows_of(self.mass).values() for m in row.values()), start=Fraction(0)
         )
 
     def density(self, space: FilteredSpace, atom: str, t: Time) -> Fraction:
         """Stop mass at (atom, t) relative to the atom's probability.  Raises ValidationError
         unless ``atom`` is an atom of the table and of ``space``, and ``t`` a time of its row
         (``_check_time``)."""
-        if atom not in self.mass or atom not in space.prob:
+        if atom not in rows_of(self.mass) or atom not in space.prob:
             raise ValidationError(f"atom {atom!r} is not an atom of the space")
         self._check_time(t, [atom])
         return self.mass[atom][t] / space.prob[atom]
@@ -152,7 +162,7 @@ class StoppingMeasure:
         atom of ``event`` is an atom of the table, and then unless ``t`` is a time of their
         rows, or of every row for an empty event (``_check_time``)."""
         event = [*event]
-        unknown = ordered(set(event).difference(self.mass))
+        unknown = ordered(set(event).difference(rows_of(self.mass)))
         if unknown:
             raise ValidationError(f"event atom {unknown[0]!r} is not an atom of the space")
         self._check_time(t, event or self.mass)
@@ -169,7 +179,8 @@ class StoppingMeasure:
 
 
 def pure(stop: Mapping[str, Time]) -> PureStoppingTime:
-    return PureStoppingTime(stop=ReadOnly(stop))
+    """A pure rule; its class keeps a mapping read-only and anything else as it is."""
+    return PureStoppingTime(stop=stop)
 
 
 def randomized(rho, rho_inf) -> RandomizedStoppingTime:
@@ -184,10 +195,14 @@ def behavior(beta) -> BehaviorStoppingTime:
 
 
 def mixed(breakpoints, sections) -> MixedStoppingTime:
-    return MixedStoppingTime(
-        breakpoints=tuple(as_fraction(r) for r in breakpoints),
-        sections=tuple(s if isinstance(s, PureStoppingTime) else pure(s) for s in sections),
-    )
+    """A mixed rule of exact breakpoints and pure sections, a section given as its stop table
+    made pure.  A field that is not iterable goes to the class as it is, for the check to
+    report as ``Malformed``."""
+    if isinstance(breakpoints, Iterable):
+        breakpoints = tuple(map(as_fraction, breakpoints))
+    if isinstance(sections, Iterable):
+        sections = tuple(s if isinstance(s, PureStoppingTime) else pure(s) for s in sections)
+    return MixedStoppingTime(breakpoints=breakpoints, sections=sections)
 
 
 def stopping_measure(mass, space: FilteredSpace) -> StoppingMeasure:

@@ -28,7 +28,6 @@ from stopwright import (
     joint_detailed_distribution,
     payoff,
     pure,
-    randomized_to_mixed,
     snell_value,
     solve_stage_game,
     witness_problem,
@@ -80,7 +79,7 @@ def test_criterion_1_conversion_round_trips():
     e1 = make_e1()
     instances.append((e1, make_r1()))
     instances.append((e1, make_b1()))
-    instances.append((e1, randomized_to_mixed(make_r1(), e1)))
+    instances.append((e1, convert(make_r1(), "mixed", e1)))
     for maker in MAKERS:
         for _ in range(50):
             space = random_space(rng, max_depth=4, max_branch=3)
@@ -256,7 +255,7 @@ def test_criterion_6_monte_carlo():
     fixtures = [
         (e1, make_r1()),
         (e1, make_b1()),
-        (e1, randomized_to_mixed(make_r1(), e1)),
+        (e1, convert(make_r1(), "mixed", e1)),
         (e1, pure({"w1": 1, "w2": 1, "w3": 2, "w4": INFINITY})),
         (singleton, coin),
     ]

@@ -457,7 +457,6 @@ sys.exit(code)
 
 MONTECARLO_NAMES = (
     "EmpiricalDistribution",
-    "EmpiricalJointDistribution",
     "empirical_detailed_distribution",
     "empirical_game_payoff",
     "empirical_joint_distribution",

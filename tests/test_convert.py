@@ -10,7 +10,6 @@ from stopwright import (
     PureStoppingTime,
     StoppingMeasure,
     behavior,
-    behavior_to_randomized,
     convert,
     densities,
     detailed_distribution,
@@ -19,8 +18,6 @@ from stopwright import (
     measure_to_randomized,
     pure,
     randomized,
-    randomized_to_behavior,
-    randomized_to_mixed,
     repair_densities,
     stopping_measure,
     validate,
@@ -173,14 +170,14 @@ class TestMeasureDecision:
 
 class TestHazardConversion:
     def test_r1_to_behavior_matches_b1(self, e1, r1, b1):
-        assert randomized_to_behavior(r1, e1).beta == b1.beta
+        assert convert(r1, "behavior", e1).beta == b1.beta
 
     def test_immediate_stop(self, e1):
         eta = randomized(
             rho={1: {"A": 1, "B": 1}, 2: {a: 0 for a in e1.atoms}},
             rho_inf={a: 0 for a in e1.atoms},
         )
-        hazards = randomized_to_behavior(eta, e1)
+        hazards = convert(eta, "behavior", e1)
         assert all(v == 1 for v in hazards.beta[1].values())
         assert all(v == 0 for v in hazards.beta[2].values())
 
@@ -189,7 +186,7 @@ class TestHazardConversion:
             rho={1: {"A": 0, "B": 0}, 2: {a: 0 for a in e1.atoms}},
             rho_inf={a: 1 for a in e1.atoms},
         )
-        hazards = randomized_to_behavior(eta, e1)
+        hazards = convert(eta, "behavior", e1)
         assert all(v == 0 for level in hazards.beta.values() for v in level.values())
 
     def test_hazard_identity_reproduces_masses(self):
@@ -197,7 +194,7 @@ class TestHazardConversion:
         for _ in range(20):
             space = random_space(rng, max_depth=3)
             eta = random_randomized(rng, space)
-            hazards = randomized_to_behavior(eta, space)
+            hazards = convert(eta, "behavior", space)
             for atom in space.atoms:
                 survival = F(1)
                 for n in range(1, space.horizon + 1):
@@ -210,27 +207,25 @@ class TestHazardConversion:
 
 class TestBehaviorToRandomized:
     def test_b1_to_r1(self, e1, r1, b1):
-        produced = behavior_to_randomized(b1, e1)
+        produced = convert(b1, "randomized", e1)
         assert produced.rho == r1.rho
         assert produced.rho_inf == r1.rho_inf
 
     def test_all_zero_hazard(self, e1):
-        eta = behavior_to_randomized(
-            behavior(beta={1: {"A": 0, "B": 0}, 2: {a: 0 for a in e1.atoms}}), e1
-        )
+        hazards = behavior(beta={1: {"A": 0, "B": 0}, 2: {a: 0 for a in e1.atoms}})
+        eta = convert(hazards, "randomized", e1)
         assert all(v == 1 for v in eta.rho_inf.values())
 
     def test_certain_first_period(self, e1):
-        eta = behavior_to_randomized(
-            behavior(beta={1: {"A": 1, "B": 1}, 2: {a: "1/2" for a in e1.atoms}}), e1
-        )
+        hazards = behavior(beta={1: {"A": 1, "B": 1}, 2: {a: "1/2" for a in e1.atoms}})
+        eta = convert(hazards, "randomized", e1)
         assert all(v == 1 for v in eta.rho[1].values())
         assert all(v == 0 for v in eta.rho[2].values())
 
 
 class TestRandomizedToMixed:
     def test_r1_breakpoints_and_sections(self, e1, r1):
-        mix = randomized_to_mixed(r1, e1)
+        mix = convert(r1, "mixed", e1)
         assert mix.breakpoints == (F(0), F(1, 4), F(1, 2), F(1))
         assert mix.sections[0].stop == {a: 1 for a in e1.atoms}
         assert mix.sections[1].stop == {"w1": 1, "w2": 1, "w3": 2, "w4": 2}
@@ -241,7 +236,7 @@ class TestRandomizedToMixed:
             rho={1: {"A": 1, "B": 1}, 2: {a: 0 for a in e1.atoms}},
             rho_inf={a: 0 for a in e1.atoms},
         )
-        mix = randomized_to_mixed(eta, e1)
+        mix = convert(eta, "mixed", e1)
         assert mix.breakpoints == (F(0), F(1))
         assert mix.sections[0].stop == {a: 1 for a in e1.atoms}
 
@@ -250,7 +245,7 @@ class TestRandomizedToMixed:
             rho={1: {"A": 0, "B": 0}, 2: {a: 0 for a in e1.atoms}},
             rho_inf={a: 1 for a in e1.atoms},
         )
-        mix = randomized_to_mixed(eta, e1)
+        mix = convert(eta, "mixed", e1)
         assert len(mix.sections) == 1
         assert mix.sections[0].stop == {a: INFINITY for a in e1.atoms}
 
@@ -258,7 +253,7 @@ class TestRandomizedToMixed:
         rng = random.Random(8)
         for _ in range(25):
             space = random_space(rng, max_depth=3)
-            mix = randomized_to_mixed(random_randomized(rng, space), space)
+            mix = convert(random_randomized(rng, space), "mixed", space)
             assert validate(mix, space) is None
             for section in mix.sections:
                 assert validate(section, space) is None
@@ -269,12 +264,12 @@ class TestRandomizedToMixed:
             space = random_space(rng)
             for maker in MAKERS:
                 eta = maker(rng, space)
-                assert randomized_to_mixed(eta, space) == section_by_section(eta, space)
+                assert convert(eta, "mixed", space) == section_by_section(eta, space)
 
 
 class TestMixedToMeasure:
     def test_mixed_form_of_r1_reproduces_table(self, e1, r1):
-        mix = randomized_to_mixed(r1, e1)
+        mix = convert(r1, "mixed", e1)
         assert detailed_distribution(mix, e1) == detailed_distribution(r1, e1)
 
     def test_single_section(self, e1):
@@ -295,14 +290,14 @@ class TestMixedToMeasure:
         rng = random.Random(13)
         for _ in range(15):
             space = random_space(rng, max_depth=3)
-            mix = randomized_to_mixed(random_randomized(rng, space), space)
+            mix = convert(random_randomized(rng, space), "mixed", space)
             assert is_stopping_measure(detailed_distribution(mix, space), space)
 
 
 class TestConvert:
     def test_behavior_to_mixed_composes(self, e1, r1, b1):
         mix = convert(b1, "mixed", e1)
-        assert mix.breakpoints == randomized_to_mixed(r1, e1).breakpoints
+        assert mix.breakpoints == convert(r1, "mixed", e1).breakpoints
         assert equivalent(mix, b1, e1)
 
     def test_identity_target_preserves_distribution(self, e1, b1):

@@ -21,11 +21,11 @@ from stopwright import (
     auxiliary_problem,
     build_space,
     check_epsilon_equilibrium,
+    convert,
     densities,
     game_payoff,
     payoff,
     pure,
-    randomized_to_behavior,
     repair_densities,
     snell_value,
 )
@@ -173,7 +173,7 @@ def assert_conversions_agree(rng, space, rules):
     """Hazards and density repair agree with their oracles; repair keeps a valid table."""
     for eta in rules:
         public = densities(eta, space)
-        assert randomized_to_behavior(eta, space).beta == oracles.hazards(public.rho, space)
+        assert convert(eta, "behavior", space).beta == oracles.hazards(public.rho, space)
         assert repair_densities(public.rho, space) == oracles.repair(public.rho, space) == public
         for _ in range(3):
             candidate = spoiled(rng, public.rho)

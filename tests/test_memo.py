@@ -1,5 +1,5 @@
-"""Read-only rules, processes and games, and the space's memo of their checks: reused by
-identity, kept only while alive."""
+"""Read-only rules, processes, games and joint laws, and the space's memo of their checks:
+reused by identity, kept only while alive."""
 
 import copy
 import dataclasses
@@ -37,6 +37,7 @@ from stopwright import (
     game_payoff,
     is_stopping_measure,
     is_zero_sum,
+    joint_detailed_distribution,
     measure_to_randomized,
     payoff,
     snell_value,
@@ -45,7 +46,7 @@ from stopwright import (
     zero_sum_value,
 )
 from stopwright.convert import TARGET_TYPES
-from stopwright.games import KEYS, StoppingGame, _against, _folded, kept_game
+from stopwright.games import KEYS, JointStoppingMeasure, StoppingGame, _against, _folded, kept_game
 from stopwright.montecarlo import _stop_columns, detailed_counts_chunk
 from stopwright.space import AdaptedProcess, FilteredSpace, ReadOnly, Violation
 from stopwright.stopping import (
@@ -149,6 +150,8 @@ def tables_of(source) -> list:
         return [section.stop for section in source.sections]
     if isinstance(source, StoppingGame):
         return [source.payoffs] + [t for p in source.payoffs.values() for t in tables_of(p)]
+    if isinstance(source, JointStoppingMeasure):
+        return [source.mass, *source.mass.values()]
     if isinstance(source, RandomizedStoppingTime):
         return [source.rho, *source.rho.values(), source.rho_inf]
     if isinstance(source, BehaviorStoppingTime):
@@ -172,6 +175,9 @@ SOURCES = {
     **{kind: make for kind, (make, _) in CHANGES.items()},
     "process": random_process,
     "game": random_game,
+    "joint law": lambda rng, space: joint_detailed_distribution(
+        random_stopping_time(rng, space), random_stopping_time(rng, space), space
+    ),
 }
 
 
@@ -181,6 +187,8 @@ def results_of(source, space) -> list:
         return [snell_value(source, space)]
     if isinstance(source, StoppingGame):
         return [kept_game(source, space).parts]
+    if isinstance(source, JointStoppingMeasure):
+        return [source.marginal(space, 1), source.marginal(space, 2)]
     return [detailed_distribution(source, space), densities(source, space)]
 
 

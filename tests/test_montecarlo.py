@@ -20,6 +20,7 @@ from stopwright import (
     adapted_process,
     behavior,
     constant_process,
+    convert,
     detailed_distribution,
     empirical_detailed_distribution,
     empirical_game_payoff,
@@ -27,7 +28,6 @@ from stopwright import (
     game_payoff,
     pure,
     randomized,
-    randomized_to_mixed,
     stopping_game,
 )
 from stopwright.games import kept_game
@@ -122,7 +122,7 @@ class TestSampleStopTime:
         assert list(_stop_columns(hazard_zero, e1)(Zeros(), atom_idx)) == [2, 2, 2, 2]
 
     def test_mixed_section_selection(self, e1, r1):
-        mix = randomized_to_mixed(r1, e1)
+        mix = convert(r1, "mixed", e1)
         # breakpoints (0, 1/4, 1/2, 1]: draws pick sections by interval
         assert sample_stop_time(mix, e1, "w3", iter([0.2])) == 1
         assert sample_stop_time(mix, e1, "w3", iter([0.4])) == 2
@@ -236,7 +236,7 @@ class TestSamplerStaysOnTheSupport:
             for t, count in counts[atom].items():
                 t = t if column is None else t[column]
                 if count:
-                    cells.add(space.root + j if t == INFINITY else space.paths[j][t - 1])
+                    cells.add(space.root + j if t == INFINITY else space.slots[t - 1][j])
         return cells
 
     def test_every_realized_cell_has_exact_mass_on_fuzzed_spaces(self):

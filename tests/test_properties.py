@@ -164,7 +164,7 @@ def test_numbering_agrees_with_levels_prob_and_nodes(nodes):
             assert space.ids[p] == up[space.ids[i]]
     assert list(space.prob) == list(space.atoms) and sum(space.prob.values()) == 1
     for j, a in enumerate(space.atoms):
-        path = space.paths[j]
+        path = [row[j] for row in space.slots[:-1]]
         assert [space.depth[i] for i in path] == list(range(1, T + 1))
         assert all(a in members[i] for i in path)
         assert space.leaf[j] == path[-1] and space.ids[path[-1]] == a

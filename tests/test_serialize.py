@@ -10,10 +10,10 @@ from stopwright import (
     INFINITY,
     ValidationError,
     constant_process,
+    convert,
     detailed_distribution,
     equivalent,
     pure,
-    randomized_to_mixed,
     stopping_game,
     stopping_measure,
 )
@@ -105,7 +105,7 @@ class TestSpaceDoc:
 class TestStoppingTimeDocs:
     def test_round_trip_all_types(self, e1):
         r1, b1 = make_r1(), make_b1()
-        mix = randomized_to_mixed(r1, e1)
+        mix = convert(r1, "mixed", e1)
         sigma = pure({"w1": 1, "w2": 1, "w3": 2, "w4": INFINITY})
         for eta in (sigma, r1, b1, mix):
             doc = stopping_time_to_doc(eta)
@@ -181,7 +181,7 @@ class TestKeyOrder:
             '{"type": "behavior", "beta": {"1": {"A": "1/2", "B": "1/4"}, '
             '"2": {"w1": "1", "w2": "0", "w3": "1/3", "w4": "1"}}}',
         ]
-        assert json.dumps(stopping_time_to_doc(randomized_to_mixed(r1, e1))) == (
+        assert json.dumps(stopping_time_to_doc(convert(r1, "mixed", e1))) == (
             '{"type": "mixed", "breakpoints": ["0", "1/4", "1/2", "1"], "sections": ['
             '{"type": "pure", "stop": {"w1": 1, "w2": 1, "w3": 1, "w4": 1}}, '
             '{"type": "pure", "stop": {"w1": 1, "w2": 1, "w3": 2, "w4": 2}}, '

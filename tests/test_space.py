@@ -296,7 +296,7 @@ class TestTreePasses:
         assert e1.depth == [1, 1, 2, 2, 2, 2]
         assert e1.parent == [6, 6, 0, 0, 1, 1] and e1.root == 6
         assert e1.starts == [0, 2, 6]
-        assert e1.paths == [(0, 2), (0, 3), (1, 4), (1, 5)]
+        assert e1.slots == [[0, 0, 1, 1], [2, 3, 4, 5], [6, 7, 8, 9]]
         assert e1.leaf == [2, 3, 4, 5]
         assert e1.denominator == 4
         assert e1.atom_mass == [1, 1, 1, 1] and e1.block_mass == [2, 2, 1, 1, 1, 1]
