@@ -8,8 +8,6 @@ stopping, two-player stopping games, and a seeded Monte-Carlo layer that
 cross-checks the exact computations by actually running the rules.
 """
 
-import importlib
-
 from .errors import (
     ConsistencyFailure,
     FormatError,
@@ -59,53 +57,56 @@ from .convert import (
     measure_to_randomized,
     repair_densities,
 )
-from .payoffs import (
-    DistinguishResult,
-    SnellResult,
-    check_epsilon_optimal,
-    distinguish,
-    payoff,
-    snell_value,
-    witness_problem,
-)
-from .games import (
-    BOTH,
-    COALITIONS,
-    ONLY_1,
-    ONLY_2,
-    JointStoppingMeasure,
-    StageSolution,
-    StoppingGame,
-    ZeroSumResult,
-    auxiliary_problem,
-    best_response_value,
-    check_epsilon_equilibrium,
-    game_equivalent,
-    game_payoff,
-    is_zero_sum,
-    joint_detailed_distribution,
-    solve_stage_game,
-    stopping_game,
-    zero_sum_value,
-)
-
 __version__ = "0.1.0"
 
-#: The Monte-Carlo layer needs numpy, so it is imported on first use (PEP 562):
-#: ``import stopwright`` and every exact computation load no numpy.
-_MONTECARLO_NAMES = frozenset(
-    (
-        "EmpiricalDistribution",
-        "empirical_detailed_distribution",
-        "empirical_game_payoff",
-        "empirical_joint_distribution",
+#: The layers loaded on first use (PEP 562), by each public name they define.  The core above
+#: is all that ``import stopwright``, reading a rule or a space, and every exact computation on
+#: rules alone load: ``payoffs`` comes with a problem or a game, ``games`` with a game, and
+#: ``montecarlo``, with numpy, only with sampling.
+_LAZY = {
+    name: layer
+    for layer, names in (
+        (
+            "payoffs",
+            "DistinguishResult SnellResult check_epsilon_optimal distinguish payoff snell_value"
+            " witness_problem",
+        ),
+        (
+            "games",
+            "BOTH COALITIONS ONLY_1 ONLY_2 JointStoppingMeasure StageSolution StoppingGame"
+            " ZeroSumResult auxiliary_problem best_response_value check_epsilon_equilibrium"
+            " game_equivalent game_payoff is_zero_sum joint_detailed_distribution"
+            " solve_stage_game stopping_game zero_sum_value",
+        ),
+        (
+            "montecarlo",
+            "EmpiricalDistribution empirical_detailed_distribution empirical_game_payoff"
+            " empirical_joint_distribution",
+        ),
     )
-)
+    for name in names.split()
+}
+
+#: What ``from stopwright import *`` binds: every public name and layer but the Monte-Carlo
+#: ones, which would load numpy.
+__all__ = [
+    *(name for name in globals() if name[0] != "_"),
+    *(name for name, layer in _LAZY.items() if layer != "montecarlo"),
+    "payoffs",
+    "games",
+]
 
 
 def __getattr__(name: str):
-    if name not in _MONTECARLO_NAMES and name != "montecarlo":
+    import importlib
+
+    layer = _LAZY.get(name, name)  # a lazy name's layer, or the name of a layer itself
+    if layer not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    montecarlo = importlib.import_module(".montecarlo", __name__)
-    globals().update((n, getattr(montecarlo, n)) for n in _MONTECARLO_NAMES)
-    return globals()[name]
+    module = importlib.import_module(f".{layer}", __name__)
+    globals().update((n, getattr(module, n)) for n, where in _LAZY.items() if where == layer)
+    return module if name == layer else globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

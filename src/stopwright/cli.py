@@ -15,13 +15,6 @@ import sys
 
 from .convert import TARGET_TYPES, convert
 from .errors import FormatError, StopwrightError
-from .games import (
-    best_response_value,
-    check_epsilon_equilibrium,
-    game_payoff,
-    zero_sum_value,
-)
-from .payoffs import _optimality, payoff, snell_value
 from .serialize import (
     _per_atom_doc,
     game_from_doc,
@@ -215,7 +208,11 @@ def _dispatch(args) -> dict:
     if args.command == "equiv":
         return {"equivalent": equivalent(eta1, eta2, space)}
 
+    # Each command imports the layers it runs, so that no other command loads them: ``payoffs``
+    # for a problem, ``games`` (which loads ``payoffs``) for a game, numpy only for sampling.
     if args.command == "payoff":
+        from .payoffs import _optimality, payoff
+
         if args.epsilon is None:
             return {"payoff": rational_str(payoff(eta1, problem, space))}
         # as in eq-check, the epsilon is parsed and judged before the one pairing
@@ -228,13 +225,19 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "snell":
+        from .payoffs import snell_value
+
         return _optimum(snell_value(problem, space))
 
     if args.command == "game-payoff":
+        from .games import game_payoff
+
         one, two = game_payoff(eta1, eta2, game, space)
         return {"player1": rational_str(one), "player2": rational_str(two)}
 
     if args.command == "game-value":
+        from .games import zero_sum_value
+
         result = zero_sum_value(game, space)
         return {
             "value": rational_str(result.value),
@@ -245,10 +248,14 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "br":
+        from .games import best_response_value
+
         result = best_response_value(eta1, game, args.player, space)
         return {"player": args.player, **_optimum(result)}
 
     if args.command == "eq-check":
+        from .games import check_epsilon_equilibrium
+
         epsilon = parse_rational(args.epsilon)
         return {
             "epsilon": rational_str(epsilon),
@@ -256,7 +263,6 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "sample":
-        # Only sampling needs numpy; importing it here keeps it out of every other command.
         from .montecarlo import empirical_detailed_distribution
 
         seed = _resolve_seed(args.seed)

@@ -82,8 +82,18 @@ def stopping_game(payoffs) -> StoppingGame:
     """Build a StoppingGame from {(player, coalition): AdaptedProcess}; a ``payoffs`` that is
     not a mapping goes to the class as it is, which refuses it."""
     if isinstance(payoffs, Mapping):
-        payoffs = {(int(j), frozenset(c)): p for (j, c), p in payoffs.items()}
+        payoffs = {_game_key(key): p for key, p in payoffs.items()}
     return StoppingGame(payoffs=payoffs)
+
+
+def _game_key(key) -> tuple[int, frozenset]:
+    """A payoff key ``(player, coalition)`` as ``(int, frozenset)``; ValidationError naming
+    it unless it is a pair of a number and an iterable of players."""
+    try:
+        j, c = key
+        return int(j), frozenset(c)
+    except (TypeError, ValueError):
+        raise ValidationError(f"game payoff key {key!r} is not a (player, coalition) pair") from None
 
 
 def kept_game(game: StoppingGame, space: FilteredSpace) -> Kept:
@@ -130,13 +140,20 @@ class JointStoppingMeasure:
 
     def marginal(self, space: FilteredSpace, player: int) -> StoppingMeasure:
         """Integrate out the other player's stop index.  Raises ValidationError unless ``player``
-        is 1 or 2 and the table is a mapping of mappings (``rows_of``)."""
+        is 1 or 2, the table is a mapping of mappings (``rows_of``) with a row for each atom of
+        ``space``, and each key of a row is a pair of times of ``space``."""
         _check_player(player)
         table, rows = rows_of(self.mass), {}
         for atom in space.atoms:
+            if atom not in table:
+                raise ValidationError(f"joint mass has no row for atom {atom!r}")
             row = rows[atom] = dict.fromkeys(space.times, ZERO)
-            for (t1, t2), m in table[atom].items():
-                row[t1 if player == 1 else t2] += m
+            for pair, m in table[atom].items():
+                if not (type(pair) is tuple and len(pair) == 2 and all(map(space.is_time, pair))):
+                    raise ValidationError(
+                        f"joint mass of atom {atom!r} has key {pair!r}, not a pair of times"
+                    )
+                row[pair[player - 1]] += m
         return StoppingMeasure(mass=rows)
 
 

@@ -62,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
@@ -75,7 +75,9 @@ from .stopping import (
     RandomizedStoppingTime,
     check,
 )
-from .games import StoppingGame, kept_game
+
+if TYPE_CHECKING:  # only ``empirical_game_payoff`` reads a game, and it loads ``games``
+    from .games import StoppingGame
 
 CHUNK_SIZE = 4096
 
@@ -353,6 +355,8 @@ def empirical_game_payoff(
     added one after another from 0.0, so the float sums run in a fixed order.
     ``samples`` and ``seed`` are checked before any rule or the game.
     """
+    from .games import kept_game
+
     _check_sampling_args(samples, seed)
     grids, lookup = kept_game(game, space).derive(_payoff_grids, space)
     chunks, shape = _chunks((eta1, eta2), space, samples, seed)

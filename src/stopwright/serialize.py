@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING, Callable
 
 from .errors import FormatError, ValidationError
-from .games import BOTH, ONLY_1, ONLY_2, StoppingGame, is_zero_sum, stopping_game
 from .space import (
     INFINITY,
     RATIONAL,
@@ -35,6 +35,9 @@ from .stopping import (
     StoppingMeasure,
     stopping_measure,
 )
+
+if TYPE_CHECKING:  # the game codec loads ``games`` only when it reads or writes a game
+    from .games import StoppingGame
 
 
 def rational_str(x: Fraction) -> str:
@@ -64,6 +67,23 @@ def parse_rational(value) -> Fraction:
     elif is_int(value):
         return Fraction(value)
     raise FormatError(f"bad rational {value!r}: expected a JSON integer or a string 'a/b'")
+
+
+def _numbers() -> Callable[[object], Fraction]:
+    """A ``parse_rational`` for one document, which reads each distinct string once: a read
+    makes a fresh one for its document and drops it when it returns, so no number outlives
+    its document or a change of the interpreter's limit on the digits of an int string."""
+    memo = {}
+
+    def number(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        read = memo.get(value)
+        if read is None:
+            read = memo[value] = parse_rational(value)
+        return read
+
+    return number
 
 
 def parse_time(key) -> Time:
@@ -98,10 +118,10 @@ def space_from_doc(doc) -> FilteredSpace:
     nodes = doc.get("nodes") if isinstance(doc, dict) else doc
     if not isinstance(nodes, list):
         raise FormatError("space document must be a node list or contain a 'nodes' list")
-    parsed = []
+    parsed, number = [], _numbers()
     for node in nodes:
         if isinstance(node, dict) and node.get("prob") is not None:
-            node = {**node, "prob": parse_rational(node["prob"])}
+            node = {**node, "prob": number(node["prob"])}
         parsed.append(node)
     return build_space(parsed)
 
@@ -109,7 +129,7 @@ def space_from_doc(doc) -> FilteredSpace:
 # -- fields -----------------------------------------------------------------------
 
 
-def _blocks_from_doc(table, name: str) -> dict[int, dict[str, Fraction]]:
+def _blocks_from_doc(table, name: str, number) -> dict[int, dict[str, Fraction]]:
     if not isinstance(table, dict):
         raise FormatError(f"{name} must map times to block tables")
     out = {}
@@ -117,7 +137,7 @@ def _blocks_from_doc(table, name: str) -> dict[int, dict[str, Fraction]]:
         t = parse_time(key)
         if t == INFINITY or not isinstance(level, dict):
             raise FormatError(f"{name} has a bad entry at time {key!r}")
-        out[t] = {block: parse_rational(v) for block, v in level.items()}
+        out[t] = {block: number(v) for block, v in level.items()}
     return out
 
 
@@ -128,15 +148,15 @@ def _blocks_to_doc(table) -> dict:
     }
 
 
-def _atoms_from_doc(table, name: str) -> dict[str, Fraction]:
-    return {atom: parse_rational(v) for atom, v in table.items()}
+def _atoms_from_doc(table, name: str, number) -> dict[str, Fraction]:
+    return {atom: number(v) for atom, v in table.items()}
 
 
 def _atoms_to_doc(table) -> dict:
     return {atom: rational_str(v) for atom, v in table.items()}
 
 
-def _stops_from_doc(stop, name: str) -> dict[str, Time]:
+def _stops_from_doc(stop, name: str, number) -> dict[str, Time]:
     return {atom: parse_time(t) for atom, t in stop.items()}
 
 
@@ -144,17 +164,17 @@ def _stops_to_doc(stop) -> dict:
     return {atom: "inf" if t == INFINITY else int(t) for atom, t in stop.items()}
 
 
-def _rationals_from_doc(values, name: str) -> list[Fraction]:
-    return [parse_rational(r) for r in values]
+def _rationals_from_doc(values, name: str, number) -> list[Fraction]:
+    return [number(r) for r in values]
 
 
 def _rationals_to_doc(values) -> list:
     return [rational_str(r) for r in values]
 
 
-def _sections_from_doc(sections, name: str) -> list[PureStoppingTime]:
+def _sections_from_doc(sections, name: str, number) -> list[PureStoppingTime]:
     """Each section, which ``_all_pure`` found to be a pure rule document, read."""
-    return [stopping_time_from_doc(s) for s in sections]
+    return [_rule_from_doc(s, number) for s in sections]
 
 
 def _sections_to_doc(sections) -> list:
@@ -162,7 +182,8 @@ def _sections_to_doc(sections) -> list:
 
 
 #: Each kind of field: the JSON kind its value must have (dict, list, or object for any, its
-#: reader then checking it), its reader, given the value and the field's name, and its writer.
+#: reader then checking it), its reader, given the value, the field's name and the document's
+#: ``_numbers``, and its writer.
 _BLOCKS = (object, _blocks_from_doc, _blocks_to_doc)
 _ATOMS = (dict, _atoms_from_doc, _atoms_to_doc)
 _STOPS = (dict, _stops_from_doc, _stops_to_doc)
@@ -170,10 +191,10 @@ _RATIONALS = (list, _rationals_from_doc, _rationals_to_doc)
 _SECTIONS = (list, _sections_from_doc, _sections_to_doc)
 
 
-def _read_fields(doc, context: str, fields: dict) -> dict:
-    """Each of ``fields`` read from ``doc``, in order, by name."""
+def _read_fields(doc, context: str, fields: dict, number) -> dict:
+    """Each of ``fields`` read from ``doc``, in order, by name, its numbers by ``number``."""
     return {
-        name: read(_require(doc, name, context, kind), name)
+        name: read(_require(doc, name, context, kind), name, number)
         for name, (kind, read, _) in fields.items()
     }
 
@@ -205,13 +226,17 @@ _RULES = {
 
 
 def stopping_time_from_doc(doc) -> RandomStoppingTime:
+    return _rule_from_doc(doc, _numbers())
+
+
+def _rule_from_doc(doc, number) -> RandomStoppingTime:
     kind = _require(doc, "type", "stopping rule")
     if not isinstance(kind, str) or kind not in _RULES:
         raise FormatError(f"unknown stopping-rule type {kind!r}")
     cls, fields, first = _RULES[kind]
     if first is not None:
         first(doc)
-    return cls(**_read_fields(doc, f"{kind} rule", fields))
+    return cls(**_read_fields(doc, f"{kind} rule", fields, number))
 
 
 def stopping_time_to_doc(eta: RandomStoppingTime) -> dict:
@@ -227,7 +252,11 @@ _PROCESS = {"values": _BLOCKS, "infinity": _ATOMS}
 
 
 def process_from_doc(doc) -> AdaptedProcess:
-    return AdaptedProcess(**_read_fields(doc, "process", _PROCESS))
+    return _process_from_doc(doc, _numbers())
+
+
+def _process_from_doc(doc, number) -> AdaptedProcess:
+    return AdaptedProcess(**_read_fields(doc, "process", _PROCESS, number))
 
 
 def process_to_doc(process: AdaptedProcess) -> dict:
@@ -248,8 +277,9 @@ def measure_to_doc(nu: StoppingMeasure) -> dict:
 def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:
     mass_doc = _require(doc, "mass", "measure", dict)
     rows = {atom: _require(mass_doc, atom, "measure mass", dict) for atom in mass_doc}
+    number = _numbers()
     mass = {
-        atom: {parse_time(k): parse_rational(v) for k, v in row.items()}
+        atom: {parse_time(k): number(v) for k, v in row.items()}
         for atom, row in rows.items()
     }
     return stopping_measure(mass, space)
@@ -258,27 +288,24 @@ def measure_from_doc(doc, space: FilteredSpace) -> StoppingMeasure:
 # -- games ----------------------------------------------------------------------------
 
 #: Each payoff key of a game document and the (player, coalition) it names, in the order
-#: a document lists them.
+#: a document lists them: "j|{c}" is player j's payoff when the players c stop.
 _GAME_KEYS = {
-    "1|{12}": (1, BOTH),
-    "1|{1}": (1, ONLY_1),
-    "1|{2}": (1, ONLY_2),
-    "2|{12}": (2, BOTH),
-    "2|{1}": (2, ONLY_1),
-    "2|{2}": (2, ONLY_2),
+    f"{j}|{{{c}}}": (j, frozenset(map(int, c))) for j in (1, 2) for c in ("12", "1", "2")
 }
 
 
 def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
+    from .games import is_zero_sum, stopping_game
+
     players = _require(doc, "players", "game")
     if type(players) is not int or players != 2:
         raise FormatError(f"only 2-player games are supported, got players={players!r}")
     payoff_docs = _require(doc, "payoffs", "game", dict)
-    table = {}
+    table, number = {}, _numbers()
     for key, proc_doc in payoff_docs.items():
         if key not in _GAME_KEYS:
             raise FormatError(f"bad payoff key {key!r} (expected e.g. '1|{{12}}')")
-        table[_GAME_KEYS[key]] = process_from_doc(proc_doc)
+        table[_GAME_KEYS[key]] = _process_from_doc(proc_doc, number)
     declared = doc.get("zero_sum", False)
     if not isinstance(declared, bool):
         raise FormatError(f"game 'zero_sum' must be true or false, got {declared!r}")
@@ -289,6 +316,8 @@ def game_from_doc(doc, space: FilteredSpace) -> StoppingGame:
 
 
 def game_to_doc(game: StoppingGame, space: FilteredSpace) -> dict:
+    from .games import is_zero_sum
+
     return {
         "players": 2,
         "payoffs": {

@@ -28,7 +28,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, le, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ValidationError
 from .space import (
@@ -152,7 +152,8 @@ class StoppingMeasure:
         """Stop mass at (atom, t) relative to the atom's probability.  Raises ValidationError
         unless ``atom`` is an atom of the table and of ``space``, and ``t`` a time of its row
         (``_check_time``)."""
-        if atom not in rows_of(self.mass) or atom not in space.prob:
+        rows = rows_of(self.mass)
+        if not isinstance(atom, Hashable) or atom not in rows or atom not in space.prob:
             raise ValidationError(f"atom {atom!r} is not an atom of the space")
         self._check_time(t, [atom])
         return self.mass[atom][t] / space.prob[atom]
@@ -161,8 +162,11 @@ class StoppingMeasure:
         """Mass of ``event x {t}``.  Raises ValidationError, naming the least, unless every
         atom of ``event`` is an atom of the table, and then unless ``t`` is a time of their
         rows, or of every row for an empty event (``_check_time``)."""
-        event = [*event]
-        unknown = ordered(set(event).difference(rows_of(self.mass)))
+        try:
+            event = [*event]
+            unknown = ordered(set(event).difference(rows_of(self.mass)))
+        except TypeError:  # not iterable, or a member that is not hashable
+            raise ValidationError(f"event must be an iterable of atoms, got {event!r}") from None
         if unknown:
             raise ValidationError(f"event atom {unknown[0]!r} is not an atom of the space")
         self._check_time(t, event or self.mass)

@@ -262,7 +262,7 @@ class TestEvaluation:
         def refuse(*args):
             raise AssertionError("payoff computed before --epsilon was judged")
 
-        monkeypatch.setattr(stopwright.cli, "payoff", refuse)
+        monkeypatch.setattr(stopwright.payoffs, "payoff", refuse)
         monkeypatch.setattr(stopwright.payoffs, "_pair", refuse)
         args = [
             "payoff", "--space", files["e1.json"], "--st", files["r1.json"],
@@ -446,12 +446,16 @@ class TestOutputFormats:
         assert code == 2
 
 
-#: Runs ``cli.run`` on its arguments in a fresh interpreter, then says on stderr whether numpy got loaded.
+#: Runs ``cli.run`` on its arguments in a fresh interpreter, then writes on stderr the
+#: modules it loaded beyond the core of a cli child: its ``stopwright`` layers, and numpy.
 CHILD = """
 import sys
 from stopwright.cli import run
 code = run(sys.argv[1:])
-sys.stderr.write("numpy loaded" if "numpy" in sys.modules else "no numpy")
+core = {"cli", "convert", "errors", "serialize", "space", "stopping"}
+names = (n.split(".") for n in sys.modules)
+loaded = {n[1] for n in names if len(n) == 2 and n[0] == "stopwright"} - core
+sys.stderr.write(" ".join(sorted(loaded) + ["numpy"] * ("numpy" in sys.modules)))
 sys.exit(code)
 """
 
@@ -461,6 +465,36 @@ MONTECARLO_NAMES = (
     "empirical_game_payoff",
     "empirical_joint_distribution",
 )
+
+#: Every public name of ``stopwright``, by the module that defines it.
+PUBLIC = {
+    "errors": (
+        "ConsistencyFailure FormatError NotAStoppingMeasure NotZeroSum ProbabilitySumError"
+        " SpaceMismatch StopwrightError StructureError ValidationError ZeroProbabilityError"
+    ),
+    "space": (
+        "INFINITY AdaptedProcess Event FilteredSpace Time adapted_process as_fraction"
+        " build_space check_process constant_process"
+    ),
+    "stopping": (
+        "BehaviorStoppingTime MixedStoppingTime PureStoppingTime RandomStoppingTime"
+        " RandomizedStoppingTime StoppingMeasure Violation behavior densities"
+        " detailed_distribution enumerate_pure_stopping_times equivalent mixed pure randomized"
+        " stopping_measure validate"
+    ),
+    "convert": "convert is_stopping_measure measure_to_randomized repair_densities",
+    "payoffs": (
+        "DistinguishResult SnellResult check_epsilon_optimal distinguish payoff snell_value"
+        " witness_problem"
+    ),
+    "games": (
+        "BOTH COALITIONS ONLY_1 ONLY_2 JointStoppingMeasure StageSolution StoppingGame"
+        " ZeroSumResult auxiliary_problem best_response_value check_epsilon_equilibrium"
+        " game_equivalent game_payoff is_zero_sum joint_detailed_distribution solve_stage_game"
+        " stopping_game zero_sum_value"
+    ),
+    "montecarlo": " ".join(MONTECARLO_NAMES),
+}
 
 
 def fresh_python(*args):
@@ -473,26 +507,28 @@ def fresh_python(*args):
 
 
 class TestStartWithoutNumpy:
-    """Only ``sample`` needs numpy; no other command and no bare import loads it."""
+    """Each command loads only the layers it runs: ``payoffs`` for a problem, ``games`` and
+    ``payoffs`` for a game, and ``montecarlo`` with numpy only for ``sample``; a bare import
+    loads none of them."""
 
-    def test_no_command_but_sample_loads_numpy(self, files, capsys):
+    def test_each_command_loads_only_its_layers(self, files, capsys):
         r1, b1, game, problem = (files[f"{name}.json"] for name in ("r1", "b1", "game", "problem"))
         flags = {
-            "validate": ["--st", r1],
-            "dist": ["--st", r1],
-            "convert": ["--st", r1, "--to", "mixed"],
-            "equiv": ["--st", r1, "--st2", b1],
-            "payoff": ["--st", r1, "--problem", problem, "--epsilon", "1/2"],
-            "snell": ["--problem", problem],
-            "game-payoff": ["--st", r1, "--st2", b1, "--game", game],
-            "game-value": ["--game", game],
-            "br": ["--st", r1, "--game", game, "--player", "2"],
-            "eq-check": ["--st", r1, "--st2", b1, "--game", game],
+            "validate": (["--st", r1], ""),
+            "dist": (["--st", r1], ""),
+            "convert": (["--st", r1, "--to", "mixed"], ""),
+            "equiv": (["--st", r1, "--st2", b1], ""),
+            "payoff": (["--st", r1, "--problem", problem, "--epsilon", "1/2"], "payoffs"),
+            "snell": (["--problem", problem], "payoffs"),
+            "game-payoff": (["--st", r1, "--st2", b1, "--game", game], "games payoffs"),
+            "game-value": (["--game", game], "games payoffs"),
+            "br": (["--st", r1, "--game", game, "--player", "2"], "games payoffs"),
+            "eq-check": (["--st", r1, "--st2", b1, "--game", game], "games payoffs"),
         }
-        for command, rest in flags.items():
+        for command, (rest, layers) in flags.items():
             argv = [command, "--space", files["e1.json"], *rest]
             child = fresh_python("-c", CHILD, *argv)
-            assert (child.returncode, child.stderr) == (0, "no numpy"), command
+            assert (child.returncode, child.stderr) == (0, layers), command
             code, out, _ = run_capture(capsys, argv)
             assert (code, out) == (0, child.stdout), command
 
@@ -500,7 +536,7 @@ class TestStartWithoutNumpy:
         argv = ["sample", "--space", files["e1.json"], "--st", files["r1.json"],
                 "--samples", "500", "--seed", "3"]
         child = fresh_python("-c", CHILD, *argv)
-        assert (child.returncode, child.stderr) == (0, "numpy loaded")
+        assert (child.returncode, child.stderr) == (0, "montecarlo numpy")
         code, out, _ = run_capture(capsys, argv)
         assert (code, out) == (0, child.stdout)
 
@@ -524,6 +560,38 @@ class TestStartWithoutNumpy:
         assert (child.returncode, child.stdout) == (0, "ok\n"), child.stderr
         for name in MONTECARLO_NAMES:
             assert getattr(stopwright, name) is getattr(stopwright.montecarlo, name)
+
+    @pytest.mark.parametrize(
+        "first",
+        ["errors", "space", "stopping", "convert", "serialize", "payoffs", "games", "montecarlo", "cli"],
+    )
+    def test_each_name_is_its_module_s_whichever_module_loads_first(self, first):
+        """Each public name is the object its module defines, ``convert`` the function among
+        them; ``dir`` lists every one, and ``import *`` binds all but the Monte-Carlo ones and
+        every layer but ``montecarlo``."""
+        script = f"""
+import importlib, sys, types
+import stopwright.{first}
+import stopwright
+public = {PUBLIC!r}
+names = {{n for defined in public.values() for n in defined.split()}}
+star = {{}}
+exec("from stopwright import *", star)
+bound = {{n for n, v in star.items() if n[0] != "_" and not isinstance(v, types.ModuleType)}}
+assert bound == names - set(public["montecarlo"].split()), bound ^ names
+layers = {{n for n, v in star.items() if isinstance(v, types.ModuleType)}}
+assert layers == {{"errors", "space", "stopping", "payoffs", "games"}}, layers
+assert "numpy" not in sys.modules or {first == "montecarlo"}
+listed = {{n for n in dir(stopwright) if n[0] != "_"}}
+assert names <= listed, names - listed
+assert all(isinstance(getattr(stopwright, n), types.ModuleType) for n in listed - names)
+for module, defined in public.items():
+    layer = importlib.import_module("stopwright." + module)
+    assert all(getattr(stopwright, n) is getattr(layer, n) for n in defined.split()), module
+print(len(names))
+"""
+        child = fresh_python("-c", script)
+        assert (child.returncode, child.stdout) == (0, "70\n"), child.stderr
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -194,3 +194,32 @@ def test_a_field_of_the_wrong_type_is_refused_by_a_package_error(name, field, wr
     assert checks is not None, f"{name} built a value from {field}={wrong}"
     for call in checks(built[0], space):
         assert refused(call), f"{name} with {field}={wrong}: a check accepted it"
+
+
+
+#: Per call that once escaped as a bare Python error, given a measure, a process and the space:
+#: the call, and the text naming its bad argument in the ValidationError it raises.
+BAD_QUERIES = {
+    "density at an unhashable atom": (lambda nu, p, sp: nu.density(sp, [], 1), r"atom \[\]"),
+    "event_mass of no event": (lambda nu, p, sp: nu.event_mass(None, 1), "event .* got None"),
+    "marginal of a table without the space's atoms": (
+        lambda nu, p, sp: JointStoppingMeasure(mass={}).marginal(sp, 1),
+        "no row for atom 'w1'",
+    ),
+    "marginal at a key that is not a pair": (
+        lambda nu, p, sp: JointStoppingMeasure(mass={"w1": {5: 1}}).marginal(sp, 1),
+        "has key 5, not a pair",
+    ),
+    "stopping_game keyed by a number": (
+        lambda nu, p, sp: stopping_game({5: p}),
+        r"key 5 is not a \(player, coalition\) pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_QUERIES))
+def test_a_bad_query_argument_is_named_by_a_validation_error(e1, r1, case):
+    call, named = BAD_QUERIES[case]
+    nu, process = detailed_distribution(r1, e1), random_process(random.Random(0), e1)
+    with pytest.raises(stopwright.ValidationError, match=named):
+        call(nu, process, e1)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ from stopwright import (
     FormatError,
     INFINITY,
     ValidationError,
+    adapted_process,
     constant_process,
     convert,
     detailed_distribution,
@@ -314,3 +317,133 @@ class TestGameDocs:
         doc["payoffs"][renamed] = doc["payoffs"].pop(key)
         with pytest.raises(FormatError, match="bad payoff key"):
             game_from_doc(doc, e1)
+
+
+def distinct_documents(rng: random.Random) -> dict:
+    """The documents of a 4 x 4 tree, a problem on it and a zero-sum game on it, whose numbers
+    are all distinct strings of ~90-bit rationals: no number is read twice."""
+    nodes = [{"id": "root", "parent": None}]
+    nodes += [{"id": f"b{i}", "parent": "root"} for i in range(4)]
+    weights = [rng.getrandbits(90) | 1 for _ in range(16)]
+    nodes += [
+        {"id": f"w{k}", "parent": f"b{k // 4}", "prob": f"{w}/{sum(weights)}"}
+        for k, w in enumerate(weights)
+    ]
+    space = space_from_doc({"nodes": nodes})
+
+    def big():
+        return F(rng.getrandbits(90) - (1 << 89), rng.getrandbits(90) | 1)
+
+    def process():
+        return process_to_doc(
+            adapted_process(
+                values={n: {b: big() for b in space.blocks(n)} for n in (1, 2)},
+                infinity={a: big() for a in space.atoms},
+            )
+        )
+
+    payoffs = {}
+    for c in ("12", "1", "2"):
+        one = payoffs[f"1|{{{c}}}"] = process()
+        payoffs[f"2|{{{c}}}"] = process_to_doc(negate_process(process_from_doc(one)))
+    return {
+        "space": {"nodes": nodes},
+        "problem": process(),
+        "game": {"players": 2, "payoffs": payoffs, "zero_sum": True},
+    }
+
+
+def numbers_of(doc) -> list:
+    """Every number string of a document, a space's ids aside."""
+    if isinstance(doc, dict):
+        return [s for key, v in doc.items() if key not in ("id", "parent") for s in numbers_of(v)]
+    if isinstance(doc, list):
+        return [s for v in doc for s in numbers_of(v)]
+    return [doc] if isinstance(doc, str) else []
+
+
+class TestNumberMemo:
+    """A read parses each distinct number string of its document once, and forgets them all
+    when it returns."""
+
+    #: sha256 of the cli output on ``distinct_documents(random.Random(90))``, as written
+    #: before reads kept a memo.
+    DIGEST = "76f7084b933df79d8ab113e2061643009283274c95fd55cb0af4b8e4182d7ee1"
+
+    def test_distinct_numbers_read_as_one_by_one(self):
+        docs = distinct_documents(random.Random(90))
+        strings = [s for doc in docs.values() for s in numbers_of(doc)]
+        assert len(strings) == len(set(strings)) > 150
+        space = space_from_doc(docs["space"])
+        assert list(space.prob.values()) == [
+            parse_rational(node["prob"]) for node in docs["space"]["nodes"] if "prob" in node
+        ]
+        problem = process_from_doc(docs["problem"])
+        assert problem.values == {
+            int(n): {b: parse_rational(v) for b, v in level.items()}
+            for n, level in docs["problem"]["values"].items()
+        }
+        infinity = docs["problem"]["infinity"]
+        assert problem.infinity == {a: parse_rational(v) for a, v in infinity.items()}
+        game = game_from_doc(docs["game"], space)
+        assert game_to_doc(game, space) == docs["game"]
+
+    def test_distinct_numbers_print_the_same_bytes(self, tmp_path, capsys):
+        from stopwright.cli import run
+
+        paths = {}
+        for name, doc in distinct_documents(random.Random(90)).items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        out = []
+        for argv in (
+            ["validate", "--space", paths["space"]],
+            ["snell", "--space", paths["space"], "--problem", paths["problem"]],
+            ["game-value", "--space", paths["space"], "--game", paths["game"]],
+        ):
+            assert run([str(a) for a in argv]) == 0
+            out.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == self.DIGEST
+
+    def test_each_distinct_string_is_parsed_once_per_document(self, e1, monkeypatch):
+        import stopwright.serialize
+
+        parsed = []
+        real = stopwright.serialize.parse_rational
+        monkeypatch.setattr(
+            stopwright.serialize, "parse_rational", lambda v: parsed.append(v) or real(v)
+        )
+        table = {(j, c): constant_process(e1, 2 * j - 3) for j in (1, 2) for c in (ONLY_1, ONLY_2, BOTH)}
+        doc = game_to_doc(stopping_game(table), e1)
+        assert len(numbers_of(doc)) == 6 * 10
+        game_from_doc(doc, e1)
+        game_from_doc(doc, e1)  # a second document reads its numbers afresh
+        assert sorted(parsed) == ["-1", "-1", "1", "1"]
+
+    def test_a_repeated_malformed_string_is_refused(self, e1):
+        process = {
+            "values": {"1": {"A": "1/0", "B": "1/0"}, "2": {w: "x" for w in e1.atoms}},
+            "infinity": {w: "x" for w in e1.atoms},
+        }
+        with pytest.raises(FormatError, match="zero denominator"):
+            process_from_doc(process)
+        process["values"]["1"] = {"A": "0", "B": "0"}
+        game = {"players": 2, "payoffs": {"1|{12}": process, "2|{12}": process}}
+        with pytest.raises(FormatError, match="bad rational 'x'"):
+            game_from_doc(game, e1)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int digits")
+    def test_a_later_document_is_held_to_a_lowered_digit_limit(self, e1):
+        long = "7" * 700
+        doc = {
+            "values": {"1": {"A": long, "B": "0"}, "2": {w: long for w in e1.atoms}},
+            "infinity": {w: "0" for w in e1.atoms},
+        }
+        limit = sys.get_int_max_str_digits()
+        assert process_from_doc(doc).infinity["w1"] == 0
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(FormatError, match="more than 640 digits"):
+                process_from_doc(doc)
+        finally:
+            sys.set_int_max_str_digits(limit)
